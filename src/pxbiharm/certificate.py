@@ -41,6 +41,9 @@ __all__ = [
 #: "converged"
 _CONVERGENCE_RTOL = 5e-3
 
+#: the bump heights `certify` scans when it is given no h
+H_GRID = np.geomspace(1e-2, 1e2, 25)
+
 
 @dataclass
 class Certificate:
@@ -307,71 +310,81 @@ def _random_navier_field(grid: Grid, rng, n_modes: int = 5) -> GridFunction:
     return GridFunction(grid, vals, bc="navier")
 
 
-def _certificate_core(inst: ProblemInstance, r: float, h: float,
-                      grid: Grid | None = None) -> dict:
-    """All scalar ingredients of the certificate on one grid."""
-    grid = grid or inst.grid
+def _grid_constants(inst: ProblemInstance, r: float) -> dict:
+    """The h-independent ingredients of the certificate on the instance's
+    grid: N, D, x0, w, L, c0 with its provenance, gamma_r, alpha_r and
+    the |d|_{p'} that beta_h reads."""
+    grid = inst.grid
     N = grid.domain.dim
     D, x0 = inradius(grid.domain)
-    w = ball_volume_coeff(N)
-    L = compute_L(N, D)
     c0, prov = estimate_c0(grid, inst.p)
-    g_r = gamma_r(inst.p, r)
-    slope = 8 * h * N / (3 * D**2)
-    r_bound = (L / inst.p.p_plus) * min(slope ** inst.p.p_minus,
-                                        slope ** inst.p.p_plus)
-    a = alpha_r(inst, r, c0)
-    b = beta_h(inst, h, {
-        "c3": inst.potential.c3, "L": L, "w": w, "D": D, "N": N,
-        "p": inst.p,
-    })
-    # nonnegativity of ess inf F on [0, h], sampled
-    x = _node_coords(grid)
-    t_chk = np.linspace(0.0, h, 51)
-    F_chk = inst.nonlinearity.F(x[:, None], t_chk[None, :])
-    F_nonneg = bool(np.min(F_chk) >= -1e-12)
-    return dict(N=N, D=D, x0=x0, w=w, L=L, c0=c0, c0_provenance=prov,
-                gamma_r=g_r, r_bound=r_bound, alpha=a, beta=b,
-                F_nonneg=F_nonneg)
+    return dict(N=N, D=D, x0=x0, w=ball_volume_coeff(N), L=compute_L(N, D),
+                c0=c0, c0_provenance=prov, gamma_r=gamma_r(inst.p, r),
+                alpha=alpha_r(inst, r, c0), c3=inst.potential.c3, p=inst.p,
+                d_norm=d_norm_conjugate(inst.potential))
 
 
-def certify(inst: ProblemInstance, r: float, h: float,
+def _scan_h(inst: ProblemInstance, consts: dict) -> float:
+    """The h of H_GRID with the largest beta_h / alpha_r; a later h wins
+    only if its ratio exceeds the best by more than 1e-15."""
+    alpha = consts["alpha"]
+    best = None
+    for h in H_GRID:
+        ratio = beta_h(inst, float(h), consts) / alpha if alpha else np.inf
+        if best is None or ratio > best[0] + 1e-15:
+            best = (ratio, float(h))
+    return best[1]
+
+
+def certify(inst: ProblemInstance, r: float, h: float | None = None,
             check_convergence: bool = True) -> Certificate:
     """Full certificate: all constants, the r-bound and beta > alpha checks,
-    and the admissible lambda-interval when both hold."""
+    and the admissible lambda-interval when both hold.  With h=None the
+    bump height is chosen by `_scan_h`.  The h-independent constants are
+    computed once per grid: on the instance's grid and, for the
+    convergence check, once on the doubled grid."""
     if not inst.p.certificate_eligible(inst.grid.domain.dim):
         raise ValueError("certificate requires p_minus > N/2")
-    core = _certificate_core(inst, r, h)
+    core = _grid_constants(inst, r)
+    if h is None:
+        h = _scan_h(inst, core)
+    N, D, L, p = core["N"], core["D"], core["L"], inst.p
+    beta = beta_h(inst, h, core)
+    slope = 8 * h * N / (3 * D**2)
+    r_bound = (L / p.p_plus) * min(slope ** p.p_minus, slope ** p.p_plus)
+    # nonnegativity of ess inf F on [0, h], sampled
+    x = _node_coords(inst.grid)
+    t_chk = np.linspace(0.0, h, 51)
+    F_chk = inst.nonlinearity.F(x[:, None], t_chk[None, :])
     checks = {
-        "r_bound": bool(r < core["r_bound"]),
-        "beta_gt_alpha": bool(core["beta"] > core["alpha"] > 0.0),
-        "F_nonneg_on_0_h": core["F_nonneg"],
+        "r_bound": bool(r < r_bound),
+        "beta_gt_alpha": bool(beta > core["alpha"] > 0.0),
+        "F_nonneg_on_0_h": bool(np.min(F_chk) >= -1e-12),
     }
     feasible = all(checks.values())
-    interval = (1.0 / core["beta"], 1.0 / core["alpha"]) if feasible else None
+    interval = (1.0 / beta, 1.0 / core["alpha"]) if feasible else None
     reason = None
     if not feasible:
         reason = "; ".join(k for k, v in checks.items() if not v)
 
     # proof-side sandwich data
-    J_vbar = energy_J_vbar(inst.potential, h, core["D"], core["x0"], inst.grid)
-    x = _node_coords(inst.grid)
-    phi_lower = core["w"] * (core["D"] / 2) ** core["N"] \
+    J_vbar = energy_J_vbar(inst.potential, h, D, core["x0"], inst.grid)
+    phi_lower = core["w"] * (D / 2) ** N \
         * _ess_inf_F_at(inst.nonlinearity, x, h)
 
     converged = None
     if check_convergence:
         fine = build_grid(inst.grid.domain, 2 * inst.grid.n - 1)
         fine_inst = _reinstantiate(inst, fine)
-        fine_core = _certificate_core(fine_inst, r, h, fine)
+        fine_core = _grid_constants(fine_inst, r)
         converged = _close(core["alpha"], fine_core["alpha"]) and \
-            _close(core["beta"], fine_core["beta"])
+            _close(beta, beta_h(fine_inst, h, fine_core))
 
     return Certificate(
-        r=r, h=h, N=core["N"], D=core["D"], x0=tuple(core["x0"]),
-        w=core["w"], L=core["L"], gamma_r=core["gamma_r"],
+        r=r, h=h, N=N, D=D, x0=tuple(core["x0"]),
+        w=core["w"], L=L, gamma_r=core["gamma_r"],
         c0=core["c0"], c0_provenance=core["c0_provenance"],
-        alpha_r=core["alpha"], beta_h=core["beta"],
+        alpha_r=core["alpha"], beta_h=beta,
         lambda_interval=interval, checks=checks, converged=converged,
         J_vbar=J_vbar, Phi_vbar_lower=phi_lower, reason=reason,
     )

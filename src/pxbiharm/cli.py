@@ -145,32 +145,20 @@ def cmd_hypotheses(args) -> int:
 def _certify_from_config(cfg: cfgmod.RunConfig, inst: ProblemInstance):
     block = cfg.certificate
     if block.get("dim1"):
-        nl = inst.nonlinearity
-        if nl.name != "separable":
+        if inst.nonlinearity.name != "separable":
             raise ConfigError(
                 "dim1 certificate needs a separable nonlinearity alpha(x) g(t)")
-        alpha = cfg.nonlinearity.get("alpha", 1.0)
-        tg = np.asarray(cfg.nonlinearity["g_t"], float)
-        gv = np.asarray(cfg.nonlinearity["g_values"], float)
-        g = lambda t: np.interp(np.abs(t), tg, gv)  # noqa: E731
-        Gtab = np.concatenate([[0.0], np.cumsum(
-            np.diff(tg) * 0.5 * (gv[1:] + gv[:-1]))])
-        G = lambda t: np.sign(t) * np.interp(np.abs(t), tg, Gtab)  # noqa: E731
+        g, G = cfgmod.tabulated_g(cfg.nonlinearity)
         return cert.dim1_certificate(
-            g, alpha, inst.p, l=float(block.get("l", 1.0)),
-            h=float(block["h"]), c3=inst.potential.c3, G=G, grid=inst.grid)
-    h = float(block["h"]) if "h" in block else None
-    if block.get("h_scan") or h is None:
-        best = None
-        for h_try in np.geomspace(1e-2, 1e2, 25):
-            c = cert.certify(inst, float(block.get("r", 1.0)), float(h_try),
-                             check_convergence=False)
-            ratio = (c.beta_h / c.alpha_r) if c.alpha_r else np.inf
-            if best is None or ratio > best[0] + 1e-15:
-                best = (ratio, float(h_try))
-        h = best[1]
-        _info(f"h-scan selected h = {h:g}")
-    return cert.certify(inst, float(block.get("r", 1.0)), h)
+            g, cfg.nonlinearity.get("alpha", 1.0), inst.p,
+            l=float(block.get("l", 1.0)), h=float(block["h"]),
+            c3=inst.potential.c3, G=G, grid=inst.grid)
+    scan = block.get("h_scan") or "h" not in block
+    certificate = cert.certify(inst, float(block.get("r", 1.0)),
+                               None if scan else float(block["h"]))
+    if scan:
+        _info(f"h-scan selected h = {certificate.h:g}")
+    return certificate
 
 
 def cmd_certify(args) -> int:
@@ -211,7 +199,7 @@ def cmd_solve(args) -> int:
     vb = float(cfg.certificate.get("h", 1.0))
     sols = sol.deflate_and_search(
         inst, k_max=s.k_max, n_starts=s.n_starts, seed=s.seed, tol=s.tol,
-        vbar_scale=vb)
+        vbar_scale=vb, max_iter=s.max_iter)
     _write_solutions_csv(cfg.output.solutions_csv, inst, sols)
     payload = {
         "lambda": lam,
@@ -236,7 +224,7 @@ def cmd_sweep(args) -> int:
     rows = sol.lambda_sweep(
         inst, certificate.lambda_interval, s.sweep_m, k_max=s.k_max,
         n_starts=s.n_starts, seed=s.seed, tol=s.tol,
-        vbar_scale=float(cfg.certificate.get("h", 1.0)))
+        vbar_scale=float(cfg.certificate.get("h", 1.0)), max_iter=s.max_iter)
     with open(cfg.output.sweep_csv, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["lambda", "n_solutions", "energies"])

@@ -4,6 +4,7 @@ dataclasses, with strict unknown-key rejection."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,8 @@ from . import exponents as ex
 from . import potentials as pot
 from .grids import Domain, Grid, build_grid
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "build_problem"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "build_problem",
+           "tabulated_g"]
 
 SCHEMA_VERSION = 1
 
@@ -28,6 +30,104 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
     missing = required - set(block)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+
+
+# value checks: each takes (value, where) and returns the value in the type
+# the builders expect, or raises ConfigError
+
+def _number(value, where):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _positive(value, where):
+    value = _number(value, where)
+    if value <= 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return value
+
+
+def _integer(minimum):
+    def check(value, where):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < minimum:
+            raise ConfigError(
+                f"{where} must be an integer >= {minimum}, got {value!r}")
+        return value
+    return check
+
+
+def _numbers(value, where):
+    """A non-empty flat list of finite numbers, as a float array."""
+    try:
+        arr = np.array(value) if isinstance(value, list) else None
+    except ValueError:
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0 \
+            or arr.dtype.kind not in "if" or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where} must be a list of finite numbers")
+    return arr.astype(float)
+
+
+def _field(value, where):
+    """A number, or one number per node."""
+    if isinstance(value, list):
+        return _numbers(value, where)
+    return _number(value, where)
+
+
+def _optional_field(value, where):
+    return None if value is None else _field(value, where)
+
+
+def _text(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _flag(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+#: block -> (key -> check, required keys)
+_BLOCKS = {
+    "domain": ({"kind": _text, "a": _number, "b": _number,
+                "N": _integer(1), "R": _number}, {"kind"}),
+    "exponent": ({"kind": _text, "value": _number, "a": _number,
+                  "b": _number, "values": _numbers}, {"kind"}),
+    "potential": ({"family": _text, "theta": _field, "variant": _text},
+                  {"family"}),
+    "nonlinearity": ({"kind": _text, "xi": _optional_field, "zeta": _number,
+                      "q": _number, "alpha": _field, "g_t": _numbers,
+                      "g_values": _numbers}, {"kind"}),
+    "certificate": ({"r": _positive, "h": _positive, "h_scan": _flag,
+                     "dim1": _flag, "l": _positive}, set()),
+    "solver": ({"tol": _positive, "max_iter": _integer(1),
+                "n_starts": _integer(0), "k_max": _integer(1),
+                "seed": _integer(0), "sweep_m": _integer(2)}, set()),
+    "output": ({"solutions_csv": _text, "sweep_csv": _text}, set()),
+}
+
+
+def _block(doc: dict, name: str) -> dict:
+    """doc[name] (empty when absent) with its keys and value types checked."""
+    block = doc.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be an object, got {block!r}")
+    checks, required = _BLOCKS[name]
+    _require_keys(block, set(checks), required, name)
+    return {k: checks[k](v, f"{name}.{k}") for k, v in block.items()}
 
 
 @dataclass
@@ -65,6 +165,8 @@ def load_config(path_or_dict) -> RunConfig:
     else:
         with open(path_or_dict, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("a config must be a JSON object")
 
     _require_keys(
         doc,
@@ -74,46 +176,26 @@ def load_config(path_or_dict) -> RunConfig:
          "nonlinearity"},
         "config",
     )
-    if doc["schema"] != SCHEMA_VERSION:
+    if isinstance(doc["schema"], bool) or doc["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {doc['schema']!r}")
-
-    dom = doc["domain"]
-    _require_keys(dom, {"kind", "a", "b", "N", "R"}, {"kind"}, "domain")
-    expo = doc["exponent"]
-    _require_keys(expo, {"kind", "value", "a", "b", "values"}, {"kind"},
-                  "exponent")
-    potb = doc["potential"]
-    _require_keys(potb, {"family", "theta", "variant"}, {"family"},
-                  "potential")
-    nlb = doc["nonlinearity"]
-    _require_keys(nlb, {"kind", "xi", "zeta", "q", "alpha", "g_t", "g_values"},
-                  {"kind"}, "nonlinearity")
-    certb = doc.get("certificate", {})
-    _require_keys(certb, {"r", "h", "h_scan", "dim1", "l"}, set(),
-                  "certificate")
-    solvb = dict(doc.get("solver", {}))
-    _require_keys(solvb, {"tol", "max_iter", "n_starts", "k_max", "seed",
-                          "sweep_m"}, set(), "solver")
-    outb = dict(doc.get("output", {}))
-    _require_keys(outb, {"solutions_csv", "sweep_csv"}, set(), "output")
-
-    grid_n = int(doc["grid_n"])
-    if grid_n < 5:
-        raise ConfigError("grid_n must be at least 5")
+    blocks = {name: _block(doc, name) for name in _BLOCKS}
+    if blocks["certificate"].get("dim1") and "h" not in blocks["certificate"]:
+        raise ConfigError("the dim1 certificate needs certificate.h")
+    grid_n = _integer(5)(doc["grid_n"], "grid_n")
     lam = doc.get("lambda")
-    if lam is not None and float(lam) <= 0:
-        raise ConfigError("lambda must be positive")
+    if lam is not None:
+        lam = _positive(lam, "lambda")
 
     return RunConfig(
-        domain=dom,
+        domain=blocks["domain"],
         grid_n=grid_n,
-        exponent=expo,
-        potential=potb,
-        nonlinearity=nlb,
-        certificate=certb,
-        solver=SolverConfig(**solvb),
-        output=OutputConfig(**outb),
-        lam=None if lam is None else float(lam),
+        exponent=blocks["exponent"],
+        potential=blocks["potential"],
+        nonlinearity=blocks["nonlinearity"],
+        certificate=blocks["certificate"],
+        solver=SolverConfig(**blocks["solver"]),
+        output=OutputConfig(**blocks["output"]),
+        lam=lam,
     )
 
 
@@ -163,6 +245,21 @@ def build_potential(cfg: RunConfig, p: ex.ExponentField) -> pot.PotentialSpec:
     raise ConfigError(f"unknown potential family {b['family']!r}")
 
 
+def tabulated_g(block: dict):
+    """(g, G) of a table nonlinearity block: g(t) interpolates the
+    (g_t, g_values) samples at |t|, G is its trapezoid antiderivative,
+    odd in t."""
+    tg = np.asarray(block["g_t"], float)
+    gv = np.asarray(block["g_values"], float)
+    if tg.size != gv.size or tg.size < 2:
+        raise ConfigError("tabulated g needs matching g_t/g_values")
+    g = lambda t: np.interp(np.abs(t), tg, gv)  # noqa: E731
+    Gtab = np.concatenate([[0.0], np.cumsum(
+        np.diff(tg) * 0.5 * (gv[1:] + gv[:-1]))])
+    G = lambda t: np.sign(t) * np.interp(np.abs(t), tg, Gtab)  # noqa: E731
+    return g, G
+
+
 def build_nonlinearity(cfg: RunConfig, grid: Grid,
                        p: ex.ExponentField) -> pot.NonlinearitySpec:
     b = cfg.nonlinearity
@@ -177,14 +274,7 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
             return pot.builtin_nonlinearity(
                 name, grid, q, xi=b.get("xi"), zeta=float(b.get("zeta", 1.0)))
         if kind == "table":
-            tg = np.asarray(b["g_t"], float)
-            gv = np.asarray(b["g_values"], float)
-            if tg.size != gv.size or tg.size < 2:
-                raise ConfigError("tabulated g needs matching g_t/g_values")
-            g = lambda t: np.interp(np.abs(t), tg, gv)  # noqa: E731
-            Gtab = np.concatenate([[0.0], np.cumsum(
-                np.diff(tg) * 0.5 * (gv[1:] + gv[:-1]))])
-            G = lambda t: np.sign(t) * np.interp(np.abs(t), tg, Gtab)  # noqa: E731
+            g, G = tabulated_g(b)
             return pot.builtin_nonlinearity(
                 "separable", grid, q, xi=b.get("xi"),
                 zeta=float(b.get("zeta", 1.0)),

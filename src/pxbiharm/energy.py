@@ -84,7 +84,8 @@ def residual_vector(inst: ProblemInstance, values: np.ndarray) -> np.ndarray:
     w = inst.grid.weights
     a_vals = inst.potential.a(L @ values)
     f_vals = inst.nonlinearity.f(inst.x, values)
-    g = L.T @ (w * a_vals) - inst.lam * w * f_vals
+    g = inst.grid.laplacian_transpose() @ (w * a_vals) \
+        - inst.lam * w * f_vals
     g[inst.grid.boundary_mask] = 0.0
     return g
 

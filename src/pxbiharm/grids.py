@@ -82,6 +82,7 @@ class Grid:
     spacing: tuple
     shape: tuple
     _lap: sp.csr_matrix = field(repr=False, compare=False, default=None)
+    _lap_t: sp.csc_matrix = field(repr=False, compare=False, default=None)
 
     @property
     def size(self) -> int:
@@ -107,6 +108,10 @@ class Grid:
     def laplacian_matrix(self) -> sp.csr_matrix:
         return self._lap
 
+    def laplacian_transpose(self) -> sp.csc_matrix:
+        """The transpose of laplacian_matrix(), built once with the grid."""
+        return self._lap_t
+
     def point_radii(self, x0) -> np.ndarray:
         """Euclidean distance of every node from the point x0."""
         if self.domain.kind == "rectangle":
@@ -120,7 +125,7 @@ def _interval_grid(domain: Domain, n: int) -> Grid:
     w = np.full(n, h)
     w[0] = w[-1] = h / 2  # composite trapezoid
     lap = _interval_laplacian(n, h)
-    return Grid(domain, n, x, w, (h,), (n,), lap)
+    return Grid(domain, n, x, w, (h,), (n,), lap, lap.T)
 
 
 def _interval_laplacian(n: int, h: float) -> sp.csr_matrix:
@@ -156,7 +161,8 @@ def _rectangle_grid(domain: Domain, n: int) -> Grid:
     bmask[0, :] = bmask[-1, :] = bmask[:, 0] = bmask[:, -1] = True
     for i in np.flatnonzero(bmask.ravel()):
         L[i, :] = 0.0
-    return Grid(domain, n, nodes, weights, (hx, hy), (n, n), L.tocsr())
+    L = L.tocsr()
+    return Grid(domain, n, nodes, weights, (hx, hy), (n, n), L, L.T)
 
 
 def _ball_radial_grid(domain: Domain, n: int) -> Grid:
@@ -184,7 +190,8 @@ def _ball_radial_grid(domain: Domain, n: int) -> Grid:
     L[0, 0] = -area[0] / (h * vol[0])
     L[0, 1] = area[0] / (h * vol[0])
     L[-1, :] = 0.0  # Navier at r = R
-    return Grid(domain, n, r, vol, (h,), (n,), L.tocsr())
+    L = L.tocsr()
+    return Grid(domain, n, r, vol, (h,), (n,), L, L.T)
 
 
 def build_grid(domain: Domain, n: int) -> Grid:

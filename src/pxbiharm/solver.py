@@ -278,12 +278,13 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
                        n_starts: int = 12, seed: int = 0,
                        tol: float = DEFAULT_TOL,
                        vbar_scale: float = 1.0,
-                       dist_threshold: float = DISTINCTNESS) -> SolutionSet:
+                       dist_threshold: float = DISTINCTNESS,
+                       max_iter: int = DEFAULT_MAX_ITER) -> SolutionSet:
     """Deflated Newton from deterministic starts: each step is deflated
     away from the solutions found so far (shifted power deflation in the
     weighted l2 norm), and a point is accepted when its clean residual
     passes the acceptance threshold and it is sup-norm distinct from every
-    solution found."""
+    solution found.  max_iter caps the descent from the near-zero start."""
     rng = np.random.default_rng(seed)
     interior = inst.grid.interior_mask
     hessian = _Hessian(inst)
@@ -297,7 +298,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     # minimiser, not necessarily the global one: on the ridge load at
     # n = 201, lambda = 30.25 it stops at E = -0.0095, while the global
     # minimiser, found from +vbar, has E = -7.67
-    base = minimize(inst, starts[0], tol=tol)
+    base = minimize(inst, starts[0], tol=tol, max_iter=max_iter)
     if base.converged:
         found.points.append(base)
 
@@ -318,7 +319,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
 def lambda_sweep(inst: ProblemInstance, interval, m: int,
                  k_max: int = 6, n_starts: int = 12, seed: int = 0,
                  tol: float = DEFAULT_TOL, vbar_scale: float = 1.0,
-                 straddle: bool = True):
+                 straddle: bool = True, max_iter: int = DEFAULT_MAX_ITER):
     """Run deflate_and_search at m log-spaced lambda values across
     [lo*0.5, hi*2] (straddling the certified interval) and tabulate the
     counts and energies; deterministic for a fixed seed."""
@@ -336,7 +337,8 @@ def lambda_sweep(inst: ProblemInstance, interval, m: int,
             allow_failed_hypotheses=inst.allow_failed_hypotheses,
         )
         sols = deflate_and_search(sub, k_max=k_max, n_starts=n_starts,
-                                  seed=seed, tol=tol, vbar_scale=vbar_scale)
+                                  seed=seed, tol=tol, vbar_scale=vbar_scale,
+                                  max_iter=max_iter)
         rows.append({
             "lambda": float(lam),
             "n_solutions": len(sols.points),

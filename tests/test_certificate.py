@@ -21,10 +21,12 @@ from pxbiharm.certificate import (
     sandwich_check,
 )
 from pxbiharm.certificate import test_function_laplacian as bump_laplacian
-from pxbiharm.exponents import constant_exponent
+from pxbiharm.energy import ProblemInstance
+from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, build_grid
+from pxbiharm.potentials import builtin_nonlinearity, make_power_family
 
-from conftest import make_instance, spike_instance
+from conftest import make_instance, spike_G, spike_g, spike_instance
 
 
 def test_ball_volume_coeff():
@@ -187,6 +189,33 @@ def test_certificate_json_roundtrip():
     doc = json.loads(cert.to_json())
     assert doc["lambda_interval"] == list(cert.lambda_interval)
     assert doc["checks"] == cert.checks
+
+
+def ridge_rectangle(M, n=9):
+    """A 9x9 rectangle, p(x) = 2 + x1/2, under the ridge load of height M."""
+    grid = build_grid(Domain("rectangle", a=1.0, b=1.0), n)
+    p = affine_exponent(grid, 2.0, 0.5)
+    nl = builtin_nonlinearity(
+        "separable", grid, constant_exponent(grid, 1.5), alpha=1.0,
+        g=lambda t: spike_g(t, M=M), G=lambda t: spike_G(t, M=M))
+    return ProblemInstance(grid, p, make_power_family(1.0, p), nl, 1.0)
+
+
+# M = 40 picks the first height, as on the benchmark's rectangle; the
+# taller ridge makes the scan pick one inside its grid
+@pytest.mark.parametrize("M, first", [(40.0, True), (4000.0, False)])
+def test_certify_h_scan_matches_per_h_oracle(M, first):
+    # the scan written out with one full certificate per candidate h
+    inst, r = ridge_rectangle(M), 5.0
+    best = None
+    for h in np.geomspace(1e-2, 1e2, 25):
+        c = certify(inst, r, float(h), check_convergence=False)
+        ratio = (c.beta_h / c.alpha_r) if c.alpha_r else np.inf
+        if best is None or ratio > best[0] + 1e-15:
+            best = (ratio, float(h))
+    want = certify(inst, r, best[1])
+    assert (best[1] == 1e-2) == first
+    assert certify(inst, r, None).to_json() == want.to_json()
 
 
 # --- dedicated 1D path ------------------------------------------------------

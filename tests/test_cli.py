@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, JSON payloads, CSV artifacts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from pxbiharm import certificate, solver
 from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
 
 from conftest import spike_g
@@ -153,3 +157,103 @@ def test_grid_n_override(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     assert main(["hypotheses", "--config", cfg, "--grid-n", "81"]) == EXIT_OK
     json.loads(capsys.readouterr().out)
+
+
+def test_certify_h_scan_runs_c0_search_once_per_grid(tmp_path, monkeypatch,
+                                                     capsys):
+    grids = []
+    real = certificate.estimate_c0
+
+    def counted(grid, *args, **kwargs):
+        grids.append(grid.n)
+        return real(grid, *args, **kwargs)
+
+    monkeypatch.setattr(certificate, "estimate_c0", counted)
+    t = np.linspace(0.0, 4.0, 401)
+    doc = base_doc(
+        domain={"kind": "rectangle", "a": 1.0, "b": 1.0}, grid_n=9,
+        exponent={"kind": "affine", "a": 2.0, "b": 0.5},
+        nonlinearity={"kind": "table", "q": 1.5, "alpha": 1.0, "xi": 40.05,
+                      "g_t": t.tolist(), "g_values": spike_g(t).tolist()},
+        certificate={"r": 50.0, "h_scan": True})
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) in (EXIT_OK, EXIT_INFEASIBLE)
+    assert json.loads(capsys.readouterr().out)["c0"] > 0
+    assert grids == [9, 17]   # the instance's grid, then the doubled one
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_solver_max_iter_reaches_minimize(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    real = solver.minimize
+
+    def spy(*args, max_iter=solver.DEFAULT_MAX_ITER, **kwargs):
+        seen.append(max_iter)
+        return real(*args, max_iter=max_iter, **kwargs)
+
+    monkeypatch.setattr(solver, "minimize", spy)
+    doc = bump_table_doc(n_starts=1, k_max=1, sweep_m=2, max_iter=7)
+    cfg = write_config(tmp_path, doc)
+    extra = ["--lambda", "0.27"] if command == "solve" else []
+    main([command, "--config", cfg, *extra])
+    assert seen and set(seen) == {7}
+
+
+BEAM = json.loads((Path(__file__).resolve().parents[1]
+                   / "configs" / "beam.json").read_text())
+
+# a key of beam.json or of one of its blocks; absent blocks are added
+CONFIG_KEYS = [(k,) for k in sorted(BEAM)] + [
+    (block, k) for block, keys in [
+        ("domain", ["kind", "a", "N"]),
+        ("exponent", ["kind", "value", "values"]),
+        ("potential", ["family", "theta", "variant"]),
+        ("nonlinearity", ["kind", "q", "xi", "zeta", "alpha"]),
+        ("certificate", ["r", "h", "h_scan", "dim1", "l"]),
+        ("solver", ["tol", "max_iter", "n_starts", "seed", "sweep_m"]),
+        ("output", ["solutions_csv"]),
+    ] for k in keys]
+
+
+def beam_with(path, value):
+    """configs/beam.json with the key at `path` set to `value`."""
+    doc = json.loads(json.dumps(BEAM))
+    block = doc
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    block[path[-1]] = value
+    return doc
+
+
+# bounded JSON values: no draw can ask for a large grid
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-10, max_value=60),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
+@example(path=("grid_n",), value=[3])
+@example(path=("certificate", "dim1"), value=True)
+@example(path=("domain",), value=["kind"])
+def test_any_config_value_keeps_the_exit_code_contract(tmp_path, capsys,
+                                                       path, value):
+    cfg = write_config(tmp_path, beam_with(path, value))
+    code = main(["hypotheses", "--config", cfg, "--grid-n", "9"])
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_INPUT)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("grid_n",), None), (("grid_n",), {}),
+    (("exponent", "value"), [2]), (("solver", "tol"), "a"),
+])
+def test_malformed_types_are_bad_input(tmp_path, path, value):
+    cfg = write_config(tmp_path, beam_with(path, value))
+    assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
