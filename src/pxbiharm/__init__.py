@@ -40,7 +40,6 @@ from .potentials import (
     NonlinearitySpec,
     PotentialSpec,
     TSampler,
-    antiderivative_A,
     builtin_nonlinearity,
     growth_constants,
     make_perturbed_family,

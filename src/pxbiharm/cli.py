@@ -206,6 +206,7 @@ def cmd_solve(args) -> int:
         "n_solutions": len(sols.points),
         "energies": [p.energy for p in sols.points],
         "residual_norms": [p.residual_norm for p in sols.points],
+        "thresholds": [p.threshold for p in sols.points],
         "solutions_csv": cfg.output.solutions_csv,
     }
     _emit(payload, args.out)
@@ -271,10 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        _info(f"error: {exc}")
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         _info(f"error: {exc}")
         return EXIT_BAD_INPUT
 

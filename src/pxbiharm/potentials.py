@@ -5,7 +5,7 @@ Built-in families:
   * power:            a = theta(x) |t|^{p(x)-2} t      (closed-form A)
   * perturbed_power:  a = theta(x) (1+t^2)^e t with e = (p-2)/2 ("standard")
                       or e = p/(p-2) ("paper_literal", singular at p = 2);
-                      A by adaptive quadrature.
+                      A = theta ((1+t^2)^{e+1} - 1) / (2(e+1)) in closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exponents import ExponentField, conjugate
 from .grids import GridFunction
@@ -26,7 +25,6 @@ __all__ = [
     "TSampler",
     "make_power_family",
     "make_perturbed_family",
-    "antiderivative_A",
     "verify_hypotheses",
     "growth_constants",
     "builtin_nonlinearity",
@@ -53,7 +51,6 @@ class PotentialSpec:
     d: np.ndarray
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
-    A_closed_form: bool = True
 
     @property
     def theta_0(self) -> float:
@@ -152,7 +149,6 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
         d=np.zeros(p.grid.size),
         a_eval=_power_a,
         A_eval=_power_A,
-        A_closed_form=True,
     )
 
 
@@ -164,7 +160,7 @@ def _perturbed_exponent(p, variant):
 
 def make_perturbed_family(theta, p: ExponentField,
                           variant: str = "standard") -> PotentialSpec:
-    """a = theta (1+t^2)^e t; A by adaptive quadrature, constants by fit."""
+    """a = theta (1+t^2)^e t; A in closed form, constants by fit."""
     if variant not in ("standard", "paper_literal"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "paper_literal" and np.any(np.abs(p.values - 2.0) < 1e-12):
@@ -178,20 +174,10 @@ def make_perturbed_family(theta, p: ExponentField,
         return th * (1.0 + t**2) ** e * t
 
     def A_eval(th, pv, t):
-        th_b, pv_b, t_b = np.broadcast_arrays(th, pv, t)
-        out = np.empty(th_b.shape)
-        flat = out.reshape(-1)
-        for i, (thi, pi, ti) in enumerate(
-            zip(th_b.reshape(-1), pv_b.reshape(-1), t_b.reshape(-1))
-        ):
-            e = _perturbed_exponent(pi, variant)
-            if ti == 0.0:
-                flat[i] = 0.0
-            else:
-                val, _ = quad(lambda s: thi * (1 + s * s) ** e * s, 0.0, ti,
-                              epsrel=1e-10, epsabs=1e-14, limit=200)
-                flat[i] = val
-        return out if out.shape else float(out)
+        # theta ((1+t^2)^{e+1} - 1) / (2(e+1)), in a form that keeps its
+        # relative accuracy as t -> 0 (the plain form rounds to 0 at 1e-8)
+        e1 = _perturbed_exponent(pv, variant) + 1.0
+        return th * np.expm1(e1 * np.log1p(t**2)) / (2.0 * e1)
 
     spec = PotentialSpec(
         family="perturbed_power",
@@ -204,17 +190,9 @@ def make_perturbed_family(theta, p: ExponentField,
         d=np.ones(p.grid.size),
         a_eval=a_eval,
         A_eval=A_eval,
-        A_closed_form=False,
     )
     spec.c1, spec.c2, spec.c3, spec.d = growth_constants(spec, TSampler())
     return spec
-
-
-def antiderivative_A(spec: PotentialSpec, node_index: int, t: float) -> float:
-    """A(x, t) at one node: closed form when available, else quadrature."""
-    th = spec.theta[node_index]
-    pv = spec.p.values[node_index]
-    return float(np.asarray(spec.A_eval(th, pv, t)))
 
 
 def growth_constants(spec: PotentialSpec, sampler: TSampler):
@@ -417,9 +395,21 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
 
 
 def _alpha_at(grid, x, alpha_vals):
-    """Map coordinate samples back to nodal alpha values (nearest node)."""
-    coords = _node_coords(grid)
+    """alpha at the sample points x.  Node coordinates (an array whose
+    leading axis has one entry per node, as ProblemInstance.x or x[:, None])
+    read alpha node by node on every domain.  Any other x is a coordinate on
+    a 1D grid (interval or radial ball) and reads alpha at the first node at
+    or to the right of x, clipped to the grid.  A rectangle's coordinate
+    names no node, so there only a constant alpha can be read off the grid."""
     x = np.asarray(x, float)
+    if x.ndim and x.shape[0] == grid.size:
+        return alpha_vals.reshape(alpha_vals.shape + (1,) * (x.ndim - 1))
+    if grid.domain.kind == "rectangle":
+        if np.any(alpha_vals != alpha_vals[0]):
+            raise ValueError("a nodal alpha on a rectangle is defined only "
+                             "at the grid's nodes")
+        return np.full(x.shape, alpha_vals[0])
+    coords = grid.nodes
     idx = np.clip(
         np.searchsorted(coords, np.clip(x, coords[0], coords[-1])),
         0, len(coords) - 1,

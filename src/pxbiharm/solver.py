@@ -1,5 +1,5 @@
-"""Multi-start critical-point search: quasi-Newton descent with a Newton
-polish, and deflated Newton to find distinct weak solutions.
+"""Multi-start critical-point search: damped Newton descent on the energy,
+and deflated Newton to find distinct weak solutions.
 
 Both run one Newton core with the sparse (banded) energy Hessian.  Accepted
 points must pass a clean (undeflated) residual check against the solver
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize as opt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -36,6 +35,8 @@ DEFLATION_SHIFT = 1.0
 FLOOR_FACTOR = 4.0        # accepted residual: up to this many rounding floors
 NEWTON_MAX_ITER = 100
 STEP_TOL = 1e-12          # relative Newton step at which iteration stops
+ARMIJO = 1e-4             # sufficient decrease of the descent's line search
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -149,7 +150,7 @@ def acceptance_threshold(inst: ProblemInstance, values: np.ndarray,
     terms = absL.T @ (w * (np.abs(inst.potential.a(Lu))
                            + np.abs(a_t) * (absL @ np.abs(values))))
     terms += inst.lam * w * np.abs(inst.nonlinearity.f(inst.x, values))
-    floor = np.finfo(float).eps * float(np.max(terms[inst.grid.interior_mask]))
+    floor = EPS * float(np.max(terms[inst.grid.interior_mask]))
     return max(tol, FLOOR_FACTOR * floor)
 
 
@@ -206,25 +207,44 @@ def _critical_point(inst, z, tol, starts_used=1) -> CriticalPoint:
 def minimize(inst: ProblemInstance, u0: GridFunction,
              tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER) -> CriticalPoint:
-    """Limited-memory quasi-Newton descent on the total energy, followed by
-    a Newton polish on the gradient (the fourth-order operator is stiff
-    enough that L-BFGS alone stalls well above solver tolerance)."""
+    """Damped Newton descent on the total energy, at most max_iter steps.
+    Where the Newton step is no descent direction (near a saddle) it steps
+    with the Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0)
+    instead, which is positive definite.  Armijo backtracking on the energy
+    sets the step length.  Stops as _newton does, or when no step length
+    lowers the energy."""
     interior = inst.grid.interior_mask
-    size = inst.grid.size
-
-    def fun_and_grad(z):
-        vals = np.zeros(size)
-        vals[interior] = z
-        u = GridFunction(inst.grid, vals, bc="navier")
-        return total_energy(inst, u), residual_vector(inst, vals)[interior]
-
-    res = opt.minimize(
-        fun_and_grad, u0.values[interior], jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxcor": 30, "ftol": 1e-18,
-                 "gtol": 0.1 * tol},
-    )
-    return _critical_point(inst, _newton(inst, res.x, tol, _Hessian(inst)),
-                           tol)
+    w = inst.grid.weights[interior]
+    hessian = _Hessian(inst)
+    z = u0.values[interior]
+    e = total_energy(inst, _lift(inst, z))
+    for _ in range(max_iter):
+        vals = _lift(inst, z).values
+        r = residual_vector(inst, vals)[interior]
+        if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
+            break
+        H = hessian(vals)
+        step = spla.spsolve(H, -r)
+        if not np.dot(r, step) < 0.0:
+            f_t = _linearise(inst, vals)[2][interior]
+            step = spla.spsolve(
+                H + sp.diags(inst.lam * w * np.maximum(f_t, 0.0)), -r)
+        if not np.all(np.isfinite(step)):
+            break
+        # a decrease below the energy's last bit cannot be measured: there
+        # the full step is taken
+        slope, t = float(np.dot(r, step)), 1.0
+        while -slope > EPS * abs(e) and total_energy(
+                inst, _lift(inst, z + t * step)) > e + ARMIJO * t * slope:
+            t *= 0.5
+            if t < EPS:
+                return _critical_point(inst, z, tol)
+        z = z + t * step
+        e = total_energy(inst, _lift(inst, z))
+        if t * np.max(np.abs(step)) <= STEP_TOL * max(
+                1.0, float(np.max(np.abs(z)))):
+            break
+    return _critical_point(inst, z, tol)
 
 
 def _fourier_start(inst, rng, amplitude: float, n_modes: int = 5):

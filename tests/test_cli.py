@@ -108,6 +108,11 @@ def test_solve_writes_csv(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", cfg, "--lambda", "1.0"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_solutions"] >= 1
+    # every accepted point is within the threshold it was held to
+    assert len(payload["thresholds"]) == payload["n_solutions"]
+    assert all(r <= thr for r, thr in zip(payload["residual_norms"],
+                                           payload["thresholds"]))
+    assert payload["thresholds"][0] == 1e-8
     lines = (tmp_path / "solutions.csv").read_text().splitlines()
     assert lines[0].split(",")[0] == "x"
     assert len(lines) == 62
@@ -146,6 +151,22 @@ def test_bad_config_file(tmp_path):
     garbled = tmp_path / "bad.json"
     garbled.write_text("{not json")
     assert main(["certify", "--config", str(garbled)]) == EXIT_BAD_INPUT
+
+
+def test_overflowing_exponent_is_bad_input(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_doc(
+        exponent={"kind": "constant", "value": 790.0}))
+    code = main(["check-spaces", "--config", cfg, "--grid-n", "7"])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unwritable_output_is_bad_input(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_doc(
+        grid_n=21, output={"solutions_csv": str(tmp_path)}))
+    assert main(["solve", "--config", cfg, "--lambda", "1.0"]) \
+        == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_key_is_bad_input(tmp_path):

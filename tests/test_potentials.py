@@ -2,18 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import (
     PotentialSpec,
     TSampler,
-    antiderivative_A,
     builtin_nonlinearity,
     d_norm_conjugate,
     make_perturbed_family,
     make_power_family,
     verify_hypotheses,
+    _node_coords,
 )
 
 
@@ -56,8 +57,23 @@ def test_perturbed_standard_reduces_to_power_at_p2(grid):
     p = constant_exponent(grid, 2.0)
     spec = make_perturbed_family(1.5, p, "standard")
     for t in (-1.0, 0.3, 2.0):
-        assert antiderivative_A(spec, 0, t) == pytest.approx(
-            1.5 * t * t / 2, rel=1e-8)
+        assert spec.A(t)[0] == pytest.approx(1.5 * t * t / 2, rel=1e-8)
+
+
+@pytest.mark.parametrize("variant", ["standard", "paper_literal"])
+@pytest.mark.parametrize("p_value", [1.3, 1.7, 2.5, 4.2])
+def test_perturbed_closed_form_A_matches_quadrature(grid, variant, p_value):
+    # reference: A(t) = int_0^t a(s) ds by adaptive quadrature, down to the
+    # smallest t of the hypothesis sampler, where (1+t^2)^{e+1} - 1 rounds
+    # to 0 in the plain closed form
+    spec = make_perturbed_family(1.3, constant_exponent(grid, p_value),
+                                 variant)
+    th, pv = spec.theta[0], spec.p.values[0]
+    for t in (-1e-8, 1e-8, -0.3, 0.7, 1.0, -2.5, 6.0):
+        want = quad(lambda s: float(spec.a_eval(th, pv, s)), 0.0, t,
+                    epsrel=1e-12, epsabs=0.0, limit=200)[0]
+        assert want > 0.0
+        assert float(spec.A_eval(th, pv, t)) == pytest.approx(want, rel=1e-10)
 
 
 def test_perturbed_literal_singular_at_p2(grid):
@@ -148,6 +164,30 @@ def test_separable_requires_g_and_G(grid):
     q = constant_exponent(grid, 1.5)
     with pytest.raises(ValueError):
         builtin_nonlinearity("separable", grid, q, alpha=1.0)
+
+
+def test_separable_nodal_alpha_on_every_domain():
+    g = lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 2) + 1.0
+    G = lambda t: np.arctan(t) + np.asarray(t, float)
+    for domain, n in [(Domain("interval"), 9), (Domain("ball_radial", N=2), 9),
+                      (Domain("rectangle", a=2.0, b=1.0), 5)]:
+        grid = build_grid(domain, n)
+        alpha = np.arange(1.0, grid.size + 1.0)
+        q = constant_exponent(grid, 1.5)
+        nl = builtin_nonlinearity("separable", grid, q, alpha=alpha, g=g, G=G)
+        x = _node_coords(grid)
+        t = np.linspace(-2.0, 2.0, grid.size)
+        assert np.array_equal(nl.f(x, t), alpha * g(t))
+        assert np.array_equal(nl.F(x, t), alpha * G(t))
+        # node coordinates against a row of t values, as the samplers call it
+        tt = np.array([-1.0, 0.5, 3.0])
+        assert np.array_equal(nl.f(x[:, None], tt[None, :]),
+                              alpha[:, None] * g(tt)[None, :])
+    # a rectangle's coordinate names no node: only a constant alpha is read
+    with pytest.raises(ValueError):
+        nl.f(0.5, 1.0)
+    const = builtin_nonlinearity("separable", grid, q, alpha=2.0, g=g, G=G)
+    assert float(const.f(0.5, 1.0)) == 2.0 * g(1.0)
 
 
 def test_unknown_builtin_rejected(grid):

@@ -1,9 +1,10 @@
-"""Descent, Newton polish, deflation and the lambda sweep."""
+"""Newton descent, deflation and the lambda sweep."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pxbiharm import solver
 from pxbiharm.certificate import build_test_function, inradius
 from pxbiharm.energy import ProblemInstance
 from pxbiharm.grids import Domain, GridFunction, build_grid
@@ -51,6 +52,50 @@ def test_ball_radial_solve_matches_ode_solution():
     exact = (1 - r**2) * (3 - r**2) / 64
     assert pt.converged
     assert np.max(np.abs(pt.u.values - exact)) < 1e-4
+
+
+def count_residuals(monkeypatch):
+    calls = []
+    real = solver.residual_vector
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "residual_vector", counted)
+    return calls
+
+
+def test_minimize_newton_descent_is_cheap(monkeypatch):
+    grid = build_grid(Domain("interval"), 201)
+    inst = make_instance(grid, nl_name="rational_bump", lam=0.27)
+    calls = count_residuals(monkeypatch)
+    pt = minimize(inst, GridFunction.zeros(grid))
+    assert pt.converged
+    assert len(calls) <= 50
+
+
+def test_minimize_leaves_a_saddle_downhill(monkeypatch):
+    """Started next to the ridge load's mountain-pass solution, along the
+    Hessian's direction of negative curvature, the plain Newton step points
+    back uphill to the saddle; the descent must take the convex-part step
+    and end below the saddle's energy."""
+    grid = build_grid(Domain("interval"), 201)
+    inst = spike_instance(grid, lam=30.25)
+    sols = deflate_and_search(inst, k_max=4, n_starts=3, seed=0,
+                              vbar_scale=1.2)
+    saddle = max(sols.points, key=lambda p: p.energy)
+    assert saddle.energy == pytest.approx(19.93, abs=0.01)
+    H = solver._Hessian(inst)(saddle.u.values).toarray()
+    eigval, eigvec = np.linalg.eigh(H)
+    assert eigval[0] == pytest.approx(-30.3, abs=0.1) and eigval[1] > 0
+    vals = saddle.u.values.copy()
+    vals[grid.interior_mask] += 1e-3 * eigvec[:, 0]
+    calls = count_residuals(monkeypatch)
+    pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
+    assert pt.converged
+    assert pt.energy < saddle.energy - 1.0
+    assert len(calls) <= 50
 
 
 def test_solution_set_distinctness():
