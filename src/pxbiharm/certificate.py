@@ -4,6 +4,11 @@ Computes every constant of the admissible lambda-interval (ball volume
 coefficient, inradius, annulus measure L, gamma_r, the embedding constant
 c0, alpha_r, beta_h), decides feasibility, and provides the dedicated 1D
 interval with its constant k.
+
+Which problem an interval speaks about follows c0's provenance: with the
+"analytic" c0 = 1/4 (unit interval) it is the continuum problem; with the
+"discrete-green" c0 (rectangle, radial ball) it is the discrete problem
+on the certificate's grid.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .energy import ProblemInstance, energy_J, load_Phi
-from .exponents import ExponentField
+from .exponents import ExponentField, conjugate
 from .grids import Domain, Grid, GridFunction, build_grid, integrate, unit_ball_volume
 from .potentials import NonlinearitySpec, PotentialSpec, d_norm_conjugate, _node_coords
+from .spaces import _luxemburg_of_values, _modular_values
 
 __all__ = [
     "Certificate",
@@ -43,6 +49,10 @@ _CONVERGENCE_RTOL = 5e-3
 
 #: the bump heights `certify` scans when it is given no h
 H_GRID = np.geomspace(1e-2, 1e2, 25)
+
+#: Green's-function rows generated and screened at a time in `estimate_c0`;
+#: larger blocks raise peak memory
+_GREEN_BLOCK = 32
 
 
 @dataclass
@@ -258,56 +268,78 @@ def beta_h(inst: ProblemInstance, h: float, consts: dict) -> float:
     return num / denom
 
 
-def estimate_c0(grid: Grid, p: ExponentField, n_samples: int = 200,
-                seed: int = 0, safety: float = 1.5):
+def estimate_c0(grid: Grid, p: ExponentField):
     """(c0, provenance): the embedding constant in ||u||_inf <= c0 ||u||.
 
-    The 1D interval admits the analytic value 1/4; other domains get a
-    numerical estimate (randomized maximization of sup_norm/laplacian_norm
-    over smooth Navier fields plus the bump family, times a safety factor).
-    """
-    from .spaces import laplacian_norm, sup_norm
+    * "analytic" (unit interval only): the continuum constant 1/4.  The
+      interval certifies the continuum problem.
+    * "discrete-green" (rectangle, radial ball): the constant of the
+      discrete problem on this grid.  With G the inverse of the interior
+      Laplacian, u = G (Lu) on the interior, so u_i = int (G_i/w) Lu dx
+      and Holder's inequality gives
+      c0 = (1/p- + 1/p'-) max_i |G_i/w|_{p'(x)}, sharp for p = 2.  The
+      interval certifies the discrete problem on its grid.
 
+    The rows are visited by their p = 2 value sum_j G_ij^2 / w_j, largest
+    first, in blocks of `_GREEN_BLOCK`.  A row whose modular at the best
+    norm so far is <= 1 cannot exceed it and is not solved.
+    """
     if grid.domain.kind == "interval":
         return 0.25, "analytic"
-
-    rng = np.random.default_rng(seed)
+    pc = conjugate(p)
+    p2_value, rows = _green_rows(grid)
+    order = np.argsort(p2_value)[::-1]
     best = 0.0
-    D, x0 = inradius(grid.domain)
-    for scale in (1.0, 0.5, 0.25):
-        vb = build_test_function(1.0, D * scale, x0, grid)
-        best = max(best, sup_norm(vb) / laplacian_norm(vb, p).value)
-    for _ in range(n_samples):
-        u = _random_navier_field(grid, rng)
-        nrm = laplacian_norm(u, p).value
-        if nrm > 0:
-            best = max(best, sup_norm(u) / nrm)
-    return best * safety, "numerical-estimate"
+    for start in range(0, order.size, _GREEN_BLOCK):
+        block = rows(order[start:start + _GREEN_BLOCK])
+        if best > 0.0:
+            with np.errstate(over="ignore"):
+                block = block[_modular_values(block / best, grid, pc) > 1.0]
+        if len(block):
+            best = max(best, float(np.max(
+                _luxemburg_of_values(block, grid, pc).value)))
+    return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best, "discrete-green"
 
 
-def _random_navier_field(grid: Grid, rng, n_modes: int = 5) -> GridFunction:
-    """Random sine series, vanishing together with its Laplacian on the
-    boundary."""
-    if grid.domain.kind == "interval":
-        x = grid.nodes
-        vals = np.zeros(grid.size)
-        for k in range(1, n_modes + 1):
-            vals += rng.standard_normal() * np.sin(k * np.pi * x)
-    elif grid.domain.kind == "rectangle":
-        x = grid.nodes[:, 0] / grid.domain.a
-        y = grid.nodes[:, 1] / grid.domain.b
-        vals = np.zeros(grid.size)
-        for k in range(1, n_modes + 1):
-            for m in range(1, n_modes + 1):
-                vals += rng.standard_normal() * np.sin(k * np.pi * x) \
-                    * np.sin(m * np.pi * y)
+def _green_rows(grid: Grid):
+    """(p2_value, rows) for the interior rows G_i / w of the inverse
+    Laplacian: p2_value[i] = sum_j G_ij^2 / w_j in closed form, and
+    rows(idx) the rows idx as full-grid arrays, zero on the boundary.
+
+    On a rectangle the 5-point Laplacian is diagonal in the orthonormal
+    sine basis S (one matrix for both axes, as both have n nodes), with
+    eigenvalues lam = lx + ly of -L, so G_i = S (S[i1] (x) S[i2] / lam) S.
+    On the radial ball G is the dense inverse of the 1D interior block.
+    """
+    n = grid.n
+    interior = grid.interior_mask
+    w_in = grid.weights[interior]
+    if grid.domain.kind == "rectangle":
+        m = n - 2
+        k = np.arange(1, m + 1)
+        S = np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * np.outer(k, k) / (n - 1))
+        half = np.sin(np.pi * k / (2 * (n - 1))) ** 2
+        hx, hy = grid.spacing
+        lam = 4 * half[:, None] / hx**2 + 4 * half[None, :] / hy**2
+        S2 = S**2
+        p2_value = (S2 @ (1.0 / lam**2) @ S2).ravel() / w_in
+
+        def rows(idx):
+            i1, i2 = np.divmod(idx, m)
+            g = S @ (S[i1][:, :, None] * S[i2][:, None, :] / lam) @ S
+            out = np.zeros((len(idx), n, n))
+            out[:, 1:-1, 1:-1] = g / w_in.reshape(m, m)
+            return out.reshape(len(idx), n * n)
     else:
-        r = grid.nodes / grid.domain.R
-        vals = np.zeros(grid.size)
-        for k in range(1, n_modes + 1):
-            vals += rng.standard_normal() * (1.0 - r**2) ** k * (1.0 + r**2)
-        vals[grid.boundary_mask] = 0.0
-    return GridFunction(grid, vals, bc="navier")
+        G = np.linalg.inv(
+            grid.laplacian_matrix()[interior][:, interior].toarray())
+        p2_value = (G**2) @ (1.0 / w_in)
+
+        def rows(idx):
+            out = np.zeros((len(idx), n))
+            out[:, interior] = G[idx] / w_in
+            return out
+    return p2_value, rows
 
 
 def _grid_constants(inst: ProblemInstance, r: float) -> dict:
@@ -395,9 +427,23 @@ def _close(a, b):
     return abs(a - b) / scale < _CONVERGENCE_RTOL
 
 
+def _resample(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
+    """Piecewise-linear interpolation of nodal values onto a refined grid
+    of the same domain: separable along x2, then x1, on a rectangle (the
+    doubled grid holds every coarse node), along the nodes otherwise."""
+    if coarse.domain.kind != "rectangle":
+        return np.interp(fine.nodes, coarse.nodes, values)
+    xc, yc = coarse.nodes[::coarse.n, 0], coarse.nodes[:coarse.n, 1]
+    xf, yf = fine.nodes[::fine.n, 0], fine.nodes[:fine.n, 1]
+    v = np.array([np.interp(yf, yc, row)
+                  for row in np.reshape(values, coarse.shape)])
+    return np.array([np.interp(xf, xc, col) for col in v.T]).T.ravel()
+
+
 def _reinstantiate(inst: ProblemInstance, grid: Grid) -> ProblemInstance:
-    """Rebuild the problem on a refined grid (exponent and potential are
-    re-sampled; only constant/affine exponents and theta support this)."""
+    """Rebuild the problem on a refined grid: the exponent, theta, xi and q
+    are re-sampled (`_resample`), an affine exponent is refitted, and f/F
+    are carried over by coordinate."""
     from . import exponents as ex
     from . import potentials as pot
 
@@ -408,15 +454,12 @@ def _reinstantiate(inst: ProblemInstance, grid: Grid) -> ProblemInstance:
         slope_fit = np.polyfit(x0, inst.p.values, 1)
         p = ex.affine_exponent(grid, slope_fit[1], slope_fit[0])
     else:
-        xc = _node_coords(inst.grid)
-        xf = _node_coords(grid)
-        p = ex.tabulated_exponent(grid, np.interp(xf, xc, inst.p.values))
+        p = ex.tabulated_exponent(grid, _resample(inst.p.values, inst.grid,
+                                                  grid))
 
     theta0 = float(inst.potential.theta[0])
     if not np.allclose(inst.potential.theta, theta0):
-        xc = _node_coords(inst.grid)
-        xf = _node_coords(grid)
-        theta = np.interp(xf, xc, inst.potential.theta)
+        theta = _resample(inst.potential.theta, inst.grid, grid)
     else:
         theta = np.full(grid.size, theta0)
     if inst.potential.family == "power":
@@ -427,10 +470,9 @@ def _reinstantiate(inst: ProblemInstance, grid: Grid) -> ProblemInstance:
     nl = inst.nonlinearity
     fine_nl = pot.NonlinearitySpec(
         name=nl.name, f_eval=nl.f_eval, F_eval=nl.F_eval,
-        xi=np.interp(_node_coords(grid), _node_coords(inst.grid), nl.xi),
+        xi=_resample(nl.xi, inst.grid, grid),
         zeta=nl.zeta,
-        q=ex.tabulated_exponent(grid, np.interp(
-            _node_coords(grid), _node_coords(inst.grid), nl.q.values))
+        q=ex.tabulated_exponent(grid, _resample(nl.q.values, inst.grid, grid))
         if nl.q is not None else None,
     )
     return ProblemInstance(grid, p, spec, fine_nl, inst.lam,

@@ -85,7 +85,7 @@ def cmd_check_spaces(args) -> int:
     checks["lemma_modular_trichotomy"] = bool(ok)
 
     # modular sandwich between ||u||^{p-} and ||u||^{p+}; fields are
-    # rescaled to moderate norms so the bisection error stays below the slack
+    # rescaled to moderate norms so the norm's solver error stays below the slack
     ok = True
     for _ in range(20):
         u = rand_u()
@@ -165,9 +165,6 @@ def cmd_certify(args) -> int:
     cfg = _load(args)
     inst = cfgmod.build_problem(cfg, lam=1.0, verify=True)
     certificate = _certify_from_config(cfg, inst)
-    if certificate.c0_provenance == "numerical-estimate":
-        _info("caveat: c0 is a numerical estimate; the interval is only as "
-              "rigorous as c0")
     _emit(json.loads(certificate.to_json()), args.out)
     return EXIT_OK if certificate.feasible else EXIT_INFEASIBLE
 

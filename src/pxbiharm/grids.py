@@ -131,10 +131,20 @@ def _interval_grid(domain: Domain, n: int) -> Grid:
 def _interval_laplacian(n: int, h: float) -> sp.csr_matrix:
     main = np.full(n, -2.0 / h**2)
     off = np.full(n - 1, 1.0 / h**2)
-    L = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    L[0, :] = 0.0  # Navier: Delta u = 0 on the boundary
-    L[-1, :] = 0.0
-    return L.tocsr()
+    L = sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return _zero_rows(L, [0, n - 1])  # Navier: Delta u = 0 on the boundary
+
+
+def _zero_rows(L: sp.csr_matrix, rows) -> sp.csr_matrix:
+    """L with the given rows emptied: a diagonal 0/1 mask multiplies the
+    stored values, and the zeros it leaves are dropped."""
+    L = L.tocsr()
+    L.sort_indices()
+    keep = np.ones(L.shape[0])
+    keep[rows] = 0.0
+    L.data *= np.repeat(keep, np.diff(L.indptr))
+    L.eliminate_zeros()
+    return L
 
 
 def _rectangle_grid(domain: Domain, n: int) -> Grid:
@@ -156,12 +166,9 @@ def _rectangle_grid(domain: Domain, n: int) -> Grid:
         [np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1]
     ) / hy**2
     L = sp.kron(Lx, sp.identity(n)) + sp.kron(sp.identity(n), Ly)
-    L = L.tolil()
     bmask = np.zeros((n, n), dtype=bool)
     bmask[0, :] = bmask[-1, :] = bmask[:, 0] = bmask[:, -1] = True
-    for i in np.flatnonzero(bmask.ravel()):
-        L[i, :] = 0.0
-    L = L.tocsr()
+    L = _zero_rows(L, bmask.ravel())
     return Grid(domain, n, nodes, weights, (hx, hy), (n, n), L, L.T)
 
 
@@ -181,16 +188,14 @@ def _ball_radial_grid(domain: Domain, n: int) -> Grid:
 
     # surface areas at interior cell faces, wN * N * r_{i+1/2}^{N-1}
     area = wN * N * faces[1:-1] ** (N - 1)
-    L = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        L[i, i - 1] += area[i - 1] / (h * vol[i])
-        L[i, i] -= (area[i - 1] + area[i]) / (h * vol[i])
-        L[i, i + 1] += area[i] / (h * vol[i])
-    # center cell: zero inner flux (symmetry)
-    L[0, 0] = -area[0] / (h * vol[0])
-    L[0, 1] = area[0] / (h * vol[0])
-    L[-1, :] = 0.0  # Navier at r = R
-    L = L.tocsr()
+    cell = h * vol
+    lower = np.append(area[:-1] / cell[1:-1], 0.0)       # row i, column i-1
+    main = np.concatenate([[-area[0] / cell[0]],
+                           -(area[:-1] + area[1:]) / cell[1:-1], [0.0]])
+    upper = np.append(area[0] / cell[0], area[1:] / cell[1:-1])
+    # center cell: zero inner flux (symmetry); Navier at r = R (last row)
+    L = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    L = _zero_rows(L, [n - 1])
     return Grid(domain, n, r, vol, (h,), (n,), L, L.T)
 
 

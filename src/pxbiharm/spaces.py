@@ -25,19 +25,26 @@ __all__ = [
     "check_holder",
 ]
 
-#: relative bracket width at which the bisection stops
-_BISECT_RTOL = 1e-13
-_MAX_ITER = 200
+#: Newton steps on log mu before the Luxemburg solver gives up
+_MAX_ITER = 100
+#: a Newton step on log mu below this (relative to max(1, |log mu|)) ends
+#: the iteration; the error after it is of the order of its square
+_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class NormResult:
-    value: float
+    """A Luxemburg norm: `value` is an upper end whose modular was evaluated
+    and is <= 1, `bracket` is (last Newton iterate, value), and
+    `iterations` counts the Newton steps.  For a batch of rows `value` and
+    the bracket ends are arrays and `iterations` is summed over the rows."""
+
+    value: float | np.ndarray
     iterations: int
     bracket: tuple
 
     def __float__(self):
-        return self.value
+        return float(self.value)
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,10 @@ class HolderReport:
     holds: bool
 
 
-def _modular_values(vals: np.ndarray, grid: Grid, p: ExponentField) -> float:
-    return float(np.dot(grid.weights, np.abs(vals) ** p.values))
+def _modular_values(vals: np.ndarray, grid: Grid, p: ExponentField):
+    """int |v|^{p(x)} dx for one row (a float) or each row of a batch."""
+    out = (np.abs(vals) ** p.values) @ grid.weights
+    return float(out) if out.ndim == 0 else out
 
 
 def modular(u: GridFunction, p: ExponentField) -> float:
@@ -58,50 +67,86 @@ def modular(u: GridFunction, p: ExponentField) -> float:
     return _modular_values(u.values, u.grid, p)
 
 
-def _luxemburg_of_values(vals: np.ndarray, grid: Grid, p: ExponentField) -> NormResult:
-    """Solve modular(vals/mu) = 1 for mu by bracketing + bisection.
+def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
+                         p: ExponentField) -> NormResult:
+    """Solve modular(v/mu) = 1 for mu, for each row v of `vals` (a 1-D
+    input is one row), by a safeguarded Newton iteration on s = log mu.
 
-    mu -> modular(vals/mu) is strictly decreasing for vals != 0, so the
-    bisection is unconditionally safe.
+    Each row is first scaled to unit sup norm (the norm is homogeneous).
+    f(s) = log modular(v/e^s) = log sum_j w_j |v_j|^{p_j} e^{-p_j s} is a
+    log-sum-exp of lines with slopes -p_j: convex and decreasing, with
+    slope in [-p+, -p-], so the root lies in [f(0)/p+, f(0)/p-] (ends
+    ordered by the sign of f(0)).  The iteration starts at the end where
+    f >= 0; a tangent of a convex f lies below it, so every Newton iterate
+    stays left of the root and climbs to it (about 5 evaluations).  A step leaving
+    the bracket is replaced by bisection.  From the last iterate s, where
+    f(s) >= 0, the slope bound puts the root below s + f(s)/p-.  The
+    modular of v / mu is evaluated in plain form at that upper end, which
+    is widened until the modular is <= 1, so the returned norm is that
+    end, never just an iterate.
     """
-    amax = float(np.max(np.abs(vals)))
-    if amax == 0.0:
-        return NormResult(0.0, 0, (0.0, 0.0))
-    # the norm is absolutely homogeneous; normalizing to unit sup keeps the
-    # bracket expansion well-scaled for very small or very large inputs
-    scaled = vals / amax
+    vals = np.abs(np.asarray(vals, dtype=float))
+    batch = vals.reshape(-1, vals.shape[-1])
+    amax = batch.max(axis=1)
+    live = amax > 0.0
+    rows = batch[live] / amax[live, None]
+    pv, lo_p, hi_p = p.values, p.p_minus, p.p_plus
+    with np.errstate(divide="ignore"):
+        a = np.log(grid.weights) + pv * np.log(rows)
 
-    def mod_at(mu):
-        return _modular_values(scaled / mu, grid, p)
+    def f_and_slope(s, idx):
+        z = a[idx] - pv * s[:, None]
+        zmax = z.max(axis=1)
+        e = np.exp(z - zmax[:, None])
+        tot = e.sum(axis=1)
+        return zmax + np.log(tot), -(e @ pv) / tot
 
-    hi = max(1.0, grid.domain.volume)
-    lo = 1e-12
-    it = 0
-    while mod_at(hi) > 1.0:
-        hi *= 2.0
-        it += 1
-        if it > 2000:
-            raise RuntimeError("Luxemburg bracket expansion failed (upper)")
-    while mod_at(lo) < 1.0:
-        lo /= 2.0
-        it += 1
-        if lo < 1e-300:
-            # modular < 1 for arbitrarily small mu cannot happen for vals != 0
-            raise RuntimeError("Luxemburg bracket expansion failed (lower)")
-    bracket = (lo, hi)
+    f0, _ = f_and_slope(np.zeros(len(rows)), slice(None))
+    lo = np.minimum(f0 / hi_p, f0 / lo_p)        # f(lo) >= 0
+    hi = np.maximum(f0 / hi_p, f0 / lo_p)        # f(hi) <= 0
+    f_lo = np.zeros(len(rows))
+    s, last_step = lo.copy(), np.full(len(rows), np.inf)
+    steps = np.zeros(len(rows), dtype=int)
+    todo = np.arange(len(rows))
     for _ in range(_MAX_ITER):
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if mod_at(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_RTOL * hi:
+        st = s[todo]
+        f, slope = f_and_slope(st, todo)
+        steps[todo] += 1
+        left = f >= 0.0
+        lo[todo] = np.where(left, st, lo[todo])
+        f_lo[todo] = np.where(left, f, f_lo[todo])
+        hi[todo] = np.where(left, hi[todo], st)
+        # a row ends one evaluation after its step fell below the tolerance
+        done = last_step[todo] <= _STEP_TOL * np.maximum(1.0, np.abs(st))
+        nxt = st - f / slope
+        last_step[todo] = np.abs(nxt - st)
+        inside = (nxt >= lo[todo]) & (nxt <= hi[todo])
+        s[todo] = np.where(inside, nxt, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[~done]
+        if todo.size == 0:
             break
     else:
-        raise RuntimeError("Luxemburg bisection did not converge")
-    return NormResult(amax * 0.5 * (lo + hi), it,
-                      (amax * bracket[0], amax * bracket[1]))
+        raise RuntimeError("Luxemburg Newton iteration did not converge")
+
+    value = np.zeros(len(batch))
+    lower = np.zeros(len(batch))
+    value[live] = amax[live] * np.exp(np.minimum(hi, lo + f_lo / lo_p))
+    lower[live] = amax[live] * np.exp(lo)
+    widen = 4.0 * np.finfo(float).eps
+    bad = np.flatnonzero(live)
+    for _ in range(60):
+        m = _modular_values(batch[bad] / value[bad, None], grid, p)
+        bad = bad[m > 1.0]
+        if bad.size == 0:
+            break
+        value[bad] *= 1.0 + widen
+        widen *= 2.0
+    else:
+        raise RuntimeError("Luxemburg upper end could not be certified")
+    if vals.ndim == 1:
+        return NormResult(float(value[0]), int(steps.sum()),
+                          (float(lower[0]), float(value[0])))
+    return NormResult(value, int(steps.sum()), (lower, value))
 
 
 def luxemburg_norm(u: GridFunction, p: ExponentField) -> NormResult:

@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pxbiharm.certificate import (
+    _reinstantiate,
     alpha_r,
     ball_volume_coeff,
     beta_h,
@@ -22,9 +26,15 @@ from pxbiharm.certificate import (
 )
 from pxbiharm.certificate import test_function_laplacian as bump_laplacian
 from pxbiharm.energy import ProblemInstance
-from pxbiharm.exponents import affine_exponent, constant_exponent
-from pxbiharm.grids import Domain, build_grid
+from pxbiharm.exponents import (
+    affine_exponent,
+    conjugate,
+    constant_exponent,
+    tabulated_exponent,
+)
+from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
+from pxbiharm.spaces import _luxemburg_of_values, laplacian_norm, sup_norm
 
 from conftest import make_instance, spike_G, spike_g, spike_instance
 
@@ -130,11 +140,139 @@ def test_c0_interval_is_analytic(interval_grid):
     assert (c0, prov) == (0.25, "analytic")
 
 
+def dense_green_rows(grid):
+    """G_i / w for every interior node i, with G the dense inverse of the
+    interior Laplacian, as full-grid rows (zero on the boundary)."""
+    interior = grid.interior_mask
+    G = np.linalg.inv(grid.laplacian_matrix()[interior][:, interior].toarray())
+    rows = np.zeros((G.shape[0], grid.size))
+    rows[:, interior] = G / grid.weights[interior]
+    return G, rows
+
+
 def test_c0_ball_is_estimated(ball_grid):
-    c0, prov = estimate_c0(ball_grid, constant_exponent(ball_grid, 2.0),
-                           n_samples=20)
-    assert prov == "numerical-estimate"
-    assert c0 > 0
+    # the ball's c0 is the discrete Green's-function constant, which at
+    # p = 2 is the largest sqrt(sum_j G_ij^2 / w_j) of the dense inverse
+    c0, prov = estimate_c0(ball_grid, constant_exponent(ball_grid, 2.0))
+    _, rows = dense_green_rows(ball_grid)
+    assert prov == "discrete-green"
+    assert c0 == pytest.approx(
+        np.sqrt(np.max(rows**2 @ ball_grid.weights)), rel=1e-10)
+    assert c0 == pytest.approx(0.19955, abs=1e-5)
+
+
+GREEN_GRIDS = [
+    (Domain("rectangle"), 5),
+    (Domain("rectangle"), 9),
+    (Domain("rectangle"), 17),
+    (Domain("rectangle", a=2.0, b=0.5), 9),
+    (Domain("rectangle", a=2.0, b=0.5), 17),
+    (Domain("ball_radial", N=2, R=1.0), 65),
+    (Domain("ball_radial", N=3, R=0.7), 33),
+]
+
+
+@pytest.mark.parametrize("domain, n", GREEN_GRIDS)
+def test_c0_at_p2_equals_dense_inverse(domain, n):
+    # at p = 2 the Holder factor is 1 and |G_i/w|_2^2 = sum_j G_ij^2 / w_j
+    grid = build_grid(domain, n)
+    c0, prov = estimate_c0(grid, constant_exponent(grid, 2.0))
+    _, rows = dense_green_rows(grid)
+    assert prov == "discrete-green"
+    assert c0 == pytest.approx(
+        np.sqrt(np.max(rows**2 @ grid.weights)), rel=1e-10)
+
+
+@pytest.mark.parametrize("domain, n", [GREEN_GRIDS[2], GREEN_GRIDS[4],
+                                       GREEN_GRIDS[5]])
+def test_c0_at_p2_is_attained_by_the_extremal_field(domain, n):
+    # u = G (G_i/w) has Lu = G_i/w and u_i = |G_i/w|_2^2 = c0 ||u||
+    grid = build_grid(domain, n)
+    p = constant_exponent(grid, 2.0)
+    c0, _ = estimate_c0(grid, p)
+    G, rows = dense_green_rows(grid)
+    i = int(np.argmax(rows**2 @ grid.weights))
+    vals = np.zeros(grid.size)
+    vals[grid.interior_mask] = G @ rows[i, grid.interior_mask]
+    u = GridFunction(grid, vals, bc="navier")
+    assert sup_norm(u) / laplacian_norm(u, p).value == pytest.approx(
+        c0, rel=1e-10)
+
+
+def test_c0_on_the_benchmark_rectangle():
+    # p = 2 + x1/2 on the unit square, 17x17 and its doubled grid
+    for n, want in ((17, 0.11205), (33, 0.11152)):
+        grid = build_grid(Domain("rectangle"), n)
+        c0, _ = estimate_c0(grid, affine_exponent(grid, 2.0, 0.5))
+        assert c0 == pytest.approx(want, abs=5e-6)
+
+
+def all_rows_c0(grid, p):
+    """The Holder constant with every Green's row solved, no screening."""
+    _, rows = dense_green_rows(grid)
+    pc = conjugate(p)
+    best = np.max(_luxemburg_of_values(rows, grid, pc).value)
+    return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best
+
+
+@pytest.mark.parametrize("kind", ["affine", "table"])
+@pytest.mark.parametrize("domain, n", [GREEN_GRIDS[2], GREEN_GRIDS[4],
+                                       GREEN_GRIDS[6]])
+def test_c0_screening_matches_solving_every_row(domain, n, kind):
+    grid = build_grid(domain, n)
+    if kind == "affine":
+        p = affine_exponent(grid, 1.6, 0.9)
+    else:
+        rng = np.random.default_rng(n)
+        p = tabulated_exponent(grid, rng.uniform(1.4, 3.5, grid.size))
+    c0, _ = estimate_c0(grid, p)
+    assert c0 == pytest.approx(all_rows_c0(grid, p), rel=1e-10)
+
+
+SQUARE_9 = build_grid(Domain("rectangle"), 9)
+_G9, _ = dense_green_rows(SQUARE_9)
+_M9 = int(SQUARE_9.interior_mask.sum())
+
+
+@st.composite
+def exponents_9(draw):
+    """An affine or a tabulated exponent on the 9x9 square, p in (1, 4]."""
+    if draw(st.booleans()):
+        a = draw(st.floats(1.2, 3.0))
+        b = draw(st.floats(-0.19, 1.0))
+        return affine_exponent(SQUARE_9, a, b)
+    vals = draw(arrays(np.float64, SQUARE_9.size,
+                       elements=st.floats(1.2, 4.0)))
+    return tabulated_exponent(SQUARE_9, vals)
+
+
+@given(p=exponents_9(),
+       lap=arrays(np.float64, _M9, elements=st.floats(-1.0, 1.0)))
+@example(p=affine_exponent(SQUARE_9, 2.0, 0.5), lap=np.ones(_M9))
+@settings(max_examples=60, deadline=None)
+def test_no_navier_field_beats_c0(p, lap):
+    # u = G (Lu) on the interior, for any interior Laplacian values; the
+    # torsion field (Lu = 1) exceeds the earlier randomised estimate
+    if not np.any(lap):
+        return
+    vals = np.zeros(SQUARE_9.size)
+    vals[SQUARE_9.interior_mask] = _G9 @ lap
+    u = GridFunction(SQUARE_9, vals, bc="navier")
+    c0, _ = estimate_c0(SQUARE_9, p)
+    assert sup_norm(u) <= c0 * laplacian_norm(u, p).value * (1 + 1e-12)
+
+
+def test_doubled_grid_resamples_a_tabulated_field_in_2d():
+    coarse = build_grid(Domain("rectangle"), 5)
+    fine = build_grid(Domain("rectangle"), 9)
+    p = tabulated_exponent(coarse, 2.5 + coarse.nodes[:, 1])
+    inst = ProblemInstance(coarse, p, make_power_family(1.0, p),
+                           builtin_nonlinearity("const:1", coarse, p), 1.0)
+    fine_inst = _reinstantiate(inst, fine)
+    assert np.allclose(fine_inst.p.values, 2.5 + fine.nodes[:, 1],
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(fine_inst.nonlinearity.q.values,
+                       2.5 + fine.nodes[:, 1], rtol=0.0, atol=1e-12)
 
 
 def test_certify_spike_is_feasible():

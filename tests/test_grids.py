@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pxbiharm.grids import (
     Domain,
@@ -112,3 +113,57 @@ def test_integrate_rejects_mismatched_length():
     grid = build_grid(Domain("interval"), 17)
     with pytest.raises(ValueError):
         integrate(grid, np.zeros(5))
+
+
+def reference_laplacian(domain, n):
+    """The Navier Laplacian assembled entry by entry in LIL format: the
+    interior stencils, then every boundary row set to zero."""
+    if domain.kind == "interval":
+        h = 1.0 / (n - 1)
+        L = sp.diags([np.full(n - 1, 1.0 / h**2), np.full(n, -2.0 / h**2),
+                      np.full(n - 1, 1.0 / h**2)], [-1, 0, 1], format="lil")
+        boundary = [0, n - 1]
+    elif domain.kind == "rectangle":
+        hx, hy = domain.a / (n - 1), domain.b / (n - 1)
+        T = sp.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)],
+                     [-1, 0, 1])
+        L = (sp.kron(T / hx**2, sp.identity(n))
+             + sp.kron(sp.identity(n), T / hy**2)).tolil()
+        idx = np.arange(n * n).reshape(n, n)
+        boundary = np.unique(np.concatenate(
+            [idx[0], idx[-1], idx[:, 0], idx[:, -1]]))
+    else:
+        N, R = domain.N, domain.R
+        r = np.linspace(0.0, R, n)
+        h = r[1] - r[0]
+        wN = unit_ball_volume(N)
+        faces = np.concatenate([[0.0], r[:-1] + h / 2, [R]])
+        vol = wN * (faces[1:] ** N - faces[:-1] ** N)
+        area = wN * N * faces[1:-1] ** (N - 1)
+        L = sp.lil_matrix((n, n))
+        for i in range(1, n - 1):
+            L[i, i - 1] += area[i - 1] / (h * vol[i])
+            L[i, i] -= (area[i - 1] + area[i]) / (h * vol[i])
+            L[i, i + 1] += area[i] / (h * vol[i])
+        L[0, 0] = -area[0] / (h * vol[0])
+        L[0, 1] = area[0] / (h * vol[0])
+        boundary = [n - 1]
+    for i in boundary:
+        L[i, :] = 0.0
+    return L.tocsr()
+
+
+@pytest.mark.parametrize("domain", [
+    Domain("interval"),
+    Domain("rectangle"),
+    Domain("rectangle", a=2.0, b=0.5),
+    Domain("ball_radial", N=2, R=1.0),
+    Domain("ball_radial", N=3, R=0.7),
+])
+@pytest.mark.parametrize("n", [5, 13, 33])
+def test_laplacian_matches_entrywise_reference(domain, n):
+    L = build_grid(domain, n).laplacian_matrix()
+    ref = reference_laplacian(domain, n)
+    assert np.array_equal(L.indptr, ref.indptr)
+    assert np.array_equal(L.indices, ref.indices)
+    assert np.array_equal(L.data, ref.data)

@@ -13,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 from pxbiharm.exponents import affine_exponent, conjugate, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.spaces import (
+    _luxemburg_of_values,
+    _modular_values,
     check_holder,
     laplacian_modular,
     laplacian_norm,
@@ -78,7 +80,7 @@ def test_triangle_inequality(vals1, vals2):
 @given(vals=finite_vals)
 @settings(max_examples=60, deadline=None)
 def test_modular_unit_ball_characterization(vals):
-    """modular(u) <= 1 iff |u| <= 1 (with slack for the bisection)."""
+    """modular(u) <= 1 iff |u| <= 1 (with slack for the norm's solver)."""
     p = affine_exponent(GRID, 1.5, 1.0)
     u = _field(vals)
     nrm = luxemburg_norm(u, p).value
@@ -134,7 +136,7 @@ def test_modular_sandwich_on_laplacian(vals):
     if u is None:
         return
     nrm = laplacian_norm(u, p).value
-    # moderate norm keeps the bisection error far below the slack
+    # moderate norm keeps the solver error far below the slack
     u = GridFunction(GRID, u.values * (1.7 / nrm), bc="navier")
     nrm = laplacian_norm(u, p).value
     m = laplacian_modular(u, p)
@@ -179,3 +181,45 @@ def test_grid_mismatch_raises():
     p = constant_exponent(other, 2.0)
     with pytest.raises(ValueError):
         luxemburg_norm(_field(np.zeros(GRID.size)), p)
+
+
+def bisection_norm(vals, grid, p):
+    """Oracle: bisect modular(v/mu) = 1 on the unit-sup scaling, 200 steps."""
+    amax = np.max(np.abs(vals))
+    scaled = np.abs(vals) / amax
+    lo, hi = 1e-12, 1e6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.dot(grid.weights, (scaled / mid) ** p.values) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return amax * hi
+
+
+@pytest.mark.parametrize("grid", [GRID, build_grid(Domain("rectangle"), 9),
+                                  build_grid(Domain("ball_radial", N=3), 17)])
+def test_batched_luxemburg_matches_bisection_oracle(grid):
+    rng = np.random.default_rng(11)
+    exps = [affine_exponent(grid, 1.3, 2.0), constant_exponent(grid, 790.0)]
+    exps.append(conjugate(exps[0]))
+    for p in exps:
+        rows = rng.standard_normal((40, grid.size)) \
+            * 10.0 ** rng.uniform(-6, 6, (40, 1))
+        rows[3] = 0.0
+        rows[5, 1:] = 0.0
+        res = _luxemburg_of_values(rows, grid, p)
+        assert res.value[3] == 0.0
+        for k, v in enumerate(rows):
+            if k == 3:
+                continue
+            want = bisection_norm(v, grid, p)
+            assert res.value[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+            # one row alone is the same solve, up to summation order
+            assert _luxemburg_of_values(v, grid, p).value == pytest.approx(
+                res.value[k], rel=1e-14, abs=0.0)
+        # each value is an upper end: the modular at it was evaluated, <= 1
+        live = np.any(rows, axis=1)
+        assert np.all(_modular_values(rows[live] / res.value[live, None],
+                                      grid, p) <= 1.0)
+        assert res.iterations <= 10 * len(rows)
