@@ -1,7 +1,8 @@
 """Multi-start critical-point search: damped Newton descent on the energy,
 and deflated Newton to find distinct weak solutions.
 
-Both run one Newton core with the sparse (banded) energy Hessian.  Accepted
+Both run one Newton core: the energy Hessian is assembled in LAPACK band
+storage and solved by banded LU with partial pivoting (dgbsv).  Accepted
 points must pass a clean (undeflated) residual check against the solver
 tolerance, raised only where the rounding floor of the residual lies above
 it; deflation only steers the iteration away from already-found solutions.
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv
 
 from .energy import ProblemInstance, residual_vector, total_energy
 from .grids import GridFunction
@@ -97,43 +97,58 @@ def _linearise(inst, values):
 
 class _Hessian:
     """Interior block of the energy Hessian
-    L^T W diag(a_t(Lu)) L - lambda W diag(f_t(u)).  Its sparsity pattern is
-    fixed by the grid, so it is laid out once; each Newton step only sums
-    the products L[k,i] (W a_t)[k] L[k,j] into the CSC data array."""
+    L^T W diag(a_t(Lu)) L - lambda W diag(f_t(u)) in LAPACK band storage:
+    entry (i, j) sits in row 2k + i - j, column j of a (3k+1, m) array, k
+    the bandwidth (2 on intervals and balls, 2(n-2) on an n x n rectangle)
+    and the top k rows room for the LU fill-in.  The pattern is fixed by
+    the grid, so the band position of every product L[r,i] L[r,j] is laid
+    out once; each Newton step only sums the products times (W a_t)[r]
+    into the band."""
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
         self.interior = inst.grid.interior_mask
         Li = inst.grid.laplacian_matrix()[:, self.interior].tocsr()
-        m = Li.shape[1]
-        # every pair (a, b) of stored entries that share a row k of L
+        # every pair (a, b) of stored entries that share a row r of L
         cnt = np.diff(Li.indptr)
         sq = cnt * cnt
-        j = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+        t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
         first = np.repeat(Li.indptr[:-1], sq)
         per_row = np.repeat(cnt, sq)
-        a, b = first + j // per_row, first + j % per_row
+        a, b = first + t // per_row, first + t % per_row
         self.row = np.repeat(np.arange(Li.shape[0]), sq)
         self.coef = Li.data[a] * Li.data[b]
-        # CSC position (key col * m + row) of each pair and of the diagonal
-        diag = np.arange(m)
-        keys = np.concatenate([Li.indices[b] * m + Li.indices[a],
-                               diag * m + diag])
-        uniq, pos = np.unique(keys, return_inverse=True)
-        self.pos, self.diag_pos = pos[:len(a)], pos[len(a):]
-        self.indices = uniq % m
-        self.indptr = np.searchsorted(uniq, np.arange(m + 1) * m)
-        self.shape = (m, m)
+        i, j = Li.indices[a], Li.indices[b]
+        self.k = int(np.max(np.abs(i - j), initial=0))
+        self.diag = 2 * self.k           # band row of the diagonal
+        self.shape = (3 * self.k + 1, Li.shape[1])
+        # flat column-major band position of entry (i, j)
+        self.pos = j * self.shape[0] + self.diag + i - j
 
-    def __call__(self, values: np.ndarray) -> sp.csc_matrix:
+    def __call__(self, values: np.ndarray,
+                 convex: bool = False) -> np.ndarray:
+        """The band at the nodal values; with convex, the band of the
+        Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0)."""
         inst = self.inst
         w = inst.grid.weights
         _, a_t, f_t = _linearise(inst, values)
-        data = np.bincount(self.pos, self.coef * (w * a_t)[self.row],
-                           minlength=len(self.indices))
-        data[self.diag_pos] -= inst.lam * (w * f_t)[self.interior]
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+        band = np.bincount(self.pos, self.coef * (w * a_t)[self.row],
+                           minlength=self.shape[0] * self.shape[1])
+        band = band.reshape(self.shape, order="F")
+        if convex:
+            f_t = np.minimum(f_t, 0.0)
+        band[self.diag] -= inst.lam * (w * f_t)[self.interior]
+        return band
+
+    def solve(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The solution of H x = rhs by banded LU with partial pivoting
+        (dgbsv), all NaN where the factor is exactly singular.  The LU
+        factor overwrites the band, and x may overwrite rhs."""
+        _, _, x, info = dgbsv(self.k, self.k, band, rhs,
+                              overwrite_ab=True, overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"dgbsv: illegal argument {-info}")
+        return x if info == 0 else np.full_like(x, np.nan)
 
 
 def acceptance_threshold(inst: ProblemInstance, values: np.ndarray,
@@ -154,6 +169,21 @@ def acceptance_threshold(inst: ProblemInstance, values: np.ndarray,
     return max(tol, FLOOR_FACTOR * floor)
 
 
+def _energy_floor(inst: ProblemInstance, values: np.ndarray) -> float:
+    """FLOOR_FACTOR times the rounding error
+    eps * W (|A(Lu)| + |a(Lu)| |L||u|) + eps * lambda W (|F(u)| + |f(u) u|)
+    of the total energy's own terms, the analogue of acceptance_threshold's
+    floor: energy differences below it cannot be measured."""
+    L = inst.grid.laplacian_matrix()
+    pot, nl = inst.potential, inst.nonlinearity
+    u = np.abs(values)
+    Lu = L @ values
+    terms = np.abs(pot.A(Lu)) + np.abs(pot.a(Lu)) * (abs(L) @ u)
+    terms += inst.lam * (np.abs(nl.F(inst.x, values))
+                         + np.abs(nl.f(inst.x, values)) * u)
+    return FLOOR_FACTOR * EPS * float(np.dot(inst.grid.weights, terms))
+
+
 def _deflation_scale(z, step, w, known):
     """Sherman-Morrison factor tau of shifted-power deflation: the Newton
     step of M(u) F(u), M = prod_j (||u - u_j||^-q + s) in the weighted l2
@@ -171,7 +201,7 @@ def _deflation_scale(z, step, w, known):
 
 
 def _newton(inst, z, tol, hessian: _Hessian, known=()):
-    """Newton iteration on the interior gradient with the sparse Hessian.
+    """Newton iteration on the interior gradient with the banded Hessian.
     With known roots (interior values) every step is deflated away from
     them.  Stops at tol, before a non-finite iterate, when a step is below
     STEP_TOL relative to u (the residual is then at its rounding floor), or
@@ -184,7 +214,7 @@ def _newton(inst, z, tol, hessian: _Hessian, known=()):
         r = residual_vector(inst, vals)[interior]
         if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
             break
-        step = spla.spsolve(hessian(vals), -r)
+        step = hessian.solve(hessian(vals), -r)
         step *= _deflation_scale(z, step, w, known)
         if not np.all(np.isfinite(z + step)):
             break
@@ -211,10 +241,10 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     Where the Newton step is no descent direction (near a saddle) it steps
     with the Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0)
     instead, which is positive definite.  Armijo backtracking on the energy
-    sets the step length.  Stops as _newton does, or when no step length
+    sets the step length, unless the predicted decrease lies below the
+    energy's rounding floor.  Stops as _newton does, or when no step length
     lowers the energy."""
     interior = inst.grid.interior_mask
-    w = inst.grid.weights[interior]
     hessian = _Hessian(inst)
     z = u0.values[interior]
     e = total_energy(inst, _lift(inst, z))
@@ -223,18 +253,16 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
         r = residual_vector(inst, vals)[interior]
         if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
             break
-        H = hessian(vals)
-        step = spla.spsolve(H, -r)
+        step = hessian.solve(hessian(vals), -r)
         if not np.dot(r, step) < 0.0:
-            f_t = _linearise(inst, vals)[2][interior]
-            step = spla.spsolve(
-                H + sp.diags(inst.lam * w * np.maximum(f_t, 0.0)), -r)
+            step = hessian.solve(hessian(vals, convex=True), -r)
         if not np.all(np.isfinite(step)):
             break
-        # a decrease below the energy's last bit cannot be measured: there
-        # the full step is taken
+        # a decrease below the energy's rounding floor cannot be measured:
+        # there the full step is taken
         slope, t = float(np.dot(r, step)), 1.0
-        while -slope > EPS * abs(e) and total_energy(
+        floor = _energy_floor(inst, vals)
+        while -slope > floor and total_energy(
                 inst, _lift(inst, z + t * step)) > e + ARMIJO * t * slope:
             t *= 0.5
             if t < EPS:

@@ -8,6 +8,7 @@ from pxbiharm.energy import ProblemInstance
 from pxbiharm.exponents import constant_exponent
 from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
+from pxbiharm.solver import _linearise
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +62,16 @@ def spike_instance(grid, lam=1.0):
     nl = builtin_nonlinearity("separable", grid, q, alpha=1.0,
                               g=spike_g, G=spike_G)
     return ProblemInstance(grid, p, spec, nl, lam)
+
+
+def dense_hessian(inst, values):
+    """Dense interior energy Hessian
+    L_i^T diag(w a_t) L_i - lambda diag(w f_t), L_i the interior columns of
+    the sparse Laplacian, with the solver's difference slopes a_t(Lu) and
+    f_t(u)."""
+    interior = inst.grid.interior_mask
+    w = inst.grid.weights
+    _, a_t, f_t = _linearise(inst, values)
+    Li = inst.grid.laplacian_matrix()[:, interior]
+    H = (Li.T @ Li.multiply((w * a_t)[:, None])).toarray()
+    return H - inst.lam * np.diag((w * f_t)[interior])

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, JSON payloads, CSV artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import pxbiharm
 from pxbiharm import certificate, solver
 from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
 
@@ -278,3 +282,16 @@ def test_any_config_value_keeps_the_exit_code_contract(tmp_path, capsys,
 def test_malformed_types_are_bad_input(tmp_path, path, value):
     cfg = write_config(tmp_path, beam_with(path, value))
     assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
+
+
+def test_cli_import_leaves_out_the_sparse_solvers():
+    """The Newton core solves with LAPACK's banded LU, so importing the
+    command line loads none of scipy.sparse.linalg (SuperLU, ARPACK, ...)."""
+    src = str(Path(pxbiharm.__file__).resolve().parents[1])
+    path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, pxbiharm.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('scipy.sparse.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

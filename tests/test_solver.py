@@ -16,7 +16,13 @@ from pxbiharm.solver import (
     minimize,
 )
 
-from conftest import make_instance, spike_G, spike_g, spike_instance
+from conftest import (
+    dense_hessian,
+    make_instance,
+    spike_G,
+    spike_g,
+    spike_instance,
+)
 
 
 def beam_exact(x):
@@ -86,7 +92,7 @@ def test_minimize_leaves_a_saddle_downhill(monkeypatch):
                               vbar_scale=1.2)
     saddle = max(sols.points, key=lambda p: p.energy)
     assert saddle.energy == pytest.approx(19.93, abs=0.01)
-    H = solver._Hessian(inst)(saddle.u.values).toarray()
+    H = dense_hessian(inst, saddle.u.values)
     eigval, eigvec = np.linalg.eigh(H)
     assert eigval[0] == pytest.approx(-30.3, abs=0.1) and eigval[1] > 0
     vals = saddle.u.values.copy()
@@ -96,6 +102,94 @@ def test_minimize_leaves_a_saddle_downhill(monkeypatch):
     assert pt.converged
     assert pt.energy < saddle.energy - 1.0
     assert len(calls) <= 50
+
+
+def test_minimize_does_not_stall_at_the_rounding_floor():
+    """Started 1e-9 away from the ridge load's global minimiser, the
+    predicted decrease (1e-13 to 5e-13) lies below the energy's rounding
+    noise: the line search must not halve the step away there."""
+    grid = build_grid(Domain("interval"), 201)
+    inst = spike_instance(grid, lam=30.25)
+    D, x0 = inradius(grid.domain)
+    big = minimize(inst, build_test_function(1.2, D, x0, grid))
+    assert big.converged
+    for s in range(10):
+        vals = big.u.values + 1e-9 * np.sin((s + 1) * np.pi * grid.nodes)
+        pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
+        assert pt.converged, (s, pt.residual_norm, pt.threshold)
+        assert pt.energy == pytest.approx(big.energy, rel=1e-12)
+
+
+def band_to_dense(band, k):
+    m = band.shape[1]
+    i, j = np.indices((m, m))
+    inside = np.abs(i - j) <= k
+    dense = np.zeros((m, m))
+    dense[inside] = band[(2 * k + i - j)[inside], j[inside]]
+    return dense, inside
+
+
+@pytest.mark.parametrize("domain, n, k", [
+    (Domain("interval"), 9, 2),
+    (Domain("rectangle"), 5, 6),
+    (Domain("rectangle", a=2.0, b=0.5), 7, 10),
+    (Domain("ball_radial", N=2, R=1.0), 9, 2),
+])
+def test_band_hessian_matches_dense_reference(domain, n, k):
+    grid = build_grid(domain, n)
+    inst = make_instance(grid, p_value=3.0, nl_name="rational_bump",
+                         lam=2.0)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(grid.size)
+    vals[grid.boundary_mask] = 0.0
+    hessian = solver._Hessian(inst)
+    band = hessian(vals)
+    m = grid.interior_mask.sum()
+    assert hessian.k == k and band.shape == (3 * k + 1, m)
+    ref = dense_hessian(inst, vals)
+    got, inside = band_to_dense(band, k)
+    scale = np.max(np.abs(ref))
+    assert np.all(ref[~inside] == 0.0)
+    assert np.all(band[:k] == 0.0)              # room for the LU fill-in
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    rhs = rng.standard_normal(len(ref))
+    want = np.linalg.solve(ref, rhs)
+    x = hessian.solve(band, rhs.copy())
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+    # the convex part of minimize's saddle step: a diagonal shift
+    f_t = solver._linearise(inst, vals)[2][grid.interior_mask]
+    shift = inst.lam * grid.weights[grid.interior_mask] * np.maximum(f_t, 0)
+    assert np.any(shift > 0)
+    band = hessian(vals, convex=True)
+    got, _ = band_to_dense(band, k)
+    ref += np.diag(shift)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    want = np.linalg.solve(ref, rhs)
+    x = hessian.solve(band, rhs.copy())
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class ZeroHessian(solver._Hessian):
+    """A Hessian whose band is all zero: its LU factor is exactly
+    singular."""
+
+    def __call__(self, values, convex=False):
+        return np.zeros(self.shape, order="F")
+
+
+def test_singular_band_stops_newton(monkeypatch):
+    grid = build_grid(Domain("interval"), 21)
+    inst = make_instance(grid)
+    hessian = ZeroHessian(inst)
+    rhs = np.ones(grid.interior_mask.sum())
+    assert not np.any(np.isfinite(hessian.solve(hessian(None), rhs)))
+    z0 = np.full(len(rhs), 0.1)
+    z = solver._newton(inst, z0, 1e-8, hessian)
+    assert np.array_equal(z, z0)
+    monkeypatch.setattr(solver, "_Hessian", ZeroHessian)
+    u0 = solver._lift(inst, z0)
+    pt = minimize(inst, u0)
+    assert np.array_equal(pt.u.values, u0.values) and not pt.converged
 
 
 def test_solution_set_distinctness():
