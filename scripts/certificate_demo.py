@@ -52,12 +52,12 @@ def main():
         nl = builtin_nonlinearity("separable", grid, q, alpha=1.0,
                                   g=ridge_g, G=ridge_G)
         inst = ProblemInstance(grid, p, spec, nl, 1.0)
-        show(certify(inst, r=5.0, h=1.2, check_convergence=False))
+        show(certify(inst, r=5.0, h=1.2))
 
         print(f"== {domain.kind}: bounded load (infeasible) ==")
         nl2 = builtin_nonlinearity("rational_bump", grid, q)
         inst2 = ProblemInstance(grid, p, spec, nl2, 1.0)
-        show(certify(inst2, r=1.0, h=1.0, check_convergence=False))
+        show(certify(inst2, r=1.0, h=1.0))
 
         rep = sandwich_check(inst, h=1.0)
         rel = abs(rep.J_vbar - rep.lower) / abs(rep.lower)

@@ -111,7 +111,7 @@ def main():
     nl2 = builtin_nonlinearity("separable", grid, q, alpha=1.0,
                                g=ridge_g, G=ridge_G)
     inst0 = ProblemInstance(grid, p, spec, nl2, 1.0)
-    cert2 = certify(inst0, r=5.0, h=1.2, check_convergence=False)
+    cert2 = certify(inst0, r=5.0, h=1.2)
     print(f"  certified interval: {cert2.lambda_interval}")
     rows2 = run_sweep(
         lambda lam: ProblemInstance(grid, p, spec, nl2, lam),

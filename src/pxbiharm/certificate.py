@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import ProblemInstance, energy_J, load_Phi
 from .exponents import ExponentField, conjugate
-from .grids import Domain, Grid, GridFunction, build_grid, integrate, unit_ball_volume
+from .grids import Domain, Grid, GridFunction, integrate, unit_ball_volume
 from .potentials import NonlinearitySpec, PotentialSpec, d_norm_conjugate, _node_coords
 from .spaces import _luxemburg_of_values, _modular_values
 
@@ -246,10 +246,26 @@ def _ess_inf_F_at(nl: NonlinearitySpec, x: np.ndarray, t: float) -> float:
     return float(np.min(nl.F(x, t)))
 
 
+def _bump_bounds(h: float, N: int, D: float, L: float, p: ExponentField,
+                 c3: float, d_norm: float):
+    """(lower, upper): the analytic bounds on J(vbar) for the bump of
+    height h, (L/p+) min{s^{p-}, s^{p+}} and c3 L^{1/p+} [N^{1/p+}
+    (8h/3D^2) |d|_{p'} + L^{(p+-1)/p+} max{s^{p-}, s^{p+}}] with
+    s = 8hN/3D^2.  The lower bound is the r-bound, the upper bound
+    beta_h's denominator."""
+    slope = 8 * h * N / (3 * D**2)
+    lower = (L / p.p_plus) * min(slope ** p.p_minus, slope ** p.p_plus)
+    upper = c3 * L ** (1.0 / p.p_plus) * (
+        N ** (1.0 / p.p_plus) * (8 * h / (3 * D**2)) * d_norm
+        + L ** ((p.p_plus - 1.0) / p.p_plus)
+        * max(slope ** p.p_minus, slope ** p.p_plus)
+    )
+    return lower, upper
+
+
 def beta_h(inst: ProblemInstance, h: float, consts: dict) -> float:
     """The lower certificate ratio: numerator w (D/2)^N ess inf F(x,h),
-    denominator c3 L^{1/p+} [N^{1/p+} (8h/3D^2) |d|_{p'} +
-    L^{(p+-1)/p+} max{(8hN/3D^2)^{p-}, (8hN/3D^2)^{p+}}]."""
+    denominator the upper bound of `_bump_bounds`."""
     if h <= 0:
         raise ValueError("h must be positive")
     c3, L, w, D, N = (consts[k] for k in ("c3", "L", "w", "D", "N"))
@@ -259,13 +275,7 @@ def beta_h(inst: ProblemInstance, h: float, consts: dict) -> float:
         d_norm = d_norm_conjugate(inst.potential)
     x = _node_coords(inst.grid)
     num = w * (D / 2) ** N * _ess_inf_F_at(inst.nonlinearity, x, h)
-    slope = 8 * h * N / (3 * D**2)
-    denom = c3 * L ** (1.0 / p.p_plus) * (
-        N ** (1.0 / p.p_plus) * (8 * h / (3 * D**2)) * d_norm
-        + L ** ((p.p_plus - 1.0) / p.p_plus)
-        * max(slope ** p.p_minus, slope ** p.p_plus)
-    )
-    return num / denom
+    return num / _bump_bounds(h, N, D, L, p, c3, d_norm)[1]
 
 
 def estimate_c0(grid: Grid, p: ExponentField):
@@ -356,34 +366,45 @@ def _grid_constants(inst: ProblemInstance, r: float) -> dict:
                 d_norm=d_norm_conjugate(inst.potential))
 
 
-def _scan_h(inst: ProblemInstance, consts: dict) -> float:
-    """The h of H_GRID with the largest beta_h / alpha_r; a later h wins
-    only if its ratio exceeds the best by more than 1e-15."""
+def _scan_h(inst: ProblemInstance, r: float, consts: dict) -> float:
+    """The h of H_GRID with the largest beta_h / alpha_r among the heights
+    whose r-bound holds, or among all heights when none does; a later h
+    wins only if its ratio exceeds the best by more than 1e-15."""
     alpha = consts["alpha"]
+    bound_args = [consts[k] for k in ("N", "D", "L", "p", "c3", "d_norm")]
     best = None
     for h in H_GRID:
+        holds = r < _bump_bounds(float(h), *bound_args)[0]
         ratio = beta_h(inst, float(h), consts) / alpha if alpha else np.inf
-        if best is None or ratio > best[0] + 1e-15:
-            best = (ratio, float(h))
-    return best[1]
+        if best is None or holds > best[0] or (
+                holds == best[0] and ratio > best[1] + 1e-15):
+            best = (holds, ratio, float(h))
+    return best[2]
 
 
 def certify(inst: ProblemInstance, r: float, h: float | None = None,
-            check_convergence: bool = True) -> Certificate:
+            fine: ProblemInstance | None = None) -> Certificate:
     """Full certificate: all constants, the r-bound and beta > alpha checks,
     and the admissible lambda-interval when both hold.  With h=None the
-    bump height is chosen by `_scan_h`.  The h-independent constants are
-    computed once per grid: on the instance's grid and, for the
-    convergence check, once on the doubled grid."""
+    bump height is chosen by `_scan_h`.
+
+    `fine` is the same problem on the doubled grid (2n - 1 nodes per axis
+    of the same domain).  When it is given, `converged` records whether
+    alpha_r and beta_h agree on both grids to `_CONVERGENCE_RTOL`;
+    otherwise it is None.  The h-independent constants are computed once
+    per grid."""
     if not inst.p.certificate_eligible(inst.grid.domain.dim):
         raise ValueError("certificate requires p_minus > N/2")
+    if fine is not None and (fine.grid.domain != inst.grid.domain
+                             or fine.grid.n != 2 * inst.grid.n - 1):
+        raise ValueError("fine must be the problem on the doubled grid "
+                         "(2n - 1 nodes per axis) of the same domain")
     core = _grid_constants(inst, r)
     if h is None:
-        h = _scan_h(inst, core)
+        h = _scan_h(inst, r, core)
     N, D, L, p = core["N"], core["D"], core["L"], inst.p
     beta = beta_h(inst, h, core)
-    slope = 8 * h * N / (3 * D**2)
-    r_bound = (L / p.p_plus) * min(slope ** p.p_minus, slope ** p.p_plus)
+    r_bound, _ = _bump_bounds(h, N, D, L, p, core["c3"], core["d_norm"])
     # nonnegativity of ess inf F on [0, h], sampled
     x = _node_coords(inst.grid)
     t_chk = np.linspace(0.0, h, 51)
@@ -405,12 +426,10 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
         * _ess_inf_F_at(inst.nonlinearity, x, h)
 
     converged = None
-    if check_convergence:
-        fine = build_grid(inst.grid.domain, 2 * inst.grid.n - 1)
-        fine_inst = _reinstantiate(inst, fine)
-        fine_core = _grid_constants(fine_inst, r)
+    if fine is not None:
+        fine_core = _grid_constants(fine, r)
         converged = _close(core["alpha"], fine_core["alpha"]) and \
-            _close(beta, beta_h(fine_inst, h, fine_core))
+            _close(beta, beta_h(fine, h, fine_core))
 
     return Certificate(
         r=r, h=h, N=N, D=D, x0=tuple(core["x0"]),
@@ -427,63 +446,11 @@ def _close(a, b):
     return abs(a - b) / scale < _CONVERGENCE_RTOL
 
 
-def _resample(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
-    """Piecewise-linear interpolation of nodal values onto a refined grid
-    of the same domain: separable along x2, then x1, on a rectangle (the
-    doubled grid holds every coarse node), along the nodes otherwise."""
-    if coarse.domain.kind != "rectangle":
-        return np.interp(fine.nodes, coarse.nodes, values)
-    xc, yc = coarse.nodes[::coarse.n, 0], coarse.nodes[:coarse.n, 1]
-    xf, yf = fine.nodes[::fine.n, 0], fine.nodes[:fine.n, 1]
-    v = np.array([np.interp(yf, yc, row)
-                  for row in np.reshape(values, coarse.shape)])
-    return np.array([np.interp(xf, xc, col) for col in v.T]).T.ravel()
-
-
-def _reinstantiate(inst: ProblemInstance, grid: Grid) -> ProblemInstance:
-    """Rebuild the problem on a refined grid: the exponent, theta, xi and q
-    are re-sampled (`_resample`), an affine exponent is refitted, and f/F
-    are carried over by coordinate."""
-    from . import exponents as ex
-    from . import potentials as pot
-
-    if inst.p.source == "constant":
-        p = ex.constant_exponent(grid, inst.p.p_minus)
-    elif inst.p.source == "affine":
-        x0 = _node_coords(inst.grid)
-        slope_fit = np.polyfit(x0, inst.p.values, 1)
-        p = ex.affine_exponent(grid, slope_fit[1], slope_fit[0])
-    else:
-        p = ex.tabulated_exponent(grid, _resample(inst.p.values, inst.grid,
-                                                  grid))
-
-    theta0 = float(inst.potential.theta[0])
-    if not np.allclose(inst.potential.theta, theta0):
-        theta = _resample(inst.potential.theta, inst.grid, grid)
-    else:
-        theta = np.full(grid.size, theta0)
-    if inst.potential.family == "power":
-        spec = pot.make_power_family(theta, p)
-    else:
-        spec = pot.make_perturbed_family(theta, p, inst.potential.variant)
-
-    nl = inst.nonlinearity
-    fine_nl = pot.NonlinearitySpec(
-        name=nl.name, f_eval=nl.f_eval, F_eval=nl.F_eval,
-        xi=_resample(nl.xi, inst.grid, grid),
-        zeta=nl.zeta,
-        q=ex.tabulated_exponent(grid, _resample(nl.q.values, inst.grid, grid))
-        if nl.q is not None else None,
-    )
-    return ProblemInstance(grid, p, spec, fine_nl, inst.lam,
-                           hypothesis_report=None)
-
-
 def certify_r1(inst: ProblemInstance, h: float,
-               check_convergence: bool = True) -> Certificate:
+               fine: ProblemInstance | None = None) -> Certificate:
     """The r = 1 specialization: gamma_1 = (p^+)^{1/p^-} and the r-bound
     reads p^+ < L min{(8hN/3D^2)^{p^-}, (8hN/3D^2)^{p^+}}."""
-    return certify(inst, 1.0, h, check_convergence=check_convergence)
+    return certify(inst, 1.0, h, fine=fine)
 
 
 @dataclass
@@ -500,16 +467,9 @@ def sandwich_check(inst: ProblemInstance, h: float,
     grid = inst.grid
     N = grid.domain.dim
     D, x0 = inradius(grid.domain)
-    L = compute_L(N, D)
-    slope = 8 * h * N / (3 * D**2)
-    lower = (L / inst.p.p_plus) * min(slope ** inst.p.p_minus,
-                                      slope ** inst.p.p_plus)
-    d_norm = d_norm_conjugate(inst.potential)
-    upper = inst.potential.c3 * L ** (1.0 / inst.p.p_plus) * (
-        N ** (1.0 / inst.p.p_plus) * (8 * h / (3 * D**2)) * d_norm
-        + L ** ((inst.p.p_plus - 1.0) / inst.p.p_plus)
-        * max(slope ** inst.p.p_minus, slope ** inst.p.p_plus)
-    )
+    lower, upper = _bump_bounds(h, N, D, compute_L(N, D), inst.p,
+                                inst.potential.c3,
+                                d_norm_conjugate(inst.potential))
     J_vbar = energy_J_vbar(inst.potential, h, D, x0, grid)
     slack = rel_tol * max(abs(lower), abs(upper))
     holds = (lower - slack <= J_vbar <= upper + slack)

@@ -149,13 +149,19 @@ def _certify_from_config(cfg: cfgmod.RunConfig, inst: ProblemInstance):
             raise ConfigError(
                 "dim1 certificate needs a separable nonlinearity alpha(x) g(t)")
         g, G = cfgmod.tabulated_g(cfg.nonlinearity)
+        alpha = cfgmod.field_on_grid(cfg.nonlinearity.get("alpha", 1.0),
+                                     inst.grid, "nonlinearity.alpha")
         return cert.dim1_certificate(
-            g, cfg.nonlinearity.get("alpha", 1.0), inst.p,
-            l=float(block.get("l", 1.0)), h=float(block["h"]),
-            c3=inst.potential.c3, G=G, grid=inst.grid)
+            g, alpha, inst.p, l=float(block.get("l", 1.0)),
+            h=float(block["h"]), c3=inst.potential.c3, G=G, grid=inst.grid)
     scan = block.get("h_scan") or "h" not in block
+    # the same config on the doubled grid, for the convergence check, which
+    # reads only alpha_r and beta_h there
+    fine = cfgmod.build_problem(
+        dataclasses.replace(cfg, grid_n=2 * inst.grid.n - 1), verify=False)
     certificate = cert.certify(inst, float(block.get("r", 1.0)),
-                               None if scan else float(block["h"]))
+                               None if scan else float(block["h"]),
+                               fine=fine)
     if scan:
         _info(f"h-scan selected h = {certificate.h:g}")
     return certificate

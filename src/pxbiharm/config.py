@@ -14,7 +14,7 @@ from . import potentials as pot
 from .grids import Domain, Grid, build_grid
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "build_problem",
-           "tabulated_g"]
+           "tabulated_g", "field_on_grid"]
 
 SCHEMA_VERSION = 1
 
@@ -231,9 +231,37 @@ def build_exponent(cfg: RunConfig, grid: Grid) -> ex.ExponentField:
     raise ConfigError(f"unknown exponent kind {e['kind']!r}")
 
 
+def _resample(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
+    """Piecewise-linear interpolation of nodal values onto another grid of
+    the same domain: separable along x2, then x1, on a rectangle, along the
+    nodes otherwise."""
+    if coarse.domain.kind != "rectangle":
+        return np.interp(fine.nodes, coarse.nodes, values)
+    xc, yc = coarse.nodes[::coarse.n, 0], coarse.nodes[:coarse.n, 1]
+    xf, yf = fine.nodes[::fine.n, 0], fine.nodes[:fine.n, 1]
+    v = np.array([np.interp(yf, yc, row)
+                  for row in np.reshape(values, coarse.shape)])
+    return np.array([np.interp(xf, xc, col) for col in v.T]).T.ravel()
+
+
+def field_on_grid(value, grid: Grid, where: str):
+    """A field of the config on `grid`.  A number is returned as it is; a
+    list of m values holds the nodal values on the m-node grid of the same
+    domain (k x k = m nodes on a rectangle, k >= 5 as for grid_n) and is
+    interpolated piecewise-linearly onto `grid`."""
+    if not isinstance(value, np.ndarray) or value.size == grid.size:
+        return value
+    axes = len(grid.shape)
+    k = math.isqrt(value.size) if axes == 2 else value.size
+    if k < 5 or k ** axes != value.size:
+        raise ConfigError(f"{where} has {value.size} values, which is the "
+                          f"node count of no grid on this domain")
+    return _resample(value, build_grid(grid.domain, k), grid)
+
+
 def build_potential(cfg: RunConfig, p: ex.ExponentField) -> pot.PotentialSpec:
     b = cfg.potential
-    theta = b.get("theta", 1.0)
+    theta = field_on_grid(b.get("theta", 1.0), p.grid, "potential.theta")
     try:
         if b["family"] == "power":
             return pot.make_power_family(theta, p)
@@ -267,18 +295,20 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
     q = ex.constant_exponent(grid, float(qv))
     if not q.p_plus < p.p_minus:
         raise ConfigError("nonlinearity exponent q must satisfy q^+ < p^-")
+    xi = field_on_grid(b.get("xi"), grid, "nonlinearity.xi")
     kind = b["kind"]
     try:
         if kind.startswith("builtin:"):
             name = kind.split(":", 1)[1]
             return pot.builtin_nonlinearity(
-                name, grid, q, xi=b.get("xi"), zeta=float(b.get("zeta", 1.0)))
+                name, grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)))
         if kind == "table":
             g, G = tabulated_g(b)
+            alpha = field_on_grid(b.get("alpha", 1.0), grid,
+                                  "nonlinearity.alpha")
             return pot.builtin_nonlinearity(
-                "separable", grid, q, xi=b.get("xi"),
-                zeta=float(b.get("zeta", 1.0)),
-                alpha=b.get("alpha", 1.0), g=g, G=G)
+                "separable", grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)),
+                alpha=alpha, g=g, G=G)
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:

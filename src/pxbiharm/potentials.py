@@ -136,20 +136,20 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     theta = np.broadcast_to(np.asarray(theta, float), (p.grid.size,)).copy()
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
-    theta_max = float(theta.max())
-    theta_0 = float(theta.min())
-    return PotentialSpec(
+    spec = PotentialSpec(
         family="power",
         theta=theta,
         p=p,
         variant=None,
-        c1=max(1.0, theta_max),
-        c2=min(1.0, theta_0),
-        c3=theta_max / p.p_minus,
+        c1=np.nan,
+        c2=np.nan,
+        c3=np.nan,
         d=np.zeros(p.grid.size),
         a_eval=_power_a,
         A_eval=_power_A,
     )
+    spec.c1, spec.c2, spec.c3, spec.d = growth_constants(spec, TSampler())
+    return spec
 
 
 def _perturbed_exponent(p, variant):
@@ -397,24 +397,14 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
 def _alpha_at(grid, x, alpha_vals):
     """alpha at the sample points x.  Node coordinates (an array whose
     leading axis has one entry per node, as ProblemInstance.x or x[:, None])
-    read alpha node by node on every domain.  Any other x is a coordinate on
-    a 1D grid (interval or radial ball) and reads alpha at the first node at
-    or to the right of x, clipped to the grid.  A rectangle's coordinate
-    names no node, so there only a constant alpha can be read off the grid."""
+    read alpha node by node.  Any other x names no node, so there only a
+    constant alpha can be read off the grid."""
     x = np.asarray(x, float)
     if x.ndim and x.shape[0] == grid.size:
         return alpha_vals.reshape(alpha_vals.shape + (1,) * (x.ndim - 1))
-    if grid.domain.kind == "rectangle":
-        if np.any(alpha_vals != alpha_vals[0]):
-            raise ValueError("a nodal alpha on a rectangle is defined only "
-                             "at the grid's nodes")
-        return np.full(x.shape, alpha_vals[0])
-    coords = grid.nodes
-    idx = np.clip(
-        np.searchsorted(coords, np.clip(x, coords[0], coords[-1])),
-        0, len(coords) - 1,
-    )
-    return alpha_vals[idx]
+    if np.any(alpha_vals != alpha_vals[0]):
+        raise ValueError("a nodal alpha is defined only at the grid's nodes")
+    return np.full(x.shape, alpha_vals[0])
 
 
 def _sup_abs(g, T: float = 1e4, n: int = 4001) -> float:

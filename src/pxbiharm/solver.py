@@ -10,7 +10,7 @@ it; deflation only steers the iteration away from already-found solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
@@ -379,13 +379,9 @@ def lambda_sweep(inst: ProblemInstance, interval, m: int,
     lambdas = np.geomspace(lo, hi, m)
     rows = []
     for lam in lambdas:
-        sub = ProblemInstance(
-            inst.grid, inst.p, inst.potential, inst.nonlinearity, float(lam),
-            hypothesis_report=inst.hypothesis_report,
-            allow_failed_hypotheses=inst.allow_failed_hypotheses,
-        )
-        sols = deflate_and_search(sub, k_max=k_max, n_starts=n_starts,
-                                  seed=seed, tol=tol, vbar_scale=vbar_scale,
+        sols = deflate_and_search(replace(inst, lam=float(lam)),
+                                  k_max=k_max, n_starts=n_starts, seed=seed,
+                                  tol=tol, vbar_scale=vbar_scale,
                                   max_iter=max_iter)
         rows.append({
             "lambda": float(lam),

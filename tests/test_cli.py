@@ -14,8 +14,12 @@ from hypothesis import strategies as st
 import pxbiharm
 from pxbiharm import certificate, solver
 from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
+from pxbiharm.config import build_problem, load_config
+from pxbiharm.grids import Domain, build_grid
 
 from conftest import spike_g
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -57,6 +61,29 @@ def spike_table_doc():
                       "g_values": spike_g(t).tolist()},
         certificate={"r": 5.0, "h": 1.2},
     )
+
+
+def ridge_table(**overrides):
+    """The ridge load tabulated on [0, 4], with alpha = 1 and xi = 40.05
+    unless overridden."""
+    t = np.linspace(0.0, 4.0, 401)
+    block = {"kind": "table", "q": 1.5, "alpha": 1.0, "xi": 40.05,
+             "g_t": t.tolist(), "g_values": spike_g(t).tolist()}
+    block.update(overrides)
+    return block
+
+
+def nodal_list_doc(domain, n):
+    """A config on the n-node grid (n x n on a rectangle) whose theta, alpha
+    and xi are per-node lists: theta = alpha = 1 + x1, xi = 100 alpha."""
+    grid = build_grid(Domain(**domain), n)
+    x1 = grid.nodes.reshape(grid.size, -1)[:, 0]
+    return base_doc(
+        domain=domain, grid_n=n,
+        potential={"family": "power", "theta": (1.0 + x1).tolist()},
+        nonlinearity=ridge_table(alpha=(1.0 + x1).tolist(),
+                                 xi=(100.0 * (1.0 + x1)).tolist()),
+        certificate={"r": 5.0, "h": 1.0})
 
 
 def test_check_spaces_passes(tmp_path, capsys):
@@ -194,17 +221,80 @@ def test_certify_h_scan_runs_c0_search_once_per_grid(tmp_path, monkeypatch,
         return real(grid, *args, **kwargs)
 
     monkeypatch.setattr(certificate, "estimate_c0", counted)
-    t = np.linspace(0.0, 4.0, 401)
     doc = base_doc(
         domain={"kind": "rectangle", "a": 1.0, "b": 1.0}, grid_n=9,
         exponent={"kind": "affine", "a": 2.0, "b": 0.5},
-        nonlinearity={"kind": "table", "q": 1.5, "alpha": 1.0, "xi": 40.05,
-                      "g_t": t.tolist(), "g_values": spike_g(t).tolist()},
+        nonlinearity=ridge_table(),
         certificate={"r": 50.0, "h_scan": True})
     cfg = write_config(tmp_path, doc)
     assert main(["certify", "--config", cfg]) in (EXIT_OK, EXIT_INFEASIBLE)
     assert json.loads(capsys.readouterr().out)["c0"] > 0
     assert grids == [9, 17]   # the instance's grid, then the doubled one
+
+
+def test_certify_h_scan_keeps_heights_whose_r_bound_holds(tmp_path, capsys):
+    # the ridge config's scan: h = 0.01 has the best ratio but fails the
+    # r-bound; h = 1 passes every check
+    doc = json.loads((CONFIGS / "spike_ridge.json").read_text())
+    doc["certificate"]["h_scan"] = True
+    assert main(["certify", "--config", write_config(tmp_path, doc)]) \
+        == EXIT_OK
+    out = capsys.readouterr()
+    payload = json.loads(out.out)
+    assert "h-scan selected h = 1\n" in out.err
+    assert payload["h"] == 1.0
+    assert all(payload["checks"].values()) and payload["converged"]
+    assert payload["lambda_interval"] == pytest.approx([31.2155, 126.4911],
+                                                       abs=1e-4)
+
+
+def test_certify_reads_a_nodal_alpha_on_a_rectangle(tmp_path, capsys):
+    doc = base_doc(
+        domain={"kind": "rectangle", "a": 1.0, "b": 1.0}, grid_n=9,
+        exponent={"kind": "affine", "a": 2.0, "b": 0.5},
+        nonlinearity=ridge_table(
+            xi=100.0, alpha=np.linspace(1.0, 2.0, 81).tolist()))
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) in (EXIT_OK, EXIT_INFEASIBLE)
+    assert json.loads(capsys.readouterr().out)["converged"] is not None
+
+
+def test_certify_builds_the_doubled_grid_from_the_config(tmp_path,
+                                                         monkeypatch):
+    fines = []
+    real = certificate.certify
+
+    def spy(inst, r, h=None, fine=None):
+        fines.append(fine)
+        return real(inst, r, h, fine=fine)
+
+    monkeypatch.setattr(certificate, "certify", spy)
+    for domain, n in [({"kind": "interval"}, 9),
+                      ({"kind": "rectangle", "a": 2.0, "b": 1.0}, 5)]:
+        doc = nodal_list_doc(domain, n)
+        assert main(["certify", "--config", write_config(tmp_path, doc)]) \
+            in (EXIT_OK, EXIT_INFEASIBLE)
+        fine = fines.pop()
+        want = build_problem(load_config(dict(doc, grid_n=2 * n - 1)),
+                             verify=False)
+        assert fine.grid.n == want.grid.n == 2 * n - 1
+        assert np.array_equal(fine.p.values, want.p.values)
+        assert np.array_equal(fine.potential.theta, want.potential.theta)
+        assert np.array_equal(fine.nonlinearity.xi, want.nonlinearity.xi)
+        t = np.linspace(-1.0, 3.0, 9)[None, :]
+        assert np.array_equal(fine.nonlinearity.F(fine.x[:, None], t),
+                              want.nonlinearity.F(want.x[:, None], t))
+        # theta and alpha read 1 + x1 at every node of the doubled grid
+        x1 = fine.x
+        assert fine.potential.theta == pytest.approx(1.0 + x1, abs=1e-14)
+        f1 = fine.nonlinearity.f(x1, 1.0)
+        assert f1 == pytest.approx((1.0 + x1) * f1[0], rel=1e-14)
+
+
+def test_grid_n_override_reads_per_node_lists(tmp_path, capsys):
+    cfg = write_config(tmp_path, nodal_list_doc({"kind": "interval"}, 9))
+    assert main(["hypotheses", "--config", cfg, "--grid-n", "17"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["all_pass"]
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -225,8 +315,7 @@ def test_solver_max_iter_reaches_minimize(tmp_path, monkeypatch, command):
     assert seen and set(seen) == {7}
 
 
-BEAM = json.loads((Path(__file__).resolve().parents[1]
-                   / "configs" / "beam.json").read_text())
+BEAM = json.loads((CONFIGS / "beam.json").read_text())
 
 # a key of beam.json or of one of its blocks; absent blocks are added
 CONFIG_KEYS = [(k,) for k in sorted(BEAM)] + [
@@ -263,14 +352,15 @@ JSON_VALUES = st.recursive(
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
-@example(path=("grid_n",), value=[3])
-@example(path=("certificate", "dim1"), value=True)
-@example(path=("domain",), value=["kind"])
+@given(path=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES,
+       command=st.sampled_from(["hypotheses", "certify"]))
+@example(path=("grid_n",), value=[3], command="hypotheses")
+@example(path=("certificate", "dim1"), value=True, command="certify")
+@example(path=("domain",), value=["kind"], command="hypotheses")
 def test_any_config_value_keeps_the_exit_code_contract(tmp_path, capsys,
-                                                       path, value):
+                                                       path, value, command):
     cfg = write_config(tmp_path, beam_with(path, value))
-    code = main(["hypotheses", "--config", cfg, "--grid-n", "9"])
+    code = main([command, "--config", cfg, "--grid-n", "9"])
     assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_INPUT)
     capsys.readouterr()
 

@@ -119,3 +119,33 @@ def test_perturbed_family_from_config():
     inst = build_problem(cfg, verify=False)
     assert inst.potential.family == "perturbed_power"
     assert inst.potential.c3 > 0
+
+
+@pytest.mark.parametrize("domain, m", [({"kind": "interval"}, 5),
+                                       ({"kind": "rectangle", "a": 2.0}, 25)])
+def test_per_node_list_is_interpolated_onto_the_grid(domain, m):
+    # theta = 1 + x1 + x2/2 on the m-node grid, read on a 9-node grid: the
+    # piecewise-linear interpolant of a (bi)linear field is the field
+    coarse = build_problem(load_config(base_doc(domain=domain, grid_n=5)))
+    x = coarse.grid.nodes.reshape(m, -1)
+    theta = 1.0 + x[:, 0] + (x[:, 1] / 2 if x.shape[1] == 2 else 0.0)
+    inst = build_problem(load_config(base_doc(
+        domain=domain, grid_n=9,
+        potential={"family": "power", "theta": theta.tolist()},
+        nonlinearity={"kind": "builtin:const:1", "q": 1.5,
+                      "xi": (1.0 + theta).tolist()})))
+    y = inst.grid.nodes.reshape(inst.grid.size, -1)
+    want = 1.0 + y[:, 0] + (y[:, 1] / 2 if y.shape[1] == 2 else 0.0)
+    assert inst.potential.theta == pytest.approx(want, abs=1e-14)
+    assert inst.nonlinearity.xi == pytest.approx(1.0 + want, abs=1e-14)
+
+
+@pytest.mark.parametrize("domain, m", [({"kind": "interval"}, 4),
+                                       ({"kind": "rectangle"}, 16),
+                                       ({"kind": "rectangle"}, 30)])
+def test_per_node_list_of_no_grid_is_rejected(domain, m):
+    cfg = load_config(base_doc(
+        domain=domain, grid_n=9,
+        potential={"family": "power", "theta": [1.0] * m}))
+    with pytest.raises(ConfigError, match="potential.theta"):
+        build_problem(cfg)
