@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentField
-from .grids import Grid, GridFunction, integrate, laplacian
+from .grids import Grid, GridFunction, integrate, laplacian, nodewise
 from .potentials import (
     HypothesisReport,
     NonlinearitySpec,
@@ -77,13 +77,18 @@ def total_energy(inst: ProblemInstance, u: GridFunction) -> float:
     return energy_J(inst, u) - inst.lam * load_Phi(inst, u)
 
 
-def residual_vector(inst: ProblemInstance, values: np.ndarray) -> np.ndarray:
+def residual_vector(inst: ProblemInstance, values: np.ndarray,
+                    Lu: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the discrete total energy w.r.t. the nodal values,
-    zero on the boundary (boundary dofs are fixed by the Navier bc)."""
-    L = inst.grid.laplacian_matrix()
-    w = inst.grid.weights
-    a_vals = inst.potential.a(L @ values)
-    f_vals = inst.nonlinearity.f(inst.x, values)
+    zero on the boundary (boundary dofs are fixed by the Navier bc).
+    values has the nodes on its leading axis; a nodes x starts array is
+    evaluated for every column at once.  Lu is L @ values where the caller
+    has it already."""
+    if Lu is None:
+        Lu = inst.grid.laplacian_matrix() @ values
+    w = nodewise(inst.grid.weights, values)
+    a_vals = inst.potential.a(Lu)
+    f_vals = inst.nonlinearity.f(nodewise(inst.x, values), values)
     g = inst.grid.laplacian_transpose() @ (w * a_vals) \
         - inst.lam * w * f_vals
     g[inst.grid.boundary_mask] = 0.0

@@ -18,6 +18,7 @@ __all__ = [
     "GridFunction",
     "build_grid",
     "laplacian",
+    "nodewise",
     "integrate",
 ]
 
@@ -84,12 +85,8 @@ class Grid:
     _lap: sp.csr_matrix = field(repr=False, compare=False, default=None)
     _lap_t: sp.csc_matrix = field(repr=False, compare=False, default=None)
 
-    @property
-    def size(self) -> int:
-        return self.weights.size
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
+    def __post_init__(self):
+        # both masks are built once, read-only, so no caller can change them
         mask = np.zeros(self.size, dtype=bool)
         if self.domain.kind == "interval":
             mask[0] = mask[-1] = True
@@ -99,11 +96,22 @@ class Grid:
             m[:, 0] = m[:, -1] = True
         else:  # ball_radial: only r = R is boundary, r = 0 is the center
             mask[-1] = True
-        return mask
+        interior = ~mask
+        mask.flags.writeable = interior.flags.writeable = False
+        object.__setattr__(self, "_boundary", mask)
+        object.__setattr__(self, "_interior", interior)
+
+    @property
+    def size(self) -> int:
+        return self.weights.size
+
+    @property
+    def boundary_mask(self) -> np.ndarray:
+        return self._boundary
 
     @property
     def interior_mask(self) -> np.ndarray:
-        return ~self.boundary_mask
+        return self._interior
 
     def laplacian_matrix(self) -> sp.csr_matrix:
         return self._lap
@@ -254,6 +262,13 @@ def laplacian(grid: Grid, u: GridFunction) -> GridFunction:
         raise ValueError("grid mismatch")
     vals = grid.laplacian_matrix() @ u.values
     return GridFunction(grid, vals, bc="none")
+
+
+def nodewise(node_values: np.ndarray, values) -> np.ndarray:
+    """node_values (one per node) shaped to broadcast over the trailing
+    axes of values, whose leading axis is the nodes (as x[:, None])."""
+    tail = (1,) * (np.ndim(values) - 1)
+    return node_values.reshape(node_values.shape + tail)
 
 
 def integrate(grid: Grid, g) -> float:

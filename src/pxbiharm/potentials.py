@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentField, conjugate
-from .grids import GridFunction
+from .grids import GridFunction, nodewise
 from .spaces import luxemburg_norm
 
 __all__ = [
@@ -38,7 +38,8 @@ class PotentialSpec:
     """A potential family with its antiderivative and growth data.
 
     a_eval / A_eval take (theta_node, p_node, t) and are vectorized; the
-    nodewise wrappers `a` and `A` broadcast over the grid.
+    nodewise wrappers `a` and `A` broadcast over the grid, with the nodes
+    on t's leading axis (one column per further index, as x[:, None]).
     """
 
     family: str
@@ -57,11 +58,16 @@ class PotentialSpec:
         return float(self.theta.min())
 
     def a(self, t) -> np.ndarray:
-        """a(x, t) at every node; t broadcasts against the node arrays."""
-        return self.a_eval(self.theta, self.p.values, np.asarray(t, float))
+        """a(x, t) at every node; t is a scalar or has the nodes on its
+        leading axis."""
+        t = np.asarray(t, float)
+        return self.a_eval(nodewise(self.theta, t),
+                           nodewise(self.p.values, t), t)
 
     def A(self, t) -> np.ndarray:
-        return self.A_eval(self.theta, self.p.values, np.asarray(t, float))
+        t = np.asarray(t, float)
+        return self.A_eval(nodewise(self.theta, t),
+                           nodewise(self.p.values, t), t)
 
 
 @dataclass

@@ -2,8 +2,11 @@
 and deflated Newton to find distinct weak solutions.
 
 Both run one Newton core: the energy Hessian is assembled in LAPACK band
-storage and solved by banded LU with partial pivoting (dgbsv).  Accepted
-points must pass a clean (undeflated) residual check against the solver
+storage and solved by banded LU with partial pivoting (dgbsv).  The
+deflated search advances all its pending starts as one batch, one column
+each of a nodes x starts array, and commits their results in start order,
+so it returns what running them one at a time returns.  Accepted points
+must pass a clean (undeflated) residual check against the solver
 tolerance, raised only where the rounding floor of the residual lies above
 it; deflation only steers the iteration away from already-found solutions.
 """
@@ -16,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .energy import ProblemInstance, residual_vector, total_energy
-from .grids import GridFunction
+from .grids import GridFunction, nodewise
 
 __all__ = [
     "CriticalPoint",
@@ -87,11 +90,14 @@ def _slope(fun, t):
     return (fun(t + d) - fun(t - d)) / (2.0 * d)
 
 
-def _linearise(inst, values):
-    """Lu, a_t(Lu) and f_t(u) at the nodal values."""
-    Lu = inst.grid.laplacian_matrix() @ values
+def _linearise(inst, values, Lu=None):
+    """Lu, a_t(Lu) and f_t(u) at the nodal values (nodes on the leading
+    axis); Lu is L @ values where the caller has it already."""
+    if Lu is None:
+        Lu = inst.grid.laplacian_matrix() @ values
     a_t = _slope(inst.potential.a, Lu)
-    f_t = _slope(lambda t: inst.nonlinearity.f(inst.x, t), values)
+    x = nodewise(inst.x, values)
+    f_t = _slope(lambda t: inst.nonlinearity.f(x, t), values)
     return Lu, a_t, f_t
 
 
@@ -103,7 +109,7 @@ class _Hessian:
     and the top k rows room for the LU fill-in.  The pattern is fixed by
     the grid, so the band position of every product L[r,i] L[r,j] is laid
     out once; each Newton step only sums the products times (W a_t)[r]
-    into the band."""
+    into the band, one band per start."""
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
@@ -125,20 +131,41 @@ class _Hessian:
         # flat column-major band position of entry (i, j)
         self.pos = j * self.shape[0] + self.diag + i - j
 
-    def __call__(self, values: np.ndarray,
-                 convex: bool = False) -> np.ndarray:
-        """The band at the nodal values; with convex, the band of the
-        Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0)."""
+    def bands(self, values: np.ndarray, Lu: np.ndarray | None = None,
+              convex: bool = False):
+        """The band at each column of values (nodes x starts), each built
+        only when the caller asks for it; with convex, the band of the
+        Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0).
+        Lu is L @ values where the caller has it already."""
         inst = self.inst
-        w = inst.grid.weights
-        _, a_t, f_t = _linearise(inst, values)
-        band = np.bincount(self.pos, self.coef * (w * a_t)[self.row],
-                           minlength=self.shape[0] * self.shape[1])
-        band = band.reshape(self.shape, order="F")
+        w = inst.grid.weights[:, None]
+        _, a_t, f_t = _linearise(inst, values, Lu)
         if convex:
             f_t = np.minimum(f_t, 0.0)
-        band[self.diag] -= inst.lam * (w * f_t)[self.interior]
+        # one contiguous row per start, for the gather by self.row
+        wa = np.ascontiguousarray((w * a_t).T)
+        wf = np.ascontiguousarray((inst.lam * (w * f_t)[self.interior]).T)
+        del a_t, f_t
+        for wa_b, wf_b in zip(wa, wf):
+            yield self._band(wa_b, wf_b)
+
+    def _band(self, wa: np.ndarray, wf: np.ndarray) -> np.ndarray:
+        band = np.bincount(self.pos, self.coef * wa[self.row],
+                           minlength=self.shape[0] * self.shape[1])
+        band = band.reshape(self.shape, order="F")
+        band[self.diag] -= wf
         return band
+
+    def steps(self, values: np.ndarray, rhs: np.ndarray,
+              Lu: np.ndarray | None = None,
+              convex: bool = False) -> np.ndarray:
+        """Row b solves H(values[:, b]) x = rhs[b].  Each band is factored
+        before the next one is built, so one band is alive at a time."""
+        bands = self.bands(values, Lu, convex)
+        x = np.empty(rhs.shape)
+        for b in range(len(rhs)):
+            x[b] = self.solve(next(bands), rhs[b])
+        return x
 
     def solve(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """The solution of H x = rhs by banded LU with partial pivoting
@@ -200,29 +227,54 @@ def _deflation_scale(z, step, w, known):
     return 1.0 / (1.0 - dot)
 
 
-def _newton(inst, z, tol, hessian: _Hessian, known=()):
-    """Newton iteration on the interior gradient with the banded Hessian.
+def _newton(inst, Z, tol, hessian: _Hessian, known=(), done=None):
+    """Newton iteration on the interior gradient with the banded Hessian,
+    one start per column of Z (interior nodes x starts).  The pending
+    columns advance together, each by the arithmetic of a run on its own.
     With known roots (interior values) every step is deflated away from
-    them.  Stops at tol, before a non-finite iterate, when a step is below
-    STEP_TOL relative to u (the residual is then at its rounding floor), or
-    after NEWTON_MAX_ITER steps.  Returns the last iterate."""
+    them.  A column stops at tol, before a non-finite iterate, when its
+    step is below STEP_TOL relative to u (the residual is then at its
+    rounding floor), or after NEWTON_MAX_ITER steps.  As column b stops,
+    done(b, z) may return True: the columns after b are then not needed
+    and stop with it.  Returns the last iterates, shaped as Z."""
     interior = inst.grid.interior_mask
+    L = inst.grid.laplacian_matrix()
     w = inst.grid.weights[interior]
-    vals = np.zeros(inst.grid.size)
+    Z = np.array(Z.T)                      # one contiguous row per start
+    pending = np.ones(len(Z), dtype=bool)
+
+    def stop(rows):                        # rows in ascending order
+        for b in map(int, rows):
+            if pending[b]:
+                pending[b] = False
+                if done is not None and done(b, Z[b]):
+                    pending[b + 1:] = False
+
     for _ in range(NEWTON_MAX_ITER):
-        vals[interior] = z
-        r = residual_vector(inst, vals)[interior]
-        if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
+        cols = np.flatnonzero(pending)
+        if not len(cols):
             break
-        step = hessian.solve(hessian(vals), -r)
-        step *= _deflation_scale(z, step, w, known)
-        if not np.all(np.isfinite(z + step)):
-            break
-        z = z + step
-        if np.max(np.abs(step)) <= STEP_TOL * max(
-                1.0, float(np.max(np.abs(z)))):
-            break
-    return z
+        V = np.zeros((inst.grid.size, len(cols)))
+        V[interior] = Z[cols].T
+        Lu = L @ V
+        R = residual_vector(inst, V, Lu)[interior].T
+        stop(cols[~np.all(np.isfinite(R), axis=1)
+                  | (np.max(np.abs(R), axis=1) <= tol)])
+        go = pending[cols]
+        if not go.all():
+            V, Lu, R = V[:, go], Lu[:, go], R[go]
+        rows = cols[go]
+        steps = hessian.steps(V, -R, Lu)
+        for b, step in zip(rows, steps):
+            step *= _deflation_scale(Z[b], step, w, known)
+        new = Z[rows] + steps
+        finite = np.all(np.isfinite(new), axis=1)
+        Z[rows[finite]] = new[finite]
+        small = np.max(np.abs(steps), axis=1) <= STEP_TOL * np.maximum(
+            1.0, np.max(np.abs(new), axis=1))
+        stop(rows[~finite | small])
+    stop(np.flatnonzero(pending))
+    return Z.T
 
 
 def _critical_point(inst, z, tol, starts_used=1) -> CriticalPoint:
@@ -248,14 +300,17 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     hessian = _Hessian(inst)
     z = u0.values[interior]
     e = total_energy(inst, _lift(inst, z))
+    L = inst.grid.laplacian_matrix()
     for _ in range(max_iter):
         vals = _lift(inst, z).values
-        r = residual_vector(inst, vals)[interior]
+        Lu = L @ vals
+        r = residual_vector(inst, vals, Lu)[interior]
         if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
             break
-        step = hessian.solve(hessian(vals), -r)
+        V, Lu = vals[:, None], Lu[:, None]
+        step = hessian.steps(V, -r[None], Lu)[0]
         if not np.dot(r, step) < 0.0:
-            step = hessian.solve(hessian(vals, convex=True), -r)
+            step = hessian.steps(V, -r[None], Lu, convex=True)[0]
         if not np.all(np.isfinite(step)):
             break
         # a decrease below the energy's rounding floor cannot be measured:
@@ -332,7 +387,11 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     away from the solutions found so far (shifted power deflation in the
     weighted l2 norm), and a point is accepted when its clean residual
     passes the acceptance threshold and it is sup-norm distinct from every
-    solution found.  max_iter caps the descent from the near-zero start."""
+    solution found.  The pending starts run as one batch, and their results
+    are committed in start order: the starts after the first accepted one
+    run again, deflated against the larger set, so the result is that of
+    running the starts one at a time.  max_iter caps the descent from the
+    near-zero start."""
     rng = np.random.default_rng(seed)
     interior = inst.grid.interior_mask
     hessian = _Hessian(inst)
@@ -350,16 +409,26 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     if base.converged:
         found.points.append(base)
 
-    n_used = 0
-    for start in starts:
-        if len(found.points) >= k_max:
-            break
-        n_used += 1
+    Z = np.column_stack([s.values[interior] for s in starts])
+    first = 0                    # the first start not yet committed
+    while first < len(starts) and len(found.points) < k_max:
         known = [p.u.values[interior] for p in found.points]
-        z = _newton(inst, start.values[interior], tol, hessian, known)
-        pt = _critical_point(inst, z, tol, starts_used=n_used)
-        if pt.converged and found.is_distinct(pt.u.values, dist_threshold):
-            found.points.append(pt)
+        tried = {}               # batch column -> (point, accepted)
+
+        def done(b, z):
+            pt = _critical_point(inst, z, tol, starts_used=first + b + 1)
+            ok = pt.converged and found.is_distinct(pt.u.values,
+                                                    dist_threshold)
+            tried[b] = pt, ok
+            return ok            # the later starts must run again
+
+        _newton(inst, Z[:, first:], tol, hessian, known, done)
+        accepted = [b for b, (_, ok) in tried.items() if ok]
+        if not accepted:
+            break
+        b = min(accepted)
+        found.points.append(tried[b][0])
+        first += b + 1
     found.sort()
     return found
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import pxbiharm
@@ -325,14 +325,16 @@ CONFIG_KEYS = [(k,) for k in sorted(BEAM)] + [
         ("potential", ["family", "theta", "variant"]),
         ("nonlinearity", ["kind", "q", "xi", "zeta", "alpha"]),
         ("certificate", ["r", "h", "h_scan", "dim1", "l"]),
-        ("solver", ["tol", "max_iter", "n_starts", "seed", "sweep_m"]),
+        ("solver", ["tol", "max_iter", "n_starts", "k_max", "seed",
+                    "sweep_m"]),
         ("output", ["solutions_csv"]),
     ] for k in keys]
 
 
-def beam_with(path, value):
-    """configs/beam.json with the key at `path` set to `value`."""
-    doc = json.loads(json.dumps(BEAM))
+def config_with(path, value, base=BEAM):
+    """A copy of the config `base` (configs/beam.json by default) with the
+    key at `path` set to `value`."""
+    doc = json.loads(json.dumps(base))
     block = doc
     for key in path[:-1]:
         block = block.setdefault(key, {})
@@ -350,16 +352,35 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+# the solver budget of the solve and sweep draws; a drawn number above it
+# is not run (config integers may be given as floats).  sweep starts from
+# the ridge config, whose certificate interval is not empty at 9 nodes, so
+# that its draws reach the solver
+SOLVER_BUDGET = {"n_starts": 1, "k_max": 2, "sweep_m": 2, "max_iter": 10_000}
+RIDGE = json.loads((CONFIGS / "spike_ridge.json").read_text())
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(path=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES,
-       command=st.sampled_from(["hypotheses", "certify"]))
+       command=st.sampled_from(["hypotheses", "certify", "solve", "sweep"]))
 @example(path=("grid_n",), value=[3], command="hypotheses")
 @example(path=("certificate", "dim1"), value=True, command="certify")
 @example(path=("domain",), value=["kind"], command="hypotheses")
-def test_any_config_value_keeps_the_exit_code_contract(tmp_path, capsys,
-                                                       path, value, command):
-    cfg = write_config(tmp_path, beam_with(path, value))
+@example(path=("lambda",), value=1e300, command="solve")
+@example(path=("solver", "seed"), value=3, command="sweep")
+def test_any_config_value_keeps_the_exit_code_contract(
+        tmp_path, monkeypatch, capsys, path, value, command):
+    base = BEAM
+    if command in ("solve", "sweep"):
+        bound = SOLVER_BUDGET.get(path[-1]) if path[0] == "solver" else None
+        assume(not (bound is not None and type(value) in (int, float)
+                    and value > bound))
+        base = RIDGE if command == "sweep" else BEAM
+        base = dict(base, solver=dict(base.get("solver", {}),
+                                      **SOLVER_BUDGET))
+    monkeypatch.chdir(tmp_path)           # the solutions and sweep CSVs
+    cfg = write_config(tmp_path, config_with(path, value, base))
     code = main([command, "--config", cfg, "--grid-n", "9"])
     assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_INPUT)
     capsys.readouterr()
@@ -370,7 +391,7 @@ def test_any_config_value_keeps_the_exit_code_contract(tmp_path, capsys,
     (("exponent", "value"), [2]), (("solver", "tol"), "a"),
 ])
 def test_malformed_types_are_bad_input(tmp_path, path, value):
-    cfg = write_config(tmp_path, beam_with(path, value))
+    cfg = write_config(tmp_path, config_with(path, value))
     assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
 
 

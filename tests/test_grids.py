@@ -167,3 +167,20 @@ def test_laplacian_matches_entrywise_reference(domain, n):
     assert np.array_equal(L.indptr, ref.indptr)
     assert np.array_equal(L.indices, ref.indices)
     assert np.array_equal(L.data, ref.data)
+
+
+@pytest.mark.parametrize("domain, n, n_boundary", [
+    (Domain("interval"), 9, 2),
+    (Domain("rectangle", a=2.0, b=1.0), 7, 24),
+    (Domain("ball_radial", N=2, R=1.0), 9, 1),
+])
+def test_masks_are_built_once_and_read_only(domain, n, n_boundary):
+    grid = build_grid(domain, n)
+    boundary, interior = grid.boundary_mask, grid.interior_mask
+    assert grid.boundary_mask is boundary and grid.interior_mask is interior
+    assert boundary.sum() == n_boundary
+    assert np.array_equal(interior, ~boundary)
+    for mask in (boundary, interior):
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]

@@ -5,9 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from pxbiharm import solver
-from pxbiharm.certificate import build_test_function, inradius
-from pxbiharm.energy import ProblemInstance
+from pxbiharm.certificate import build_test_function, certify, inradius
+from pxbiharm.config import build_problem, load_config
+from pxbiharm.energy import ProblemInstance, residual_vector
+from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid
+from pxbiharm.potentials import builtin_nonlinearity, make_perturbed_family
 from pxbiharm.solver import (
     SolutionSet,
     acceptance_threshold,
@@ -143,7 +146,7 @@ def test_band_hessian_matches_dense_reference(domain, n, k):
     vals = rng.standard_normal(grid.size)
     vals[grid.boundary_mask] = 0.0
     hessian = solver._Hessian(inst)
-    band = hessian(vals)
+    band, = hessian.bands(vals[:, None])
     m = grid.interior_mask.sum()
     assert hessian.k == k and band.shape == (3 * k + 1, m)
     ref = dense_hessian(inst, vals)
@@ -160,7 +163,7 @@ def test_band_hessian_matches_dense_reference(domain, n, k):
     f_t = solver._linearise(inst, vals)[2][grid.interior_mask]
     shift = inst.lam * grid.weights[grid.interior_mask] * np.maximum(f_t, 0)
     assert np.any(shift > 0)
-    band = hessian(vals, convex=True)
+    band, = hessian.bands(vals[:, None], convex=True)
     got, _ = band_to_dense(band, k)
     ref += np.diag(shift)
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
@@ -173,8 +176,9 @@ class ZeroHessian(solver._Hessian):
     """A Hessian whose band is all zero: its LU factor is exactly
     singular."""
 
-    def __call__(self, values, convex=False):
-        return np.zeros(self.shape, order="F")
+    def bands(self, values, Lu=None, convex=False):
+        for _ in range(values.shape[1]):
+            yield np.zeros(self.shape, order="F")
 
 
 def test_singular_band_stops_newton(monkeypatch):
@@ -182,10 +186,11 @@ def test_singular_band_stops_newton(monkeypatch):
     inst = make_instance(grid)
     hessian = ZeroHessian(inst)
     rhs = np.ones(grid.interior_mask.sum())
-    assert not np.any(np.isfinite(hessian.solve(hessian(None), rhs)))
+    band, = hessian.bands(np.zeros((grid.size, 1)))
+    assert not np.any(np.isfinite(hessian.solve(band, rhs)))
     z0 = np.full(len(rhs), 0.1)
-    z = solver._newton(inst, z0, 1e-8, hessian)
-    assert np.array_equal(z, z0)
+    z = solver._newton(inst, z0[:, None], 1e-8, hessian)
+    assert np.array_equal(z, z0[:, None])
     monkeypatch.setattr(solver, "_Hessian", ZeroHessian)
     u0 = solver._lift(inst, z0)
     pt = minimize(inst, u0)
@@ -293,3 +298,127 @@ def test_lambda_sweep_needs_two_points():
     inst = make_instance(grid)
     with pytest.raises(ValueError):
         lambda_sweep(inst, (0.1, 1.0), m=1)
+
+
+def sequential_search(inst, k_max, n_starts, seed, vbar_scale):
+    """deflate_and_search with its starts run one at a time: one _newton
+    call with one column per start, in start order, deflated against the
+    points found so far."""
+    tol, dist = solver.DEFAULT_TOL, solver.DISTINCTNESS
+    interior = inst.grid.interior_mask
+    rng = np.random.default_rng(seed)
+    hessian = solver._Hessian(inst)
+    starts = solver._structured_starts(inst, vbar_scale)
+    starts += [solver._fourier_start(inst, rng, max(vbar_scale, 10 * dist))
+               for _ in range(n_starts)]
+    found = SolutionSet()
+    base = minimize(inst, starts[0], tol=tol)
+    if base.converged:
+        found.points.append(base)
+    for n_used, start in enumerate(starts, 1):
+        if len(found.points) >= k_max:
+            break
+        known = [p.u.values[interior] for p in found.points]
+        z = solver._newton(inst, start.values[interior][:, None], tol,
+                           hessian, known)[:, 0]
+        pt = solver._critical_point(inst, z, tol, starts_used=n_used)
+        if pt.converged and found.is_distinct(pt.u.values, dist):
+            found.points.append(pt)
+    found.sort()
+    return found, len(starts)
+
+
+def criterion_08_first_lambda():
+    grid = build_grid(Domain("interval"), 201)
+    lo, _ = certify(spike_instance(grid), r=5.0, h=1.2).lambda_interval
+    return spike_instance(grid, lam=lo), dict(k_max=4, n_starts=3,
+                                              vbar_scale=1.2)
+
+
+def spike_fixture(k_max):
+    grid = build_grid(Domain("interval"), 101)
+    return spike_instance(grid, lam=30.0), dict(k_max=k_max, n_starts=6,
+                                                vbar_scale=1.2)
+
+
+def rect_solve_problem():
+    cfg = load_config({
+        "schema": 1, "domain": {"kind": "rectangle", "a": 1.0, "b": 1.0},
+        "grid_n": 13, "exponent": {"kind": "affine", "a": 2.5, "b": 0.5},
+        "potential": {"family": "perturbed_power", "theta": 1.2},
+        "nonlinearity": {"kind": "builtin:rational_bump", "q": 1.5},
+        "solver": {"n_starts": 2, "k_max": 3}})
+    return build_problem(cfg, lam=1.0), dict(k_max=3, n_starts=2,
+                                             vbar_scale=1.0)
+
+
+@pytest.mark.parametrize("case, count, mid_batch", [
+    (criterion_08_first_lambda, 3, False),
+    (lambda: spike_fixture(5), 3, False),
+    (rect_solve_problem, 1, False),
+    # the third point is start 4 of a batch of starts 2-9: k_max is
+    # reached with five starts of that batch left
+    (lambda: spike_fixture(3), 3, True),
+], ids=["criterion_08", "spike_fixture", "rect_solve", "k_max_mid_batch"])
+def test_batched_search_equals_starts_one_at_a_time(monkeypatch, case,
+                                                    count, mid_batch):
+    inst, kw = case()
+    want, n_starts = sequential_search(inst, seed=0, **kw)
+    widths = []
+    real = solver._newton
+
+    def spy(inst, Z, *args, **kwargs):
+        widths.append(Z.shape[1])
+        return real(inst, Z, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton", spy)
+    got = deflate_and_search(inst, seed=0, **kw)
+    assert widths[0] == n_starts            # every start in one batch
+    assert len(got.points) == len(want.points) == count
+    for a, b in zip(got.points, want.points):
+        assert np.array_equal(a.u.values, b.u.values)
+        assert a.energy == b.energy and a.residual_norm == b.residual_norm
+        assert a.threshold == b.threshold and a.starts_used == b.starts_used
+        assert a.converged == b.converged
+    last = max(p.starts_used for p in got.points)
+    assert (len(got.points) == kw["k_max"] and last < n_starts) == mid_batch
+
+
+def batch_instance(domain, n):
+    """Variable p and theta, and the separable ridge load with a per-node
+    alpha (the nodal branch of _alpha_at)."""
+    grid = build_grid(domain, n)
+    x = grid.nodes[:, 0] if domain.kind == "rectangle" else grid.nodes
+    p = affine_exponent(grid, 2.5, 0.5)
+    spec = make_perturbed_family(1.0 + 0.5 * x, p)
+    nl = builtin_nonlinearity("separable", grid, constant_exponent(grid, 1.5),
+                              alpha=1.0 + x, g=spike_g, G=spike_G)
+    return ProblemInstance(grid, p, spec, nl, 2.0)
+
+
+@pytest.mark.parametrize("domain, n", [
+    (Domain("interval"), 9),
+    (Domain("rectangle", a=2.0, b=1.0), 7),
+    (Domain("ball_radial", N=3, R=1.0), 9),
+])
+def test_batched_kernels_equal_column_by_column(domain, n):
+    inst = batch_instance(domain, n)
+    grid = inst.grid
+    rng = np.random.default_rng(n)
+    V = 1.5 * rng.standard_normal((grid.size, 3))
+    V[grid.boundary_mask] = 0.0
+    R = residual_vector(inst, V)
+    hessian = solver._Hessian(inst)
+    rhs = rng.standard_normal((3, grid.interior_mask.sum()))
+    for convex in (False, True):
+        bands = list(hessian.bands(V, convex=convex))
+        steps = hessian.steps(V, rhs.copy(), convex=convex)
+        for b in range(3):
+            col = V[:, [b]]
+            assert np.array_equal(R[:, b], residual_vector(inst, V[:, b]))
+            band, = hessian.bands(col, convex=convex)
+            assert np.array_equal(bands[b], band)
+            x = hessian.solve(band, rhs[b].copy())
+            assert np.array_equal(steps[b], x)
+            assert np.array_equal(
+                steps[b], hessian.steps(col, rhs[[b]], convex=convex)[0])
