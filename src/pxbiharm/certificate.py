@@ -22,7 +22,7 @@ import numpy as np
 from .energy import ProblemInstance, energy_J, load_Phi
 from .exponents import ExponentField, conjugate
 from .grids import Domain, Grid, GridFunction, integrate, unit_ball_volume
-from .potentials import NonlinearitySpec, PotentialSpec, d_norm_conjugate, _node_coords
+from .potentials import NonlinearitySpec, PotentialSpec, d_norm_conjugate
 from .spaces import _luxemburg_of_values, _modular_values
 
 __all__ = [
@@ -50,9 +50,13 @@ _CONVERGENCE_RTOL = 5e-3
 #: the bump heights `certify` scans when it is given no h
 H_GRID = np.geomspace(1e-2, 1e2, 25)
 
-#: Green's-function rows generated and screened at a time in `estimate_c0`;
-#: larger blocks raise peak memory
-_GREEN_BLOCK = 32
+#: Green's-function rows generated and screened at a time in `estimate_c0`.
+#: A block's temporaries take about 8 n^2 _GREEN_BLOCK bytes, 70 KB at
+#: n = 33: below glibc's initial 128 KB mmap threshold, so they are reused
+#: from the heap, where blocks of 32 were mapped afresh for every block
+#: (certify on a 17 x 17 rectangle: 10,250 minor faults per command, 700
+#: with 8).  Larger blocks also raise peak memory
+_GREEN_BLOCK = 8
 
 
 @dataclass
@@ -208,26 +212,27 @@ def energy_J_vbar(potential: PotentialSpec, h: float, D: float, x0,
     return integrate(grid, frac * potential.A(slope))
 
 
-def _sup_F_per_node(nl: NonlinearitySpec, x: np.ndarray, bound: float,
+def _sup_F_per_node(nl: NonlinearitySpec, bound: float,
                     n_t: int = 1001) -> np.ndarray:
-    """Per-node sup of F(x, .) over |t| <= bound: dense t-grid plus one
-    Newton refinement (on F' = f) at the best point."""
+    """Per-node sup of F(x, .) = alpha(x) G(.) over |t| <= bound: the max
+    and the min of G on a dense t-grid, each refined by one Newton step
+    (on G' = g) from its grid point, scaled by alpha."""
     t = np.linspace(-bound, bound, n_t)
-    F_vals = nl.F(x[:, None], t[None, :])
-    best_idx = np.argmax(F_vals, axis=1)
-    best_t = t[best_idx]
-    best_F = F_vals[np.arange(len(x)), best_idx]
+    G_vals = nl.G(t)
+    best = np.array([np.argmax(G_vals), np.argmin(G_vals)])
+    best_t = t[best]
 
-    # one Newton step on f(x, t) = 0 around the best interior point
+    # one Newton step on g(t) = 0 around each extremal grid point
     dt = max(1e-6 * bound, 1e-9)
-    f0 = nl.f(x, best_t)
-    fp = (nl.f(x, best_t + dt) - nl.f(x, best_t - dt)) / (2 * dt)
+    g0 = nl.g(best_t)
+    gp = (nl.g(best_t + dt) - nl.g(best_t - dt)) / (2 * dt)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_ref = best_t - f0 / fp
+        t_ref = best_t - g0 / gp
     t_ref = np.where(np.isfinite(t_ref), t_ref, best_t)
-    t_ref = np.clip(t_ref, -bound, bound)
-    F_ref = nl.F(x, t_ref)
-    return np.maximum(best_F, F_ref)
+    G_ref = nl.G(np.clip(t_ref, -bound, bound))
+    G_max = max(G_vals[best[0]], G_ref[0])
+    G_min = min(G_vals[best[1]], G_ref[1])
+    return np.maximum(nl.alpha * G_max, nl.alpha * G_min)
 
 
 def alpha_r(inst: ProblemInstance, r: float, c0: float,
@@ -237,13 +242,8 @@ def alpha_r(inst: ProblemInstance, r: float, c0: float,
         raise ValueError("r must be positive")
     p = p or inst.p
     bound = c0 * gamma_r(p, r)
-    x = _node_coords(inst.grid)
-    sup_F = _sup_F_per_node(inst.nonlinearity, x, bound)
+    sup_F = _sup_F_per_node(inst.nonlinearity, bound)
     return integrate(inst.grid, sup_F) / r
-
-
-def _ess_inf_F_at(nl: NonlinearitySpec, x: np.ndarray, t: float) -> float:
-    return float(np.min(nl.F(x, t)))
 
 
 def _bump_bounds(h: float, N: int, D: float, L: float, p: ExponentField,
@@ -273,8 +273,7 @@ def beta_h(inst: ProblemInstance, h: float, consts: dict) -> float:
     d_norm = consts.get("d_norm")
     if d_norm is None:
         d_norm = d_norm_conjugate(inst.potential)
-    x = _node_coords(inst.grid)
-    num = w * (D / 2) ** N * _ess_inf_F_at(inst.nonlinearity, x, h)
+    num = w * (D / 2) ** N * float(np.min(inst.nonlinearity.F(h)))
     return num / _bump_bounds(h, N, D, L, p, c3, d_norm)[1]
 
 
@@ -406,9 +405,8 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     beta = beta_h(inst, h, core)
     r_bound, _ = _bump_bounds(h, N, D, L, p, core["c3"], core["d_norm"])
     # nonnegativity of ess inf F on [0, h], sampled
-    x = _node_coords(inst.grid)
     t_chk = np.linspace(0.0, h, 51)
-    F_chk = inst.nonlinearity.F(x[:, None], t_chk[None, :])
+    F_chk = inst.nonlinearity.F(t_chk[None, :])
     checks = {
         "r_bound": bool(r < r_bound),
         "beta_gt_alpha": bool(beta > core["alpha"] > 0.0),
@@ -423,7 +421,7 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     # proof-side sandwich data
     J_vbar = energy_J_vbar(inst.potential, h, D, core["x0"], inst.grid)
     phi_lower = core["w"] * (D / 2) ** N \
-        * _ess_inf_F_at(inst.nonlinearity, x, h)
+        * float(np.min(inst.nonlinearity.F(h)))
 
     converged = None
     if fine is not None:

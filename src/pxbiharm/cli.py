@@ -30,7 +30,8 @@ EXIT_BAD_INPUT = 2
 
 
 def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # a non-finite number is not JSON: json.dumps raises ValueError (exit 2)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -145,15 +146,10 @@ def cmd_hypotheses(args) -> int:
 def _certify_from_config(cfg: cfgmod.RunConfig, inst: ProblemInstance):
     block = cfg.certificate
     if block.get("dim1"):
-        if inst.nonlinearity.name != "separable":
-            raise ConfigError(
-                "dim1 certificate needs a separable nonlinearity alpha(x) g(t)")
-        g, G = cfgmod.tabulated_g(cfg.nonlinearity)
-        alpha = cfgmod.field_on_grid(cfg.nonlinearity.get("alpha", 1.0),
-                                     inst.grid, "nonlinearity.alpha")
+        nl = inst.nonlinearity
         return cert.dim1_certificate(
-            g, alpha, inst.p, l=float(block.get("l", 1.0)),
-            h=float(block["h"]), c3=inst.potential.c3, G=G, grid=inst.grid)
+            nl.g, nl.alpha, inst.p, l=float(block.get("l", 1.0)),
+            h=float(block["h"]), c3=inst.potential.c3, G=nl.G, grid=inst.grid)
     scan = block.get("h_scan") or "h" not in block
     # the same config on the doubled grid, for the convergence check, which
     # reads only alpha_r and beta_h there

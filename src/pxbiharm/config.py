@@ -222,7 +222,7 @@ def build_exponent(cfg: RunConfig, grid: Grid) -> ex.ExponentField:
             return ex.affine_exponent(grid, float(e["a"]), float(e["b"]))
         if e["kind"] == "table":
             xs = np.linspace(0.0, 1.0, len(e["values"]))
-            coords = grid.nodes if grid.nodes.ndim == 1 else grid.nodes[:, 0]
+            coords = grid.x1
             span = coords.max() - coords.min()
             rel = (coords - coords.min()) / (span if span else 1.0)
             return ex.tabulated_exponent(grid, np.interp(rel, xs, e["values"]))
@@ -296,24 +296,26 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
     if not q.p_plus < p.p_minus:
         raise ConfigError("nonlinearity exponent q must satisfy q^+ < p^-")
     xi = field_on_grid(b.get("xi"), grid, "nonlinearity.xi")
+    alpha = field_on_grid(b.get("alpha", 1.0), grid, "nonlinearity.alpha")
     kind = b["kind"]
+    table_keys = sorted({"g_t", "g_values"} & set(b))
     try:
-        if kind.startswith("builtin:"):
-            name = kind.split(":", 1)[1]
-            return pot.builtin_nonlinearity(
-                name, grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)))
         if kind == "table":
-            g, G = tabulated_g(b)
-            alpha = field_on_grid(b.get("alpha", 1.0), grid,
-                                  "nonlinearity.alpha")
-            return pot.builtin_nonlinearity(
-                "separable", grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)),
-                alpha=alpha, g=g, G=G)
+            name, (g, G) = "separable", tabulated_g(b)
+        elif not kind.startswith("builtin:"):
+            raise ConfigError(f"unknown nonlinearity kind {kind!r}")
+        elif table_keys:
+            raise ConfigError(f"nonlinearity keys {table_keys} apply only "
+                              f"to the table kind, not {kind!r}")
+        else:
+            name, g, G = kind.split(":", 1)[1], None, None
+        return pot.builtin_nonlinearity(
+            name, grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)),
+            alpha=alpha, g=g, G=G)
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid nonlinearity block: {exc}") from exc
-    raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 
 
 def build_problem(cfg: RunConfig, lam: float | None = None,

@@ -14,12 +14,7 @@ import numpy as np
 
 from .exponents import ExponentField
 from .grids import Grid, GridFunction, integrate, laplacian, nodewise
-from .potentials import (
-    HypothesisReport,
-    NonlinearitySpec,
-    PotentialSpec,
-    _node_coords,
-)
+from .potentials import HypothesisReport, NonlinearitySpec, PotentialSpec
 
 __all__ = [
     "ProblemInstance",
@@ -54,10 +49,6 @@ class ProblemInstance:
                 "set allow_failed_hypotheses=True to override"
             )
 
-    @property
-    def x(self) -> np.ndarray:
-        return _node_coords(self.grid)
-
 
 def energy_J(inst: ProblemInstance, u: GridFunction) -> float:
     """J(u) = int A(x, Delta u) dx."""
@@ -69,7 +60,7 @@ def energy_J(inst: ProblemInstance, u: GridFunction) -> float:
 
 def load_Phi(inst: ProblemInstance, u: GridFunction) -> float:
     """Phi(u) = int F(x, u) dx."""
-    return integrate(inst.grid, inst.nonlinearity.F(inst.x, u.values))
+    return integrate(inst.grid, inst.nonlinearity.F(u.values))
 
 
 def total_energy(inst: ProblemInstance, u: GridFunction) -> float:
@@ -88,7 +79,7 @@ def residual_vector(inst: ProblemInstance, values: np.ndarray,
         Lu = inst.grid.laplacian_matrix() @ values
     w = nodewise(inst.grid.weights, values)
     a_vals = inst.potential.a(Lu)
-    f_vals = inst.nonlinearity.f(nodewise(inst.x, values), values)
+    f_vals = inst.nonlinearity.f(values)
     g = inst.grid.laplacian_transpose() @ (w * a_vals) \
         - inst.lam * w * f_vals
     g[inst.grid.boundary_mask] = 0.0

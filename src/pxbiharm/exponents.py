@@ -58,11 +58,7 @@ def constant_exponent(grid: Grid, c: float) -> ExponentField:
 
 def affine_exponent(grid: Grid, a: float, b: float) -> ExponentField:
     """p(x) = a + b*x1 (first coordinate; radius for ball_radial)."""
-    if grid.domain.kind == "rectangle":
-        x = grid.nodes[:, 0]
-    else:
-        x = grid.nodes
-    return validate_exponent(a + b * x, grid, "affine")
+    return validate_exponent(a + b * grid.x1, grid, "affine")
 
 
 def tabulated_exponent(grid: Grid, values) -> ExponentField:

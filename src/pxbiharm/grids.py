@@ -106,6 +106,12 @@ class Grid:
         return self.weights.size
 
     @property
+    def x1(self) -> np.ndarray:
+        """The first coordinate of every node: x1 on a rectangle, the node
+        itself on the interval, the radius on the ball."""
+        return self.nodes if self.nodes.ndim == 1 else self.nodes[:, 0]
+
+    @property
     def boundary_mask(self) -> np.ndarray:
         return self._boundary
 

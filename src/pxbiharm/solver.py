@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .energy import ProblemInstance, residual_vector, total_energy
-from .grids import GridFunction, nodewise
+from .grids import GridFunction
 
 __all__ = [
     "CriticalPoint",
@@ -96,8 +96,7 @@ def _linearise(inst, values, Lu=None):
     if Lu is None:
         Lu = inst.grid.laplacian_matrix() @ values
     a_t = _slope(inst.potential.a, Lu)
-    x = nodewise(inst.x, values)
-    f_t = _slope(lambda t: inst.nonlinearity.f(x, t), values)
+    f_t = _slope(inst.nonlinearity.f, values)
     return Lu, a_t, f_t
 
 
@@ -191,7 +190,7 @@ def acceptance_threshold(inst: ProblemInstance, values: np.ndarray,
     Lu, a_t, _ = _linearise(inst, values)
     terms = absL.T @ (w * (np.abs(inst.potential.a(Lu))
                            + np.abs(a_t) * (absL @ np.abs(values))))
-    terms += inst.lam * w * np.abs(inst.nonlinearity.f(inst.x, values))
+    terms += inst.lam * w * np.abs(inst.nonlinearity.f(values))
     floor = EPS * float(np.max(terms[inst.grid.interior_mask]))
     return max(tol, FLOOR_FACTOR * floor)
 
@@ -206,8 +205,7 @@ def _energy_floor(inst: ProblemInstance, values: np.ndarray) -> float:
     u = np.abs(values)
     Lu = L @ values
     terms = np.abs(pot.A(Lu)) + np.abs(pot.a(Lu)) * (abs(L) @ u)
-    terms += inst.lam * (np.abs(nl.F(inst.x, values))
-                         + np.abs(nl.f(inst.x, values)) * u)
+    terms += inst.lam * (np.abs(nl.F(values)) + np.abs(nl.f(values)) * u)
     return FLOOR_FACTOR * EPS * float(np.dot(inst.grid.weights, terms))
 
 
@@ -278,12 +276,16 @@ def _newton(inst, Z, tol, hessian: _Hessian, known=(), done=None):
 
 
 def _critical_point(inst, z, tol, starts_used=1) -> CriticalPoint:
-    """Clean (undeflated) residual check against the acceptance threshold."""
+    """Clean (undeflated) residual check against the acceptance threshold.
+    A point whose energy is not finite is never converged: its threshold
+    grows with the overflowing terms."""
     u = _lift(inst, z)
     rn = float(np.max(np.abs(residual_vector(inst, u.values))))
     thr = acceptance_threshold(inst, u.values, tol)
-    return CriticalPoint(u, total_energy(inst, u), rn, starts_used,
-                         converged=rn <= thr, threshold=thr)
+    e = total_energy(inst, u)
+    return CriticalPoint(u, e, rn, starts_used,
+                         converged=bool(rn <= thr and np.isfinite(e)),
+                         threshold=thr)
 
 
 def minimize(inst: ProblemInstance, u0: GridFunction,

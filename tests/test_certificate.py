@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pxbiharm.certificate import (
+    _sup_F_per_node,
     alpha_r,
     ball_volume_coeff,
     beta_h,
@@ -24,6 +25,7 @@ from pxbiharm.certificate import (
     sandwich_check,
 )
 from pxbiharm.certificate import test_function_laplacian as bump_laplacian
+from pxbiharm.config import tabulated_g
 from pxbiharm.energy import ProblemInstance
 from pxbiharm.exponents import (
     affine_exponent,
@@ -132,6 +134,44 @@ def test_alpha_r_constant_load(interval_grid):
     for r in (0.5, 1.0, 2.0):
         expected = c0 * gamma_r(inst.p, r) / r
         assert alpha_r(inst, r, c0) == pytest.approx(expected, rel=1e-6)
+
+
+def sup_F_nodes_by_t(nl, bound, n_t=1001):
+    """The reference: the nodes x t table of F, its argmax in each row,
+    refined by one Newton step on f = F'."""
+    t = np.linspace(-bound, bound, n_t)
+    F_vals = nl.F(t[None, :])
+    best_idx = np.argmax(F_vals, axis=1)
+    best_t = t[best_idx]
+    best_F = F_vals[np.arange(len(best_t)), best_idx]
+    dt = max(1e-6 * bound, 1e-9)
+    f0 = nl.f(best_t)
+    fp = (nl.f(best_t + dt) - nl.f(best_t - dt)) / (2 * dt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ref = best_t - f0 / fp
+    t_ref = np.where(np.isfinite(t_ref), t_ref, best_t)
+    return np.maximum(best_F, nl.F(np.clip(t_ref, -bound, bound)))
+
+
+@pytest.mark.parametrize("bound", [0.2, 2.7, 40.0])
+def test_sup_F_per_node_matches_the_nodes_by_t_table(interval_grid, bound):
+    # g changes sign at |t| = 1, where G = +-1/2 has its extrema off the
+    # t-grid, and alpha takes both signs: both refinements run.  Past
+    # |t| = 3 the table holds g = 0 and G = -1/2 (G odd)
+    g, G = tabulated_g({"g_t": [0.0, 1.0, 2.0, 3.0],
+                        "g_values": [1.0, 0.0, -1.0, 0.0]})
+    alpha = np.linspace(-2.0, 2.0, interval_grid.size)
+    nl = builtin_nonlinearity("separable", interval_grid,
+                              constant_exponent(interval_grid, 1.5),
+                              alpha=alpha, g=g, G=G)
+    got = _sup_F_per_node(nl, bound)
+    assert got == pytest.approx(sup_F_nodes_by_t(nl, bound), rel=1e-13,
+                                abs=0.0)
+    G_grid = G(np.linspace(-bound, bound, 1001))
+    pos, neg = alpha > 0, alpha < 0
+    if 1.0 < bound < 3.0:
+        assert np.all(got[pos] / alpha[pos] > G_grid.max())
+        assert np.all(got[neg] / alpha[neg] < G_grid.min())
 
 
 def test_c0_interval_is_analytic(interval_grid):

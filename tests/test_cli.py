@@ -117,6 +117,20 @@ def test_certify_dim1_infeasible_exit_code(tmp_path, capsys):
     assert payload["lambda_interval"] is None
 
 
+def test_certify_dim1_reads_a_builtin_load(tmp_path, capsys):
+    """Every load is alpha(x) g(t), so the 1D certificate takes a built-in
+    one; with the exact G = arctan t + t of the bump it gives the closed
+    form (8/3)^2 h^2 c3 / G(h), 1 / (2 G(1)) with c3 = 1/2."""
+    doc = bump_table_doc()
+    doc["nonlinearity"] = {"kind": "builtin:rational_bump", "q": 1.5}
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) == EXIT_OK
+    G = lambda t: np.arctan(t) + t  # noqa: E731
+    want = [(8 / 3) ** 2 * 0.15 ** 2 * 0.5 / G(0.15), 1 / (2 * G(1.0))]
+    got = json.loads(capsys.readouterr().out)["lambda_interval"]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_certify_spike_feasible(tmp_path, capsys):
     cfg = write_config(tmp_path, spike_table_doc())
     assert main(["certify", "--config", cfg]) == EXIT_OK
@@ -282,12 +296,11 @@ def test_certify_builds_the_doubled_grid_from_the_config(tmp_path,
         assert np.array_equal(fine.potential.theta, want.potential.theta)
         assert np.array_equal(fine.nonlinearity.xi, want.nonlinearity.xi)
         t = np.linspace(-1.0, 3.0, 9)[None, :]
-        assert np.array_equal(fine.nonlinearity.F(fine.x[:, None], t),
-                              want.nonlinearity.F(want.x[:, None], t))
+        assert np.array_equal(fine.nonlinearity.F(t), want.nonlinearity.F(t))
         # theta and alpha read 1 + x1 at every node of the doubled grid
-        x1 = fine.x
+        x1 = fine.grid.x1
         assert fine.potential.theta == pytest.approx(1.0 + x1, abs=1e-14)
-        f1 = fine.nonlinearity.f(x1, 1.0)
+        f1 = fine.nonlinearity.f(1.0)
         assert f1 == pytest.approx((1.0 + x1) * f1[0], rel=1e-14)
 
 
@@ -384,6 +397,63 @@ def test_any_config_value_keeps_the_exit_code_contract(
     code = main([command, "--config", cfg, "--grid-n", "9"])
     assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_INPUT)
     capsys.readouterr()
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_alpha_scales_a_builtin_load(tmp_path, capsys, monkeypatch):
+    """nonlinearity.alpha applies to every kind: const:1 with alpha 5
+    solves as const:5."""
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for block in ({"kind": "builtin:const:1", "q": 1.5, "alpha": 5},
+                  {"kind": "builtin:const:5", "q": 1.5}):
+        cfg = write_config(tmp_path, config_with(("nonlinearity",), block))
+        assert main(["solve", "--config", cfg, "--grid-n", "9"]) == EXIT_OK
+        runs.append((capsys.readouterr().out,
+                     (tmp_path / "solutions.csv").read_text()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("keys", [["g_t"], ["g_values"], ["g_t", "g_values"]])
+def test_table_keys_on_a_builtin_load_are_bad_input(tmp_path, capsys, keys):
+    block = dict(BEAM["nonlinearity"], **{k: [0.0, 1.0] for k in keys})
+    cfg = write_config(tmp_path, config_with(("nonlinearity",), block))
+    assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert all(repr(k) in err for k in keys)
+
+
+def test_an_overflowing_energy_is_no_solution(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, config_with(("lambda",), 1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve", "--config", cfg, "--grid-n", "9"])
+    assert code == EXIT_INFEASIBLE
+    assert strict_json(capsys.readouterr().out)["n_solutions"] == 0
+
+
+def test_a_non_finite_number_in_the_report_is_bad_input(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = solver.deflate_and_search
+
+    def nan_energy(*args, **kwargs):
+        sols = real(*args, **kwargs)
+        sols.points[0].energy = float("nan")
+        return sols
+
+    monkeypatch.setattr(solver, "deflate_and_search", nan_energy)
+    cfg = write_config(tmp_path, BEAM)
+    assert main(["solve", "--config", cfg, "--grid-n", "9"]) \
+        == EXIT_BAD_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("path, value", [

@@ -14,7 +14,6 @@ from pxbiharm.potentials import (
     make_perturbed_family,
     make_power_family,
     verify_hypotheses,
-    _node_coords,
 )
 
 
@@ -125,6 +124,65 @@ def test_hypotheses_record_monotonicity_failure(grid):
     assert w.lhs <= 0.0  # the recorded product violates monotonicity
 
 
+def t_subsample(sampler=TSampler()):
+    t = sampler.t_grid()
+    return t[:: max(1, len(t) // 40)]
+
+
+def h3_all_pairs(spec):
+    """The reference: (a(x, t) - a(x, s))(t - s) > 0 for every node and
+    every pair t != s of the subsampled t-grid."""
+    t_sub = t_subsample()
+    a_sub = spec.a_eval(spec.theta[:, None], spec.p.values[:, None],
+                        t_sub[None, :])
+    diff_a = a_sub[:, :, None] - a_sub[:, None, :]
+    diff_t = t_sub[None, :, None] - t_sub[None, None, :]
+    ok = (diff_a * diff_t > 0.0) | (np.abs(diff_t) < 1e-12)
+    return "pass" if np.all(ok) else "fail"
+
+
+def scalar_potential(grid, a):
+    """theta = 1, p = 2 and a(x, t) = a(t)."""
+    return PotentialSpec(
+        family="power", theta=np.ones(grid.size),
+        p=constant_exponent(grid, 2.0), variant=None,
+        c1=2.0, c2=1.0, c3=1.0, d=np.ones(grid.size),
+        a_eval=lambda th, pv, t: th * a(t),
+        A_eval=lambda th, pv, t: th * t**2 / 2)
+
+
+H3_FAMILIES = {
+    "power_p2": lambda g: make_power_family(1.0, constant_exponent(g, 2.0)),
+    "power_affine": lambda g: make_power_family(
+        1.0 + g.x1, affine_exponent(g, 1.5, 2.0)),
+    "perturbed_standard": lambda g: make_perturbed_family(
+        1.2, affine_exponent(g, 2.5, 0.5)),
+    "perturbed_literal": lambda g: make_perturbed_family(
+        1.0, constant_exponent(g, 3.0), "paper_literal"),
+    "t_minus_t3": lambda g: scalar_potential(g, lambda t: t - t**3),
+    # increasing at both ends of [-10, 10], decreasing where cos t > 1/3:
+    # the first failing pair of the all-pairs order is not a neighbouring one
+    "t_minus_3sin": lambda g: scalar_potential(g, lambda t: t - 3 * np.sin(t)),
+    "flat": lambda g: scalar_potential(g, lambda t: 0.0 * t),
+}
+
+
+@pytest.mark.parametrize("family", sorted(H3_FAMILIES))
+def test_h3_neighbouring_pairs_match_every_pair(grid, family):
+    spec = H3_FAMILIES[family](grid)
+    report = verify_hypotheses(spec, None)
+    assert report.status["H3"] == h3_all_pairs(spec)
+    if report.status["H3"] == "fail":
+        # the witness is a neighbouring pair of the subsample that violates
+        # strict monotonicity
+        w = report.witnesses["H3"]
+        t_sub = t_subsample()
+        j = int(np.searchsorted(t_sub, w.t))
+        assert (t_sub[j], t_sub[j + 1]) == (w.t, w.s)
+        a_t, a_s = spec.a_eval(1.0, 2.0, np.array([w.t, w.s]))
+        assert w.lhs == (a_s - a_t) * (w.s - w.t) <= 0.0
+
+
 def test_hypotheses_h5_unverifiable_without_nonlinearity(grid):
     p = constant_exponent(grid, 2.0)
     spec = make_power_family(1.0, p)
@@ -146,18 +204,17 @@ def test_h5_fails_when_q_exceeds_p_minus(grid):
 def test_builtin_antiderivative_consistency(grid, name):
     q = constant_exponent(grid, 1.5)
     nl = builtin_nonlinearity(name, grid, q)
-    x = grid.nodes
     dt = 1e-5
     for t in (-2.0, -0.3, 0.7, 4.0):
-        fd = (nl.F(x, t + dt) - nl.F(x, t - dt)) / (2 * dt)
-        assert np.allclose(fd, nl.f(x, t), atol=1e-7)
+        fd = (nl.F(t + dt) - nl.F(t - dt)) / (2 * dt)
+        assert np.allclose(fd, nl.f(t), atol=1e-7)
 
 
 def test_builtins_nonzero_at_origin(grid):
     q = constant_exponent(grid, 1.5)
     for name in ("const:1", "rational_bump", "exp_abs"):
         nl = builtin_nonlinearity(name, grid, q)
-        assert np.all(np.abs(nl.f(grid.nodes, 0.0)) > 0)
+        assert np.all(np.abs(nl.f(0.0)) > 0)
 
 
 def test_separable_requires_g_and_G(grid):
@@ -175,19 +232,15 @@ def test_separable_nodal_alpha_on_every_domain():
         alpha = np.arange(1.0, grid.size + 1.0)
         q = constant_exponent(grid, 1.5)
         nl = builtin_nonlinearity("separable", grid, q, alpha=alpha, g=g, G=G)
-        x = _node_coords(grid)
         t = np.linspace(-2.0, 2.0, grid.size)
-        assert np.array_equal(nl.f(x, t), alpha * g(t))
-        assert np.array_equal(nl.F(x, t), alpha * G(t))
-        # node coordinates against a row of t values, as the samplers call it
+        assert np.array_equal(nl.f(t), alpha * g(t))
+        assert np.array_equal(nl.F(t), alpha * G(t))
+        # one row of t values for every node, as the samplers call it
         tt = np.array([-1.0, 0.5, 3.0])
-        assert np.array_equal(nl.f(x[:, None], tt[None, :]),
+        assert np.array_equal(nl.f(tt[None, :]),
                               alpha[:, None] * g(tt)[None, :])
-    # a rectangle's coordinate names no node: only a constant alpha is read
-    with pytest.raises(ValueError):
-        nl.f(0.5, 1.0)
     const = builtin_nonlinearity("separable", grid, q, alpha=2.0, g=g, G=G)
-    assert float(const.f(0.5, 1.0)) == 2.0 * g(1.0)
+    assert np.all(const.f(1.0) == 2.0 * g(1.0))
 
 
 def test_unknown_builtin_rejected(grid):

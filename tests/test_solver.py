@@ -386,7 +386,7 @@ def test_batched_search_equals_starts_one_at_a_time(monkeypatch, case,
 
 def batch_instance(domain, n):
     """Variable p and theta, and the separable ridge load with a per-node
-    alpha (the nodal branch of _alpha_at)."""
+    alpha."""
     grid = build_grid(domain, n)
     x = grid.nodes[:, 0] if domain.kind == "rectangle" else grid.nodes
     p = affine_exponent(grid, 2.5, 0.5)
