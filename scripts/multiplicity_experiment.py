@@ -37,14 +37,6 @@ from pxbiharm.solver import deflate_and_search  # noqa: E402
 ARTIFACTS = os.path.join(os.path.dirname(__file__), os.pardir, "artifacts")
 
 
-def bounded_g(t):
-    return 1.0 / (1.0 + np.asarray(t, float) ** 2) + 1.0
-
-
-def bounded_G(t):
-    return np.arctan(t) + np.asarray(t, float)
-
-
 def ridge_g(t):
     t = np.asarray(t, float)
     return 0.05 + 40.0 * np.exp(-(((np.abs(t) - 1.0) / 0.05) ** 2))
@@ -97,10 +89,9 @@ def main():
     q = constant_exponent(grid, 1.5)
 
     print("bounded fixture: g = 1/(1+t^2) + 1")
-    cert = dim1_certificate(bounded_g, 1.0, p, l=1.0, h=0.15, c3=spec.c3,
-                            G=bounded_G, grid=grid)
-    print(f"  certified interval: {cert.lambda_interval}")
     nl = builtin_nonlinearity("rational_bump", grid, q)
+    cert = dim1_certificate(nl, p, l=1.0, h=0.15, c3=spec.c3)
+    print(f"  certified interval: {cert.lambda_interval}")
     rows = run_sweep(
         lambda lam: ProblemInstance(grid, p, spec, nl, lam),
         cert.lambda_interval, args.sweep_m, vbar_scale=0.15,
@@ -109,7 +100,7 @@ def main():
 
     print("ridge fixture: g = 0.05 + 40 exp(-((|t|-1)/0.05)^2)")
     nl2 = builtin_nonlinearity("separable", grid, q, alpha=1.0,
-                               g=ridge_g, G=ridge_G)
+                               g=ridge_g, G=ridge_G, zeros=())
     inst0 = ProblemInstance(grid, p, spec, nl2, 1.0)
     cert2 = certify(inst0, r=5.0, h=1.2)
     print(f"  certified interval: {cert2.lambda_interval}")

@@ -212,29 +212,6 @@ def energy_J_vbar(potential: PotentialSpec, h: float, D: float, x0,
     return integrate(grid, frac * potential.A(slope))
 
 
-def _sup_F_per_node(nl: NonlinearitySpec, bound: float,
-                    n_t: int = 1001) -> np.ndarray:
-    """Per-node sup of F(x, .) = alpha(x) G(.) over |t| <= bound: the max
-    and the min of G on a dense t-grid, each refined by one Newton step
-    (on G' = g) from its grid point, scaled by alpha."""
-    t = np.linspace(-bound, bound, n_t)
-    G_vals = nl.G(t)
-    best = np.array([np.argmax(G_vals), np.argmin(G_vals)])
-    best_t = t[best]
-
-    # one Newton step on g(t) = 0 around each extremal grid point
-    dt = max(1e-6 * bound, 1e-9)
-    g0 = nl.g(best_t)
-    gp = (nl.g(best_t + dt) - nl.g(best_t - dt)) / (2 * dt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ref = best_t - g0 / gp
-    t_ref = np.where(np.isfinite(t_ref), t_ref, best_t)
-    G_ref = nl.G(np.clip(t_ref, -bound, bound))
-    G_max = max(G_vals[best[0]], G_ref[0])
-    G_min = min(G_vals[best[1]], G_ref[1])
-    return np.maximum(nl.alpha * G_max, nl.alpha * G_min)
-
-
 def alpha_r(inst: ProblemInstance, r: float, c0: float,
             p: ExponentField | None = None) -> float:
     """alpha_r = (1/r) int sup_{|t| <= c0 gamma_r} F(x, t) dx."""
@@ -242,7 +219,7 @@ def alpha_r(inst: ProblemInstance, r: float, c0: float,
         raise ValueError("r must be positive")
     p = p or inst.p
     bound = c0 * gamma_r(p, r)
-    sup_F = _sup_F_per_node(inst.nonlinearity, bound)
+    sup_F = inst.nonlinearity.F_range(-bound, bound)[1]
     return integrate(inst.grid, sup_F) / r
 
 
@@ -404,13 +381,11 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     N, D, L, p = core["N"], core["D"], core["L"], inst.p
     beta = beta_h(inst, h, core)
     r_bound, _ = _bump_bounds(h, N, D, L, p, core["c3"], core["d_norm"])
-    # nonnegativity of ess inf F on [0, h], sampled
-    t_chk = np.linspace(0.0, h, 51)
-    F_chk = inst.nonlinearity.F(t_chk[None, :])
+    F_min = inst.nonlinearity.F_range(0.0, h)[0]
     checks = {
         "r_bound": bool(r < r_bound),
         "beta_gt_alpha": bool(beta > core["alpha"] > 0.0),
-        "F_nonneg_on_0_h": bool(np.min(F_chk) >= -1e-12),
+        "F_nonneg_on_0_h": bool(np.min(F_min) >= -1e-12),
     }
     feasible = all(checks.values())
     interval = (1.0 / beta, 1.0 / core["alpha"]) if feasible else None
@@ -474,22 +449,19 @@ def sandwich_check(inst: ProblemInstance, h: float,
     return SandwichReport(lower, J_vbar, upper, holds)
 
 
-def dim1_certificate(g, alpha_field: np.ndarray, p: ExponentField,
-                     l: float, h: float, c3: float,
-                     G=None, grid: Grid | None = None) -> Certificate:
+def dim1_certificate(nl: NonlinearitySpec, p: ExponentField,
+                     l: float, h: float, c3: float) -> Certificate:
     """The dedicated 1D certificate for (|u''|^{p(x)-2} u'')'' =
-    lambda alpha(x) g(u) on (0,1).
+    lambda alpha(x) g(u) on (0,1), with the load nl on p's grid.
 
     Feasible iff G(l)/l^{p+} < k G(h)/h^{p+} with
     k = (1/(p+ c3)) (3/8)^{p+} alpha_0/||alpha||_1; the side condition
     l <= 1 <= (8h/3)^{p-/p+} (1/4)^{1/p+} and the vanishing-growth
     condition g(t) |t|^{-nu} -> 0 are checked and recorded.
     """
-    grid = grid or (p.grid if p is not None else None)
-    if grid is None or grid.domain.kind != "interval":
+    grid, g, alpha_vals = p.grid, nl.g, nl.alpha
+    if grid.domain.kind != "interval":
         raise ValueError("the dedicated 1D certificate needs an interval grid")
-    alpha_vals = np.broadcast_to(np.asarray(alpha_field, float),
-                                 (grid.size,)).copy()
     if np.any(alpha_vals <= 0):
         raise ValueError("alpha must be positive")
     g0 = float(np.asarray(g(0.0)))
@@ -517,17 +489,12 @@ def dim1_certificate(g, alpha_field: np.ndarray, p: ExponentField,
         (1.0 <= (8 * h / 3) ** (p.p_minus / pp) * 0.25 ** (1.0 / pp) + 1e-12)
     checks["side_condition"] = bool(side)
 
-    if G is None:
-        from scipy.integrate import quad
-        def G(xi, _g=g):
-            val, _ = quad(_g, 0.0, xi, epsrel=1e-10, limit=200)
-            return val
     alpha_0 = float(alpha_vals.min())
     alpha_l1 = integrate(grid, np.abs(alpha_vals))
     k = (1.0 / (pp * c3)) * (3.0 / 8.0) ** pp * alpha_0 / alpha_l1
 
-    G_h = float(np.asarray(G(h)))
-    G_l = float(np.asarray(G(l)))
+    G_h = float(np.asarray(nl.G(h)))
+    G_l = float(np.asarray(nl.G(l)))
     feas_ratio = (G_l / l**pp) < (k * G_h / h**pp)
     checks["G_ratio"] = bool(feas_ratio)
 

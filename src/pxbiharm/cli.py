@@ -146,10 +146,9 @@ def cmd_hypotheses(args) -> int:
 def _certify_from_config(cfg: cfgmod.RunConfig, inst: ProblemInstance):
     block = cfg.certificate
     if block.get("dim1"):
-        nl = inst.nonlinearity
         return cert.dim1_certificate(
-            nl.g, nl.alpha, inst.p, l=float(block.get("l", 1.0)),
-            h=float(block["h"]), c3=inst.potential.c3, G=nl.G, grid=inst.grid)
+            inst.nonlinearity, inst.p, l=float(block.get("l", 1.0)),
+            h=float(block["h"]), c3=inst.potential.c3)
     scan = block.get("h_scan") or "h" not in block
     # the same config on the doubled grid, for the convergence check, which
     # reads only alpha_r and beta_h there

@@ -274,18 +274,33 @@ def build_potential(cfg: RunConfig, p: ex.ExponentField) -> pot.PotentialSpec:
 
 
 def tabulated_g(block: dict):
-    """(g, G) of a table nonlinearity block: g(t) interpolates the
-    (g_t, g_values) samples at |t|, G is its trapezoid antiderivative,
-    odd in t."""
+    """(g, G, zeros) of a table nonlinearity block: g(t) interpolates the
+    (g_t, g_values) samples at |t| and keeps its end value past the last
+    node; G is its exact antiderivative, piecewise quadratic and odd in t;
+    zeros holds the t where g changes sign (table nodes where g = 0 and
+    crossings inside a segment, both signs)."""
     tg = np.asarray(block["g_t"], float)
     gv = np.asarray(block["g_values"], float)
     if tg.size != gv.size or tg.size < 2:
         raise ConfigError("tabulated g needs matching g_t/g_values")
+    if tg[0] != 0.0 or np.any(np.diff(tg) <= 0.0):
+        raise ConfigError("nonlinearity.g_t must start at 0 and strictly "
+                          "increase")
+    dt = np.diff(tg)
+    slope = np.append(np.diff(gv) / dt, 0.0)
+    Gtab = np.concatenate([[0.0], np.cumsum(dt * 0.5 * (gv[1:] + gv[:-1]))])
+
+    def G(t):
+        a = np.abs(t)
+        i = np.searchsorted(tg, a, side="right") - 1
+        d = a - tg[i]
+        return np.sign(t) * (Gtab[i] + d * (gv[i] + 0.5 * slope[i] * d))
+
+    cross = gv[:-1] * gv[1:] < 0.0
+    z = np.concatenate([tg[gv == 0.0],
+                        tg[:-1][cross] - gv[:-1][cross] / slope[:-1][cross]])
     g = lambda t: np.interp(np.abs(t), tg, gv)  # noqa: E731
-    Gtab = np.concatenate([[0.0], np.cumsum(
-        np.diff(tg) * 0.5 * (gv[1:] + gv[:-1]))])
-    G = lambda t: np.sign(t) * np.interp(np.abs(t), tg, Gtab)  # noqa: E731
-    return g, G
+    return g, G, np.unique(np.concatenate([-z, z]))
 
 
 def build_nonlinearity(cfg: RunConfig, grid: Grid,
@@ -301,17 +316,19 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
     table_keys = sorted({"g_t", "g_values"} & set(b))
     try:
         if kind == "table":
-            name, (g, G) = "separable", tabulated_g(b)
+            name, (g, G, zeros) = "separable", tabulated_g(b)
+            if xi is None:  # sup|g| of a piecewise-linear g with flat ends
+                xi = np.max(np.abs(alpha)) * np.max(np.abs(b["g_values"]))
         elif not kind.startswith("builtin:"):
             raise ConfigError(f"unknown nonlinearity kind {kind!r}")
         elif table_keys:
             raise ConfigError(f"nonlinearity keys {table_keys} apply only "
                               f"to the table kind, not {kind!r}")
         else:
-            name, g, G = kind.split(":", 1)[1], None, None
+            name, g, G, zeros = kind.split(":", 1)[1], None, None, None
         return pot.builtin_nonlinearity(
             name, grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)),
-            alpha=alpha, g=g, G=G)
+            alpha=alpha, g=g, G=G, zeros=zeros)
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:

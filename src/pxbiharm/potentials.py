@@ -85,6 +85,7 @@ class NonlinearitySpec:
     xi: np.ndarray = None
     zeta: float = 1.0
     q: ExponentField = None
+    zeros: np.ndarray | None = None  # the t where g changes sign
 
     def f(self, t) -> np.ndarray:
         t = np.asarray(t, float)
@@ -93,6 +94,17 @@ class NonlinearitySpec:
     def F(self, t) -> np.ndarray:
         t = np.asarray(t, float)
         return nodewise(self.alpha, t) * self.G(t)
+
+    def F_range(self, lo: float, hi: float):
+        """Per-node (min, max) of F(x, .) over [lo, hi]: G is monotone
+        between the zeros of g, so its extremes lie at lo, hi or a zero."""
+        if self.zeros is None:
+            raise ValueError(f"the {self.name!r} load declares no zeros of "
+                             f"g, so the range of F is unknown")
+        inside = self.zeros[(self.zeros > lo) & (self.zeros < hi)]
+        G = self.G(np.concatenate([[lo, hi], inside]))
+        lo_F, hi_F = self.alpha * np.min(G), self.alpha * np.max(G)
+        return np.minimum(lo_F, hi_F), np.maximum(lo_F, hi_F)
 
 
 @dataclass(frozen=True)
@@ -304,7 +316,7 @@ def verify_hypotheses(spec: PotentialSpec, nl: NonlinearitySpec | None,
         )
 
     # H5: |f| <= xi + zeta |t|^{q-1}
-    if nl is None:
+    if nl is None or nl.xi is None:
         status["H5"] = "unverifiable"
     else:
         f_vals = nl.f(tt)
@@ -333,41 +345,44 @@ def _const_field(grid, v):
     return np.broadcast_to(np.asarray(v, float), (grid.size,)).copy()
 
 
-#: (g, G) of each built-in load with a fixed g
+#: (g, G, sup|g|) of each built-in load with a fixed g; both have g > 0
 _BUILTIN_G = {
     "rational_bump": (lambda t: 1.0 / (1.0 + t**2) + 1.0,
-                      lambda t: np.arctan(t) + t),
+                      lambda t: np.arctan(t) + t, 2.0),
     "exp_abs": (lambda t: np.exp(-np.abs(t)) + 1.0,
-                lambda t: np.sign(t) * (1.0 - np.exp(-np.abs(t))) + t),
+                lambda t: np.sign(t) * (1.0 - np.exp(-np.abs(t))) + t, 2.0),
 }
 
 
 def builtin_nonlinearity(name: str, grid, q: ExponentField,
                          xi=None, zeta: float = 1.0,
-                         alpha=None, g=None, G=None) -> NonlinearitySpec:
+                         alpha=None, g=None, G=None,
+                         zeros=None) -> NonlinearitySpec:
     """Right-hand sides alpha(x) g(t); the fixed g all have g(0) != 0.
 
     Names: "const:<c>" (g = c), "rational_bump" (1/(1+t^2) + 1),
-    "exp_abs" (e^{-|t|} + 1), "separable" (the given g, G).  alpha is a
+    "exp_abs" (e^{-|t|} + 1), "separable" (the given g, G, and the t
+    where g changes sign as `zeros`, which `F_range` reads).  alpha is a
     number or one value per node and defaults to 1; xi defaults to
-    max|alpha| sup|g|.
+    max|alpha| sup|g| for a fixed g and to None (H5 unverifiable).
     """
+    sup_g = None
     if name.startswith("const:"):
         c = float(name.split(":", 1)[1])
         g, G = lambda t: np.full(np.shape(t), c), lambda t: c * t
+        sup_g = abs(c)
     elif name in _BUILTIN_G:
-        g, G = _BUILTIN_G[name]
+        g, G, sup_g = _BUILTIN_G[name]
     elif name != "separable":
         raise ValueError(f"unknown builtin nonlinearity {name!r}")
     if g is None or G is None:
         raise ValueError("separable nonlinearity needs g and G")
     alpha = _const_field(grid, 1.0 if alpha is None else alpha)
-    if xi is None:
-        xi = float(np.max(np.abs(alpha))) * _sup_abs(g)
-    return NonlinearitySpec(name=name, alpha=alpha, g=g, G=G,
-                            xi=_const_field(grid, xi), zeta=zeta, q=q)
-
-
-def _sup_abs(g, T: float = 1e4, n: int = 4001) -> float:
-    t = np.linspace(-T, T, n)
-    return float(np.max(np.abs(g(t))))
+    if sup_g is not None:  # a fixed g never changes sign
+        zeros = ()
+        if xi is None:
+            xi = float(np.max(np.abs(alpha))) * sup_g
+    return NonlinearitySpec(
+        name=name, alpha=alpha, g=g, G=G,
+        xi=None if xi is None else _const_field(grid, xi), zeta=zeta, q=q,
+        zeros=None if zeros is None else np.asarray(zeros, float))

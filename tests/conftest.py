@@ -60,7 +60,7 @@ def spike_instance(grid, lam=1.0):
     spec = make_power_family(1.0, p)
     q = constant_exponent(grid, 1.5)
     nl = builtin_nonlinearity("separable", grid, q, alpha=1.0,
-                              g=spike_g, G=spike_G)
+                              g=spike_g, G=spike_G, zeros=())
     return ProblemInstance(grid, p, spec, nl, lam)
 
 

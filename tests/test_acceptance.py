@@ -189,9 +189,9 @@ def test_criterion_07_certificate_arithmetic_oracle(report):
     beta_err = max(abs(beta_h(inst, h, consts) - 9.0 / (512.0 * h))
                    for h in (0.25, 0.5, 1.0, 2.0))
     cert = dim1_certificate(
-        lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 2) + 1.0,
-        1.0, inst.p, l=1.0, h=0.15, c3=0.5,
-        G=lambda t: np.arctan(t) + np.asarray(t, float), grid=grid)
+        builtin_nonlinearity("rational_bump", grid,
+                             constant_exponent(grid, 1.5)),
+        inst.p, l=1.0, h=0.15, c3=0.5)
     k_err = abs(cert.k - 9.0 / 64.0)
     report(7, f"beta oracle err {beta_err:.2e}, k err {k_err:.2e}",
            beta_err < 1e-10 and k_err < 1e-12)

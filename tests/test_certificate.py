@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pxbiharm.certificate import (
-    _sup_F_per_node,
     alpha_r,
     ball_volume_coeff,
     beta_h,
@@ -25,7 +24,7 @@ from pxbiharm.certificate import (
     sandwich_check,
 )
 from pxbiharm.certificate import test_function_laplacian as bump_laplacian
-from pxbiharm.config import tabulated_g
+from pxbiharm.config import build_problem, load_config, tabulated_g
 from pxbiharm.energy import ProblemInstance
 from pxbiharm.exponents import (
     affine_exponent,
@@ -153,25 +152,130 @@ def sup_F_nodes_by_t(nl, bound, n_t=1001):
     return np.maximum(best_F, nl.F(np.clip(t_ref, -bound, bound)))
 
 
+def separable_table(grid, table, alpha=1.0):
+    g, G, zeros = tabulated_g(table)
+    return builtin_nonlinearity("separable", grid,
+                                constant_exponent(grid, 1.5), alpha=alpha,
+                                g=g, G=G, zeros=zeros)
+
+
 @pytest.mark.parametrize("bound", [0.2, 2.7, 40.0])
 def test_sup_F_per_node_matches_the_nodes_by_t_table(interval_grid, bound):
     # g changes sign at |t| = 1, where G = +-1/2 has its extrema off the
-    # t-grid, and alpha takes both signs: both refinements run.  Past
-    # |t| = 3 the table holds g = 0 and G = -1/2 (G odd)
-    g, G = tabulated_g({"g_t": [0.0, 1.0, 2.0, 3.0],
-                        "g_values": [1.0, 0.0, -1.0, 0.0]})
+    # t-grid, and alpha takes both signs.  Past |t| = 3 the table holds
+    # g = 0 and G = -1/2 (G odd).  The exact range dominates the sampled
+    # reference and equals |alpha| max|G|
+    G_max = 0.2 - 0.2**2 / 2 if bound < 1.0 else 0.5
     alpha = np.linspace(-2.0, 2.0, interval_grid.size)
+    nl = separable_table(interval_grid, {"g_t": [0.0, 1.0, 2.0, 3.0],
+                                         "g_values": [1.0, 0.0, -1.0, 0.0]},
+                         alpha)
+    lo, hi = nl.F_range(-bound, bound)
+    assert np.all(hi >= sup_F_nodes_by_t(nl, bound))
+    # the range of -F is minus the range of F
+    neg = builtin_nonlinearity(
+        "separable", interval_grid, nl.q, alpha=-alpha, g=nl.g, G=nl.G,
+        zeros=nl.zeros)
+    assert np.all(-lo >= sup_F_nodes_by_t(neg, bound))
+    assert hi == pytest.approx(np.abs(alpha) * G_max, rel=1e-15, abs=0.0)
+    assert lo == pytest.approx(-hi, rel=1e-15, abs=0.0)
+
+
+#: g = 0 but for a +-4000 hat pair on [1.001, 1.003]: G is a tent of
+#: height 2 at t = 1.002, between the points of a t-grid of spacing 0.004
+TENT = {"g_t": [0.0, 1.001, 1.0015, 1.002, 1.0025, 1.003],
+        "g_values": [0.0, 0.0, 4000.0, 0.0, -4000.0, 0.0]}
+
+
+def table_problem(table, grid_n=33):
+    return build_problem(load_config({
+        "schema": 1, "domain": {"kind": "interval"}, "grid_n": grid_n,
+        "exponent": {"kind": "constant", "value": 2.0},
+        "potential": {"family": "power", "theta": 1.0},
+        "nonlinearity": dict(kind="table", q=1.5, **table)}), verify=False)
+
+
+@pytest.mark.parametrize("bound", [1.7, 2.0])
+def test_alpha_r_reads_the_tent_of_a_table_load(bound):
+    inst = table_problem(TENT)
+    assert inst.nonlinearity.F_range(-bound, bound)[1] == pytest.approx(
+        2.0, rel=1e-12)
+    assert sup_F_nodes_by_t(inst.nonlinearity, bound).max() < 1.0
+    r = 5.0
+    c0 = bound / gamma_r(inst.p, r)
+    assert alpha_r(inst, r, c0) == pytest.approx(2.0 / r, rel=1e-12)
+
+
+def test_certify_rejects_a_dip_of_F_between_samples():
+    flipped = dict(TENT, g_values=[-v for v in TENT["g_values"]])
+    cert = certify(table_problem(flipped), r=5.0, h=1.2)
+    assert not cert.feasible and not cert.checks["F_nonneg_on_0_h"]
+    assert "F_nonneg_on_0_h" in cert.reason
+
+
+def test_table_G_is_the_exact_antiderivative_of_g():
+    # the crossings of g are 1/3, 1.8 and 7/3; G(3) = -3/2 and g = -1
+    # past 3
+    g, G, zeros = tabulated_g({"g_t": [0.0, 1.0, 2.0, 3.0],
+                               "g_values": [1.0, -2.0, 0.5, -1.0]})
+    assert G(1.8) == pytest.approx(-1.3, abs=1e-14)
+    t = np.array([3.0, 3.5, 7.0, 100.0])
+    assert G(t) == pytest.approx(-1.5 - (t - 3.0), abs=1e-12)
+    assert G(-t) == pytest.approx(1.5 + (t - 3.0), abs=1e-12)
+    want = np.array([1.0 / 3.0, 1.8, 7.0 / 3.0])
+    assert zeros == pytest.approx(np.concatenate([-want[::-1], want]),
+                                  abs=1e-15)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(2, 7))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1,
+                          max_size=n - 1))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+                           min_size=n, max_size=n))
+    return {"g_t": [0.0, *np.cumsum(steps)], "g_values": values}
+
+
+LOAD_GRID = build_grid(Domain("interval"), 9)
+BUILTIN_LOADS = ["const:-1.5", "const:0", "rational_bump", "exp_abs"]
+
+
+@given(load=st.one_of(tables(), st.sampled_from(BUILTIN_LOADS)),
+       lo=st.floats(-15.0, 15.0), width=st.floats(0.0, 15.0))
+@settings(max_examples=80, deadline=None)
+def test_F_range_contains_a_dense_sample_of_F(load, lo, width):
+    alpha = np.linspace(-1.0, 2.0, LOAD_GRID.size)
+    if isinstance(load, dict):
+        nl = separable_table(LOAD_GRID, load, alpha)
+    else:
+        nl = builtin_nonlinearity(load, LOAD_GRID,
+                                  constant_exponent(LOAD_GRID, 1.5),
+                                  alpha=alpha)
+    F_lo, F_hi = nl.F_range(lo, lo + width)
+    F = nl.F(np.linspace(lo, lo + width, 4001)[None, :])
+    tol = 1e-12 * (1.0 + np.abs(F).max())
+    assert np.all(F.min(axis=1) >= F_lo - tol)
+    assert np.all(F.max(axis=1) <= F_hi + tol)
+    if isinstance(load, dict):
+        # G' = g between the nodes and past the last one, for both signs
+        tg = np.asarray(load["g_t"])
+        t = np.append(0.5 * (tg[1:] + tg[:-1]), tg[-1] + 1.0)
+        t = np.concatenate([t, -t])
+        d = 0.01
+        dG = (nl.G(t + d) - nl.G(t - d)) / (2 * d)
+        assert dG == pytest.approx(nl.g(t), abs=1e-9)
+
+
+def test_a_separable_load_without_zeros_cannot_be_certified(interval_grid):
     nl = builtin_nonlinearity("separable", interval_grid,
                               constant_exponent(interval_grid, 1.5),
-                              alpha=alpha, g=g, G=G)
-    got = _sup_F_per_node(nl, bound)
-    assert got == pytest.approx(sup_F_nodes_by_t(nl, bound), rel=1e-13,
-                                abs=0.0)
-    G_grid = G(np.linspace(-bound, bound, 1001))
-    pos, neg = alpha > 0, alpha < 0
-    if 1.0 < bound < 3.0:
-        assert np.all(got[pos] / alpha[pos] > G_grid.max())
-        assert np.all(got[neg] / alpha[neg] < G_grid.min())
+                              g=spike_g, G=spike_G)
+    p = constant_exponent(interval_grid, 2.0)
+    inst = ProblemInstance(interval_grid, p, make_power_family(1.0, p), nl,
+                           1.0)
+    with pytest.raises(ValueError, match="zeros"):
+        certify(inst, r=5.0, h=1.2)
 
 
 def test_c0_interval_is_analytic(interval_grid):
@@ -361,7 +465,7 @@ def ridge_rectangle(M, n=9):
     p = affine_exponent(grid, 2.0, 0.5)
     nl = builtin_nonlinearity(
         "separable", grid, constant_exponent(grid, 1.5), alpha=1.0,
-        g=lambda t: spike_g(t, M=M), G=lambda t: spike_G(t, M=M))
+        g=lambda t: spike_g(t, M=M), G=lambda t: spike_G(t, M=M), zeros=())
     return ProblemInstance(grid, p, make_power_family(1.0, p), nl, 1.0)
 
 
@@ -399,30 +503,28 @@ def test_certify_rejects_a_fine_problem_on_another_grid():
 
 # --- dedicated 1D path ------------------------------------------------------
 
-def bump_g(t):
-    return 1.0 / (1.0 + np.asarray(t, float) ** 2) + 1.0
-
-
-def bump_G(t):
-    return np.arctan(t) + np.asarray(t, float)
+def bump_load(grid, alpha=1.0):
+    """g = 1/(1+t^2) + 1 with G = arctan t + t."""
+    return builtin_nonlinearity("rational_bump", grid,
+                                constant_exponent(grid, 1.5), alpha=alpha)
 
 
 def test_dim1_constant_k(interval_grid):
     p = constant_exponent(interval_grid, 2.0)
-    cert = dim1_certificate(bump_g, 1.0, p, l=1.0, h=0.15, c3=0.5, G=bump_G,
-                            grid=interval_grid)
+    cert = dim1_certificate(bump_load(interval_grid), p, l=1.0, h=0.15,
+                            c3=0.5)
     assert cert.k == pytest.approx(9.0 / 64.0, abs=1e-12)
 
 
 def test_dim1_interval_oracle(interval_grid):
     p = constant_exponent(interval_grid, 2.0)
-    cert = dim1_certificate(bump_g, 1.0, p, l=1.0, h=0.15, c3=0.5, G=bump_G,
-                            grid=interval_grid)
+    cert = dim1_certificate(bump_load(interval_grid), p, l=1.0, h=0.15,
+                            c3=0.5)
     assert cert.feasible
     lo, hi = cert.lambda_interval
     # hand-derived endpoints: (32/9) h^2 / G(h) and 1 / (2 G(1))
-    assert lo == pytest.approx((32.0 / 9.0) * 0.15**2 / bump_G(0.15),
-                               rel=1e-12)
+    assert lo == pytest.approx(
+        (32.0 / 9.0) * 0.15**2 / (np.arctan(0.15) + 0.15), rel=1e-12)
     assert hi == pytest.approx(1.0 / (2.0 * (np.arctan(1.0) + 1.0)),
                                rel=1e-12)
     assert cert.checks["nu_growth"]
@@ -432,41 +534,31 @@ def test_dim1_interval_oracle(interval_grid):
 
 def test_dim1_infeasible_for_large_h(interval_grid):
     p = constant_exponent(interval_grid, 2.0)
-    cert = dim1_certificate(bump_g, 1.0, p, l=1.0, h=2.0, c3=0.5, G=bump_G,
-                            grid=interval_grid)
+    cert = dim1_certificate(bump_load(interval_grid), p, l=1.0, h=2.0,
+                            c3=0.5)
     assert not cert.feasible
     assert not cert.checks["G_ratio"]
 
 
 def test_dim1_detects_g0_zero(interval_grid):
     p = constant_exponent(interval_grid, 2.0)
-    cert = dim1_certificate(lambda t: np.asarray(t, float), 1.0, p,
-                            l=1.0, h=0.15, c3=0.5,
-                            G=lambda t: np.asarray(t, float) ** 2 / 2,
-                            grid=interval_grid)
+    nl = builtin_nonlinearity(
+        "separable", interval_grid, constant_exponent(interval_grid, 1.5),
+        g=lambda t: np.asarray(t, float),
+        G=lambda t: np.asarray(t, float) ** 2 / 2, zeros=[0.0])
+    cert = dim1_certificate(nl, p, l=1.0, h=0.15, c3=0.5)
     assert not cert.checks["g0_nonzero"]
     assert not cert.feasible
-
-
-def test_dim1_quadrature_fallback_for_G(interval_grid):
-    p = constant_exponent(interval_grid, 2.0)
-    with_G = dim1_certificate(bump_g, 1.0, p, l=1.0, h=0.15, c3=0.5,
-                              G=bump_G, grid=interval_grid)
-    without_G = dim1_certificate(bump_g, 1.0, p, l=1.0, h=0.15, c3=0.5,
-                                 grid=interval_grid)
-    assert without_G.lambda_interval[0] == pytest.approx(
-        with_G.lambda_interval[0], rel=1e-8)
 
 
 def test_dim1_rejects_nonpositive_alpha(interval_grid):
     p = constant_exponent(interval_grid, 2.0)
     with pytest.raises(ValueError):
-        dim1_certificate(bump_g, 0.0, p, l=1.0, h=0.15, c3=0.5,
-                         grid=interval_grid)
+        dim1_certificate(bump_load(interval_grid, alpha=0.0), p, l=1.0,
+                         h=0.15, c3=0.5)
 
 
 def test_dim1_needs_interval(ball_grid):
     p = constant_exponent(ball_grid, 2.0)
     with pytest.raises(ValueError):
-        dim1_certificate(bump_g, 1.0, p, l=1.0, h=0.15, c3=0.5,
-                         grid=ball_grid)
+        dim1_certificate(bump_load(ball_grid), p, l=1.0, h=0.15, c3=0.5)

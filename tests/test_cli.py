@@ -429,6 +429,17 @@ def test_table_keys_on_a_builtin_load_are_bad_input(tmp_path, capsys, keys):
     assert all(repr(k) in err for k in keys)
 
 
+@pytest.mark.parametrize("g_t", [[0.0, 3.0, 2.0], [0.0, 1.0, 1.0],
+                                 [1.0, 2.0, 3.0]],
+                         ids=["unsorted", "repeated", "not_from_0"])
+def test_a_malformed_g_t_is_bad_input(tmp_path, capsys, g_t):
+    block = {"kind": "table", "q": 1.5, "g_t": g_t,
+             "g_values": [1.0, 2.0, 1.0]}
+    cfg = write_config(tmp_path, config_with(("nonlinearity",), block))
+    assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
+    assert "nonlinearity.g_t" in capsys.readouterr().err
+
+
 def test_an_overflowing_energy_is_no_solution(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, config_with(("lambda",), 1e300))

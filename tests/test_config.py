@@ -103,6 +103,14 @@ def test_tabulated_nonlinearity_built():
     assert inst.nonlinearity.F(1.0) == pytest.approx(1.75)
 
 
+def test_table_xi_defaults_to_max_alpha_max_g_values():
+    inst = build_problem(load_config(base_doc(nonlinearity={
+        "kind": "table", "q": 1.5, "alpha": -3.0,
+        "g_t": [0.0, 1.0, 2.0], "g_values": [2.0, -2.5, 1.2],
+    })), verify=False)
+    assert all(inst.nonlinearity.xi == 7.5)
+
+
 def test_tabulated_nonlinearity_needs_matching_lengths():
     cfg = load_config(base_doc(nonlinearity={
         "kind": "table", "q": 1.5, "g_t": [0.0, 1.0], "g_values": [1.0],

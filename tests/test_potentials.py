@@ -243,6 +243,30 @@ def test_separable_nodal_alpha_on_every_domain():
     assert np.all(const.f(1.0) == 2.0 * g(1.0))
 
 
+@pytest.mark.parametrize("name, sup_g", [("const:-3", 3.0), ("const:0", 0.0),
+                                         ("rational_bump", 2.0),
+                                         ("exp_abs", 2.0)])
+def test_xi_defaults_to_max_alpha_sup_g_in_closed_form(grid, name, sup_g):
+    alpha = np.linspace(-1.5, 0.5, grid.size)
+    nl = builtin_nonlinearity(name, grid, constant_exponent(grid, 1.5),
+                              alpha=alpha)
+    assert np.all(nl.xi == 1.5 * sup_g)
+    assert nl.zeros.size == 0
+
+
+def test_separable_load_without_xi_leaves_H5_unverifiable(grid):
+    # a t-grid of spacing 5 on [-1e4, 1e4] reads sup g = 0.05 for this
+    # ridge, whose peak is 40.05
+    p = constant_exponent(grid, 2.0)
+    nl = builtin_nonlinearity(
+        "separable", grid, constant_exponent(grid, 1.5),
+        g=lambda t: 0.05 + 40.0 * np.exp(-((np.abs(t) - 1.0) / 0.05) ** 2),
+        G=lambda t: 0.05 * np.asarray(t, float), zeros=())
+    assert nl.xi is None
+    report = verify_hypotheses(make_power_family(1.0, p), nl)
+    assert report.status["H5"] == "unverifiable"
+
+
 def test_unknown_builtin_rejected(grid):
     q = constant_exponent(grid, 1.5)
     with pytest.raises(ValueError):
