@@ -18,7 +18,6 @@ Writes artifacts/multiplicity_bounded.csv and artifacts/multiplicity_ridge.csv.
 """
 
 import argparse
-import csv
 import os
 import sys
 
@@ -28,11 +27,12 @@ from scipy.special import erf
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from pxbiharm.certificate import certify, dim1_certificate  # noqa: E402
+from pxbiharm.cli import write_sweep_csv  # noqa: E402
 from pxbiharm.energy import ProblemInstance  # noqa: E402
 from pxbiharm.exponents import constant_exponent  # noqa: E402
 from pxbiharm.grids import Domain, build_grid  # noqa: E402
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family  # noqa: E402
-from pxbiharm.solver import deflate_and_search  # noqa: E402
+from pxbiharm.solver import lambda_sweep  # noqa: E402
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), os.pardir, "artifacts")
 
@@ -49,30 +49,17 @@ def ridge_G(t):
         erf((a - 1.0) / 0.05) + erf(1.0 / 0.05)))
 
 
-def run_sweep(inst_factory, interval, m, vbar_scale, n_starts, seed):
-    rows = []
-    for lam in np.geomspace(interval[0], interval[1], m):
-        inst = inst_factory(float(lam))
-        sols = deflate_and_search(inst, k_max=5, n_starts=n_starts,
-                                  seed=seed, vbar_scale=vbar_scale)
-        rows.append({
-            "lambda": float(lam),
-            "n_solutions": len(sols.points),
-            "energies": [p.energy for p in sols.points],
-        })
-        print(f"  lambda={lam:10.6f}  solutions={len(sols.points)}  "
-              f"energies={['%.4g' % p.energy for p in sols.points]}")
-    return rows
-
-
-def write_rows(path, rows):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["lambda", "n_solutions", "energies"])
-        for r in rows:
-            wr.writerow([repr(r["lambda"]), r["n_solutions"],
-                         ";".join(repr(e) for e in r["energies"])])
+def run_sweep(inst, interval, m, vbar_scale, n_starts, seed, path):
+    """lambda_sweep across the interval itself, printed and written to
+    path."""
+    rows = lambda_sweep(inst, interval, m, k_max=5, n_starts=n_starts,
+                        seed=seed, vbar_scale=vbar_scale, straddle=False)
+    for r in rows:
+        print(f"  lambda={r['lambda']:10.6f}  solutions={r['n_solutions']}  "
+              f"energies={['%.4g' % e for e in r['energies']]}")
+    write_sweep_csv(path, rows)
     print(f"  wrote {path}")
+    return rows
 
 
 def main():
@@ -92,11 +79,9 @@ def main():
     nl = builtin_nonlinearity("rational_bump", grid, q)
     cert = dim1_certificate(nl, p, l=1.0, h=0.15, c3=spec.c3)
     print(f"  certified interval: {cert.lambda_interval}")
-    rows = run_sweep(
-        lambda lam: ProblemInstance(grid, p, spec, nl, lam),
-        cert.lambda_interval, args.sweep_m, vbar_scale=0.15,
-        n_starts=3, seed=args.seed)
-    write_rows(os.path.join(ARTIFACTS, "multiplicity_bounded.csv"), rows)
+    run_sweep(ProblemInstance(grid, p, spec, nl, 1.0), cert.lambda_interval,
+              args.sweep_m, vbar_scale=0.15, n_starts=3, seed=args.seed,
+              path=os.path.join(ARTIFACTS, "multiplicity_bounded.csv"))
 
     print("ridge fixture: g = 0.05 + 40 exp(-((|t|-1)/0.05)^2)")
     nl2 = builtin_nonlinearity("separable", grid, q, alpha=1.0,
@@ -104,11 +89,9 @@ def main():
     inst0 = ProblemInstance(grid, p, spec, nl2, 1.0)
     cert2 = certify(inst0, r=5.0, h=1.2)
     print(f"  certified interval: {cert2.lambda_interval}")
-    rows2 = run_sweep(
-        lambda lam: ProblemInstance(grid, p, spec, nl2, lam),
-        cert2.lambda_interval, args.sweep_m, vbar_scale=1.2,
-        n_starts=8, seed=args.seed)
-    write_rows(os.path.join(ARTIFACTS, "multiplicity_ridge.csv"), rows2)
+    rows2 = run_sweep(inst0, cert2.lambda_interval, args.sweep_m,
+                      vbar_scale=1.2, n_starts=8, seed=args.seed,
+                      path=os.path.join(ARTIFACTS, "multiplicity_ridge.csv"))
 
     best = max(r["n_solutions"] for r in rows2)
     print(f"ridge fixture best count inside the interval: {best}")

@@ -14,12 +14,11 @@ on the certificate's grid.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .energy import ProblemInstance, energy_J, load_Phi
+from .energy import ProblemInstance
 from .exponents import ExponentField, conjugate
 from .grids import Domain, Grid, GridFunction, integrate, unit_ball_volume
 from .potentials import NonlinearitySpec, PotentialSpec, d_norm_conjugate
@@ -108,9 +107,7 @@ def inradius(domain: Domain):
         return 0.5, (0.5,)
     if domain.kind == "rectangle":
         return min(domain.a, domain.b) / 2, (domain.a / 2, domain.b / 2)
-    if domain.kind == "ball_radial":
-        return domain.R, (0.0,)
-    raise ValueError(f"unsupported domain kind {domain.kind!r}")
+    return domain.R, (0.0,)  # ball_radial
 
 
 def compute_L(N: int, D: float) -> float:

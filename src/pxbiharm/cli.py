@@ -44,12 +44,8 @@ def _info(msg: str):
 
 
 def _load(args) -> cfgmod.RunConfig:
-    cfg = cfgmod.load_config(args.config)
-    if getattr(args, "grid_n", None):
-        cfg.grid_n = args.grid_n
-    if getattr(args, "seed", None) is not None:
-        cfg.solver.seed = args.seed
-    return cfg
+    return cfgmod.override(cfgmod.load_config(args.config), args.grid_n,
+                           args.seed, getattr(args, "lam", None))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +185,9 @@ def _write_solutions_csv(path: str, inst: ProblemInstance, sols):
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    lam = args.lam if args.lam is not None else cfg.lam
-    if lam is None or lam <= 0:
-        raise ConfigError("lambda must be positive (pass --lambda or config)")
-    inst = cfgmod.build_problem(cfg, lam=lam, verify=True)
+    if cfg.lam is None:
+        raise ConfigError("solve needs lambda (pass --lambda or config)")
+    inst = cfgmod.build_problem(cfg, verify=True)
     s = cfg.solver
     vb = float(cfg.certificate.get("h", 1.0))
     sols = sol.deflate_and_search(
@@ -200,7 +195,7 @@ def cmd_solve(args) -> int:
         vbar_scale=vb, max_iter=s.max_iter)
     _write_solutions_csv(cfg.output.solutions_csv, inst, sols)
     payload = {
-        "lambda": lam,
+        "lambda": inst.lam,
         "n_solutions": len(sols.points),
         "energies": [p.energy for p in sols.points],
         "residual_norms": [p.residual_norm for p in sols.points],
@@ -209,6 +204,17 @@ def cmd_solve(args) -> int:
     }
     _emit(payload, args.out)
     return EXIT_OK if sols.points else EXIT_INFEASIBLE
+
+
+def write_sweep_csv(path: str, rows):
+    """The sweep table of lambda_sweep's rows: lambda, the solution count
+    and the energies joined by ';'."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh, lineterminator="\n")
+        wr.writerow(["lambda", "n_solutions", "energies"])
+        for row in rows:
+            wr.writerow([repr(row["lambda"]), row["n_solutions"],
+                         ";".join(repr(e) for e in row["energies"])])
 
 
 def cmd_sweep(args) -> int:
@@ -224,12 +230,7 @@ def cmd_sweep(args) -> int:
         inst, certificate.lambda_interval, s.sweep_m, k_max=s.k_max,
         n_starts=s.n_starts, seed=s.seed, tol=s.tol,
         vbar_scale=float(cfg.certificate.get("h", 1.0)), max_iter=s.max_iter)
-    with open(cfg.output.sweep_csv, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["lambda", "n_solutions", "energies"])
-        for row in rows:
-            wr.writerow([repr(row["lambda"]), row["n_solutions"],
-                         ";".join(repr(e) for e in row["energies"])])
+    write_sweep_csv(cfg.output.sweep_csv, rows)
     payload = {
         "lambda_interval": list(certificate.lambda_interval),
         "rows": rows,

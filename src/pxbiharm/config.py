@@ -13,8 +13,8 @@ from . import exponents as ex
 from . import potentials as pot
 from .grids import Domain, Grid, build_grid
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "build_problem",
-           "tabulated_g", "field_on_grid"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "override",
+           "build_problem", "tabulated_g", "field_on_grid"]
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +118,7 @@ _BLOCKS = {
                 "seed": _integer(0), "sweep_m": _integer(2)}, set()),
     "output": ({"solutions_csv": _text, "sweep_csv": _text}, set()),
 }
+_grid_n = _integer(5)
 
 
 def _block(doc: dict, name: str) -> dict:
@@ -181,22 +182,30 @@ def load_config(path_or_dict) -> RunConfig:
     blocks = {name: _block(doc, name) for name in _BLOCKS}
     if blocks["certificate"].get("dim1") and "h" not in blocks["certificate"]:
         raise ConfigError("the dim1 certificate needs certificate.h")
-    grid_n = _integer(5)(doc["grid_n"], "grid_n")
-    lam = doc.get("lambda")
-    if lam is not None:
-        lam = _positive(lam, "lambda")
 
-    return RunConfig(
+    return override(RunConfig(
         domain=blocks["domain"],
-        grid_n=grid_n,
+        grid_n=_grid_n(doc["grid_n"], "grid_n"),
         exponent=blocks["exponent"],
         potential=blocks["potential"],
         nonlinearity=blocks["nonlinearity"],
         certificate=blocks["certificate"],
         solver=SolverConfig(**blocks["solver"]),
         output=OutputConfig(**blocks["output"]),
-        lam=lam,
-    )
+    ), lam=doc.get("lambda"))
+
+
+def override(cfg: RunConfig, grid_n=None, seed=None,
+             lam=None) -> RunConfig:
+    """cfg with each value given replacing grid_n, solver.seed or lambda,
+    checked by the same rule as in a config file."""
+    if grid_n is not None:
+        cfg.grid_n = _grid_n(grid_n, "grid_n")
+    if seed is not None:
+        cfg.solver.seed = _BLOCKS["solver"][0]["seed"](seed, "solver.seed")
+    if lam is not None:
+        cfg.lam = _positive(lam, "lambda")
+    return cfg
 
 
 def build_domain(cfg: RunConfig) -> Domain:
@@ -337,7 +346,8 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
 
 def build_problem(cfg: RunConfig, lam: float | None = None,
                   verify: bool = True):
-    """Grid, exponent, potential, nonlinearity and a ProblemInstance."""
+    """Grid, exponent, potential, nonlinearity and a ProblemInstance.  With
+    verify, a config whose hypotheses do not all pass is refused."""
     from .energy import ProblemInstance
 
     domain = build_domain(cfg)
@@ -346,8 +356,10 @@ def build_problem(cfg: RunConfig, lam: float | None = None,
     spec = build_potential(cfg, p)
     nl = build_nonlinearity(cfg, grid, p)
     lam = lam if lam is not None else (cfg.lam if cfg.lam is not None else 1.0)
-    report = pot.verify_hypotheses(spec, nl) if verify else None
-    inst = ProblemInstance(grid, p, spec, nl, lam,
-                           hypothesis_report=report,
-                           allow_failed_hypotheses=not verify)
-    return inst
+    if verify:
+        status = pot.verify_hypotheses(spec, nl).status
+        failed = [f"{k} ({v})" for k, v in status.items() if v != "pass"]
+        if failed:
+            raise ConfigError(f"hypotheses do not hold: {', '.join(failed)}; "
+                              f"run the hypotheses subcommand for witnesses")
+    return ProblemInstance(grid, p, spec, nl, lam)

@@ -8,13 +8,13 @@ solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exponents import ExponentField
 from .grids import Grid, GridFunction, integrate, laplacian, nodewise
-from .potentials import HypothesisReport, NonlinearitySpec, PotentialSpec
+from .potentials import NonlinearitySpec, PotentialSpec
 
 __all__ = [
     "ProblemInstance",
@@ -33,21 +33,10 @@ class ProblemInstance:
     potential: PotentialSpec
     nonlinearity: NonlinearitySpec
     lam: float
-    hypothesis_report: HypothesisReport | None = None
-    allow_failed_hypotheses: bool = False
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
-        if (
-            self.hypothesis_report is not None
-            and not self.hypothesis_report.all_pass
-            and not self.allow_failed_hypotheses
-        ):
-            raise ValueError(
-                "hypothesis report has failures; "
-                "set allow_failed_hypotheses=True to override"
-            )
 
 
 def energy_J(inst: ProblemInstance, u: GridFunction) -> float:

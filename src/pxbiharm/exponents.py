@@ -31,7 +31,6 @@ class ExponentField:
     values: np.ndarray
     p_minus: float
     p_plus: float
-    source: str  # "constant" | "affine" | "table"
 
     @property
     def is_constant(self) -> bool:
@@ -42,35 +41,33 @@ class ExponentField:
         return self.p_minus > N / 2
 
 
-def validate_exponent(raw, grid: Grid, source: str = "table") -> ExponentField:
+def validate_exponent(raw, grid: Grid) -> ExponentField:
     """Validate nodal exponent samples: finite and > 1 everywhere."""
     vals = np.broadcast_to(np.asarray(raw, dtype=float), (grid.size,)).copy()
     if not np.all(np.isfinite(vals)):
         raise ValueError("exponent has non-finite values")
     if np.any(vals <= 1.0):
         raise ValueError("exponent not in C_+: values must exceed 1 everywhere")
-    return ExponentField(grid, vals, float(vals.min()), float(vals.max()), source)
+    return ExponentField(grid, vals, float(vals.min()), float(vals.max()))
 
 
 def constant_exponent(grid: Grid, c: float) -> ExponentField:
-    return validate_exponent(np.full(grid.size, float(c)), grid, "constant")
+    return validate_exponent(np.full(grid.size, float(c)), grid)
 
 
 def affine_exponent(grid: Grid, a: float, b: float) -> ExponentField:
     """p(x) = a + b*x1 (first coordinate; radius for ball_radial)."""
-    return validate_exponent(a + b * grid.x1, grid, "affine")
+    return validate_exponent(a + b * grid.x1, grid)
 
 
 def tabulated_exponent(grid: Grid, values) -> ExponentField:
-    return validate_exponent(values, grid, "table")
+    return validate_exponent(values, grid)
 
 
 def conjugate(p: ExponentField) -> ExponentField:
     """Nodewise conjugate p' = p/(p-1), so 1/p + 1/p' = 1."""
     vals = p.values / (p.values - 1.0)
-    return ExponentField(
-        p.grid, vals, float(vals.min()), float(vals.max()), p.source
-    )
+    return ExponentField(p.grid, vals, float(vals.min()), float(vals.max()))
 
 
 def critical_exponent(p: ExponentField, N: int) -> np.ndarray:

@@ -73,7 +73,9 @@ class Grid:
     """Uniform structured grid with quadrature weights.
 
     nodes is (M,) for 1D kinds and (M, 2) for the rectangle; values arrays
-    are flat with M entries (rectangle row-major, shape (n, n)).
+    are flat with M entries (rectangle row-major, shape (n, n)).  The
+    boundary is the set of rows where Delta u = 0 is imposed (Navier), the
+    empty rows of the Laplacian.
     """
 
     domain: Domain
@@ -82,24 +84,16 @@ class Grid:
     weights: np.ndarray
     spacing: tuple
     shape: tuple
-    _lap: sp.csr_matrix = field(repr=False, compare=False, default=None)
-    _lap_t: sp.csc_matrix = field(repr=False, compare=False, default=None)
+    _lap: sp.csr_matrix = field(repr=False, compare=False)
 
     def __post_init__(self):
         # both masks are built once, read-only, so no caller can change them
-        mask = np.zeros(self.size, dtype=bool)
-        if self.domain.kind == "interval":
-            mask[0] = mask[-1] = True
-        elif self.domain.kind == "rectangle":
-            m = mask.reshape(self.shape)
-            m[0, :] = m[-1, :] = True
-            m[:, 0] = m[:, -1] = True
-        else:  # ball_radial: only r = R is boundary, r = 0 is the center
-            mask[-1] = True
+        mask = np.diff(self._lap.indptr) == 0
         interior = ~mask
         mask.flags.writeable = interior.flags.writeable = False
         object.__setattr__(self, "_boundary", mask)
         object.__setattr__(self, "_interior", interior)
+        object.__setattr__(self, "_lap_t", self._lap.T)
 
     @property
     def size(self) -> int:
@@ -133,32 +127,35 @@ class Grid:
         return np.abs(self.nodes - np.asarray(x0).reshape(-1)[0])
 
 
+def _stencil(size: int, rows: np.ndarray, offsets, coefs) -> sp.csr_matrix:
+    """The size x size CSR matrix holding coefs[k, j] in row rows[k] (rows
+    ascending), column rows[k] + offsets[j] (offsets ascending); coefs may
+    be one row shared by all rows.  Zero coefficients are not stored, and
+    every row not in rows is empty."""
+    coefs = np.broadcast_to(coefs, (rows.size, len(offsets)))
+    keep = coefs != 0.0
+    cols = rows[:, None] + np.asarray(offsets)
+    counts = np.zeros(size + 1, dtype=np.int32)
+    counts[rows + 1] = keep.sum(axis=1)
+    indptr = np.cumsum(counts, dtype=np.int32)
+    return sp.csr_matrix((coefs[keep], cols[keep].astype(np.int32), indptr),
+                         shape=(size, size))
+
+
+def _trapezoid(x: np.ndarray) -> np.ndarray:
+    """Composite trapezoid weights on the uniform nodes x."""
+    h = x[1] - x[0]
+    w = np.full(x.size, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
 def _interval_grid(domain: Domain, n: int) -> Grid:
     x = np.linspace(0.0, 1.0, n)
     h = x[1] - x[0]
-    w = np.full(n, h)
-    w[0] = w[-1] = h / 2  # composite trapezoid
-    lap = _interval_laplacian(n, h)
-    return Grid(domain, n, x, w, (h,), (n,), lap, lap.T)
-
-
-def _interval_laplacian(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, -2.0 / h**2)
-    off = np.full(n - 1, 1.0 / h**2)
-    L = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    return _zero_rows(L, [0, n - 1])  # Navier: Delta u = 0 on the boundary
-
-
-def _zero_rows(L: sp.csr_matrix, rows) -> sp.csr_matrix:
-    """L with the given rows emptied: a diagonal 0/1 mask multiplies the
-    stored values, and the zeros it leaves are dropped."""
-    L = L.tocsr()
-    L.sort_indices()
-    keep = np.ones(L.shape[0])
-    keep[rows] = 0.0
-    L.data *= np.repeat(keep, np.diff(L.indptr))
-    L.eliminate_zeros()
-    return L
+    L = _stencil(n, np.arange(1, n - 1), (-1, 0, 1),
+                 np.array([1.0, -2.0, 1.0]) / h**2)
+    return Grid(domain, n, x, _trapezoid(x), (h,), (n,), L)
 
 
 def _rectangle_grid(domain: Domain, n: int) -> Grid:
@@ -167,23 +164,12 @@ def _rectangle_grid(domain: Domain, n: int) -> Grid:
     hx, hy = x[1] - x[0], y[1] - y[0]
     X, Y = np.meshgrid(x, y, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    wx = np.full(n, hx)
-    wx[0] = wx[-1] = hx / 2
-    wy = np.full(n, hy)
-    wy[0] = wy[-1] = hy / 2
-    weights = np.outer(wx, wy).ravel()
-
-    Lx = sp.diags(
-        [np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1]
-    ) / hx**2
-    Ly = sp.diags(
-        [np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1]
-    ) / hy**2
-    L = sp.kron(Lx, sp.identity(n)) + sp.kron(sp.identity(n), Ly)
-    bmask = np.zeros((n, n), dtype=bool)
-    bmask[0, :] = bmask[-1, :] = bmask[:, 0] = bmask[:, -1] = True
-    L = _zero_rows(L, bmask.ravel())
-    return Grid(domain, n, nodes, weights, (hx, hy), (n, n), L, L.T)
+    weights = np.outer(_trapezoid(x), _trapezoid(y)).ravel()
+    cx, cy = 1.0 / hx**2, 1.0 / hy**2
+    rows = np.arange(n * n).reshape(n, n)[1:-1, 1:-1].ravel()
+    L = _stencil(n * n, rows, (-n, -1, 0, 1, n),
+                 np.array([cx, cy, -2.0 * (cx + cy), cy, cx]))
+    return Grid(domain, n, nodes, weights, (hx, hy), (n, n), L)
 
 
 def _ball_radial_grid(domain: Domain, n: int) -> Grid:
@@ -200,17 +186,14 @@ def _ball_radial_grid(domain: Domain, n: int) -> Grid:
     faces = np.concatenate([[0.0], r[:-1] + h / 2, [R]])
     vol = wN * (faces[1:] ** N - faces[:-1] ** N)
 
-    # surface areas at interior cell faces, wN * N * r_{i+1/2}^{N-1}
-    area = wN * N * faces[1:-1] ** (N - 1)
-    cell = h * vol
-    lower = np.append(area[:-1] / cell[1:-1], 0.0)       # row i, column i-1
-    main = np.concatenate([[-area[0] / cell[0]],
-                           -(area[:-1] + area[1:]) / cell[1:-1], [0.0]])
-    upper = np.append(area[0] / cell[0], area[1:] / cell[1:-1])
-    # center cell: zero inner flux (symmetry); Navier at r = R (last row)
-    L = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    L = _zero_rows(L, [n - 1])
-    return Grid(domain, n, r, vol, (h,), (n,), L, L.T)
+    # surface areas of cell i's inner and outer faces, wN * N * r^{N-1};
+    # the center cell has no inner flux (symmetry)
+    outer = wN * N * faces[1:-1] ** (N - 1)
+    inner = np.append(0.0, outer[:-1])
+    coefs = np.column_stack([inner, -(inner + outer), outer]) \
+        / (h * vol[:-1, None])
+    L = _stencil(n, np.arange(n - 1), (-1, 0, 1), coefs)
+    return Grid(domain, n, r, vol, (h,), (n,), L)
 
 
 def build_grid(domain: Domain, n: int) -> Grid:
@@ -244,14 +227,6 @@ class GridFunction:
             if np.any(np.abs(self.values[b]) > 1e-12 * scale):
                 raise ValueError("Navier bc requires zero boundary values")
             self.values[b] = 0.0  # snap roundoff-level boundary values
-
-    @classmethod
-    def from_callable(cls, grid: Grid, f, bc: str = "none") -> "GridFunction":
-        if grid.domain.kind == "rectangle":
-            vals = f(grid.nodes[:, 0], grid.nodes[:, 1])
-        else:
-            vals = f(grid.nodes)
-        return cls(grid, np.broadcast_to(vals, (grid.size,)).copy(), bc)
 
     @classmethod
     def zeros(cls, grid: Grid, bc: str = "navier") -> "GridFunction":

@@ -53,10 +53,6 @@ class PotentialSpec:
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
 
-    @property
-    def theta_0(self) -> float:
-        return float(self.theta.min())
-
     def a(self, t) -> np.ndarray:
         """a(x, t) at every node; t is a scalar or has the nodes on its
         leading axis."""

@@ -383,7 +383,6 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
                        n_starts: int = 12, seed: int = 0,
                        tol: float = DEFAULT_TOL,
                        vbar_scale: float = 1.0,
-                       dist_threshold: float = DISTINCTNESS,
                        max_iter: int = DEFAULT_MAX_ITER) -> SolutionSet:
     """Deflated Newton from deterministic starts: each step is deflated
     away from the solutions found so far (shifted power deflation in the
@@ -399,7 +398,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     hessian = _Hessian(inst)
     found = SolutionSet()
 
-    amp = max(vbar_scale, 10 * dist_threshold)
+    amp = max(vbar_scale, 10 * DISTINCTNESS)
     starts = _structured_starts(inst, vbar_scale)
     starts += [_fourier_start(inst, rng, amp) for _ in range(n_starts)]
 
@@ -419,8 +418,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
 
         def done(b, z):
             pt = _critical_point(inst, z, tol, starts_used=first + b + 1)
-            ok = pt.converged and found.is_distinct(pt.u.values,
-                                                    dist_threshold)
+            ok = pt.converged and found.is_distinct(pt.u.values, DISTINCTNESS)
             tried[b] = pt, ok
             return ok            # the later starts must run again
 

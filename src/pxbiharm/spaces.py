@@ -35,13 +35,11 @@ _STEP_TOL = 1e-12
 @dataclass(frozen=True)
 class NormResult:
     """A Luxemburg norm: `value` is an upper end whose modular was evaluated
-    and is <= 1, `bracket` is (last Newton iterate, value), and
-    `iterations` counts the Newton steps.  For a batch of rows `value` and
-    the bracket ends are arrays and `iterations` is summed over the rows."""
+    and is <= 1, and `iterations` counts the Newton steps.  For a batch of
+    rows `value` is an array and `iterations` is summed over the rows."""
 
     value: float | np.ndarray
     iterations: int
-    bracket: tuple
 
     def __float__(self):
         return float(self.value)
@@ -129,9 +127,7 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
         raise RuntimeError("Luxemburg Newton iteration did not converge")
 
     value = np.zeros(len(batch))
-    lower = np.zeros(len(batch))
     value[live] = amax[live] * np.exp(np.minimum(hi, lo + f_lo / lo_p))
-    lower[live] = amax[live] * np.exp(lo)
     widen = 4.0 * np.finfo(float).eps
     bad = np.flatnonzero(live)
     for _ in range(60):
@@ -144,9 +140,8 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
     else:
         raise RuntimeError("Luxemburg upper end could not be certified")
     if vals.ndim == 1:
-        return NormResult(float(value[0]), int(steps.sum()),
-                          (float(lower[0]), float(value[0])))
-    return NormResult(value, int(steps.sum()), (lower, value))
+        return NormResult(float(value[0]), int(steps.sum()))
+    return NormResult(value, int(steps.sum()))
 
 
 def luxemburg_norm(u: GridFunction, p: ExponentField) -> NormResult:

@@ -6,7 +6,6 @@ multiplicity experiment and writes its sweep table to
 artifacts/multiplicity_sweep.csv before asserting the pass bar.
 """
 
-import csv
 import json
 import os
 import sys
@@ -26,7 +25,7 @@ from pxbiharm.energy import ProblemInstance, gradient_check, energy_J
 from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
-from pxbiharm.solver import deflate_and_search, minimize
+from pxbiharm.solver import lambda_sweep, minimize
 from pxbiharm.spaces import (
     check_holder,
     laplacian_modular,
@@ -212,30 +211,22 @@ def test_criterion_08_end_to_end_multiplicity(report):
     t0 = time.perf_counter()
     grid = build_grid(Domain("interval"), 201)
     h = 1.2
-    cert = certify(spike_instance(grid), r=5.0, h=h)
+    inst = spike_instance(grid)
+    cert = certify(inst, r=5.0, h=h)
     assert cert.feasible, "certificate interval must be nonempty"
     lo, hi = cert.lambda_interval
 
-    rows = []
-    for lam in np.geomspace(lo, hi, 7):
-        inst = spike_instance(grid, lam=float(lam))
-        sols = deflate_and_search(inst, k_max=4, n_starts=3, seed=0,
-                                  vbar_scale=h)
-        rows.append((float(lam), len(sols.points),
-                     [pt.energy for pt in sols.points]))
-
+    rows = lambda_sweep(inst, cert.lambda_interval, 7, k_max=4, n_starts=3,
+                        seed=0, vbar_scale=h, straddle=False)
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    path = os.path.join(ARTIFACT_DIR, "multiplicity_sweep.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["lambda", "n_solutions", "energies"])
-        for lam, n, es in rows:
-            wr.writerow([repr(lam), n, ";".join(repr(e) for e in es)])
-    for lam, n, _ in rows:
-        print(f"    lambda={lam:.6f}  solutions={n}", file=sys.__stderr__)
+    cli.write_sweep_csv(os.path.join(ARTIFACT_DIR, "multiplicity_sweep.csv"),
+                        rows)
+    for row in rows:
+        print(f"    lambda={row['lambda']:.6f}  "
+              f"solutions={row['n_solutions']}", file=sys.__stderr__)
 
     elapsed = time.perf_counter() - t0
-    best = max(n for _, n, _ in rows)
+    best = max(row["n_solutions"] for row in rows)
     report(8, f"multiplicity sweep over ({lo:.4f}, {hi:.4f}), best count "
               f"{best}, table at artifacts/multiplicity_sweep.csv, "
               f"{elapsed:.0f}s", best >= 3 and elapsed < 120.0)

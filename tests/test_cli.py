@@ -168,6 +168,22 @@ def test_solve_requires_lambda(tmp_path):
     assert main(["solve", "--config", cfg]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid-n", "0"], ["--grid-n", "3"], ["--seed", "-1"],
+    ["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "-1"],
+])
+def test_bad_flag_values_are_bad_input(tmp_path, monkeypatch, capsys, flags):
+    """--grid-n, --seed and --lambda are checked by the rules of grid_n,
+    solver.seed and lambda before any problem is built."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, base_doc())
+    lam = [] if "--lambda" in flags else ["--lambda", "1"]
+    assert main(["solve", "--config", cfg, *lam, *flags]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert not (tmp_path / "solutions.csv").exists()
+
+
 def test_sweep_deterministic_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = bump_table_doc()

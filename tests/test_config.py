@@ -3,6 +3,7 @@
 import pytest
 
 from pxbiharm.config import ConfigError, build_problem, load_config
+from pxbiharm.potentials import verify_hypotheses
 
 
 def base_doc(**overrides):
@@ -22,7 +23,7 @@ def test_minimal_config_builds():
     inst = build_problem(load_config(base_doc()), lam=1.0)
     assert inst.grid.n == 33
     assert inst.p.p_minus == 2.0
-    assert inst.hypothesis_report.all_pass
+    assert verify_hypotheses(inst.potential, inst.nonlinearity).all_pass
 
 
 def test_unknown_top_level_key_rejected():

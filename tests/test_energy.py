@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pxbiharm.config import ConfigError, build_problem, load_config
 from pxbiharm.energy import (
     ProblemInstance,
     energy_J,
@@ -16,7 +17,6 @@ from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.potentials import (
     builtin_nonlinearity,
     make_power_family,
-    verify_hypotheses,
 )
 from pxbiharm.spaces import laplacian_norm
 
@@ -67,19 +67,21 @@ def test_lambda_must_be_positive(interval_grid):
         make_instance(interval_grid, lam=-1.0)
 
 
-def test_failed_hypotheses_block_instance(interval_grid):
-    p = constant_exponent(interval_grid, 2.0)
-    spec = make_power_family(1.0, p)
-    report = verify_hypotheses(spec, None)  # H5 unverifiable
-    q = constant_exponent(interval_grid, 1.5)
-    nl = builtin_nonlinearity("const:1", interval_grid, q)
-    with pytest.raises(ValueError):
-        ProblemInstance(interval_grid, p, spec, nl, 1.0,
-                        hypothesis_report=report)
-    inst = ProblemInstance(interval_grid, p, spec, nl, 1.0,
-                           hypothesis_report=report,
-                           allow_failed_hypotheses=True)
-    assert inst.lam == 1.0
+def test_failed_hypotheses_block_instance():
+    """build_problem refuses a config whose hypotheses fail (theta = 0.5
+    breaks H4) and names them; without verify it builds the instance."""
+    cfg = load_config({
+        "schema": 1,
+        "domain": {"kind": "interval"},
+        "grid_n": 33,
+        "exponent": {"kind": "constant", "value": 2.0},
+        "potential": {"family": "power", "theta": 0.5},
+        "nonlinearity": {"kind": "builtin:const:1", "q": 1.5},
+    })
+    with pytest.raises(ConfigError, match=r"H4 \(fail\).*hypotheses "
+                                          r"subcommand"):
+        build_problem(cfg, lam=1.0)
+    assert build_problem(cfg, lam=1.0, verify=False).lam == 1.0
 
 
 def test_residual_zero_on_boundary(interval_grid):

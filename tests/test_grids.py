@@ -184,3 +184,89 @@ def test_masks_are_built_once_and_read_only(domain, n, n_boundary):
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0] = not mask[0]
+
+
+def _zero_rows(L, rows):
+    """L with the given rows emptied: a diagonal 0/1 mask multiplies the
+    stored values, and the zeros it leaves are dropped."""
+    L = L.tocsr()
+    L.sort_indices()
+    keep = np.ones(L.shape[0])
+    keep[rows] = 0.0
+    L.data *= np.repeat(keep, np.diff(L.indptr))
+    L.eliminate_zeros()
+    return L
+
+
+def assembled_grid(domain, n):
+    """(L, weights, nodes) as the grids were built by whole-matrix
+    assembly: sp.diags or sp.kron of the full operator, then the boundary
+    rows, chosen per kind, emptied by _zero_rows."""
+    if domain.kind == "interval":
+        x = np.linspace(0.0, 1.0, n)
+        h = x[1] - x[0]
+        w = np.full(n, h)
+        w[0] = w[-1] = h / 2
+        L = sp.diags([np.full(n - 1, 1.0 / h**2), np.full(n, -2.0 / h**2),
+                      np.full(n - 1, 1.0 / h**2)], [-1, 0, 1], format="csr")
+        return _zero_rows(L, [0, n - 1]), w, x
+    if domain.kind == "rectangle":
+        x = np.linspace(0.0, domain.a, n)
+        y = np.linspace(0.0, domain.b, n)
+        hx, hy = x[1] - x[0], y[1] - y[0]
+        X, Y = np.meshgrid(x, y, indexing="ij")
+        wx = np.full(n, hx)
+        wx[0] = wx[-1] = hx / 2
+        wy = np.full(n, hy)
+        wy[0] = wy[-1] = hy / 2
+        T = sp.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)],
+                     [-1, 0, 1])
+        L = (sp.kron(T / hx**2, sp.identity(n))
+             + sp.kron(sp.identity(n), T / hy**2))
+        bmask = np.zeros((n, n), dtype=bool)
+        bmask[0, :] = bmask[-1, :] = bmask[:, 0] = bmask[:, -1] = True
+        return (_zero_rows(L, bmask.ravel()), np.outer(wx, wy).ravel(),
+                np.column_stack([X.ravel(), Y.ravel()]))
+    N, R = domain.N, domain.R
+    r = np.linspace(0.0, R, n)
+    h = r[1] - r[0]
+    wN = unit_ball_volume(N)
+    faces = np.concatenate([[0.0], r[:-1] + h / 2, [R]])
+    vol = wN * (faces[1:] ** N - faces[:-1] ** N)
+    area = wN * N * faces[1:-1] ** (N - 1)
+    cell = h * vol
+    lower = np.append(area[:-1] / cell[1:-1], 0.0)
+    main = np.concatenate([[-area[0] / cell[0]],
+                           -(area[:-1] + area[1:]) / cell[1:-1], [0.0]])
+    upper = np.append(area[0] / cell[0], area[1:] / cell[1:-1])
+    L = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    return _zero_rows(L, [n - 1]), vol, r
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("domain", [
+    Domain("interval"),
+    Domain("rectangle"),
+    Domain("rectangle", a=2.0, b=0.7),
+    Domain("ball_radial", N=1, R=1.0),
+    Domain("ball_radial", N=2, R=1.0),
+    Domain("ball_radial", N=3, R=0.7),
+])
+@pytest.mark.parametrize("n", [5, 6, 17, 33])
+def test_stencil_grid_matches_whole_matrix_assembly(domain, n):
+    grid = build_grid(domain, n)
+    L, LT = grid.laplacian_matrix(), grid.laplacian_transpose()
+    ref, weights, nodes = assembled_grid(domain, n)
+    for mat, want in ((L, ref), (LT, ref.T)):
+        assert type(mat) is type(want)
+        for part in ("data", "indices", "indptr"):
+            assert _same_bytes(getattr(mat, part), getattr(want, part))
+    assert _same_bytes(grid.weights, weights)
+    assert _same_bytes(grid.nodes, nodes)
+    assert np.array_equal(grid.boundary_mask, np.diff(L.indptr) == 0)
+    interior = np.flatnonzero(grid.interior_mask)
+    assert np.all(L.diagonal()[interior] != 0.0)
