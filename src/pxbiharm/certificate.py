@@ -49,13 +49,18 @@ _CONVERGENCE_RTOL = 5e-3
 #: the bump heights `certify` scans when it is given no h
 H_GRID = np.geomspace(1e-2, 1e2, 25)
 
-#: Green's-function rows generated and screened at a time in `estimate_c0`.
-#: A block's temporaries take about 8 n^2 _GREEN_BLOCK bytes, 70 KB at
-#: n = 33: below glibc's initial 128 KB mmap threshold, so they are reused
-#: from the heap, where blocks of 32 were mapped afresh for every block
-#: (certify on a 17 x 17 rectangle: 10,250 minor faults per command, 700
-#: with 8).  Larger blocks also raise peak memory
+#: Green's-function rows generated and screened at a time in `estimate_c0`,
+#: among the rows that `_modular_bound` does not skip.  A block's
+#: temporaries take about 8 n^2 _GREEN_BLOCK bytes, 70 KB at n = 33: below
+#: glibc's initial 128 KB mmap threshold, so they are reused from the heap,
+#: where blocks of 32 were mapped afresh for every block (certify on a
+#: 17 x 17 rectangle: 10,250 minor faults per command, 700 with 8).
+#: Larger blocks also raise peak memory
 _GREEN_BLOCK = 8
+
+#: a row is skipped only when its modular bound is below 1 by this much,
+#: far more than the rounding of the bound and of the screening modular
+_SKIP_MARGIN = 1e-9
 
 
 @dataclass
@@ -263,36 +268,70 @@ def estimate_c0(grid: Grid, p: ExponentField):
       c0 = (1/p- + 1/p'-) max_i |G_i/w|_{p'(x)}, sharp for p = 2.  The
       interval certifies the discrete problem on its grid.
 
-    The rows are visited by their p = 2 value sum_j G_ij^2 / w_j, largest
-    first, in blocks of `_GREEN_BLOCK`.  A row whose modular at the best
-    norm so far is <= 1 cannot exceed it and is not solved.
+    The rows are visited by their p = 2 value L2_i = sum_j G_ij^2 / w_j,
+    largest first, in blocks of `_GREEN_BLOCK`.  A row whose modular at
+    the best norm so far is <= 1 cannot exceed it and is not solved.
+    Whenever the best norm grows, every row still to visit whose
+    `_modular_bound` at it is <= 1 - `_SKIP_MARGIN` is dropped before it
+    is generated; its modular is <= 1 too, so c0 is the same as when
+    every row is generated and screened.
     """
     if grid.domain.kind == "interval":
         return 0.25, "analytic"
     pc = conjugate(p)
-    p2_value, rows = _green_rows(grid)
-    order = np.argsort(p2_value)[::-1]
+    moments, rows = _green_rows(grid)
+    todo = np.argsort(moments[1])[::-1]
     best = 0.0
-    for start in range(0, order.size, _GREEN_BLOCK):
-        block = rows(order[start:start + _GREEN_BLOCK])
+    while todo.size:
+        block = rows(todo[:_GREEN_BLOCK])
+        todo = todo[_GREEN_BLOCK:]
         if best > 0.0:
             with np.errstate(over="ignore"):
                 block = block[_modular_values(block / best, grid, pc) > 1.0]
         if len(block):
-            best = max(best, float(np.max(
-                _luxemburg_of_values(block, grid, pc).value)))
+            norm = float(np.max(_luxemburg_of_values(block, grid, pc).value))
+            if norm > best:
+                best = norm
+                # written so that a NaN bound keeps its row
+                todo = todo[~(_modular_bound(moments[:, todo], best, pc)
+                              <= 1.0 - _SKIP_MARGIN)]
     return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best, "discrete-green"
 
 
+def _modular_bound(moments: np.ndarray, mu: float, q: ExponentField):
+    """An upper bound on the modular int |G_i/(w mu)|^{q(x)} dx of each
+    row from its moments (L1, L2, M) of `_green_rows`.
+
+    With v = G_i/(w mu), |v|^q <= max(1, M/mu)^{q+ - q-} |v|^{q-}, and
+    int |v|^{q-} is at most (L1/mu)^{2 - q-} (L2/mu^2)^{q- - 1} for
+    q- <= 2 (Lyapunov's inequality between the exponents 1 and 2) and
+    (M/mu)^{q- - 2} L2/mu^2 for q- > 2.  At constant q = 2 it is exact.
+    """
+    l1, l2, top = moments[0] / mu, moments[1] / mu**2, moments[2] / mu
+    lo, hi = q.p_minus, q.p_plus
+    with np.errstate(over="ignore"):
+        if lo <= 2.0:
+            body = l1 ** (2.0 - lo) * l2 ** (lo - 1.0)
+        else:
+            body = top ** (lo - 2.0) * l2
+        return np.maximum(1.0, top) ** (hi - lo) * body
+
+
 def _green_rows(grid: Grid):
-    """(p2_value, rows) for the interior rows G_i / w of the inverse
-    Laplacian: p2_value[i] = sum_j G_ij^2 / w_j in closed form, and
-    rows(idx) the rows idx as full-grid arrays, zero on the boundary.
+    """(moments, rows) for the interior rows G_i / w of the inverse
+    Laplacian.  moments is (L1, L2, M) stacked, three closed-form values
+    per interior row: L1_i = sum_j |G_ij|, L2_i = sum_j G_ij^2 / w_j and
+    M_i = max_j |G_ij| / w_j.  rows(idx) returns the rows idx as
+    full-grid arrays, zero on the boundary.
 
     On a rectangle the 5-point Laplacian is diagonal in the orthonormal
     sine basis S (one matrix for both axes, as both have n nodes), with
     eigenvalues lam = lx + ly of -L, so G_i = S (S[i1] (x) S[i2] / lam) S.
-    On the radial ball G is the dense inverse of the 1D interior block.
+    G is entrywise positive (the inverse of an M-matrix), so
+    L1 = S ((S1 (x) S1) / lam) S, and by the discrete maximum principle
+    the row maximum is the diagonal, M = (S^2 (1/lam) S^2) / w with the
+    constant interior weight w.  On the radial ball G is the dense
+    inverse of the 1D interior block, and the moments are read from it.
     """
     n = grid.n
     interior = grid.interior_mask
@@ -305,7 +344,12 @@ def _green_rows(grid: Grid):
         hx, hy = grid.spacing
         lam = 4 * half[:, None] / hx**2 + 4 * half[None, :] / hy**2
         S2 = S**2
-        p2_value = (S2 @ (1.0 / lam**2) @ S2).ravel() / w_in
+        s1 = S.sum(axis=1)
+        moments = np.stack([
+            (S @ (np.outer(s1, s1) / lam) @ S).ravel(),
+            (S2 @ (1.0 / lam**2) @ S2).ravel() / w_in,
+            (S2 @ (1.0 / lam) @ S2).ravel() / w_in,
+        ])
 
         def rows(idx):
             i1, i2 = np.divmod(idx, m)
@@ -316,13 +360,15 @@ def _green_rows(grid: Grid):
     else:
         G = np.linalg.inv(
             grid.laplacian_matrix()[interior][:, interior].toarray())
-        p2_value = (G**2) @ (1.0 / w_in)
+        absG = np.abs(G)
+        moments = np.stack([absG.sum(axis=1), (G**2) @ (1.0 / w_in),
+                            (absG / w_in).max(axis=1)])
 
         def rows(idx):
             out = np.zeros((len(idx), n))
             out[:, interior] = G[idx] / w_in
             return out
-    return p2_value, rows
+    return moments, rows
 
 
 def _grid_constants(inst: ProblemInstance, r: float) -> dict:

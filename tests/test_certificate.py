@@ -8,7 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pxbiharm import certificate
 from pxbiharm.certificate import (
+    _GREEN_BLOCK,
+    _green_rows,
+    _modular_bound,
     alpha_r,
     ball_volume_coeff,
     beta_h,
@@ -34,7 +38,12 @@ from pxbiharm.exponents import (
 )
 from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
-from pxbiharm.spaces import _luxemburg_of_values, laplacian_norm, sup_norm
+from pxbiharm.spaces import (
+    _luxemburg_of_values,
+    _modular_values,
+    laplacian_norm,
+    sup_norm,
+)
 
 from conftest import make_instance, spike_G, spike_g, spike_instance
 
@@ -403,6 +412,121 @@ def test_no_navier_field_beats_c0(p, lap):
     u = GridFunction(SQUARE_9, vals, bc="navier")
     c0, _ = estimate_c0(SQUARE_9, p)
     assert sup_norm(u) <= c0 * laplacian_norm(u, p).value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("domain, n", GREEN_GRIDS)
+def test_green_moments_match_the_dense_inverse(domain, n):
+    grid = build_grid(domain, n)
+    (L1, L2, M), _ = _green_rows(grid)
+    G, rows = dense_green_rows(grid)
+    np.testing.assert_allclose(L1, np.abs(G).sum(axis=1), rtol=1e-12)
+    np.testing.assert_allclose(L2, rows**2 @ grid.weights, rtol=1e-12)
+    np.testing.assert_allclose(M, np.abs(rows).max(axis=1), rtol=1e-12)
+    if domain.kind == "rectangle":
+        # -G inverts -L, an M-matrix, and is largest on its diagonal
+        assert (-G).min() >= -1e-14 * (-G).max()
+        assert np.array_equal(np.argmax(-G, axis=1), np.arange(len(G)))
+
+
+BALL_17 = build_grid(Domain("ball_radial", N=2, R=1.0), 17)
+
+
+@st.composite
+def exponents_on(draw, grid):
+    """An affine or a tabulated exponent with p in [1.2, 4] on grid, so
+    that p'- < 2 < p'+ is drawn as well as either side of 2."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(1.2, 4.0))
+        hi = draw(st.floats(1.2, 4.0))
+        x1 = grid.x1
+        slope = (hi - lo) / (x1.max() - x1.min())
+        return affine_exponent(grid, lo - slope * x1.min(), slope)
+    return tabulated_exponent(grid, draw(arrays(
+        np.float64, grid.size, elements=st.floats(1.2, 4.0))))
+
+
+@given(data=st.data(), use_ball=st.booleans(),
+       log_s=st.floats(-2.5, 0.5))
+@settings(max_examples=80, deadline=None)
+def test_modular_bound_exceeds_every_row_modular(data, use_ball, log_s):
+    grid = BALL_17 if use_ball else SQUARE_9
+    p = data.draw(exponents_on(grid))
+    pc = conjugate(p)
+    s = 10.0**log_s
+    moments, _ = _green_rows(grid)
+    _, rows = dense_green_rows(grid)
+    exact = _modular_values(rows / s, grid, pc)
+    assert np.all(_modular_bound(moments, s, pc) >= exact * (1 - 1e-12))
+
+
+def screened_c0(grid, p):
+    """c0 with every Green's row generated, in p = 2 order, and screened at
+    the running best norm: `estimate_c0` before rows were skipped."""
+    pc = conjugate(p)
+    moments, rows = _green_rows(grid)
+    order = np.argsort(moments[1])[::-1]
+    best = 0.0
+    for start in range(0, order.size, _GREEN_BLOCK):
+        block = rows(order[start:start + _GREEN_BLOCK])
+        if best > 0.0:
+            with np.errstate(over="ignore"):
+                block = block[_modular_values(block / best, grid, pc) > 1.0]
+        if len(block):
+            best = max(best, float(np.max(
+                _luxemburg_of_values(block, grid, pc).value)))
+    return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best
+
+
+def _identity_exponent(grid, kind):
+    if kind == "p2":
+        return constant_exponent(grid, 2.0)
+    if kind == "benchmark":
+        return affine_exponent(grid, 2.0, 0.5)
+    if kind == "affine":
+        return affine_exponent(grid, 1.6, 0.9)
+    if kind == "falling":
+        # on the 17-node 2 x 0.5 rectangle the row of largest norm is the
+        # first after the first block, with modular 1.01 at its best norm
+        return affine_exponent(grid, 2.0, -0.1)
+    rng = np.random.default_rng(grid.n)
+    return tabulated_exponent(grid, rng.uniform(1.6, 3.5, grid.size))
+
+
+@pytest.mark.parametrize("kind", ["p2", "benchmark", "affine", "falling",
+                                  "table"])
+@pytest.mark.parametrize("domain, n", GREEN_GRIDS
+                         + [(Domain("rectangle"), 33)])
+def test_skipping_rows_keeps_c0_bit_identical(domain, n, kind):
+    grid = build_grid(domain, n)
+    p = _identity_exponent(grid, kind)
+    assert estimate_c0(grid, p)[0] == screened_c0(grid, p)
+
+
+def _rows_generated(monkeypatch, grid, p):
+    """How many Green's rows estimate_c0 generates on grid."""
+    generated = []
+
+    def counting_green_rows(grid):
+        moments, rows = _green_rows(grid)
+
+        def counted(idx):
+            generated.append(len(idx))
+            return rows(idx)
+        return moments, counted
+
+    monkeypatch.setattr(certificate, "_green_rows", counting_green_rows)
+    estimate_c0(grid, p)
+    return sum(generated)
+
+
+def test_c0_generates_few_rows(monkeypatch):
+    # the bound is exact at p = 2, and the benchmark exponent skips most
+    # rows of the doubled 17 x 17 grid (329 of 961 generated)
+    grid = build_grid(Domain("rectangle"), 33)
+    assert _rows_generated(monkeypatch, grid,
+                           constant_exponent(grid, 2.0)) == _GREEN_BLOCK
+    assert _rows_generated(monkeypatch, grid, affine_exponent(grid, 2.0, 0.5)) \
+        <= 0.4 * (grid.n - 2) ** 2
 
 
 def test_certify_spike_is_feasible():

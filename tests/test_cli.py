@@ -415,6 +415,57 @@ def test_any_config_value_keeps_the_exit_code_contract(
     capsys.readouterr()
 
 
+# well-formed values for the keys the multi-key fuzz sets; every exponent
+# has p- >= 1.6 > q, and p- > N/2 on every drawn ball
+LOADS = st.sampled_from([RIDGE["nonlinearity"], {"kind": "builtin:const:1"},
+                         {"kind": "builtin:rational_bump"},
+                         {"kind": "builtin:exp_abs"}])
+WELL_FORMED = {
+    ("exponent",): st.fixed_dictionaries(
+        {"kind": st.just("constant"), "value": st.floats(1.6, 4.0)})
+    | st.fixed_dictionaries({"kind": st.just("affine"),
+                             "a": st.floats(1.6, 3.0),
+                             "b": st.floats(0.0, 1.0)}),
+    ("potential", "theta"): st.floats(0.5, 2.0),
+    ("nonlinearity",): st.builds(lambda load, q, alpha: dict(
+        load, q=q, alpha=alpha), LOADS, st.floats(1.05, 1.55),
+        st.floats(0.5, 2.0)),
+    ("certificate", "r"): st.floats(0.1, 100.0),
+    ("certificate", "h"): st.floats(0.1, 5.0),
+    ("lambda",): st.floats(0.1, 100.0),
+}
+DOMAINS = st.just({"kind": "interval"}) | st.fixed_dictionaries(
+    {"kind": st.just("rectangle"), "a": st.floats(0.5, 2.0),
+     "b": st.floats(0.5, 2.0)}) | st.fixed_dictionaries(
+    {"kind": st.just("ball_radial"), "N": st.integers(2, 3),
+     "R": st.floats(0.5, 2.0)})
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(domain=DOMAINS, data=st.data(),
+       keys=st.lists(st.sampled_from(sorted(WELL_FORMED)), min_size=1,
+                     max_size=3, unique=True),
+       command=st.sampled_from(["hypotheses", "certify", "solve"]))
+def test_well_formed_config_values_keep_the_exit_code_contract(
+        tmp_path, monkeypatch, capsys, domain, data, keys, command):
+    # the domain and 1-3 more keys set at once, on the ridge config
+    doc = config_with(("domain",), domain,
+                      dict(RIDGE, solver=SOLVER_BUDGET, **{"lambda": 1.0}))
+    for path in keys:
+        doc = config_with(path, data.draw(WELL_FORMED[path], str(path)), doc)
+    monkeypatch.chdir(tmp_path)           # the solutions CSV
+    cfg = write_config(tmp_path, doc)
+    code = main([command, "--config", cfg, "--grid-n", "9"])
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_INPUT)
+    out = capsys.readouterr().out
+    if command == "certify" and code != EXIT_BAD_INPUT \
+            and domain["kind"] != "interval":
+        payload = json.loads(out)
+        assert np.isfinite(payload["c0"]) and payload["c0"] > 0
+        assert payload["c0_provenance"] == "discrete-green"
+
+
 def strict_json(text):
     """json.loads that refuses NaN and Infinity, which are not JSON."""
     def refuse(name):
