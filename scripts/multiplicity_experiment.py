@@ -6,9 +6,11 @@ Runs two fixtures on the unit interval with the p = 2 power potential:
 
   * bounded: g(t) = 1/(1+t^2) + 1.  The dedicated 1D certificate prints an
     interval near lambda ~ 0.27, but that interval carries no three
-    solutions: ||K||_inf = 5/384 and Lip(g) = 3 sqrt(3)/8, so the
-    fixed-point map is a contraction for every lambda < 118 and the solver
-    finds one solution per lambda.  The sweep table documents this.
+    solutions: the solver's monotonicity modulus
+    mu = nu^2 - lambda Lip(g), with Lip(g) = 3 sqrt(3)/8 and nu^2 = 97.4 at
+    n = 101, is positive for every lambda < 149, so the discrete problem
+    has exactly one solution there.  Each row prints mu, and the search
+    stops at the first solution.
   * ridge: g(t) = 0.05 + 40 exp(-((|t|-1)/0.05)^2).  The general
     certificate is feasible near lambda ~ 23..126 and the deflated Newton
     search finds the three branches (small, mountain-pass, large) at every
@@ -56,7 +58,8 @@ def run_sweep(inst, interval, m, vbar_scale, n_starts, seed, path):
                         seed=seed, vbar_scale=vbar_scale, straddle=False)
     for r in rows:
         print(f"  lambda={r['lambda']:10.6f}  solutions={r['n_solutions']}  "
-              f"energies={['%.4g' % e for e in r['energies']]}")
+              f"energies={['%.4g' % e for e in r['energies']]}  "
+              f"mu={r['uniqueness_modulus']}")
     write_sweep_csv(path, rows)
     print(f"  wrote {path}")
     return rows

@@ -20,7 +20,8 @@ import numpy as np
 
 from .energy import ProblemInstance
 from .exponents import ExponentField, conjugate
-from .grids import Domain, Grid, GridFunction, integrate, unit_ball_volume
+from .grids import (Domain, Grid, GridFunction, integrate, sine_eigenvalues,
+                    unit_ball_volume)
 from .potentials import NonlinearitySpec, PotentialSpec, d_norm_conjugate
 from .spaces import _luxemburg_of_values, _modular_values
 
@@ -340,9 +341,7 @@ def _green_rows(grid: Grid):
         m = n - 2
         k = np.arange(1, m + 1)
         S = np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * np.outer(k, k) / (n - 1))
-        half = np.sin(np.pi * k / (2 * (n - 1))) ** 2
-        hx, hy = grid.spacing
-        lam = 4 * half[:, None] / hx**2 + 4 * half[None, :] / hy**2
+        lam = sine_eigenvalues(grid)
         S2 = S**2
         s1 = S.sum(axis=1)
         moments = np.stack([

@@ -200,6 +200,7 @@ def cmd_solve(args) -> int:
         "energies": [p.energy for p in sols.points],
         "residual_norms": [p.residual_norm for p in sols.points],
         "thresholds": [p.threshold for p in sols.points],
+        "uniqueness_modulus": sols.uniqueness_modulus,
         "solutions_csv": cfg.output.solutions_csv,
     }
     _emit(payload, args.out)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -323,9 +323,15 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
     alpha = field_on_grid(b.get("alpha", 1.0), grid, "nonlinearity.alpha")
     kind = b["kind"]
     table_keys = sorted({"g_t", "g_values"} & set(b))
+    lip = None
     try:
         if kind == "table":
             name, (g, G, zeros) = "separable", tabulated_g(b)
+            # g interpolates the table and is flat past it: sup|g'| is the
+            # steepest segment's slope
+            with np.errstate(over="ignore"):
+                lip = float(np.max(np.abs(
+                    np.diff(b["g_values"]) / np.diff(b["g_t"]))))
             if xi is None:  # sup|g| of a piecewise-linear g with flat ends
                 xi = np.max(np.abs(alpha)) * np.max(np.abs(b["g_values"]))
         elif not kind.startswith("builtin:"):
@@ -335,9 +341,10 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
                               f"to the table kind, not {kind!r}")
         else:
             name, g, G, zeros = kind.split(":", 1)[1], None, None, None
-        return pot.builtin_nonlinearity(
+        nl = pot.builtin_nonlinearity(
             name, grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)),
             alpha=alpha, g=g, G=G, zeros=zeros)
+        return nl if lip is None else replace(nl, lip=lip)
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:

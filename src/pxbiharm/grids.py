@@ -18,6 +18,8 @@ __all__ = [
     "GridFunction",
     "build_grid",
     "laplacian",
+    "laplacian_floor",
+    "sine_eigenvalues",
     "nodewise",
     "integrate",
 ]
@@ -205,6 +207,59 @@ def build_grid(domain: Domain, n: int) -> Grid:
     if domain.kind == "rectangle":
         return _rectangle_grid(domain, n)
     return _ball_radial_grid(domain, n)
+
+
+def sine_eigenvalues(grid: Grid) -> np.ndarray:
+    """The eigenvalues of -L on the interior of an interval or a rectangle
+    in closed form, (4/h^2) sin^2(k pi / (2(n-1))) for k = 1..n-2 on each
+    axis, with the sine basis as eigenvectors.  On a rectangle they are the
+    (n-2) x (n-2) array of the sums lx_k + ly_l of the two axes' values."""
+    k = np.arange(1, grid.n - 1)
+    half = np.sin(np.pi * k / (2 * (grid.n - 1))) ** 2
+    if grid.domain.kind == "interval":
+        return 4 * half / grid.spacing[0] ** 2
+    if grid.domain.kind == "rectangle":
+        hx, hy = grid.spacing
+        return 4 * half[:, None] / hx**2 + 4 * half[None, :] / hy**2
+    raise ValueError("the sine basis diagonalises L on intervals and "
+                     "rectangles only")
+
+
+#: rounding margin of `laplacian_floor`, in units of eps ||T||_inf with T
+#: the symmetric interior block W^1/2 (-L) W^-1/2
+_FLOOR_MARGIN = 64.0
+
+
+def laplacian_floor(grid: Grid) -> float:
+    """nu: a lower bound on the smallest eigenvalue of -L on the interior
+    in the W inner product, so that ||L v||_W >= nu ||v||_W for every v
+    that vanishes on the boundary.
+
+    W L is symmetric on the interior, so nu is the smallest eigenvalue of
+    T = W^1/2 (-L) W^-1/2: in closed form on the interval and the
+    rectangle (`sine_eigenvalues`, where W is constant on the interior and
+    T = -L), by bisection on the radial ball's tridiagonal T, whose
+    off-diagonal is -sqrt(L_i,i+1 L_i+1,i).  _FLOOR_MARGIN eps ||T||_inf is
+    subtracted; it covers the rounding of L's stored entries and weights
+    (by Weyl's inequality, as ||T||_2 <= ||T||_inf) and of the computed
+    eigenvalue."""
+    if grid.domain.kind == "ball_radial":
+        # imported here: loading scipy.linalg with grids, ahead of the
+        # solver, moves the allocator's heap layout, and set-up on a 13 x 13
+        # rectangle went from about 310 to 530 minor faults
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        inner = grid.laplacian_matrix()[grid.interior_mask][
+            :, grid.interior_mask]
+        diag = -inner.diagonal()
+        off = -np.sqrt(inner.diagonal(1) * inner.diagonal(-1))
+        low = eigvalsh_tridiagonal(diag, off, select="i",
+                                   select_range=(0, 0))[0]
+        norm = np.max(diag + np.append(-off, 0.0) + np.append(0.0, -off))
+    else:
+        low = np.min(sine_eigenvalues(grid))
+        norm = sum(4.0 / h**2 for h in grid.spacing)
+    return float(low - _FLOOR_MARGIN * np.finfo(float).eps * norm)
 
 
 @dataclass

@@ -40,6 +40,8 @@ class PotentialSpec:
     a_eval / A_eval take (theta_node, p_node, t) and are vectorized; the
     nodewise wrappers `a` and `A` broadcast over the grid, with the nodes
     on t's leading axis (one column per further index, as x[:, None]).
+    a_t_min holds inf_t d/dt a(x, t) per node in closed form, None where
+    it is unknown.
     """
 
     family: str
@@ -52,6 +54,7 @@ class PotentialSpec:
     d: np.ndarray
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
+    a_t_min: np.ndarray = field(repr=False, default=None)
 
     def a(self, t) -> np.ndarray:
         """a(x, t) at every node; t is a scalar or has the nodes on its
@@ -72,7 +75,8 @@ class NonlinearitySpec:
     antiderivative F(x, t) = alpha(x) G(t), and the growth data of the
     |f| <= xi(x) + zeta |t|^{q(x)-1} bound.  alpha has one value per node;
     `f` and `F` evaluate at every node, with the nodes on t's leading axis
-    (one column per further index), as PotentialSpec.a."""
+    (one column per further index), as PotentialSpec.a.  lip is
+    sup |g'|, None where it is unknown."""
 
     name: str
     alpha: np.ndarray
@@ -82,6 +86,7 @@ class NonlinearitySpec:
     zeta: float = 1.0
     q: ExponentField = None
     zeros: np.ndarray | None = None  # the t where g changes sign
+    lip: float | None = None
 
     def f(self, t) -> np.ndarray:
         t = np.asarray(t, float)
@@ -163,6 +168,8 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
         d=np.zeros(p.grid.size),
         a_eval=_power_a,
         A_eval=_power_A,
+        # d/dt a = theta (p-1) |t|^{p-2}: theta at p = 2, else its inf is 0
+        a_t_min=np.where(p.values == 2.0, theta, 0.0),
     )
     spec.c1, spec.c2, spec.c3, spec.d = growth_constants(spec, TSampler())
     return spec
@@ -172,6 +179,17 @@ def _perturbed_exponent(p, variant):
     if variant == "paper_literal":
         return p / (p - 2.0)
     return (p - 2.0) / 2.0
+
+
+def _perturbed_slope_min(e):
+    """inf over t of (1+t^2)^{e-1} (1 + (2e+1) t^2), the slope of
+    (1+t^2)^e t.  In s = t^2 its derivative has the sign of
+    e (3 + (2e+1) s): for e >= 0 the inf is 1 at s = 0; for
+    -1/2 <= e < 0 it is the limit 0; for e < -1/2 the minimum is at
+    s = -3/(2e+1), where it is -2 (2(e-1)/(2e+1))^{e-1} < 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dip = -2.0 * (2.0 * (e - 1.0) / (2.0 * e + 1.0)) ** (e - 1.0)
+    return np.where(e >= 0.0, 1.0, np.where(e < -0.5, dip, 0.0))
 
 
 def make_perturbed_family(theta, p: ExponentField,
@@ -206,6 +224,8 @@ def make_perturbed_family(theta, p: ExponentField,
         d=np.ones(p.grid.size),
         a_eval=a_eval,
         A_eval=A_eval,
+        a_t_min=theta * _perturbed_slope_min(
+            _perturbed_exponent(p.values, variant)),
     )
     spec.c1, spec.c2, spec.c3, spec.d = growth_constants(spec, TSampler())
     return spec
@@ -341,12 +361,14 @@ def _const_field(grid, v):
     return np.broadcast_to(np.asarray(v, float), (grid.size,)).copy()
 
 
-#: (g, G, sup|g|) of each built-in load with a fixed g; both have g > 0
+#: (g, G, sup|g|, sup|g'|) of each built-in load with a fixed g; both have
+#: g > 0.  |g'| = 2|t|/(1+t^2)^2 peaks at t = 1/sqrt(3), and e^{-|t|} <= 1
 _BUILTIN_G = {
     "rational_bump": (lambda t: 1.0 / (1.0 + t**2) + 1.0,
-                      lambda t: np.arctan(t) + t, 2.0),
+                      lambda t: np.arctan(t) + t, 2.0, 3.0 * np.sqrt(3.0) / 8),
     "exp_abs": (lambda t: np.exp(-np.abs(t)) + 1.0,
-                lambda t: np.sign(t) * (1.0 - np.exp(-np.abs(t))) + t, 2.0),
+                lambda t: np.sign(t) * (1.0 - np.exp(-np.abs(t))) + t, 2.0,
+                1.0),
 }
 
 
@@ -360,15 +382,17 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
     "exp_abs" (e^{-|t|} + 1), "separable" (the given g, G, and the t
     where g changes sign as `zeros`, which `F_range` reads).  alpha is a
     number or one value per node and defaults to 1; xi defaults to
-    max|alpha| sup|g| for a fixed g and to None (H5 unverifiable).
+    max|alpha| sup|g| for a fixed g and to None (H5 unverifiable).  A fixed
+    g carries its Lipschitz constant `lip`; a separable load declares it
+    with dataclasses.replace, or leaves it unknown.
     """
-    sup_g = None
+    sup_g = lip = None
     if name.startswith("const:"):
         c = float(name.split(":", 1)[1])
         g, G = lambda t: np.full(np.shape(t), c), lambda t: c * t
-        sup_g = abs(c)
+        sup_g, lip = abs(c), 0.0
     elif name in _BUILTIN_G:
-        g, G, sup_g = _BUILTIN_G[name]
+        g, G, sup_g, lip = _BUILTIN_G[name]
     elif name != "separable":
         raise ValueError(f"unknown builtin nonlinearity {name!r}")
     if g is None or G is None:
@@ -381,4 +405,4 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
     return NonlinearitySpec(
         name=name, alpha=alpha, g=g, G=G,
         xi=None if xi is None else _const_field(grid, xi), zeta=zeta, q=q,
-        zeros=None if zeros is None else np.asarray(zeros, float))
+        zeros=None if zeros is None else np.asarray(zeros, float), lip=lip)

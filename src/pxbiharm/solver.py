@@ -5,7 +5,9 @@ Both run one Newton core: the energy Hessian is assembled in LAPACK band
 storage and solved by banded LU with partial pivoting (dgbsv).  The
 deflated search advances all its pending starts as one batch, one column
 each of a nodes x starts array, and commits their results in start order,
-so it returns what running them one at a time returns.  Accepted points
+so it returns what running them one at a time returns.  Where a closed-form
+monotonicity modulus proves the critical point unique, the search stops at
+the descent's point.  Accepted points
 must pass a clean (undeflated) residual check against the solver
 tolerance, raised only where the rounding floor of the residual lies above
 it; deflation only steers the iteration away from already-found solutions.
@@ -19,13 +21,14 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .energy import ProblemInstance, residual_vector, total_energy
-from .grids import GridFunction
+from .grids import GridFunction, laplacian_floor
 
 __all__ = [
     "CriticalPoint",
     "SolutionSet",
     "acceptance_threshold",
     "minimize",
+    "uniqueness_modulus",
     "deflate_and_search",
     "lambda_sweep",
 ]
@@ -55,6 +58,7 @@ class CriticalPoint:
 @dataclass
 class SolutionSet:
     points: list = field(default_factory=list)
+    uniqueness_modulus: float | None = None
 
     @property
     def pairwise_dist(self) -> np.ndarray:
@@ -332,6 +336,29 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     return _critical_point(inst, z, tol)
 
 
+def uniqueness_modulus(inst: ProblemInstance) -> float | None:
+    """mu = min_i a_t_min,i nu^2 - lambda max_i |alpha_i| Lip(g), the
+    monotonicity modulus of the discrete problem; None where a_t_min or
+    Lip(g) is unknown or mu is not finite.
+
+    For z, y that vanish on the boundary and v = z - y, the mean value
+    theorem and ||L v||_W >= nu ||v||_W (`grids.laplacian_floor`) give
+    (grad E(z) - grad E(y)).v
+      = sum_r w_r (a(Lz) - a(Ly))_r (Lv)_r - lambda sum_r w_r f_r v_r
+      >= min a_t_min ||Lv||_W^2 - lambda max|alpha| Lip(g) ||v||_W^2
+      >= mu ||v||_W^2,
+    with f_r = alpha_r (g(z_r) - g(y_r)).  With mu > 0 the gradient is
+    strongly monotone, so the discrete energy has exactly one critical
+    point (in exact arithmetic)."""
+    a_min, lip = inst.potential.a_t_min, inst.nonlinearity.lip
+    if a_min is None or lip is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.min(a_min) * laplacian_floor(inst.grid) ** 2
+                   - inst.lam * np.max(np.abs(inst.nonlinearity.alpha)) * lip)
+    return mu if np.isfinite(mu) else None
+
+
 def _fourier_start(inst, rng, amplitude: float, n_modes: int = 5):
     """Fixed-seed smooth random start satisfying the Navier conditions."""
     grid = inst.grid
@@ -392,15 +419,12 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     are committed in start order: the starts after the first accepted one
     run again, deflated against the larger set, so the result is that of
     running the starts one at a time.  max_iter caps the descent from the
-    near-zero start."""
-    rng = np.random.default_rng(seed)
+    near-zero start.  When the descent's point is accepted and
+    `uniqueness_modulus` is positive, it is the only critical point and
+    the search ends there."""
     interior = inst.grid.interior_mask
-    hessian = _Hessian(inst)
-    found = SolutionSet()
-
-    amp = max(vbar_scale, 10 * DISTINCTNESS)
+    found = SolutionSet(uniqueness_modulus=uniqueness_modulus(inst))
     starts = _structured_starts(inst, vbar_scale)
-    starts += [_fourier_start(inst, rng, amp) for _ in range(n_starts)]
 
     # the descent from the near-zero start first.  It ends at a local
     # minimiser, not necessarily the global one: on the ridge load at
@@ -409,7 +433,14 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     base = minimize(inst, starts[0], tol=tol, max_iter=max_iter)
     if base.converged:
         found.points.append(base)
+        mu = found.uniqueness_modulus
+        if mu is not None and mu > 0.0:
+            return found
 
+    rng = np.random.default_rng(seed)
+    amp = max(vbar_scale, 10 * DISTINCTNESS)
+    starts += [_fourier_start(inst, rng, amp) for _ in range(n_starts)]
+    hessian = _Hessian(inst)
     Z = np.column_stack([s.values[interior] for s in starts])
     first = 0                    # the first start not yet committed
     while first < len(starts) and len(found.points) < k_max:
@@ -457,5 +488,6 @@ def lambda_sweep(inst: ProblemInstance, interval, m: int,
             "n_solutions": len(sols.points),
             "energies": [p.energy for p in sols.points],
             "residuals": [p.residual_norm for p in sols.points],
+            "uniqueness_modulus": sols.uniqueness_modulus,
         })
     return rows

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -55,13 +57,19 @@ def spike_G(t, eps=0.05, M=40.0, sigma=0.05):
         erf((a - 1.0) / sigma) + erf(1.0 / sigma)))
 
 
+def spike_lip(M=40.0, sigma=0.05):
+    """sup |spike_g'| = (2M/sigma) max_s s e^{-s^2} = 2M / (sigma sqrt(2e)),
+    at |t| = 1 +- sigma/sqrt(2)."""
+    return 2.0 * M / (sigma * np.sqrt(2.0 * np.e))
+
+
 def spike_instance(grid, lam=1.0):
     p = constant_exponent(grid, 2.0)
     spec = make_power_family(1.0, p)
     q = constant_exponent(grid, 1.5)
     nl = builtin_nonlinearity("separable", grid, q, alpha=1.0,
                               g=spike_g, G=spike_G, zeros=())
-    return ProblemInstance(grid, p, spec, nl, lam)
+    return ProblemInstance(grid, p, spec, replace(nl, lip=spike_lip()), lam)
 
 
 def dense_hessian(inst, values):

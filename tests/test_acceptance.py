@@ -204,9 +204,9 @@ def test_criterion_08_end_to_end_multiplicity(report):
     log-spaced lambda inside it with the deflated solver, writes the sweep
     table artifact, and asserts the >= 3 distinct solutions pass bar.
 
-    The bounded load 1/(1+t^2) + 1 cannot meet this bar: lambda ||K||_inf
-    Lip(g) < 1 for every lambda < 118, so its fixed-point map is a
-    contraction there and the solution is unique.
+    The bounded load 1/(1+t^2) + 1 cannot meet this bar: its monotonicity
+    modulus (`solver.uniqueness_modulus`) is positive for every
+    lambda < 149 at n = 201, so the discrete solution is unique there.
     """
     t0 = time.perf_counter()
     grid = build_grid(Domain("interval"), 201)

@@ -200,6 +200,26 @@ def test_sweep_deterministic_csv(tmp_path, monkeypatch):
     assert len(rows) == 2
 
 
+def test_reports_carry_the_uniqueness_modulus(tmp_path, capsys,
+                                              monkeypatch):
+    """solve and every sweep row report mu; the sweep CSV keeps its
+    columns."""
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(grid_n=21, solver={"n_starts": 1, "k_max": 2})
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--lambda", "2.0"]) == EXIT_OK
+    mu = json.loads(capsys.readouterr().out)["uniqueness_modulus"]
+    inst = build_problem(load_config(cfg), lam=2.0)
+    assert mu == solver.uniqueness_modulus(inst) > 0
+    doc = bump_table_doc(n_starts=1, k_max=2, sweep_m=3)
+    cfg = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert all(row["uniqueness_modulus"] > 0 for row in rows)
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    assert header == "lambda,n_solutions,energies"
+
+
 def test_sweep_infeasible_certificate(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, bump_table_doc(h=2.0))
@@ -415,24 +435,41 @@ def test_any_config_value_keeps_the_exit_code_contract(
     capsys.readouterr()
 
 
-# well-formed values for the keys the multi-key fuzz sets; every exponent
-# has p- >= 1.6 > q, and p- > N/2 on every drawn ball
+# well-formed values for the keys the multi-key fuzz sets, given the drawn
+# domain; every exponent has p- >= 1.6 > q, and p- > N/2 on every drawn
+# ball.  theta, alpha and xi may be per-node lists on the 5-7 node grid of
+# the domain (k x k nodes on a rectangle), interpolated onto the run's grid
 LOADS = st.sampled_from([RIDGE["nonlinearity"], {"kind": "builtin:const:1"},
                          {"kind": "builtin:rational_bump"},
                          {"kind": "builtin:exp_abs"}])
+
+
+def field_values(domain, lo, hi):
+    """A number in [lo, hi], or one per node of a 5-7 node grid."""
+    axes = 2 if domain["kind"] == "rectangle" else 1
+    return st.floats(lo, hi) | st.integers(5, 7).flatmap(
+        lambda k: st.lists(st.floats(lo, hi), min_size=k**axes,
+                           max_size=k**axes))
+
+
 WELL_FORMED = {
-    ("exponent",): st.fixed_dictionaries(
+    ("exponent",): lambda domain: st.fixed_dictionaries(
         {"kind": st.just("constant"), "value": st.floats(1.6, 4.0)})
     | st.fixed_dictionaries({"kind": st.just("affine"),
                              "a": st.floats(1.6, 3.0),
-                             "b": st.floats(0.0, 1.0)}),
-    ("potential", "theta"): st.floats(0.5, 2.0),
-    ("nonlinearity",): st.builds(lambda load, q, alpha: dict(
-        load, q=q, alpha=alpha), LOADS, st.floats(1.05, 1.55),
-        st.floats(0.5, 2.0)),
-    ("certificate", "r"): st.floats(0.1, 100.0),
-    ("certificate", "h"): st.floats(0.1, 5.0),
-    ("lambda",): st.floats(0.1, 100.0),
+                             "b": st.floats(0.0, 1.0)})
+    | st.fixed_dictionaries({"kind": st.just("table"),
+                             "values": st.lists(st.floats(1.6, 4.0),
+                                                min_size=1, max_size=4)}),
+    ("potential", "theta"): lambda domain: field_values(domain, 0.5, 2.0),
+    ("nonlinearity",): lambda domain: st.builds(
+        lambda load, q, alpha: dict(load, q=q, alpha=alpha), LOADS,
+        st.floats(1.05, 1.55), field_values(domain, 0.5, 2.0)),
+    # xi >= 81 bounds |alpha g| for every drawn alpha <= 2 and load
+    ("nonlinearity", "xi"): lambda domain: field_values(domain, 81.0, 200.0),
+    ("certificate", "r"): lambda domain: st.floats(0.1, 100.0),
+    ("certificate", "h"): lambda domain: st.floats(0.1, 5.0),
+    ("lambda",): lambda domain: st.floats(0.1, 100.0),
 }
 DOMAINS = st.just({"kind": "interval"}) | st.fixed_dictionaries(
     {"kind": st.just("rectangle"), "a": st.floats(0.5, 2.0),
@@ -446,15 +483,17 @@ DOMAINS = st.just({"kind": "interval"}) | st.fixed_dictionaries(
 @given(domain=DOMAINS, data=st.data(),
        keys=st.lists(st.sampled_from(sorted(WELL_FORMED)), min_size=1,
                      max_size=3, unique=True),
-       command=st.sampled_from(["hypotheses", "certify", "solve"]))
+       command=st.sampled_from(["check-spaces", "hypotheses", "certify",
+                                "solve", "sweep"]))
 def test_well_formed_config_values_keep_the_exit_code_contract(
         tmp_path, monkeypatch, capsys, domain, data, keys, command):
     # the domain and 1-3 more keys set at once, on the ridge config
     doc = config_with(("domain",), domain,
                       dict(RIDGE, solver=SOLVER_BUDGET, **{"lambda": 1.0}))
     for path in keys:
-        doc = config_with(path, data.draw(WELL_FORMED[path], str(path)), doc)
-    monkeypatch.chdir(tmp_path)           # the solutions CSV
+        doc = config_with(path, data.draw(WELL_FORMED[path](domain),
+                                          str(path)), doc)
+    monkeypatch.chdir(tmp_path)           # the solutions and sweep CSVs
     cfg = write_config(tmp_path, doc)
     code = main([command, "--config", cfg, "--grid-n", "9"])
     assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_INPUT)

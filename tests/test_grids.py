@@ -10,6 +10,8 @@ from pxbiharm.grids import (
     build_grid,
     integrate,
     laplacian,
+    laplacian_floor,
+    sine_eigenvalues,
     unit_ball_volume,
 )
 
@@ -270,3 +272,31 @@ def test_stencil_grid_matches_whole_matrix_assembly(domain, n):
     assert np.array_equal(grid.boundary_mask, np.diff(L.indptr) == 0)
     interior = np.flatnonzero(grid.interior_mask)
     assert np.all(L.diagonal()[interior] != 0.0)
+
+
+FLOOR_GRIDS = (
+    [(Domain("interval"), n) for n in (5, 9, 33, 201)]
+    + [(Domain("rectangle", a=2.0, b=0.7), n) for n in (5, 9, 17)]
+    + [(Domain("ball_radial", N=N, R=1.0), n)
+       for N in (2, 3) for n in (5, 9, 33, 101)])
+
+
+@pytest.mark.parametrize("domain, n", FLOOR_GRIDS)
+def test_laplacian_floor_is_the_smallest_eigenvalue(domain, n):
+    """nu against the dense T = W^1/2 (-L) W^-1/2 on the interior: never
+    above its smallest eigenvalue or its smallest singular value (the
+    bound ||L v||_W >= nu ||v||_W needs the latter), and within 1e-9 of
+    both.  On intervals and rectangles the sine eigenvalues are the whole
+    spectrum."""
+    grid = build_grid(domain, n)
+    inner = grid.interior_mask
+    root = np.sqrt(grid.weights[inner])
+    T = -grid.laplacian_matrix()[inner][:, inner].toarray() \
+        * root[:, None] / root[None, :]
+    eig = np.sort(np.linalg.eigvals(T).real)
+    low = min(eig[0], np.min(np.linalg.svd(T, compute_uv=False)))
+    nu = laplacian_floor(grid)
+    assert low * (1.0 - 1e-9) <= nu <= low
+    if domain.kind != "ball_radial":
+        lam = np.sort(sine_eigenvalues(grid).ravel())
+        assert np.allclose(lam, eig, rtol=0.0, atol=1e-12 * eig[-1])

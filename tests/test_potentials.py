@@ -1,9 +1,12 @@
 """Potential families, growth constants and the hypothesis checker."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pxbiharm.config import build_problem, load_config
 from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import (
@@ -15,6 +18,8 @@ from pxbiharm.potentials import (
     make_power_family,
     verify_hypotheses,
 )
+
+from conftest import spike_g, spike_lip
 
 
 @pytest.fixture(scope="module")
@@ -291,3 +296,99 @@ def test_tsampler_grid_contains_origin_and_extremes():
     assert 0.0 in t
     assert t.min() == -5.0 and t.max() == 5.0
     assert np.all(np.diff(t) > 0)
+
+
+EPS = np.finfo(float).eps
+# every family at p < 2, p = 2, p > 2 and a variable p; 1.5 + x is 2 at
+# the node x = 0.5 of the 21-node interval, and 1.52 + x never is (the
+# paper_literal exponent p/(p-2) is singular there)
+SLOPE_CASES = {
+    f"{family}-{name}": (family, p)
+    for family, exponents in [
+        ("power", {"p1.5": 1.5, "p2": 2.0, "p3": 3.0, "var": (1.5, 1.0)}),
+        ("standard", {"p1.5": 1.5, "p2": 2.0, "p3": 3.0, "var": (1.5, 1.0)}),
+        ("paper_literal", {"p1.5": 1.5, "p3": 3.0, "var": (1.52, 1.0)}),
+    ] for name, p in exponents.items()}
+
+
+def secant_slopes(fun, t):
+    """(a(t_k+1) - a(t_k)) / (t_k+1 - t_k) along the last axis, and the
+    rounding error bound 4 eps (|a(t_k)| + |a(t_k+1)|) / (t_k+1 - t_k) of
+    each.  Each secant slope is the derivative somewhere between."""
+    a = fun(t)
+    dt = np.diff(t)
+    return np.diff(a, axis=-1) / dt, \
+        4 * EPS * (np.abs(a[..., 1:]) + np.abs(a[..., :-1])) / dt
+
+
+@pytest.mark.parametrize("case", sorted(SLOPE_CASES))
+def test_a_t_min_is_the_inf_of_the_sampled_slope(case):
+    """a_t_min never exceeds a secant slope of a(x, .) on a dense t-grid
+    (spacing 1e-3, log-spaced down to 1e-8 and out to 1e6), and where it is
+    not 0 (attained at t = 0, or at the dip of a paper_literal exponent
+    below 2) a sampled slope comes within 1e-4 theta of it."""
+    family, pv = SLOPE_CASES[case]
+    grid = build_grid(Domain("interval"), 21)
+    p = (constant_exponent(grid, pv) if np.isscalar(pv)
+         else affine_exponent(grid, *pv))
+    theta = 0.5 + grid.nodes
+    spec = (make_power_family(theta, p) if family == "power"
+            else make_perturbed_family(theta, p, family))
+    ends = np.concatenate([np.geomspace(1e-8, 1e-3, 100),
+                           np.geomspace(20.0, 1e6, 400)])
+    t = np.unique(np.concatenate([-ends, np.linspace(-20.0, 20.0, 40001),
+                                  ends]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, err = secant_slopes(
+            lambda t: spec.a_eval(theta[:, None], p.values[:, None], t), t)
+    # (1+t^2)^e overflows for large paper_literal exponents
+    slope = np.where(np.isfinite(slope), slope, np.inf)
+    assert np.all(spec.a_t_min[:, None] <= slope + err)
+    attained = spec.a_t_min != 0.0
+    gap = np.min(slope, axis=1) - spec.a_t_min
+    assert np.all(gap[attained] <= 1e-4 * theta[attained])
+    positive = {"power": p.values == 2.0, "standard": p.values >= 2.0,
+                "paper_literal": p.values > 2.0}[family]
+    assert np.array_equal(spec.a_t_min > 0.0, positive)
+    assert np.all(spec.a_t_min[~positive] <= 0.0)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def table_load(name):
+    cfg = load_config(str(CONFIGS / name))
+    return cfg.nonlinearity, build_problem(cfg, verify=False).nonlinearity
+
+
+@pytest.mark.parametrize("name", ["const:2.5", "const:-1", "rational_bump",
+                                  "exp_abs", "spike", "bump_dim1.json",
+                                  "spike_ridge.json"])
+def test_lip_bounds_the_sampled_slopes_of_g(grid, name):
+    """Lip(g) is at least every secant slope of g on a dense t-grid and at
+    most 1e-6 above the steepest: the builtins, the conftest spike (a
+    separable load that declares it) and both shipped tables, sampled at
+    their nodes, the midpoints and past the last node."""
+    t = np.concatenate([np.linspace(-5.0, 5.0, 200001),
+                        np.geomspace(1e-9, 60.0, 400)])
+    if name.endswith(".json"):
+        block, nl = table_load(name)
+        nodes = np.asarray(block["g_t"])
+        t = np.concatenate([nodes, (nodes[1:] + nodes[:-1]) / 2,
+                            [nodes[-1] + 1.0], -nodes])
+        g, lip = nl.g, nl.lip
+    elif name == "spike":
+        g, lip = spike_g, spike_lip()
+    else:
+        nl = builtin_nonlinearity(name, grid, constant_exponent(grid, 1.5))
+        g, lip = nl.g, nl.lip
+    slope, err = secant_slopes(g, np.unique(t))
+    steepest = np.max(np.abs(slope))
+    assert np.all(np.abs(slope) <= lip + err)
+    assert steepest >= lip - 1e-6 * max(lip, 1.0)
+
+
+def test_a_separable_load_leaves_lip_unknown(grid):
+    nl = builtin_nonlinearity("separable", grid, constant_exponent(grid, 1.5),
+                              g=spike_g, G=spike_g, zeros=())
+    assert nl.lip is None

@@ -1,7 +1,11 @@
 """Newton descent, deflation and the lambda sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pxbiharm import solver
@@ -9,8 +13,12 @@ from pxbiharm.certificate import build_test_function, certify, inradius
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.energy import ProblemInstance, residual_vector
 from pxbiharm.exponents import affine_exponent, constant_exponent
-from pxbiharm.grids import Domain, GridFunction, build_grid
-from pxbiharm.potentials import builtin_nonlinearity, make_perturbed_family
+from pxbiharm.grids import Domain, GridFunction, build_grid, laplacian_floor
+from pxbiharm.potentials import (
+    builtin_nonlinearity,
+    make_perturbed_family,
+    make_power_family,
+)
 from pxbiharm.solver import (
     SolutionSet,
     acceptance_threshold,
@@ -276,6 +284,7 @@ def test_deflation_unique_regime_returns_one():
     sols = deflate_and_search(inst, k_max=4, n_starts=4, seed=0,
                               vbar_scale=0.1)
     assert len(sols.points) == 1
+    assert sols.uniqueness_modulus > 0
 
 
 def test_lambda_sweep_rows():
@@ -352,18 +361,22 @@ def rect_solve_problem():
                                              vbar_scale=1.0)
 
 
-@pytest.mark.parametrize("case, count, mid_batch", [
-    (criterion_08_first_lambda, 3, False),
-    (lambda: spike_fixture(5), 3, False),
-    (rect_solve_problem, 1, False),
-    # the third point is start 4 of a batch of starts 2-9: k_max is
-    # reached with five starts of that batch left
-    (lambda: spike_fixture(3), 3, True),
-], ids=["criterion_08", "spike_fixture", "rect_solve", "k_max_mid_batch"])
-def test_batched_search_equals_starts_one_at_a_time(monkeypatch, case,
-                                                    count, mid_batch):
-    inst, kw = case()
-    want, n_starts = sequential_search(inst, seed=0, **kw)
+def rect_spike_problem():
+    grid = build_grid(Domain("rectangle"), 13)
+    return spike_instance(grid, lam=100.0), dict(k_max=3, n_starts=2,
+                                                 vbar_scale=1.2)
+
+
+def assert_same_points(got, want):
+    for a, b in zip(got.points, want.points):
+        assert np.array_equal(a.u.values, b.u.values)
+        assert a.energy == b.energy and a.residual_norm == b.residual_norm
+        assert a.threshold == b.threshold and a.starts_used == b.starts_used
+        assert a.converged == b.converged
+
+
+def spy_newton(monkeypatch):
+    """The batch width of every _newton call."""
     widths = []
     real = solver._newton
 
@@ -372,16 +385,106 @@ def test_batched_search_equals_starts_one_at_a_time(monkeypatch, case,
         return real(inst, Z, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_newton", spy)
+    return widths
+
+
+@pytest.mark.parametrize("case, count, mid_batch", [
+    (criterion_08_first_lambda, 3, False),
+    (lambda: spike_fixture(5), 3, False),
+    (rect_solve_problem, 1, False),
+    (rect_spike_problem, 2, False),
+    # the third point is start 4 of a batch of starts 2-9: k_max is
+    # reached with five starts of that batch left
+    (lambda: spike_fixture(3), 3, True),
+], ids=["criterion_08", "spike_fixture", "rect_solve", "rect_spike",
+        "k_max_mid_batch"])
+def test_batched_search_equals_starts_one_at_a_time(monkeypatch, case,
+                                                    count, mid_batch):
+    inst, kw = case()
+    want, n_starts = sequential_search(inst, seed=0, **kw)
+    widths = spy_newton(monkeypatch)
     got = deflate_and_search(inst, seed=0, **kw)
-    assert widths[0] == n_starts            # every start in one batch
+    if got.uniqueness_modulus > 0:          # rect_solve: certified unique
+        assert widths == []
+    else:
+        assert widths[0] == n_starts        # every start in one batch
     assert len(got.points) == len(want.points) == count
-    for a, b in zip(got.points, want.points):
-        assert np.array_equal(a.u.values, b.u.values)
-        assert a.energy == b.energy and a.residual_norm == b.residual_norm
-        assert a.threshold == b.threshold and a.starts_used == b.starts_used
-        assert a.converged == b.converged
+    assert_same_points(got, want)
     last = max(p.starts_used for p in got.points)
     assert (len(got.points) == kw["k_max"] and last < n_starts) == mid_batch
+
+
+def test_certified_search_runs_on_when_the_descent_fails(monkeypatch):
+    """mu > 0 but the descent stops unconverged (max_iter = 1): the
+    deflated starts run and find the solution."""
+    inst, kw = rect_solve_problem()
+    assert solver.uniqueness_modulus(inst) > 0
+    widths = spy_newton(monkeypatch)
+    got = deflate_and_search(inst, seed=0, max_iter=1, **kw)
+    assert widths and len(got.points) == 1
+    assert got.points[0].converged
+
+
+@pytest.mark.parametrize("case", [criterion_08_first_lambda,
+                                  lambda: spike_fixture(5),
+                                  rect_spike_problem],
+                         ids=["criterion_08", "spike_fixture", "rect_spike"])
+def test_spike_problems_are_not_certified(case):
+    inst, _ = case()
+    assert solver.uniqueness_modulus(inst) <= 0
+
+
+@pytest.mark.parametrize("lip", [None, np.inf])
+def test_modulus_is_unknown_without_a_finite_lip(lip):
+    grid = build_grid(Domain("interval"), 21)
+    inst = spike_instance(grid, lam=1e-6)
+    assert solver.uniqueness_modulus(inst) > 0
+    nl = replace(inst.nonlinearity, lip=lip)
+    assert solver.uniqueness_modulus(replace(inst, nonlinearity=nl)) is None
+
+
+CERTIFIED_GRIDS = [(Domain("interval"), 17),
+                   (Domain("rectangle", a=2.0, b=0.7), 7),
+                   (Domain("ball_radial", N=2, R=1.0), 17),
+                   (Domain("ball_radial", N=3, R=1.5), 13)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(where=st.sampled_from(CERTIFIED_GRIDS),
+       family=st.sampled_from(["power", "perturbed"]),
+       load=st.sampled_from(["const:1", "rational_bump", "exp_abs"]),
+       alpha=st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.05),
+       share=st.floats(0.01, 0.99), seed=st.integers(0, 3))
+def test_certified_search_stops_at_the_descent(where, family, load, alpha,
+                                               share, seed):
+    """Where mu > 0 the search returns, bit for bit, what running every
+    start returns, and never calls _newton.  Variable theta and alpha;
+    lambda is a share of the largest certified lambda (of 50 for the
+    constant load, whose Lip(g) is 0)."""
+    domain, n = where
+    grid = build_grid(domain, n)
+    x = grid.x1 / np.max(grid.x1)
+    if family == "power":
+        p = constant_exponent(grid, 2.0)
+        spec = make_power_family(0.5 + x, p)
+    else:
+        p = affine_exponent(grid, 2.0, 1.0)
+        spec = make_perturbed_family(0.5 + x, p)
+    nl = builtin_nonlinearity(load, grid, constant_exponent(grid, 1.5),
+                              alpha=alpha * (1.0 + x))
+    top = np.max(np.abs(nl.alpha)) * nl.lip
+    lam_max = (np.min(spec.a_t_min) * laplacian_floor(grid) ** 2 / top
+               if top else 50.0)
+    inst = ProblemInstance(grid, p, spec, nl, share * lam_max)
+    assert solver.uniqueness_modulus(inst) > 0
+    kw = dict(k_max=3, n_starts=2, vbar_scale=1.0)
+    want, _ = sequential_search(inst, seed=seed, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        widths = spy_newton(mp)
+        got = deflate_and_search(inst, seed=seed, **kw)
+    assert widths == []
+    assert len(got.points) == len(want.points) == 1
+    assert_same_points(got, want)
 
 
 def batch_instance(domain, n):
