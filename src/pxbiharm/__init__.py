@@ -5,11 +5,9 @@ driven by Leray-Lions type operators."""
 from .certificate import (
     Certificate,
     alpha_r,
-    ball_volume_coeff,
     beta_h,
     build_test_function,
     certify,
-    certify_r1,
     compute_L,
     dim1_certificate,
     estimate_c0,
@@ -39,9 +37,7 @@ from .potentials import (
     HypothesisReport,
     NonlinearitySpec,
     PotentialSpec,
-    TSampler,
     builtin_nonlinearity,
-    growth_constants,
     make_perturbed_family,
     make_power_family,
     verify_hypotheses,

@@ -27,17 +27,14 @@ from .spaces import _luxemburg_of_values, _modular_values
 
 __all__ = [
     "Certificate",
-    "ball_volume_coeff",
     "inradius",
     "compute_L",
     "gamma_r",
     "build_test_function",
-    "test_function_laplacian",
     "energy_J_vbar",
     "alpha_r",
     "beta_h",
     "certify",
-    "certify_r1",
     "estimate_c0",
     "dim1_certificate",
     "sandwich_check",
@@ -100,13 +97,6 @@ class Certificate:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def ball_volume_coeff(N: int) -> float:
-    """w: volume of the unit ball in R^N."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return unit_ball_volume(N)
-
-
 def inradius(domain: Domain):
     """(D, x0): exact inradius of a supported domain and an attaining center."""
     if domain.kind == "interval":
@@ -118,8 +108,7 @@ def inradius(domain: Domain):
 
 def compute_L(N: int, D: float) -> float:
     """Measure of the annulus B(x0,D) \\ B(x0,D/2): w (D^N - (D/2)^N)."""
-    w = ball_volume_coeff(N)
-    return w * (D**N - (D / 2) ** N)
+    return unit_ball_volume(N) * (D**N - (D / 2) ** N)
 
 
 def gamma_r(p: ExponentField, r: float) -> float:
@@ -150,22 +139,6 @@ def build_test_function(h: float, D: float, x0, grid: Grid) -> GridFunction:
     vals[annulus] = 4 * h / (3 * D**2) * (D**2 - rho[annulus] ** 2)
     vals[grid.boundary_mask] = 0.0
     return GridFunction(grid, vals, bc="navier")
-
-
-def test_function_laplacian(h: float, D: float, x0, grid: Grid) -> GridFunction:
-    """The analytic Laplacian of the bump: -8hN/(3 D^2) on the open annulus
-    D/2 < |x-x0| < D, zero elsewhere.
-
-    The bump has slope kinks at the interface spheres, so the discrete
-    stencil is not usable there; the certificate evaluates J(vbar) through
-    this piecewise-constant field instead.
-    """
-    rho = grid.point_radii(x0)
-    N = grid.domain.dim
-    vals = np.zeros(grid.size)
-    annulus = (rho > D / 2) & (rho < D)
-    vals[annulus] = -8 * h * N / (3 * D**2)
-    return GridFunction(grid, vals, bc="none")
 
 
 def _annulus_cell_fractions(D: float, x0, grid: Grid) -> np.ndarray:
@@ -215,28 +188,36 @@ def energy_J_vbar(potential: PotentialSpec, h: float, D: float, x0,
     return integrate(grid, frac * potential.A(slope))
 
 
-def alpha_r(inst: ProblemInstance, r: float, c0: float,
-            p: ExponentField | None = None) -> float:
+def alpha_r(inst: ProblemInstance, r: float, c0: float) -> float:
     """alpha_r = (1/r) int sup_{|t| <= c0 gamma_r} F(x, t) dx."""
     if r <= 0:
         raise ValueError("r must be positive")
-    p = p or inst.p
-    bound = c0 * gamma_r(p, r)
+    bound = c0 * gamma_r(inst.p, r)
     sup_F = inst.nonlinearity.F_range(-bound, bound)[1]
     return integrate(inst.grid, sup_F) / r
 
 
-def _bump_bounds(h: float, N: int, D: float, L: float, p: ExponentField,
-                 c3: float, d_norm: float):
+def _bump_constants(inst: ProblemInstance) -> dict:
+    """The h-independent constants of the bump on the instance's grid: N,
+    the inradius D with its centre x0, w, the annulus measure L, and the
+    potential's c3 and |d|_{p'}, which `_bump_bounds` reads."""
+    N = inst.grid.domain.dim
+    D, x0 = inradius(inst.grid.domain)
+    return dict(N=N, D=D, x0=x0, w=unit_ball_volume(N), L=compute_L(N, D),
+                c3=inst.potential.c3, d_norm=d_norm_conjugate(inst.potential))
+
+
+def _bump_bounds(h: float, p: ExponentField, bump: dict):
     """(lower, upper): the analytic bounds on J(vbar) for the bump of
     height h, (L/p+) min{s^{p-}, s^{p+}} and c3 L^{1/p+} [N^{1/p+}
     (8h/3D^2) |d|_{p'} + L^{(p+-1)/p+} max{s^{p-}, s^{p+}}] with
-    s = 8hN/3D^2.  The lower bound is the r-bound, the upper bound
-    beta_h's denominator."""
+    s = 8hN/3D^2, read from the `_bump_constants` record.  The lower bound
+    is the r-bound, the upper bound beta_h's denominator."""
+    N, D, L, c3 = (bump[k] for k in ("N", "D", "L", "c3"))
     slope = 8 * h * N / (3 * D**2)
     lower = (L / p.p_plus) * min(slope ** p.p_minus, slope ** p.p_plus)
     upper = c3 * L ** (1.0 / p.p_plus) * (
-        N ** (1.0 / p.p_plus) * (8 * h / (3 * D**2)) * d_norm
+        N ** (1.0 / p.p_plus) * (8 * h / (3 * D**2)) * bump["d_norm"]
         + L ** ((p.p_plus - 1.0) / p.p_plus)
         * max(slope ** p.p_minus, slope ** p.p_plus)
     )
@@ -245,16 +226,23 @@ def _bump_bounds(h: float, N: int, D: float, L: float, p: ExponentField,
 
 def beta_h(inst: ProblemInstance, h: float, consts: dict) -> float:
     """The lower certificate ratio: numerator w (D/2)^N ess inf F(x,h),
-    denominator the upper bound of `_bump_bounds`."""
+    denominator the upper bound of `_bump_bounds`.  consts holds N, D, w,
+    L, c3 and, when it is known, d_norm."""
+    num, (_, upper) = _beta_terms(inst, h, consts)
+    return num / upper
+
+
+def _beta_terms(inst: ProblemInstance, h: float, consts: dict):
+    """(num, (lower, upper)) at height h: beta_h's numerator, which is
+    also the lower bound on Phi(vbar) that `certify` records, and the two
+    `_bump_bounds`.  Without a d_norm in consts it is computed here."""
     if h <= 0:
         raise ValueError("h must be positive")
-    c3, L, w, D, N = (consts[k] for k in ("c3", "L", "w", "D", "N"))
-    p = consts.get("p") or inst.p
-    d_norm = consts.get("d_norm")
-    if d_norm is None:
-        d_norm = d_norm_conjugate(inst.potential)
-    num = w * (D / 2) ** N * float(np.min(inst.nonlinearity.F(h)))
-    return num / _bump_bounds(h, N, D, L, p, c3, d_norm)[1]
+    if consts.get("d_norm") is None:
+        consts = dict(consts, d_norm=d_norm_conjugate(inst.potential))
+    num = consts["w"] * (consts["D"] / 2) ** consts["N"] \
+        * float(np.min(inst.nonlinearity.F(h)))
+    return num, _bump_bounds(h, inst.p, consts)
 
 
 def estimate_c0(grid: Grid, p: ExponentField):
@@ -372,16 +360,11 @@ def _green_rows(grid: Grid):
 
 def _grid_constants(inst: ProblemInstance, r: float) -> dict:
     """The h-independent ingredients of the certificate on the instance's
-    grid: N, D, x0, w, L, c0 with its provenance, gamma_r, alpha_r and
-    the |d|_{p'} that beta_h reads."""
-    grid = inst.grid
-    N = grid.domain.dim
-    D, x0 = inradius(grid.domain)
-    c0, prov = estimate_c0(grid, inst.p)
-    return dict(N=N, D=D, x0=x0, w=ball_volume_coeff(N), L=compute_L(N, D),
-                c0=c0, c0_provenance=prov, gamma_r=gamma_r(inst.p, r),
-                alpha=alpha_r(inst, r, c0), c3=inst.potential.c3, p=inst.p,
-                d_norm=d_norm_conjugate(inst.potential))
+    grid: the `_bump_constants`, c0 with its provenance, gamma_r and
+    alpha_r."""
+    c0, prov = estimate_c0(inst.grid, inst.p)
+    return dict(_bump_constants(inst), c0=c0, c0_provenance=prov,
+                gamma_r=gamma_r(inst.p, r), alpha=alpha_r(inst, r, c0))
 
 
 def _scan_h(inst: ProblemInstance, r: float, consts: dict) -> float:
@@ -389,11 +372,11 @@ def _scan_h(inst: ProblemInstance, r: float, consts: dict) -> float:
     whose r-bound holds, or among all heights when none does; a later h
     wins only if its ratio exceeds the best by more than 1e-15."""
     alpha = consts["alpha"]
-    bound_args = [consts[k] for k in ("N", "D", "L", "p", "c3", "d_norm")]
     best = None
     for h in H_GRID:
-        holds = r < _bump_bounds(float(h), *bound_args)[0]
-        ratio = beta_h(inst, float(h), consts) / alpha if alpha else np.inf
+        num, (lower, upper) = _beta_terms(inst, float(h), consts)
+        holds = r < lower
+        ratio = num / upper / alpha if alpha else np.inf
         if best is None or holds > best[0] or (
                 holds == best[0] and ratio > best[1] + 1e-15):
             best = (holds, ratio, float(h))
@@ -420,9 +403,8 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     core = _grid_constants(inst, r)
     if h is None:
         h = _scan_h(inst, r, core)
-    N, D, L, p = core["N"], core["D"], core["L"], inst.p
-    beta = beta_h(inst, h, core)
-    r_bound, _ = _bump_bounds(h, N, D, L, p, core["c3"], core["d_norm"])
+    phi_lower, (r_bound, upper) = _beta_terms(inst, h, core)
+    beta = phi_lower / upper
     F_min = inst.nonlinearity.F_range(0.0, h)[0]
     checks = {
         "r_bound": bool(r < r_bound),
@@ -436,9 +418,8 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
         reason = "; ".join(k for k, v in checks.items() if not v)
 
     # proof-side sandwich data
-    J_vbar = energy_J_vbar(inst.potential, h, D, core["x0"], inst.grid)
-    phi_lower = core["w"] * (D / 2) ** N \
-        * float(np.min(inst.nonlinearity.F(h)))
+    J_vbar = energy_J_vbar(inst.potential, h, core["D"], core["x0"],
+                           inst.grid)
 
     converged = None
     if fine is not None:
@@ -447,8 +428,8 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
             _close(beta, beta_h(fine, h, fine_core))
 
     return Certificate(
-        r=r, h=h, N=N, D=D, x0=tuple(core["x0"]),
-        w=core["w"], L=L, gamma_r=core["gamma_r"],
+        r=r, h=h, N=core["N"], D=core["D"], x0=tuple(core["x0"]),
+        w=core["w"], L=core["L"], gamma_r=core["gamma_r"],
         c0=core["c0"], c0_provenance=core["c0_provenance"],
         alpha_r=core["alpha"], beta_h=beta,
         lambda_interval=interval, checks=checks, converged=converged,
@@ -459,13 +440,6 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
 def _close(a, b):
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale < _CONVERGENCE_RTOL
-
-
-def certify_r1(inst: ProblemInstance, h: float,
-               fine: ProblemInstance | None = None) -> Certificate:
-    """The r = 1 specialization: gamma_1 = (p^+)^{1/p^-} and the r-bound
-    reads p^+ < L min{(8hN/3D^2)^{p^-}, (8hN/3D^2)^{p^+}}."""
-    return certify(inst, 1.0, h, fine=fine)
 
 
 @dataclass
@@ -479,13 +453,10 @@ class SandwichReport:
 def sandwich_check(inst: ProblemInstance, h: float,
                    rel_tol: float = 0.02) -> SandwichReport:
     """Both analytic bounds on J(vbar) against its quadrature value."""
-    grid = inst.grid
-    N = grid.domain.dim
-    D, x0 = inradius(grid.domain)
-    lower, upper = _bump_bounds(h, N, D, compute_L(N, D), inst.p,
-                                inst.potential.c3,
-                                d_norm_conjugate(inst.potential))
-    J_vbar = energy_J_vbar(inst.potential, h, D, x0, grid)
+    bump = _bump_constants(inst)
+    lower, upper = _bump_bounds(h, inst.p, bump)
+    J_vbar = energy_J_vbar(inst.potential, h, bump["D"], bump["x0"],
+                           inst.grid)
     slack = rel_tol * max(abs(lower), abs(upper))
     holds = (lower - slack <= J_vbar <= upper + slack)
     return SandwichReport(lower, J_vbar, upper, holds)
@@ -553,7 +524,7 @@ def dim1_certificate(nl: NonlinearitySpec, p: ExponentField,
     D, x0 = inradius(grid.domain)
     return Certificate(
         r=l**pp / pp, h=h, N=1, D=D, x0=tuple(x0),
-        w=ball_volume_coeff(1), L=compute_L(1, D),
+        w=unit_ball_volume(1), L=compute_L(1, D),
         gamma_r=l, c0=0.25, c0_provenance="analytic",
         alpha_r=None, beta_h=None,
         lambda_interval=interval, checks=checks,

@@ -296,8 +296,13 @@ def tabulated_g(block: dict):
         raise ConfigError("nonlinearity.g_t must start at 0 and strictly "
                           "increase")
     dt = np.diff(tg)
-    slope = np.append(np.diff(gv) / dt, 0.0)
-    Gtab = np.concatenate([[0.0], np.cumsum(dt * 0.5 * (gv[1:] + gv[:-1]))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = np.append(np.diff(gv) / dt, 0.0)
+        Gtab = np.concatenate([[0.0],
+                               np.cumsum(dt * 0.5 * (gv[1:] + gv[:-1]))])
+    if not (np.all(np.isfinite(slope)) and np.all(np.isfinite(Gtab))):
+        raise ConfigError("nonlinearity.g_t/g_values: a segment slope or "
+                          "the cumulative G of the table is not finite")
 
     def G(t):
         a = np.abs(t)

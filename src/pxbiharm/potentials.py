@@ -22,11 +22,9 @@ __all__ = [
     "PotentialSpec",
     "NonlinearitySpec",
     "HypothesisReport",
-    "TSampler",
     "make_power_family",
     "make_perturbed_family",
     "verify_hypotheses",
-    "growth_constants",
     "builtin_nonlinearity",
 ]
 
@@ -127,19 +125,13 @@ class HypothesisReport:
         return all(v == "pass" for v in self.status.values())
 
 
-@dataclass(frozen=True)
-class TSampler:
-    """Sampling grid for hypothesis checks: symmetric t range [-T, T] with
-    log-spaced refinement near 0."""
-
-    T: float = 10.0
-    n_linear: int = 81
-    n_log: int = 25
-
-    def t_grid(self) -> np.ndarray:
-        lin = np.linspace(-self.T, self.T, self.n_linear)
-        logs = np.geomspace(1e-8, self.T, self.n_log)
-        return np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
+def _t_grid() -> np.ndarray:
+    """The t sample of the hypothesis checks and the sampled fits: 81
+    linear points on [-10, 10], refined by 25 log-spaced points a side
+    down to 1e-8, and 0."""
+    logs = np.geomspace(1e-8, 10.0, 25)
+    return np.unique(np.concatenate([np.linspace(-10.0, 10.0, 81), logs,
+                                     -logs, [0.0]]))
 
 
 def _power_a(theta, p, t):
@@ -153,26 +145,26 @@ def _power_A(theta, p, t):
 
 
 def make_power_family(theta, p: ExponentField) -> PotentialSpec:
-    """a = theta |t|^{p-2} t with closed-form antiderivative and constants."""
+    """a = theta |t|^{p-2} t with closed-form antiderivative and constants:
+    c1 = max(1, theta+), c2 = min(1, theta-), c3 = theta+ / p- and d = 0."""
     theta = np.broadcast_to(np.asarray(theta, float), (p.grid.size,)).copy()
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
-    spec = PotentialSpec(
+    theta_max = float(theta.max())
+    return PotentialSpec(
         family="power",
         theta=theta,
         p=p,
         variant=None,
-        c1=np.nan,
-        c2=np.nan,
-        c3=np.nan,
+        c1=max(1.0, theta_max),
+        c2=min(1.0, float(theta.min())),
+        c3=theta_max / p.p_minus,
         d=np.zeros(p.grid.size),
         a_eval=_power_a,
         A_eval=_power_A,
         # d/dt a = theta (p-1) |t|^{p-2}: theta at p = 2, else its inf is 0
         a_t_min=np.where(p.values == 2.0, theta, 0.0),
     )
-    spec.c1, spec.c2, spec.c3, spec.d = growth_constants(spec, TSampler())
-    return spec
 
 
 def _perturbed_exponent(p, variant):
@@ -213,68 +205,51 @@ def make_perturbed_family(theta, p: ExponentField,
         e1 = _perturbed_exponent(pv, variant) + 1.0
         return th * np.expm1(e1 * np.log1p(t**2)) / (2.0 * e1)
 
-    spec = PotentialSpec(
+    c1, c2, c3 = _sampled_fit(theta, p, a_eval, A_eval)
+    return PotentialSpec(
         family="perturbed_power",
         theta=theta,
         p=p,
         variant=variant,
-        c1=np.nan,
-        c2=np.nan,
-        c3=np.nan,
+        c1=c1,
+        c2=c2,
+        c3=c3,
         d=np.ones(p.grid.size),
         a_eval=a_eval,
         A_eval=A_eval,
         a_t_min=theta * _perturbed_slope_min(
             _perturbed_exponent(p.values, variant)),
     )
-    spec.c1, spec.c2, spec.c3, spec.d = growth_constants(spec, TSampler())
-    return spec
 
 
-def growth_constants(spec: PotentialSpec, sampler: TSampler):
-    """(c1, c2, c3, d): closed-form for the power family, sampled fits with
-    a 5% safety margin otherwise (c1, c3 inflated, c2 deflated)."""
-    if spec.family == "power":
-        theta_max = float(spec.theta.max())
-        return (
-            max(1.0, theta_max),
-            min(1.0, float(spec.theta.min())),
-            theta_max / spec.p.p_minus,
-            np.zeros(spec.p.grid.size),
-        )
-
-    t = sampler.t_grid()
-    t_nz = t[t != 0.0]
-    d = np.ones(spec.p.grid.size)
-    th = spec.theta[:, None]
-    pv = spec.p.values[:, None]
-    tt = t_nz[None, :]
-    a_vals = spec.a_eval(th, pv, tt)
-    A_vals = spec.A_eval(th, pv, tt)
+def _sampled_fit(theta, p: ExponentField, a_eval, A_eval):
+    """(c1, c2, c3) of the H2, H4 and c3 bounds with d = 1, fitted on the
+    nonzero t of `_t_grid` and widened by `_FIT_MARGIN` (c1, c3 inflated,
+    c2 deflated)."""
+    t = _t_grid()
+    tt = t[t != 0.0][None, :]
+    th, pv = theta[:, None], p.values[:, None]
+    a_vals = a_eval(th, pv, tt)
+    A_vals = A_eval(th, pv, tt)
     c1 = float(np.max(np.abs(a_vals) / (1.0 + np.abs(tt) ** (pv - 1.0))))
     c3 = float(np.max(np.abs(A_vals) / (np.abs(tt) + np.abs(tt) ** pv)))
     c2 = float(np.min(
         np.minimum(a_vals * tt, pv * A_vals) / np.abs(tt) ** pv
     ))
-    return (
-        c1 * (1.0 + _FIT_MARGIN),
-        c2 * (1.0 - _FIT_MARGIN),
-        c3 * (1.0 + _FIT_MARGIN),
-        d,
-    )
+    return (c1 * (1.0 + _FIT_MARGIN), c2 * (1.0 - _FIT_MARGIN),
+            c3 * (1.0 + _FIT_MARGIN))
 
 
-def verify_hypotheses(spec: PotentialSpec, nl: NonlinearitySpec | None,
-                      sampler: TSampler | None = None,
-                      tol: float = 1e-9) -> HypothesisReport:
-    """Sample the structural inequalities on an x*t (and t*s) product grid.
+def verify_hypotheses(spec: PotentialSpec,
+                      nl: NonlinearitySpec | None) -> HypothesisReport:
+    """Sample the structural inequalities on an x*t (and t*s) product grid,
+    with slack 1e-9.
 
     The monotonicity condition is checked in its strict monotone form
     (a(x,t) - a(x,s))(t - s) > 0 for t != s.  Failures are data, not
     errors; each failure carries a witness point.
     """
-    sampler = sampler or TSampler()
-    t = sampler.t_grid()
+    t, tol = _t_grid(), 1e-9
     x = spec.p.grid.x1
     th = spec.theta[:, None]
     pv = spec.p.values[:, None]

@@ -392,18 +392,12 @@ def _structured_starts(inst, vbar_scale: float):
     from .certificate import build_test_function, inradius
 
     grid = inst.grid
-    starts = []
     tiny = np.zeros(grid.size)
     tiny[grid.interior_mask] = 1e-3
-    starts.append(GridFunction(grid, tiny, bc="navier"))
-    try:
-        D, x0 = inradius(grid.domain)
-        vb = build_test_function(vbar_scale, D, x0, grid)
-        starts.append(vb)
-        starts.append(GridFunction(grid, -vb.values, bc="navier"))
-    except ValueError:
-        pass
-    return starts
+    D, x0 = inradius(grid.domain)
+    vb = build_test_function(vbar_scale, D, x0, grid)
+    return [GridFunction(grid, tiny, bc="navier"), vb,
+            GridFunction(grid, -vb.values, bc="navier")]
 
 
 def deflate_and_search(inst: ProblemInstance, k_max: int = 6,

@@ -14,11 +14,9 @@ from pxbiharm.certificate import (
     _green_rows,
     _modular_bound,
     alpha_r,
-    ball_volume_coeff,
     beta_h,
     build_test_function,
     certify,
-    certify_r1,
     compute_L,
     dim1_certificate,
     energy_J_vbar,
@@ -27,7 +25,6 @@ from pxbiharm.certificate import (
     inradius,
     sandwich_check,
 )
-from pxbiharm.certificate import test_function_laplacian as bump_laplacian
 from pxbiharm.config import build_problem, load_config, tabulated_g
 from pxbiharm.energy import ProblemInstance
 from pxbiharm.exponents import (
@@ -46,13 +43,6 @@ from pxbiharm.spaces import (
 )
 
 from conftest import make_instance, spike_G, spike_g, spike_instance
-
-
-def test_ball_volume_coeff():
-    assert ball_volume_coeff(1) == pytest.approx(2.0)
-    assert ball_volume_coeff(2) == pytest.approx(np.pi)
-    with pytest.raises(ValueError):
-        ball_volume_coeff(0)
 
 
 def test_inradius_values():
@@ -91,15 +81,6 @@ def test_bump_profile(interval_grid):
 def test_bump_containment_check(ball_grid):
     with pytest.raises(ValueError):
         build_test_function(1.0, 2.0, (0.0,), ball_grid)
-
-
-def test_analytic_bump_laplacian(ball_grid):
-    h, (D, x0) = 1.0, (1.0, (0.0,))
-    dv = bump_laplacian(h, D, x0, ball_grid)
-    rho = ball_grid.point_radii(x0)
-    annulus = (rho > D / 2) & (rho < D)
-    assert np.allclose(dv.values[annulus], -8 * h * 2 / (3 * D**2))
-    assert np.all(dv.values[~annulus] == 0.0)
 
 
 @pytest.mark.parametrize("domain,n", [
@@ -565,14 +546,6 @@ def test_certify_requires_eligible_exponent(ball_grid):
     inst = make_instance(grid)  # p = 2 <= N/2 = 2.5
     with pytest.raises(ValueError):
         certify(inst, 1.0, 1.0)
-
-
-def test_certify_r1_matches_certify():
-    grid = build_grid(Domain("interval"), 65)
-    inst = spike_instance(grid)
-    a = certify_r1(inst, h=1.2)
-    b = certify(inst, 1.0, 1.2)
-    assert a.alpha_r == b.alpha_r and a.beta_h == b.beta_h
 
 
 def test_certificate_json_roundtrip():

@@ -546,6 +546,25 @@ def test_a_malformed_g_t_is_bad_input(tmp_path, capsys, g_t):
     assert "nonlinearity.g_t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g_t, g_values", [
+    ([0.0, 1e-310], [1.0, 2.0]), ([0.0, 1.0], [-1e308, 1e308]),
+    ([0.0, 1e300, 2e300], [1e300, 1e300, 1e300])],
+    ids=["subnormal_step", "steep_segment", "overflowing_G"])
+def test_a_table_with_a_non_finite_slope_or_G_is_bad_input(
+        tmp_path, capsys, monkeypatch, g_t, g_values):
+    """Both commands stop at the table, before a solve can write its
+    CSV."""
+    monkeypatch.chdir(tmp_path)
+    block = {"kind": "table", "q": 1.5, "g_t": g_t, "g_values": g_values}
+    cfg = write_config(tmp_path, config_with(
+        ("nonlinearity",), block, base_doc(grid_n=21)))
+    for argv in (["hypotheses"], ["solve", "--lambda", "1"]):
+        assert main([*argv, "--config", cfg]) == EXIT_BAD_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and "not finite" in out.err
+    assert not (tmp_path / "solutions.csv").exists()
+
+
 def test_an_overflowing_energy_is_no_solution(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, config_with(("lambda",), 1e300))

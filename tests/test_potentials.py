@@ -7,11 +7,15 @@ import pytest
 from scipy.integrate import quad
 
 from pxbiharm.config import build_problem, load_config
-from pxbiharm.exponents import affine_exponent, constant_exponent
+from pxbiharm.exponents import (
+    affine_exponent,
+    constant_exponent,
+    tabulated_exponent,
+)
 from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import (
     PotentialSpec,
-    TSampler,
+    _t_grid,
     builtin_nonlinearity,
     d_norm_conjugate,
     make_perturbed_family,
@@ -129,8 +133,8 @@ def test_hypotheses_record_monotonicity_failure(grid):
     assert w.lhs <= 0.0  # the recorded product violates monotonicity
 
 
-def t_subsample(sampler=TSampler()):
-    t = sampler.t_grid()
+def t_subsample():
+    t = _t_grid()
     return t[:: max(1, len(t) // 40)]
 
 
@@ -292,10 +296,13 @@ def test_d_norm_for_unit_weight(grid):
 
 
 def test_tsampler_grid_contains_origin_and_extremes():
-    t = TSampler(T=5.0).t_grid()
+    t = _t_grid()
     assert 0.0 in t
-    assert t.min() == -5.0 and t.max() == 5.0
+    assert t.min() == -10.0 and t.max() == 10.0
     assert np.all(np.diff(t) > 0)
+    # 81 linear points (0 among them) and 25 log points a side, which
+    # share only the ends +-10
+    assert t.size == 81 + 2 * 25 - 2
 
 
 EPS = np.finfo(float).eps
@@ -392,3 +399,68 @@ def test_a_separable_load_leaves_lip_unknown(grid):
     nl = builtin_nonlinearity("separable", grid, constant_exponent(grid, 1.5),
                               g=spike_g, G=spike_g, zeros=())
     assert nl.lip is None
+
+
+def dispatched_growth_constants(spec, T=10.0, n_linear=81, n_log=25):
+    """The reference: (c1, c2, c3, d) as they were computed after each
+    family was built, by one function that dispatched on spec.family:
+    closed forms for `power`; otherwise a fit on the nonzero t of a grid of
+    n_linear points on [-T, T] refined by n_log log-spaced points a side,
+    widened by 5% (c1, c3 up, c2 down)."""
+    if spec.family == "power":
+        theta_max = float(spec.theta.max())
+        return (max(1.0, theta_max), min(1.0, float(spec.theta.min())),
+                theta_max / spec.p.p_minus, np.zeros(spec.p.grid.size))
+    lin = np.linspace(-T, T, n_linear)
+    logs = np.geomspace(1e-8, T, n_log)
+    t = np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
+    tt = t[t != 0.0][None, :]
+    th, pv = spec.theta[:, None], spec.p.values[:, None]
+    a_vals = spec.a_eval(th, pv, tt)
+    A_vals = spec.A_eval(th, pv, tt)
+    c1 = float(np.max(np.abs(a_vals) / (1.0 + np.abs(tt) ** (pv - 1.0))))
+    c3 = float(np.max(np.abs(A_vals) / (np.abs(tt) + np.abs(tt) ** pv)))
+    c2 = float(np.min(
+        np.minimum(a_vals * tt, pv * A_vals) / np.abs(tt) ** pv))
+    return c1 * 1.05, c2 * 0.95, c3 * 1.05, np.ones(spec.p.grid.size)
+
+
+def reference_a_t_min(family, theta, pv):
+    """inf_t d/dt a(x, t) in closed form: theta at p = 2 for `power`, else
+    0; for the perturbed families the inf of theta (1+t^2)^{e-1}
+    (1 + (2e+1) t^2)."""
+    if family == "power":
+        return np.where(pv == 2.0, theta, 0.0)
+    e = pv / (pv - 2.0) if family == "paper_literal" else (pv - 2.0) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dip = -2.0 * (2.0 * (e - 1.0) / (2.0 * e + 1.0)) ** (e - 1.0)
+    return theta * np.where(e >= 0.0, 1.0, np.where(e < -0.5, dip, 0.0))
+
+
+PARITY_DOMAINS = {"interval": (Domain("interval"), 21),
+                  "rectangle": (Domain("rectangle", a=2.0, b=0.7), 7),
+                  "ball": (Domain("ball_radial", N=3, R=0.8), 15)}
+# none of them is 2 at a node, where paper_literal is singular
+PARITY_EXPONENTS = {
+    "constant": lambda g: constant_exponent(g, 3.0),
+    "affine": lambda g: affine_exponent(g, 1.5, 0.4),
+    "table": lambda g: tabulated_exponent(g, 2.2 + 0.3 * np.sin(3 * g.x1)),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(PARITY_DOMAINS))
+@pytest.mark.parametrize("exponent", sorted(PARITY_EXPONENTS))
+@pytest.mark.parametrize("per_node", [False, True], ids=["scalar", "nodes"])
+@pytest.mark.parametrize("family", ["power", "standard", "paper_literal"])
+def test_builders_match_the_dispatched_growth_constants(domain, exponent,
+                                                        per_node, family):
+    grid = build_grid(*PARITY_DOMAINS[domain])
+    p = PARITY_EXPONENTS[exponent](grid)
+    theta = 0.7 + grid.x1 if per_node else 1.3
+    spec = (make_power_family(theta, p) if family == "power"
+            else make_perturbed_family(theta, p, family))
+    c1, c2, c3, d = dispatched_growth_constants(spec)
+    assert (spec.c1, spec.c2, spec.c3) == (c1, c2, c3)
+    assert np.array_equal(spec.d, d)
+    assert np.array_equal(spec.a_t_min,
+                          reference_a_t_min(family, spec.theta, p.values))
