@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -271,6 +271,9 @@ def field_on_grid(value, grid: Grid, where: str):
 def build_potential(cfg: RunConfig, p: ex.ExponentField) -> pot.PotentialSpec:
     b = cfg.potential
     theta = field_on_grid(b.get("theta", 1.0), p.grid, "potential.theta")
+    if "variant" in b and b["family"] != "perturbed_power":
+        raise ConfigError(f"potential.variant applies only to the "
+                          f"perturbed_power family, not {b['family']!r}")
     try:
         if b["family"] == "power":
             return pot.make_power_family(theta, p)
@@ -283,11 +286,13 @@ def build_potential(cfg: RunConfig, p: ex.ExponentField) -> pot.PotentialSpec:
 
 
 def tabulated_g(block: dict):
-    """(g, G, zeros) of a table nonlinearity block: g(t) interpolates the
-    (g_t, g_values) samples at |t| and keeps its end value past the last
-    node; G is its exact antiderivative, piecewise quadratic and odd in t;
-    zeros holds the t where g changes sign (table nodes where g = 0 and
-    crossings inside a segment, both signs)."""
+    """(g, G, zeros, knots) of a table nonlinearity block: g(t)
+    interpolates the (g_t, g_values) samples at |t| and keeps its end value
+    past the last node; G is its exact antiderivative, piecewise quadratic
+    and odd in t; zeros holds the t where g changes sign (table nodes where
+    g = 0 and crossings inside a segment, both signs); knots = (g_t,
+    g_values, slope) with each segment's slope, 0 past the last node, which
+    Lip(g) and the H5 check read (see NonlinearitySpec)."""
     tg = np.asarray(block["g_t"], float)
     gv = np.asarray(block["g_values"], float)
     if tg.size != gv.size or tg.size < 2:
@@ -314,7 +319,7 @@ def tabulated_g(block: dict):
     z = np.concatenate([tg[gv == 0.0],
                         tg[:-1][cross] - gv[:-1][cross] / slope[:-1][cross]])
     g = lambda t: np.interp(np.abs(t), tg, gv)  # noqa: E731
-    return g, G, np.unique(np.concatenate([-z, z]))
+    return g, G, np.unique(np.concatenate([-z, z])), (tg, gv, slope)
 
 
 def build_nonlinearity(cfg: RunConfig, grid: Grid,
@@ -328,28 +333,22 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
     alpha = field_on_grid(b.get("alpha", 1.0), grid, "nonlinearity.alpha")
     kind = b["kind"]
     table_keys = sorted({"g_t", "g_values"} & set(b))
-    lip = None
     try:
         if kind == "table":
-            name, (g, G, zeros) = "separable", tabulated_g(b)
-            # g interpolates the table and is flat past it: sup|g'| is the
-            # steepest segment's slope
-            with np.errstate(over="ignore"):
-                lip = float(np.max(np.abs(
-                    np.diff(b["g_values"]) / np.diff(b["g_t"]))))
+            name, (g, G, zeros, knots) = "separable", tabulated_g(b)
             if xi is None:  # sup|g| of a piecewise-linear g with flat ends
-                xi = np.max(np.abs(alpha)) * np.max(np.abs(b["g_values"]))
+                xi = np.max(np.abs(alpha)) * np.max(np.abs(knots[1]))
         elif not kind.startswith("builtin:"):
             raise ConfigError(f"unknown nonlinearity kind {kind!r}")
         elif table_keys:
             raise ConfigError(f"nonlinearity keys {table_keys} apply only "
                               f"to the table kind, not {kind!r}")
         else:
-            name, g, G, zeros = kind.split(":", 1)[1], None, None, None
-        nl = pot.builtin_nonlinearity(
+            name = kind.split(":", 1)[1]
+            g = G = zeros = knots = None
+        return pot.builtin_nonlinearity(
             name, grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)),
-            alpha=alpha, g=g, G=G, zeros=zeros)
-        return nl if lip is None else replace(nl, lip=lip)
+            alpha=alpha, g=g, G=G, zeros=zeros, knots=knots)
     except ConfigError:
         raise
     except (KeyError, ValueError) as exc:

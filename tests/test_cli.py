@@ -255,6 +255,60 @@ def test_unknown_key_is_bad_input(tmp_path):
     assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
 
 
+def test_a_variant_on_the_power_family_is_bad_input(tmp_path, capsys):
+    """potential.variant is read only by perturbed_power; on power it is
+    rejected rather than ignored."""
+    cfg = write_config(tmp_path, base_doc(potential={
+        "family": "power", "theta": 1.0, "variant": "paper_literal"}))
+    assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
+    assert "potential.variant" in capsys.readouterr().err
+
+
+#: a = (1+t^2)^3 t grows like |t|^7, the H2 bound c1 (1 + t^2) like t^2
+LITERAL_P3 = base_doc(exponent={"kind": "constant", "value": 3.0},
+                      potential={"family": "perturbed_power",
+                                 "variant": "paper_literal", "theta": 1.0})
+
+
+def test_hypotheses_fail_H2_where_a_outgrows_its_bound(tmp_path, capsys):
+    """The failure lies past any finite sample of t; its witness is the
+    limit t -> inf, written as JSON can hold it, with the two growth
+    exponents."""
+    cfg = write_config(tmp_path, LITERAL_P3)
+    assert main(["hypotheses", "--config", cfg]) == EXIT_INFEASIBLE
+    payload = strict_json(capsys.readouterr().out)
+    assert not payload["all_pass"]
+    assert payload["status"] == {"H1": "pass", "H2": "fail", "H3": "pass",
+                                 "H4": "pass", "H5": "pass"}
+    assert payload["witnesses"] == {
+        "H2": {"x": 0.0, "t": "inf", "lhs": 7.0, "rhs": 2.0}}
+
+
+def test_solve_refuses_a_config_that_fails_H2(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, LITERAL_P3)
+    assert main(["solve", "--config", cfg, "--lambda", "1"]) \
+        == EXIT_BAD_INPUT
+    out = capsys.readouterr()
+    assert out.out == "" and "H2 (fail)" in out.err
+    assert not (tmp_path / "solutions.csv").exists()
+
+
+def test_hypotheses_check_a_table_past_t_10(tmp_path, capsys):
+    """H5 is checked on every segment of a table: |g| = 100 at t = 12.5
+    exceeds xi + zeta |t|^{q-1} = 1 + 12.5^0.5 there."""
+    block = {"kind": "table", "q": 1.5, "xi": 1.0,
+             "g_t": [0.0, 12.0, 12.5, 13.0],
+             "g_values": [0.0, 0.0, 100.0, 0.0]}
+    cfg = write_config(tmp_path, base_doc(nonlinearity=block))
+    assert main(["hypotheses", "--config", cfg]) == EXIT_INFEASIBLE
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["status"]["H5"] == "fail"
+    assert payload["witnesses"]["H5"] == {
+        "x": 0.0, "t": 12.5, "lhs": 100.0, "rhs": 1.0 + 12.5 ** 0.5}
+
+
 def test_grid_n_override(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     assert main(["hypotheses", "--config", cfg, "--grid-n", "81"]) == EXIT_OK
