@@ -167,20 +167,18 @@ def cmd_certify(args) -> int:
 
 
 def _write_solutions_csv(path: str, inst: ProblemInstance, sols):
+    """One row per node: its coordinates and every solution's value there,
+    each the repr of a Python float, which float() reads back exactly."""
     grid = inst.grid
+    nodes = grid.nodes.reshape(grid.size, -1).tolist()
+    values = [p.u.values.tolist() for p in sols.points]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
-        if grid.domain.kind == "rectangle":
-            header = ["x1", "x2"]
-            coords = [list(map(repr, row)) for row in grid.nodes]
-        else:
-            header = ["x"]
-            coords = [[repr(v)] for v in grid.nodes]
-        header += [f"u{i}" for i in range(len(sols.points))]
-        wr.writerow(header)
-        for j in range(grid.size):
-            wr.writerow(coords[j] +
-                        [repr(p.u.values[j]) for p in sols.points])
+        header = ["x1", "x2"] if grid.domain.kind == "rectangle" else ["x"]
+        wr.writerow(header + [f"u{i}" for i in range(len(values))])
+        for j, node in enumerate(nodes):
+            wr.writerow([repr(x) for x in node]
+                        + [repr(u[j]) for u in values])
 
 
 def cmd_solve(args) -> int:

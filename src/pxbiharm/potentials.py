@@ -124,19 +124,23 @@ class NonlinearitySpec:
 
 @dataclass(frozen=True)
 class Witness:
-    """Where a hypothesis fails: the node coordinate x, the t there, and the
-    two sides of its inequality.  t = "inf" (which JSON can hold) stands for
-    the limit |t| -> infinity, where lhs and rhs are the growth exponents in
-    |t| of the two sides."""
+    """Where a hypothesis fails: the node x, the t there, and the two sides
+    of its inequality.  x is the node's coordinate on an interval or a
+    ball (its radius) and its (x1, x2) on a rectangle, so it names one
+    node.  t = "inf" (which JSON can hold) stands for the limit
+    |t| -> infinity, where lhs and rhs are the growth exponents in |t| of
+    the two sides."""
 
-    x: float
+    x: float | tuple
     t: float | str
     lhs: float
     rhs: float
 
 
-def _witness(x, t, lhs, rhs) -> Witness:
-    return Witness(float(x), "inf" if t == np.inf else float(t), float(lhs),
+def _witness(node, t, lhs, rhs) -> Witness:
+    """The Witness at node, a row of `Grid.nodes`."""
+    x = float(node) if np.ndim(node) == 0 else tuple(map(float, node))
+    return Witness(x, "inf" if t == np.inf else float(t), float(lhs),
                    float(rhs))
 
 
@@ -170,7 +174,7 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     # d/dt a = theta (p-1) |t|^{p-2}: theta at p = 2, else its inf is 0, at
     # t = 0 for p > 2 and as |t| -> inf for p < 2
     a_t_min = np.where(p.values == 2.0, theta, 0.0)
-    x, pv = p.grid.x1, p.values
+    x, pv = p.grid.nodes, p.values
     i, j = int(np.argmin(theta)), int(np.argmin(a_t_min))
     return PotentialSpec(
         family="power",
@@ -352,7 +356,7 @@ def make_perturbed_family(theta, p: ExponentField,
     c2_nodes = theta * c2_ratio[inv]
     slope_min, slope_at = _perturbed_slope_min(e)
     a_t_min = theta * slope_min[inv]
-    x = p.grid.x1
+    x = p.grid.nodes
     i, j, k = (int(np.argmax(c1_nodes)), int(np.argmin(a_t_min)),
                int(np.argmin(c2_nodes)))
     return PotentialSpec(
@@ -415,7 +419,7 @@ def verify_hypotheses(spec: PotentialSpec,
     (no witnesses) and H5 of a load without xi or knots are "unverifiable".
     Failures are data, not errors; each carries a witness.
     """
-    x = spec.p.grid.x1
+    x = spec.p.grid.nodes
     a0 = spec.a_eval(spec.theta, spec.p.values, 0.0)
     i = int(np.argmax(np.abs(a0)))
     checks = {"H1": (abs(a0[i]) <= _TOL, _witness(x[i], 0.0, a0[i], 0.0))}

@@ -163,6 +163,38 @@ def test_solve_writes_csv(tmp_path, capsys, monkeypatch):
     assert len(lines) == 62
 
 
+@pytest.mark.parametrize("doc", [
+    base_doc(grid_n=21, solver={"n_starts": 1, "k_max": 1}),
+    base_doc(domain={"kind": "rectangle", "a": 1.0, "b": 1.0}, grid_n=9,
+             solver={"n_starts": 1, "k_max": 1}),
+], ids=["interval", "rectangle"])
+def test_solutions_csv_reads_back_exactly(tmp_path, capsys, monkeypatch, doc):
+    # every cell is a float literal that gives back the node coordinates
+    # and the solution values bit for bit
+    monkeypatch.chdir(tmp_path)
+    found = []
+    search = solver.deflate_and_search
+
+    def recording_search(inst, **kwargs):
+        found.append((inst, search(inst, **kwargs)))
+        return found[-1][1]
+
+    monkeypatch.setattr(solver, "deflate_and_search", recording_search)
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", cfg, "--lambda", "1.0"]) == EXIT_OK
+    capsys.readouterr()
+    (inst, sols), = found
+    assert sols.points
+    header, *lines = (tmp_path / "solutions.csv").read_text().splitlines()
+    cells = np.array([[float(c) for c in line.split(",")] for line in lines])
+    nodes = inst.grid.nodes.reshape(inst.grid.size, -1)
+    dim = nodes.shape[1]
+    assert header.split(",")[:dim] == (["x1", "x2"] if dim == 2 else ["x"])
+    assert np.array_equal(cells[:, :dim], nodes)
+    assert np.array_equal(cells[:, dim:],
+                          np.array([p.u.values for p in sols.points]).T)
+
+
 def test_solve_requires_lambda(tmp_path):
     cfg = write_config(tmp_path, base_doc())
     assert main(["solve", "--config", cfg]) == EXIT_BAD_INPUT
@@ -463,15 +495,26 @@ SOLVER_BUDGET = {"n_starts": 1, "k_max": 2, "sweep_m": 2, "max_iter": 10_000}
 RIDGE = json.loads((CONFIGS / "spike_ridge.json").read_text())
 
 
+# potential.variant is drawn on a perturbed_power potential, the only
+# family that has one, at p = 2.5, where both variants build (and
+# paper_literal fails H2)
+PERTURBED = {"potential": {"family": "perturbed_power", "theta": 1.0},
+             "exponent": {"kind": "constant", "value": 2.5}}
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES,
+@given(path=st.sampled_from(CONFIG_KEYS),
+       value=JSON_VALUES | st.sampled_from(["standard", "paper_literal"]),
        command=st.sampled_from(["hypotheses", "certify", "solve", "sweep"]))
 @example(path=("grid_n",), value=[3], command="hypotheses")
 @example(path=("certificate", "dim1"), value=True, command="certify")
 @example(path=("domain",), value=["kind"], command="hypotheses")
 @example(path=("lambda",), value=1e300, command="solve")
 @example(path=("solver", "seed"), value=3, command="sweep")
+@example(path=("potential", "variant"), value="standard", command="solve")
+@example(path=("potential", "variant"), value="paper_literal",
+         command="hypotheses")
 def test_any_config_value_keeps_the_exit_code_contract(
         tmp_path, monkeypatch, capsys, path, value, command):
     base = BEAM
@@ -482,6 +525,8 @@ def test_any_config_value_keeps_the_exit_code_contract(
         base = RIDGE if command == "sweep" else BEAM
         base = dict(base, solver=dict(base.get("solver", {}),
                                       **SOLVER_BUDGET))
+    if path == ("potential", "variant"):
+        base = dict(base, **PERTURBED)
     monkeypatch.chdir(tmp_path)           # the solutions and sweep CSVs
     cfg = write_config(tmp_path, config_with(path, value, base))
     code = main([command, "--config", cfg, "--grid-n", "9"])

@@ -1,6 +1,7 @@
 """Potential families, growth constants and the hypothesis checker."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,16 +93,24 @@ def test_perturbed_literal_singular_at_p2(grid):
 
 
 def test_perturbed_literal_constants_satisfy_bounds(grid):
-    p = constant_exponent(grid, 3.0)
-    spec = make_perturbed_family(1.0, p, "paper_literal")
+    # at p = 3, inside (2, 3 + sqrt 5), |a| grows like |t|^{2e+1} with
+    # e = p/(p-2), faster than |t|^{p-1}, and c1 = c3 = inf; the bounds are
+    # checked where both are finite, p < 2 and p > 3 + sqrt 5
+    spec = make_perturbed_family(1.0, constant_exponent(grid, 3.0),
+                                 "paper_literal")
+    assert spec.c1 == spec.c3 == np.inf
     t = np.linspace(-10, 10, 201)
     t = t[t != 0]
-    a_vals = spec.a_eval(spec.theta[:1], p.values[:1], t)
-    A_vals = spec.A_eval(spec.theta[:1], p.values[:1], t)
-    assert np.all(np.abs(a_vals) <=
-                  spec.c1 * (spec.d[0] + np.abs(t) ** 2.0) + 1e-9)
-    assert np.all(np.abs(A_vals) <=
-                  spec.c3 * (np.abs(t) + np.abs(t) ** 3.0) + 1e-9)
+    for p_value in (1.5, 1.8, 5.5, 8.0):
+        spec = make_perturbed_family(1.0, constant_exponent(grid, p_value),
+                                     "paper_literal")
+        assert np.isfinite(spec.c1) and np.isfinite(spec.c3)
+        a_vals = spec.a_eval(1.0, p_value, t)
+        A_vals = spec.A_eval(1.0, p_value, t)
+        assert np.all(np.abs(a_vals) <=
+                      spec.c1 * (spec.d[0] + np.abs(t) ** (p_value - 1.0)))
+        assert np.all(np.abs(A_vals) <=
+                      spec.c3 * (np.abs(t) + np.abs(t) ** p_value))
 
 
 def test_unknown_variant_rejected(grid):
@@ -589,3 +598,25 @@ def test_h4_witness_is_where_c2_is_attained(grid, variant, p_value, theta,
         ratio = min(a * w.t, p_value * A) / w.t**p_value
         assert 0.0 < spec.c2 < 1.0
         assert ratio == pytest.approx(spec.c2, rel=1e-8)
+
+
+def test_witnesses_name_one_node_of_a_rectangle():
+    """On a 13 x 13 rectangle 13 nodes share each x1, so a witness carries
+    both coordinates of the node where its hypothesis fails."""
+    grid = build_grid(Domain("rectangle", a=2.0, b=1.0), 13)
+    weak, heavy = 13 * 4 + 9, 13 * 7 + 2
+    theta = np.full(grid.size, 1.5)
+    theta[weak] = 0.5
+    alpha = np.full(grid.size, 0.5)
+    alpha[heavy] = 2.0
+    spec = make_power_family(theta, affine_exponent(grid, 2.5, 0.5))
+    nl = builtin_nonlinearity("const:1", grid, constant_exponent(grid, 1.5),
+                              xi=1.0, alpha=alpha)
+    report = verify_hypotheses(spec, nl)
+    assert report.status["H4"] == report.status["H5"] == "fail"
+    for name, k in (("H4", weak), ("H5", heavy)):
+        w = report.witnesses[name]
+        assert w.x == tuple(grid.nodes[k])
+        assert np.flatnonzero(np.all(grid.nodes == w.x, axis=1)) == [k]
+    assert json.loads(json.dumps(asdict(report.witnesses["H4"])))["x"] == \
+        list(grid.nodes[weak])
