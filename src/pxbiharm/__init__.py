@@ -5,7 +5,6 @@ driven by Leray-Lions type operators."""
 from .certificate import (
     Certificate,
     alpha_r,
-    beta_h,
     build_test_function,
     certify,
     compute_L,
@@ -13,7 +12,6 @@ from .certificate import (
     estimate_c0,
     gamma_r,
     inradius,
-    sandwich_check,
 )
 from .energy import (
     ProblemInstance,

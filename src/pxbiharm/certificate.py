@@ -1,9 +1,17 @@
 """Explicit three-solution certificates for the fourth-order problem.
 
-Computes every constant of the admissible lambda-interval (ball volume
-coefficient, inradius, annulus measure L, gamma_r, the embedding constant
-c0, alpha_r, beta_h), decides feasibility, and provides the dedicated 1D
-interval with its constant k.
+Computes every constant of the admissible lambda-interval (gamma_r, the
+embedding constant c0, alpha_r, beta_h), decides feasibility, and provides
+the dedicated 1D interval with its constant k.
+
+The interval is that of the three-critical-points theorem of Bonanno and
+Marano (Appl. Anal. 89, 2010), which needs one test function vbar with
+r < J(vbar) and Phi(vbar) / J(vbar) > alpha_r, and then gives
+lambda in (J(vbar) / Phi(vbar), 1 / alpha_r).  Here vbar = h phi_1, the
+first eigenvector of -L on the interior scaled to sup h, and J(vbar) and
+Phi(vbar) are the grid's own quadratures, rounded outwards by a
+floating-point slack.  The record also carries the inradius D with its
+centre x0, the unit ball volume w and the annulus measure L.
 
 Which problem an interval speaks about follows c0's provenance: with the
 "analytic" c0 = 1/4 (unit interval) it is the continuum problem; with the
@@ -20,9 +28,9 @@ import numpy as np
 
 from .energy import ProblemInstance
 from .exponents import ExponentField, conjugate
-from .grids import (Domain, Grid, GridFunction, integrate, sine_eigenvalues,
-                    unit_ball_volume)
-from .potentials import NonlinearitySpec, PotentialSpec, d_norm_conjugate
+from .grids import (Domain, Grid, GridFunction, first_mode, integrate,
+                    sine_eigenvalues, unit_ball_volume)
+from .potentials import NonlinearitySpec
 from .spaces import _luxemburg_of_values, _modular_values
 
 __all__ = [
@@ -31,21 +39,22 @@ __all__ = [
     "compute_L",
     "gamma_r",
     "build_test_function",
-    "energy_J_vbar",
     "alpha_r",
-    "beta_h",
     "certify",
     "estimate_c0",
     "dim1_certificate",
-    "sandwich_check",
 ]
 
 #: relative change under grid doubling below which a certificate is stamped
 #: "converged"
 _CONVERGENCE_RTOL = 5e-3
 
-#: the bump heights `certify` scans when it is given no h
+#: the test-function heights `certify` scans when it is given no h
 H_GRID = np.geomspace(1e-2, 1e2, 25)
+
+#: ulps allowed for the evaluation of each term of J(vbar) and Phi(vbar),
+#: on top of the rounding bound of their sums (`_rounded_sum`)
+_TERM_ULPS = 8
 
 #: Green's-function rows generated and screened at a time in `estimate_c0`,
 #: among the rows that `_modular_bound` does not skip.  A block's
@@ -122,75 +131,47 @@ def gamma_r(p: ExponentField, r: float) -> float:
     return max(base ** (1.0 / p.p_plus), base ** (1.0 / p.p_minus))
 
 
-def build_test_function(h: float, D: float, x0, grid: Grid) -> GridFunction:
-    """The radially symmetric bump: h on B(x0, D/2), the quadratic ramp
-    4h/(3 D^2) (D^2 - |x-x0|^2) on the annulus, 0 outside B(x0, D)."""
-    rho = grid.point_radii(x0)
-    if grid.domain.kind == "interval":
-        inside = (np.min(np.asarray(x0)) - D >= -1e-12) and \
-                 (np.max(np.asarray(x0)) + D <= 1.0 + 1e-12)
-    elif grid.domain.kind == "rectangle":
-        inside = (x0[0] - D >= -1e-12 and x0[0] + D <= grid.domain.a + 1e-12
-                  and x0[1] - D >= -1e-12 and x0[1] + D <= grid.domain.b + 1e-12)
-    else:
-        inside = abs(np.asarray(x0).reshape(-1)[0]) + D <= grid.domain.R + 1e-12
-    if not inside:
-        raise ValueError("ball B(x0, D) is not contained in the domain")
-
-    vals = np.zeros(grid.size)
-    core = rho <= D / 2
-    annulus = (rho > D / 2) & (rho < D)
-    vals[core] = h
-    vals[annulus] = 4 * h / (3 * D**2) * (D**2 - rho[annulus] ** 2)
-    vals[grid.boundary_mask] = 0.0
-    return GridFunction(grid, vals, bc="navier")
+def build_test_function(h: float, grid: Grid) -> GridFunction:
+    """vbar = h phi_1, with phi_1 the first eigenvector of -L on the
+    interior scaled to sup 1 (`grids.first_mode`): the certificate's test
+    function and the solver's structured start."""
+    return GridFunction(grid, h * first_mode(grid), bc="navier")
 
 
-def _annulus_cell_fractions(D: float, x0, grid: Grid) -> np.ndarray:
-    """Fraction of each quadrature cell covered by D/2 < |x-x0| < D."""
-    lo, hi = D / 2, D
-    if grid.domain.kind == "interval":
-        h_sp = grid.spacing[0]
-        c = np.asarray(x0).reshape(-1)[0]
-        a = np.clip(grid.nodes - h_sp / 2, 0.0, 1.0)
-        b = np.clip(grid.nodes + h_sp / 2, 0.0, 1.0)
-        # intersection length with {lo < |x-c| < hi} on each side of c
-        def seg(a, b, s_lo, s_hi):
-            return np.clip(np.minimum(b, s_hi) - np.maximum(a, s_lo), 0.0, None)
-        length = seg(a, b, c + lo, c + hi) + seg(a, b, c - hi, c - lo)
-        return length / (b - a)
-    if grid.domain.kind == "ball_radial":
-        h_sp = grid.spacing[0]
-        N, R = grid.domain.N, grid.domain.R
-        faces_lo = np.clip(grid.nodes - h_sp / 2, 0.0, R)
-        faces_hi = np.clip(grid.nodes + h_sp / 2, 0.0, R)
-        inner = np.clip(np.maximum(faces_lo, lo), None, faces_hi)
-        outer = np.clip(np.minimum(faces_hi, hi), faces_lo, None)
-        vol_cell = faces_hi**N - faces_lo**N
-        vol_olap = np.clip(outer**N - inner**N, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(vol_cell > 0, vol_olap / vol_cell, 0.0)
-        return frac
-    # rectangle: estimate cell overlap by subsampling
-    hx, hy = grid.spacing
-    offs = (np.arange(4) + 0.5) / 4 - 0.5
-    frac = np.zeros(grid.size)
-    for ox in offs:
-        for oy in offs:
-            rho = np.hypot(grid.nodes[:, 0] + ox * hx - x0[0],
-                           grid.nodes[:, 1] + oy * hy - x0[1])
-            frac += (rho > lo) & (rho < hi)
-    return frac / 16.0
+def _test_function_bounds(inst: ProblemInstance, heights):
+    """(J_lo, J_up, Phi_lo): J(vbar) rounded down and up and Phi(vbar)
+    rounded down for vbar = h phi_1 at each of heights, all in one pass,
+    by the quadrature of `energy.energy_J` and `energy.load_Phi`."""
+    grid = inst.grid
+    V = first_mode(grid)[:, None] * np.asarray(heights, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        J_lo, J_up = _rounded_sum(
+            grid, inst.potential.A(grid.laplacian_matrix() @ V))
+        Phi_lo = _rounded_sum(grid, inst.nonlinearity.F(V))[0]
+    return J_lo, J_up, Phi_lo
 
 
-def energy_J_vbar(potential: PotentialSpec, h: float, D: float, x0,
-                  grid: Grid) -> float:
-    """Quadrature of int A(x, Delta vbar) dx with the analytic piecewise
-    Laplacian, weighting interface cells by their annulus overlap."""
-    N = grid.domain.dim
-    slope = -8 * h * N / (3 * D**2)
-    frac = _annulus_cell_fractions(D, x0, grid)
-    return integrate(grid, frac * potential.A(slope))
+def _rounded_sum(grid: Grid, terms: np.ndarray):
+    """(lo, hi): the quadrature sum_i w_i terms_i of each column, widened by
+    (m + _TERM_ULPS) eps sum_i |w_i terms_i| for m nodes, the standard
+    bound on the rounding of an m-term sum plus _TERM_ULPS ulps for each
+    term's evaluation.  This is floating point, not interval arithmetic:
+    the rounding of J's stencil sums L vbar, which cancel, is not bounded
+    apart (against extended precision it stayed below a tenth of the
+    slack up to 1601 nodes)."""
+    total = grid.weights @ terms
+    slack = (grid.size + _TERM_ULPS) * np.finfo(float).eps \
+        * (grid.weights @ np.abs(terms))
+    return total - slack, total + slack
+
+
+def _beta(J_lo, J_up, Phi_lo):
+    """beta_h = Phi_lo / J_up at each height, NaN where vbar cannot serve:
+    where J(vbar) is not in (0, inf) or the ratio is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = Phi_lo / J_up
+    return np.where((J_lo > 0.0) & np.isfinite(J_up) & np.isfinite(beta),
+                    beta, np.nan)
 
 
 def alpha_r(inst: ProblemInstance, r: float, c0: float) -> float:
@@ -200,54 +181,6 @@ def alpha_r(inst: ProblemInstance, r: float, c0: float) -> float:
     bound = c0 * gamma_r(inst.p, r)
     sup_F = inst.nonlinearity.F_range(-bound, bound)[1]
     return integrate(inst.grid, sup_F) / r
-
-
-def _bump_constants(inst: ProblemInstance) -> dict:
-    """The h-independent constants of the bump on the instance's grid: N,
-    the inradius D with its centre x0, w, the annulus measure L, and the
-    potential's c3 and |d|_{p'}, which `_bump_bounds` reads."""
-    N = inst.grid.domain.dim
-    D, x0 = inradius(inst.grid.domain)
-    return dict(N=N, D=D, x0=x0, w=unit_ball_volume(N), L=compute_L(N, D),
-                c3=inst.potential.c3, d_norm=d_norm_conjugate(inst.potential))
-
-
-def _bump_bounds(h: float, p: ExponentField, bump: dict):
-    """(lower, upper): the analytic bounds on J(vbar) for the bump of
-    height h, (L/p+) min{s^{p-}, s^{p+}} and c3 L^{1/p+} [N^{1/p+}
-    (8h/3D^2) |d|_{p'} + L^{(p+-1)/p+} max{s^{p-}, s^{p+}}] with
-    s = 8hN/3D^2, read from the `_bump_constants` record.  The lower bound
-    is the r-bound, the upper bound beta_h's denominator."""
-    N, D, L, c3 = (bump[k] for k in ("N", "D", "L", "c3"))
-    slope = 8 * h * N / (3 * D**2)
-    lower = (L / p.p_plus) * min(slope ** p.p_minus, slope ** p.p_plus)
-    upper = c3 * L ** (1.0 / p.p_plus) * (
-        N ** (1.0 / p.p_plus) * (8 * h / (3 * D**2)) * bump["d_norm"]
-        + L ** ((p.p_plus - 1.0) / p.p_plus)
-        * max(slope ** p.p_minus, slope ** p.p_plus)
-    )
-    return lower, upper
-
-
-def beta_h(inst: ProblemInstance, h: float, consts: dict) -> float:
-    """The lower certificate ratio: numerator w (D/2)^N ess inf F(x,h),
-    denominator the upper bound of `_bump_bounds`.  consts holds N, D, w,
-    L, c3 and, when it is known, d_norm."""
-    num, (_, upper) = _beta_terms(inst, h, consts)
-    return num / upper
-
-
-def _beta_terms(inst: ProblemInstance, h: float, consts: dict):
-    """(num, (lower, upper)) at height h: beta_h's numerator, which is
-    also the lower bound on Phi(vbar) that `certify` records, and the two
-    `_bump_bounds`.  Without a d_norm in consts it is computed here."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if consts.get("d_norm") is None:
-        consts = dict(consts, d_norm=d_norm_conjugate(inst.potential))
-    num = consts["w"] * (consts["D"] / 2) ** consts["N"] \
-        * float(np.min(inst.nonlinearity.F(h)))
-    return num, _bump_bounds(h, inst.p, consts)
 
 
 def estimate_c0(grid: Grid, p: ExponentField):
@@ -439,34 +372,39 @@ def _green_rows(grid: Grid):
 
 def _grid_constants(inst: ProblemInstance, r: float) -> dict:
     """The h-independent ingredients of the certificate on the instance's
-    grid: the `_bump_constants`, c0 with its provenance, gamma_r and
-    alpha_r."""
+    grid: c0 with its provenance, gamma_r and alpha_r."""
     c0, prov = estimate_c0(inst.grid, inst.p)
-    return dict(_bump_constants(inst), c0=c0, c0_provenance=prov,
-                gamma_r=gamma_r(inst.p, r), alpha=alpha_r(inst, r, c0))
+    return dict(c0=c0, c0_provenance=prov, gamma_r=gamma_r(inst.p, r),
+                alpha=alpha_r(inst, r, c0))
 
 
-def _scan_h(inst: ProblemInstance, r: float, consts: dict) -> float:
+def _scan_h(inst: ProblemInstance, r: float, alpha: float) -> float:
     """The h of H_GRID with the largest beta_h / alpha_r among the heights
-    whose r-bound holds, or among all heights when none does; a later h
-    wins only if its ratio exceeds the best by more than 1e-15."""
-    alpha = consts["alpha"]
-    best = None
-    for h in H_GRID:
-        num, (lower, upper) = _beta_terms(inst, float(h), consts)
-        holds = r < lower
-        ratio = num / upper / alpha if alpha else np.inf
-        if best is None or holds > best[0] or (
-                holds == best[0] and ratio > best[1] + 1e-15):
-            best = (holds, ratio, float(h))
-    return best[2]
+    whose r-bound holds, else among those where vbar can serve (`_beta`),
+    else the first; a later h wins only if its ratio exceeds the best by
+    more than 1e-15."""
+    J_lo, J_up, Phi_lo = _test_function_bounds(inst, H_GRID)
+    beta = _beta(J_lo, J_up, Phi_lo)
+    usable = ~np.isnan(beta)
+    rank = usable.astype(int) + (usable & (r < J_lo))
+    ratio = np.where(usable, beta / alpha if alpha else np.inf, -np.inf)
+    best = 0
+    for k in range(1, len(H_GRID)):
+        if rank[k] > rank[best] or (
+                rank[k] == rank[best] and ratio[k] > ratio[best] + 1e-15):
+            best = k
+    return float(H_GRID[best])
 
 
 def certify(inst: ProblemInstance, r: float, h: float | None = None,
             fine: ProblemInstance | None = None) -> Certificate:
     """Full certificate: all constants, the r-bound and beta > alpha checks,
-    and the admissible lambda-interval when both hold.  With h=None the
-    bump height is chosen by `_scan_h`.
+    and the admissible lambda-interval when both hold.  The test function
+    is vbar = h phi_1 (`build_test_function`); with h=None its height is
+    chosen by `_scan_h`.  J(vbar) and Phi(vbar) are the grid's own
+    (`_test_function_bounds`): the r-bound reads r < J(vbar) rounded down,
+    and beta_h = Phi(vbar) / J(vbar), rounded down, is the reciprocal of
+    the interval's lower end.
 
     `fine` is the same problem on the doubled grid (2n - 1 nodes per axis
     of the same domain).  When it is given, `converged` records whether
@@ -480,65 +418,51 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
         raise ValueError("fine must be the problem on the doubled grid "
                          "(2n - 1 nodes per axis) of the same domain")
     core = _grid_constants(inst, r)
-    if h is None:
-        h = _scan_h(inst, r, core)
-    phi_lower, (r_bound, upper) = _beta_terms(inst, h, core)
-    beta = phi_lower / upper
+    scanned = h is None
+    if scanned:
+        h = _scan_h(inst, r, core["alpha"])
+    bounds = _test_function_bounds(inst, [h])
+    beta = float(_beta(*bounds)[0])
+    J_lo, J_up, Phi_lo = (float(b[0]) for b in bounds)
+    usable = not np.isnan(beta)
     F_min = inst.nonlinearity.F_range(0.0, h)[0]
     checks = {
-        "r_bound": bool(r < r_bound),
-        "beta_gt_alpha": bool(beta > core["alpha"] > 0.0),
+        "r_bound": usable and r < J_lo,
+        "beta_gt_alpha": usable and beta > core["alpha"] > 0.0,
         "F_nonneg_on_0_h": bool(np.min(F_min) >= -1e-12),
     }
     feasible = all(checks.values())
     interval = (1.0 / beta, 1.0 / core["alpha"]) if feasible else None
     reason = None
-    if not feasible:
+    if not usable:
+        reason = ("J(vbar) is not in (0, inf), or Phi(vbar) / J(vbar) is "
+                  "not finite, at " + ("every scanned h" if scanned
+                                       else f"h = {h:g}"))
+    elif not feasible:
         reason = "; ".join(k for k, v in checks.items() if not v)
-
-    # proof-side sandwich data
-    J_vbar = energy_J_vbar(inst.potential, h, core["D"], core["x0"],
-                           inst.grid)
 
     converged = None
     if fine is not None:
-        fine_core = _grid_constants(fine, r)
-        converged = _close(core["alpha"], fine_core["alpha"]) and \
-            _close(beta, beta_h(fine, h, fine_core))
+        fine_beta = float(_beta(*_test_function_bounds(fine, [h]))[0])
+        converged = _close(core["alpha"], _grid_constants(fine, r)["alpha"]) \
+            and _close(beta, fine_beta)
 
+    N = inst.grid.domain.dim
+    D, x0 = inradius(inst.grid.domain)
     return Certificate(
-        r=r, h=h, N=core["N"], D=core["D"], x0=tuple(core["x0"]),
-        w=core["w"], L=core["L"], gamma_r=core["gamma_r"],
+        r=r, h=h, N=N, D=D, x0=tuple(x0), w=unit_ball_volume(N),
+        L=compute_L(N, D), gamma_r=core["gamma_r"],
         c0=core["c0"], c0_provenance=core["c0_provenance"],
-        alpha_r=core["alpha"], beta_h=beta,
+        alpha_r=core["alpha"], beta_h=beta if usable else None,
         lambda_interval=interval, checks=checks, converged=converged,
-        J_vbar=J_vbar, Phi_vbar_lower=phi_lower, reason=reason,
+        J_vbar=J_up if usable else None,
+        Phi_vbar_lower=Phi_lo if usable else None, reason=reason,
     )
 
 
 def _close(a, b):
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale < _CONVERGENCE_RTOL
-
-
-@dataclass
-class SandwichReport:
-    lower: float
-    J_vbar: float
-    upper: float
-    holds: bool
-
-
-def sandwich_check(inst: ProblemInstance, h: float,
-                   rel_tol: float = 0.02) -> SandwichReport:
-    """Both analytic bounds on J(vbar) against its quadrature value."""
-    bump = _bump_constants(inst)
-    lower, upper = _bump_bounds(h, inst.p, bump)
-    J_vbar = energy_J_vbar(inst.potential, h, bump["D"], bump["x0"],
-                           inst.grid)
-    slack = rel_tol * max(abs(lower), abs(upper))
-    holds = (lower - slack <= J_vbar <= upper + slack)
-    return SandwichReport(lower, J_vbar, upper, holds)
 
 
 def dim1_certificate(nl: NonlinearitySpec, p: ExponentField,

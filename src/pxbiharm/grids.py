@@ -20,6 +20,7 @@ __all__ = [
     "laplacian",
     "laplacian_floor",
     "sine_eigenvalues",
+    "first_mode",
     "nodewise",
     "integrate",
 ]
@@ -122,12 +123,6 @@ class Grid:
         """The transpose of laplacian_matrix(), built once with the grid."""
         return self._lap_t
 
-    def point_radii(self, x0) -> np.ndarray:
-        """Euclidean distance of every node from the point x0."""
-        if self.domain.kind == "rectangle":
-            return np.hypot(self.nodes[:, 0] - x0[0], self.nodes[:, 1] - x0[1])
-        return np.abs(self.nodes - np.asarray(x0).reshape(-1)[0])
-
 
 def _stencil(size: int, rows: np.ndarray, offsets, coefs) -> sp.csr_matrix:
     """The size x size CSR matrix holding coefs[k, j] in row rows[k] (rows
@@ -225,6 +220,13 @@ def sine_eigenvalues(grid: Grid) -> np.ndarray:
                      "rectangles only")
 
 
+def _radial_block(grid: Grid):
+    """(diag, off): the radial ball's symmetric tridiagonal interior block
+    T = W^1/2 (-L) W^-1/2, whose off-diagonal is -sqrt(L_i,i+1 L_i+1,i)."""
+    inner = grid.laplacian_matrix()[grid.interior_mask][:, grid.interior_mask]
+    return -inner.diagonal(), -np.sqrt(inner.diagonal(1) * inner.diagonal(-1))
+
+
 #: rounding margin of `laplacian_floor`, in units of eps ||T||_inf with T
 #: the symmetric interior block W^1/2 (-L) W^-1/2
 _FLOOR_MARGIN = 64.0
@@ -238,8 +240,8 @@ def laplacian_floor(grid: Grid) -> float:
     W L is symmetric on the interior, so nu is the smallest eigenvalue of
     T = W^1/2 (-L) W^-1/2: in closed form on the interval and the
     rectangle (`sine_eigenvalues`, where W is constant on the interior and
-    T = -L), by bisection on the radial ball's tridiagonal T, whose
-    off-diagonal is -sqrt(L_i,i+1 L_i+1,i).  _FLOOR_MARGIN eps ||T||_inf is
+    T = -L), by bisection on the radial ball's tridiagonal T
+    (`_radial_block`).  _FLOOR_MARGIN eps ||T||_inf is
     subtracted; it covers the rounding of L's stored entries and weights
     (by Weyl's inequality, as ||T||_2 <= ||T||_inf) and of the computed
     eigenvalue."""
@@ -249,10 +251,7 @@ def laplacian_floor(grid: Grid) -> float:
         # rectangle went from about 310 to 530 minor faults
         from scipy.linalg import eigvalsh_tridiagonal
 
-        inner = grid.laplacian_matrix()[grid.interior_mask][
-            :, grid.interior_mask]
-        diag = -inner.diagonal()
-        off = -np.sqrt(inner.diagonal(1) * inner.diagonal(-1))
+        diag, off = _radial_block(grid)
         low = eigvalsh_tridiagonal(diag, off, select="i",
                                    select_range=(0, 0))[0]
         norm = np.max(diag + np.append(-off, 0.0) + np.append(0.0, -off))
@@ -260,6 +259,28 @@ def laplacian_floor(grid: Grid) -> float:
         low = np.min(sine_eigenvalues(grid))
         norm = sum(4.0 / h**2 for h in grid.spacing)
     return float(low - _FLOOR_MARGIN * np.finfo(float).eps * norm)
+
+
+def first_mode(grid: Grid) -> np.ndarray:
+    """phi_1: the eigenvector of -L on the interior for its smallest
+    eigenvalue, positive, scaled to sup 1 and zero on the boundary.  On an
+    interval or a rectangle it is the first sine of `sine_eigenvalues`'
+    basis, sin(pi k / (n-1)) on each axis; on the radial ball it is
+    W^-1/2 y for the first eigenvector y of `_radial_block`'s T."""
+    interior = grid.interior_mask
+    if grid.domain.kind == "ball_radial":
+        from scipy.linalg import eigh_tridiagonal
+
+        y = eigh_tridiagonal(*_radial_block(grid), select="i",
+                             select_range=(0, 0))[1][:, 0]
+        inner = y / np.sqrt(grid.weights[interior])
+    else:
+        inner = np.sin(np.pi * np.arange(1, grid.n - 1) / (grid.n - 1))
+        if grid.domain.kind == "rectangle":
+            inner = np.outer(inner, inner).ravel()
+    phi = np.zeros(grid.size)
+    phi[interior] = inner / inner[np.argmax(np.abs(inner))]
+    return phi
 
 
 @dataclass

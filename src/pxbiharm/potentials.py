@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import ExponentField, conjugate
-from .grids import GridFunction, nodewise
-from .spaces import luxemburg_norm
+from .exponents import ExponentField
+from .grids import nodewise
 
 __all__ = [
     "PotentialSpec",
@@ -445,13 +444,6 @@ def verify_hypotheses(spec: PotentialSpec,
         if status[name] == "fail":
             witnesses[name] = witness
     return HypothesisReport(status, witnesses)
-
-
-def d_norm_conjugate(spec: PotentialSpec) -> float:
-    """|d|_{p(x)/(p(x)-1)}: Luxemburg norm of the H2 weight with the
-    conjugate exponent."""
-    d_fun = GridFunction(spec.p.grid, spec.d.copy(), bc="none")
-    return luxemburg_norm(d_fun, conjugate(spec.p)).value
 
 
 # ---------------------------------------------------------------------------

@@ -388,14 +388,13 @@ def _fourier_start(inst, rng, amplitude: float, n_modes: int = 5):
 
 
 def _structured_starts(inst, vbar_scale: float):
-    """Zero-adjacent perturbation plus +/- the certificate bump."""
-    from .certificate import build_test_function, inradius
+    """Zero-adjacent perturbation plus +/- the certificate's test function."""
+    from .certificate import build_test_function
 
     grid = inst.grid
     tiny = np.zeros(grid.size)
     tiny[grid.interior_mask] = 1e-3
-    D, x0 = inradius(grid.domain)
-    vb = build_test_function(vbar_scale, D, x0, grid)
+    vb = build_test_function(vbar_scale, grid)
     return [GridFunction(grid, tiny, bc="navier"), vb,
             GridFunction(grid, -vb.values, bc="navier")]
 

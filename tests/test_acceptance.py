@@ -13,14 +13,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import j1, jn_zeros
 
 from pxbiharm import cli
-from pxbiharm.certificate import (
-    beta_h,
-    certify,
-    dim1_certificate,
-    sandwich_check,
-)
+from pxbiharm.certificate import build_test_function, certify, dim1_certificate
 from pxbiharm.energy import ProblemInstance, gradient_check, energy_J
 from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid
@@ -169,31 +165,43 @@ def test_criterion_05_coercivity_witness(report):
 
 
 def test_criterion_06_test_function_sandwich(report):
+    # J(vbar) of the grid's first eigenvector, h = 0.7, p = 2, theta = 1,
+    # against its continuum value: h^2 pi^4 / 4 for h sin(pi x) on the
+    # interval and h^2 j0^4 pi J1(j0)^2 / 2 for h J0(j0 r) on the unit disk
+    h = 0.7
+    j0 = jn_zeros(0, 1)[0]
     ok = True
     details = []
-    for domain in (Domain("interval"), Domain("ball_radial", N=2, R=1.0)):
+    for domain, want in (
+            (Domain("interval"), h**2 * np.pi**4 / 4),
+            (Domain("ball_radial", N=2, R=1.0),
+             h**2 * j0**4 * np.pi * j1(j0) ** 2 / 2)):
         grid = build_grid(domain, 257)
-        inst = make_instance(grid)
-        rep = sandwich_check(inst, h=1.0)
-        rel = abs(rep.J_vbar - rep.lower) / abs(rep.lower)
-        ok &= rel < 0.01 and rep.J_vbar <= rep.upper
+        got = energy_J(make_instance(grid), build_test_function(h, grid))
+        rel = abs(got - want) / want
+        ok &= rel < 1e-4
         details.append(f"{domain.kind}: rel {rel:.2e}")
-    report(6, "J(vbar) sandwich at n=257, " + "; ".join(details), ok)
+    report(6, "J(vbar) against its continuum value at n=257, "
+              + "; ".join(details), ok)
 
 
 def test_criterion_07_certificate_arithmetic_oracle(report):
     grid = build_grid(Domain("interval"), 257)
     inst = make_instance(grid)  # p = 2, theta = 1, f = 1
-    consts = {"c3": 0.5, "L": 0.5, "w": 2.0, "D": 0.5, "N": 1, "p": inst.p}
-    beta_err = max(abs(beta_h(inst, h, consts) - 9.0 / (512.0 * h))
-                   for h in (0.25, 0.5, 1.0, 2.0))
+    # vbar = h sin(pi x) on the grid: beta_h = Phi/J in closed form
+    m = grid.n - 1
+    lam1 = 4 * m**2 * np.sin(np.pi / (2 * m)) ** 2
+    beta_err = max(
+        abs(certify(inst, 1.0, h).beta_h * m * h * lam1**2
+            / (4 / np.tan(np.pi / (2 * m))) - 1.0)
+        for h in (0.25, 0.5, 1.0, 2.0))
     cert = dim1_certificate(
         builtin_nonlinearity("rational_bump", grid,
                              constant_exponent(grid, 1.5)),
         inst.p, l=1.0, h=0.15, c3=0.5)
     k_err = abs(cert.k - 9.0 / 64.0)
-    report(7, f"beta oracle err {beta_err:.2e}, k err {k_err:.2e}",
-           beta_err < 1e-10 and k_err < 1e-12)
+    report(7, f"beta oracle rel err {beta_err:.2e}, k err {k_err:.2e}",
+           beta_err < 1e-12 and k_err < 1e-12)
 
 
 def test_criterion_08_end_to_end_multiplicity(report):

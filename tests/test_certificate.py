@@ -14,20 +14,18 @@ from pxbiharm.certificate import (
     _green_rows,
     _row_bound,
     _young_terms,
+    H_GRID,
     alpha_r,
-    beta_h,
     build_test_function,
     certify,
     compute_L,
     dim1_certificate,
-    energy_J_vbar,
     estimate_c0,
     gamma_r,
     inradius,
-    sandwich_check,
 )
 from pxbiharm.config import build_problem, load_config, tabulated_g
-from pxbiharm.energy import ProblemInstance
+from pxbiharm.energy import ProblemInstance, energy_J, load_Phi
 from pxbiharm.exponents import (
     affine_exponent,
     conjugate,
@@ -66,55 +64,19 @@ def test_gamma_r_constant_p(interval_grid):
     assert gamma_r(p, 0.125) == pytest.approx(0.5)
 
 
-def test_bump_profile(interval_grid):
-    D, x0 = 0.5, (0.5,)
-    vb = build_test_function(2.0, D, x0, interval_grid)
-    rho = interval_grid.point_radii(x0)
-    assert np.all(vb.values[rho <= D / 2] == 2.0)
-    assert np.all(vb.values >= 0.0)
-    assert vb.values[0] == 0.0 and vb.values[-1] == 0.0
-    # quadratic ramp value at rho = 3D/4
-    idx = int(np.argmin(np.abs(rho - 3 * D / 4)))
-    expected = 4 * 2.0 / (3 * D**2) * (D**2 - rho[idx] ** 2)
-    assert vb.values[idx] == pytest.approx(expected, rel=1e-12)
-
-
-def test_bump_containment_check(ball_grid):
-    with pytest.raises(ValueError):
-        build_test_function(1.0, 2.0, (0.0,), ball_grid)
-
-
-@pytest.mark.parametrize("domain,n", [
-    (Domain("interval"), 257),
-    (Domain("ball_radial", N=2, R=1.0), 257),
-    (Domain("ball_radial", N=3, R=1.0), 257),
-    (Domain("rectangle"), 129),
-])
-def test_sandwich_bounds(domain, n):
-    grid = build_grid(domain, n)
-    inst = make_instance(grid)
-    rep = sandwich_check(inst, h=1.0)
-    assert rep.holds
-    assert rep.J_vbar <= rep.upper
-    assert rep.J_vbar == pytest.approx(rep.lower, rel=1e-2)
-
-
-def test_J_vbar_closed_form(interval_grid):
-    # p = 2, theta = 1: J(vbar) = (L/2) (8h/3D^2)^2 exactly
-    inst = make_instance(interval_grid)
-    h, D = 0.7, 0.5
-    expected = 0.25 * (8 * h / (3 * D**2)) ** 2
-    assert energy_J_vbar(inst.potential, h, D, (0.5,), interval_grid) == \
-        pytest.approx(expected, rel=1e-12)
-
-
-def test_beta_oracle(interval_grid):
-    # N = 1 fixture with f = 1: beta_h = 9/(512 h)
-    inst = make_instance(interval_grid)
-    consts = {"c3": 0.5, "L": 0.5, "w": 2.0, "D": 0.5, "N": 1, "p": inst.p}
-    for h in (0.25, 1.0, 3.0):
-        assert beta_h(inst, h, consts) == pytest.approx(
-            9.0 / (512.0 * h), abs=1e-12)
+def test_beta_oracle():
+    # p = 2, theta = 1, f = 1: vbar = h sin(pi x) on the grid, whose
+    # -L vbar = lam1 vbar, gives J = h^2 lam1^2 / 4 and
+    # Phi = h cot(pi / (2(n-1))) / (n-1) by the trapezoid rule
+    for n in (65, 257):
+        grid = build_grid(Domain("interval"), n)
+        inst = make_instance(grid)
+        m = n - 1
+        lam1 = 4 * m**2 * np.sin(np.pi / (2 * m)) ** 2
+        for h in (0.25, 1.0, 3.0):
+            want = 4 / np.tan(np.pi / (2 * m)) / (m * h * lam1**2)
+            assert certify(inst, 1.0, h).beta_h == pytest.approx(
+                want, rel=1e-12)
 
 
 def test_alpha_r_constant_load(interval_grid):
@@ -560,6 +522,30 @@ def test_certify_r_bound_violation():
     assert not cert.feasible
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("domain, p_value, h, where", [
+    # J(vbar) ~ (h lam1)^p / p with lam1 = 9.87 underflows to 0 at
+    # h = 0.01 and overflows at h = 100
+    (Domain("interval"), 400.0, 0.01, "at h = 0.01"),
+    (Domain("interval"), 400.0, 100.0, "at h = 100"),
+    # J(vbar) is positive and finite only for h lam1 in (0.86, 1.15),
+    # which falls between two heights of the scan when lam1 = 5.78
+    (Domain("ball_radial", N=2, R=1.0), 20000.0, None, "at every scanned h"),
+])
+def test_certify_reports_a_test_function_it_cannot_evaluate(domain, p_value,
+                                                            h, where):
+    inst = make_instance(build_grid(domain, 33), p_value=p_value)
+    cert = certify(inst, 1.0, h)
+    assert not cert.feasible
+    assert cert.reason == "J(vbar) is not in (0, inf), or Phi(vbar) / " \
+        "J(vbar) is not finite, " + where
+    assert cert.beta_h is cert.J_vbar is cert.Phi_vbar_lower is None
+    json.loads(cert.to_json(), parse_constant=refuse_constant)
+
+
 def test_certify_requires_eligible_exponent(ball_grid):
     # N = 2 needs p_minus > 1; fake an instance with p close to 1
     grid = build_grid(Domain("ball_radial", N=5, R=1.0), 65)
@@ -586,27 +572,50 @@ def ridge_rectangle(M, n=9):
     return ProblemInstance(grid, p, make_power_family(1.0, p), nl, 1.0)
 
 
-# both ridges pick h = 1, the first height whose r-bound holds that has
-# the best ratio; at M = 40 beta <= alpha there, as on the benchmark's
-# rectangle, and the taller ridge is feasible
+# both ridges pick h = 10^(1/6), the first height whose r-bound holds
+# that has the best ratio; at M = 40 beta <= alpha there, as on the
+# benchmark's rectangle, and the taller ridge is feasible
 @pytest.mark.parametrize("M, beta_fails", [(40.0, True), (4000.0, False)])
 def test_certify_h_scan_matches_per_h_oracle(M, beta_fails):
     # the scan written out with one full certificate per candidate h:
-    # heights whose r-bound holds rank first, then the larger ratio
+    # heights whose r-bound holds rank first, then those whose J(vbar) and
+    # beta_h are usable, then the larger ratio
     inst, r = ridge_rectangle(M), 5.0
     best = None
-    for h in np.geomspace(1e-2, 1e2, 25):
+    for h in H_GRID:
         c = certify(inst, r, float(h))
-        ratio = (c.beta_h / c.alpha_r) if c.alpha_r else np.inf
-        holds = c.checks["r_bound"]
-        if best is None or holds > best[0] or (
-                holds == best[0] and ratio > best[1] + 1e-15):
-            best = (holds, ratio, float(h))
+        usable = c.beta_h is not None
+        ratio = ((c.beta_h / c.alpha_r) if c.alpha_r else np.inf) \
+            if usable else -np.inf
+        rank = usable + c.checks["r_bound"]
+        if best is None or rank > best[0] or (
+                rank == best[0] and ratio > best[1] + 1e-15):
+            best = (rank, ratio, float(h))
     fine = ridge_rectangle(M, n=17)
     want = certify(inst, r, best[2], fine=fine)
-    assert best[2] == 1.0 and want.checks["r_bound"]
+    assert best[2] == pytest.approx(10 ** (1 / 6), rel=1e-12)
+    assert want.checks["r_bound"]
     assert want.checks["beta_gt_alpha"] != beta_fails
     assert certify(inst, r, None, fine=fine).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("inst, h", [
+    *[(spike_instance(build_grid(Domain("interval"), n)), 1.2)
+      for n in (101, 201, 401)],
+    *[(ridge_rectangle(4000.0, n), None) for n in (9, 17, 33)],
+])
+def test_printed_interval_is_backed_by_its_test_function(inst, h):
+    # the theorem's conditions, read off the vbar that the certificate
+    # names with the grid's own J and Phi: r < J(vbar), and the lower end
+    # is at least J(vbar) / Phi(vbar)
+    r = 5.0
+    cert = certify(inst, r, h)
+    assert cert.feasible
+    vbar = build_test_function(cert.h, inst.grid)
+    J, Phi = energy_J(inst, vbar), load_Phi(inst, vbar)
+    assert r < J
+    assert cert.lambda_interval[0] >= J / Phi
+    assert cert.lambda_interval[0] == pytest.approx(J / Phi, rel=1e-12)
 
 
 def test_certify_rejects_a_fine_problem_on_another_grid():

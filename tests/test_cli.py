@@ -370,17 +370,17 @@ def test_certify_h_scan_runs_c0_search_once_per_grid(tmp_path, monkeypatch,
 
 def test_certify_h_scan_keeps_heights_whose_r_bound_holds(tmp_path, capsys):
     # the ridge config's scan: h = 0.01 has the best ratio but fails the
-    # r-bound; h = 1 passes every check
+    # r-bound; h = 10^(1/6) passes every check
     doc = json.loads((CONFIGS / "spike_ridge.json").read_text())
     doc["certificate"]["h_scan"] = True
     assert main(["certify", "--config", write_config(tmp_path, doc)]) \
         == EXIT_OK
     out = capsys.readouterr()
     payload = json.loads(out.out)
-    assert "h-scan selected h = 1\n" in out.err
-    assert payload["h"] == 1.0
+    assert "h-scan selected h = 1.4678\n" in out.err
+    assert payload["h"] == pytest.approx(10 ** (1 / 6), rel=1e-12)
     assert all(payload["checks"].values()) and payload["converged"]
-    assert payload["lambda_interval"] == pytest.approx([31.2155, 126.4911],
+    assert payload["lambda_interval"] == pytest.approx([27.6236, 126.4911],
                                                        abs=1e-4)
 
 
@@ -512,6 +512,11 @@ PERTURBED = {"potential": {"family": "perturbed_power", "theta": 1.0},
 @example(path=("domain",), value=["kind"], command="hypotheses")
 @example(path=("lambda",), value=1e300, command="solve")
 @example(path=("solver", "seed"), value=3, command="sweep")
+# p = 400 and 790: J(vbar) overflows or underflows at some heights
+@example(path=("exponent", "value"), value=400.0, command="certify")
+@example(path=("exponent", "value"), value=790.0, command="certify")
+@example(path=("exponent", "value"), value=400.0, command="sweep")
+@example(path=("exponent", "value"), value=790.0, command="sweep")
 @example(path=("potential", "variant"), value="standard", command="solve")
 @example(path=("potential", "variant"), value="paper_literal",
          command="hypotheses")

@@ -8,6 +8,7 @@ from pxbiharm.grids import (
     Domain,
     GridFunction,
     build_grid,
+    first_mode,
     integrate,
     laplacian,
     laplacian_floor,
@@ -300,3 +301,25 @@ def test_laplacian_floor_is_the_smallest_eigenvalue(domain, n):
     if domain.kind != "ball_radial":
         lam = np.sort(sine_eigenvalues(grid).ravel())
         assert np.allclose(lam, eig, rtol=0.0, atol=1e-12 * eig[-1])
+
+
+@pytest.mark.parametrize("domain, n", [
+    (Domain("interval"), 65), (Domain("interval"), 64),
+    (Domain("rectangle", a=2.0, b=0.7), 17),
+    (Domain("rectangle", a=2.0, b=0.7), 16),
+    (Domain("ball_radial", N=2, R=1.0), 65),
+    (Domain("ball_radial", N=3, R=0.7), 33)])
+def test_first_mode_is_the_first_eigenvector(domain, n):
+    """phi_1 has sup 1, is positive inside and zero on the boundary, and
+    -L phi_1 = lam1 phi_1 on the interior up to rounding, with lam1 the
+    smallest eigenvalue of the dense interior block."""
+    grid = build_grid(domain, n)
+    phi = first_mode(grid)
+    inner = grid.interior_mask
+    assert np.max(np.abs(phi)) == 1.0
+    assert np.all(phi[inner] > 0.0) and np.all(phi[~inner] == 0.0)
+    block = grid.laplacian_matrix()[inner][:, inner].toarray()
+    lam1 = np.min(np.linalg.eigvals(-block).real)
+    scale = np.max(np.sum(np.abs(block), axis=1))
+    assert np.max(np.abs(-(block @ phi[inner]) - lam1 * phi[inner])) \
+        <= 64 * np.finfo(float).eps * scale

@@ -19,7 +19,6 @@ from pxbiharm.potentials import (
     PotentialSpec,
     _h5_excess,
     builtin_nonlinearity,
-    d_norm_conjugate,
     make_perturbed_family,
     make_power_family,
     verify_hypotheses,
@@ -279,19 +278,6 @@ def test_unknown_builtin_rejected(grid):
     q = constant_exponent(grid, 1.5)
     with pytest.raises(ValueError):
         builtin_nonlinearity("sawtooth", grid, q)
-
-
-def test_d_norm_is_zero_for_power_family(grid):
-    p = constant_exponent(grid, 2.0)
-    spec = make_power_family(1.0, p)
-    assert d_norm_conjugate(spec) == 0.0
-
-
-def test_d_norm_for_unit_weight(grid):
-    # d = 1 on [0,1] with conjugate exponent 2: |1|_2 = 1
-    p = constant_exponent(grid, 2.0)
-    spec = make_perturbed_family(1.0, p, "standard")
-    assert d_norm_conjugate(spec) == pytest.approx(1.0, rel=1e-10)
 
 
 EPS = np.finfo(float).eps

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pxbiharm import solver
-from pxbiharm.certificate import build_test_function, certify, inradius
+from pxbiharm.certificate import build_test_function, certify
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.energy import ProblemInstance, residual_vector
 from pxbiharm.exponents import affine_exponent, constant_exponent
@@ -121,8 +121,7 @@ def test_minimize_does_not_stall_at_the_rounding_floor():
     noise: the line search must not halve the step away there."""
     grid = build_grid(Domain("interval"), 201)
     inst = spike_instance(grid, lam=30.25)
-    D, x0 = inradius(grid.domain)
-    big = minimize(inst, build_test_function(1.2, D, x0, grid))
+    big = minimize(inst, build_test_function(1.2, grid))
     assert big.converged
     for s in range(10):
         vals = big.u.values + 1e-9 * np.sin((s + 1) * np.pi * grid.nodes)
@@ -245,8 +244,7 @@ def test_minimize_accepts_global_minimiser_at_rounding_floor():
     the residual's own terms; the floor-aware threshold accepts it."""
     grid = build_grid(Domain("interval"), 201)
     inst = spike_instance(grid, lam=30.25)
-    D, x0 = inradius(grid.domain)
-    big = minimize(inst, build_test_function(1.2, D, x0, grid))
+    big = minimize(inst, build_test_function(1.2, grid))
     assert big.converged
     assert 1e-8 < big.threshold
     assert big.residual_norm <= big.threshold
