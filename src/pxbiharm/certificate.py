@@ -425,11 +425,9 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     beta = float(_beta(*bounds)[0])
     J_lo, J_up, Phi_lo = (float(b[0]) for b in bounds)
     usable = not np.isnan(beta)
-    F_min = inst.nonlinearity.F_range(0.0, h)[0]
     checks = {
         "r_bound": usable and r < J_lo,
         "beta_gt_alpha": usable and beta > core["alpha"] > 0.0,
-        "F_nonneg_on_0_h": bool(np.min(F_min) >= -1e-12),
     }
     feasible = all(checks.values())
     interval = (1.0 / beta, 1.0 / core["alpha"]) if feasible else None

@@ -143,16 +143,15 @@ def _certify_from_config(cfg: cfgmod.RunConfig, inst: ProblemInstance):
     block = cfg.certificate
     if block.get("dim1"):
         return cert.dim1_certificate(
-            inst.nonlinearity, inst.p, l=float(block.get("l", 1.0)),
-            h=float(block["h"]), c3=inst.potential.c3)
+            inst.nonlinearity, inst.p, l=block.get("l", 1.0), h=block["h"],
+            c3=inst.potential.c3)
     scan = block.get("h_scan") or "h" not in block
     # the same config on the doubled grid, for the convergence check, which
     # reads only alpha_r and beta_h there
     fine = cfgmod.build_problem(
         dataclasses.replace(cfg, grid_n=2 * inst.grid.n - 1), verify=False)
-    certificate = cert.certify(inst, float(block.get("r", 1.0)),
-                               None if scan else float(block["h"]),
-                               fine=fine)
+    certificate = cert.certify(inst, block.get("r", 1.0),
+                               None if scan else block["h"], fine=fine)
     if scan:
         _info(f"h-scan selected h = {certificate.h:g}")
     return certificate
@@ -162,7 +161,7 @@ def cmd_certify(args) -> int:
     cfg = _load(args)
     inst = cfgmod.build_problem(cfg, lam=1.0, verify=True)
     certificate = _certify_from_config(cfg, inst)
-    _emit(json.loads(certificate.to_json()), args.out)
+    _emit(dataclasses.asdict(certificate), args.out)
     return EXIT_OK if certificate.feasible else EXIT_INFEASIBLE
 
 
@@ -187,10 +186,9 @@ def cmd_solve(args) -> int:
         raise ConfigError("solve needs lambda (pass --lambda or config)")
     inst = cfgmod.build_problem(cfg, verify=True)
     s = cfg.solver
-    vb = float(cfg.certificate.get("h", 1.0))
     sols = sol.deflate_and_search(
         inst, k_max=s.k_max, n_starts=s.n_starts, seed=s.seed, tol=s.tol,
-        vbar_scale=vb, max_iter=s.max_iter)
+        vbar_scale=cfg.certificate.get("h", 1.0), max_iter=s.max_iter)
     _write_solutions_csv(cfg.output.solutions_csv, inst, sols)
     payload = {
         "lambda": inst.lam,
@@ -222,13 +220,13 @@ def cmd_sweep(args) -> int:
     certificate = _certify_from_config(cfg, inst)
     if not certificate.feasible:
         _info("certificate interval is empty; nothing to sweep")
-        _emit(json.loads(certificate.to_json()), args.out)
+        _emit(dataclasses.asdict(certificate), args.out)
         return EXIT_INFEASIBLE
     s = cfg.solver
     rows = sol.lambda_sweep(
         inst, certificate.lambda_interval, s.sweep_m, k_max=s.k_max,
         n_starts=s.n_starts, seed=s.seed, tol=s.tol,
-        vbar_scale=float(cfg.certificate.get("h", 1.0)), max_iter=s.max_iter)
+        vbar_scale=cfg.certificate.get("h", 1.0), max_iter=s.max_iter)
     write_sweep_csv(cfg.output.sweep_csv, rows)
     payload = {
         "lambda_interval": list(certificate.lambda_interval),

@@ -120,15 +120,55 @@ _BLOCKS = {
 }
 _grid_n = _integer(5)
 
+_LOAD = ("q", "alpha", "xi", "zeta")
+#: block -> (the key that selects its kind, kind -> (the other keys that
+#: kind reads, the keys it needs)).  Every "builtin:<name>" load is looked
+#: up as "builtin:", and the certificate's kind is its dim1 flag
+_KINDS = {
+    "domain": ("kind", {"interval": ((), ()), "rectangle": (("a", "b"), ()),
+                        "ball_radial": (("N", "R"), ())}),
+    "exponent": ("kind", {"constant": (("value",), ("value",)),
+                          "affine": (("a", "b"), ("a", "b")),
+                          "table": (("values",), ("values",))}),
+    "potential": ("family", {"power": (("theta",), ()),
+                             "perturbed_power": (("theta", "variant"), ())}),
+    "nonlinearity": ("kind", {
+        "table": (_LOAD + ("g_t", "g_values"), ("g_t", "g_values")),
+        "builtin:": (_LOAD, ())}),
+    "certificate": ("dim1", {False: (("r", "h", "h_scan"), ()),
+                             True: (("h", "l"), ("h",))}),
+}
+
 
 def _block(doc: dict, name: str) -> dict:
-    """doc[name] (empty when absent) with its keys and value types checked."""
+    """doc[name] (empty when absent) with its keys and value types checked,
+    and, in a block with kinds, each key read or needed by its kind."""
     block = doc.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be an object, got {block!r}")
     checks, required = _BLOCKS[name]
     _require_keys(block, set(checks), required, name)
-    return {k: checks[k](v, f"{name}.{k}") for k, v in block.items()}
+    block = {k: checks[k](v, f"{name}.{k}") for k, v in block.items()}
+    if name not in _KINDS:
+        return block
+    # the value checks above leave the kind a str or a bool, so hashable
+    selector, kinds = _KINDS[name]
+    kind = block.get(selector, False)
+    entry = "builtin:" if str(kind).startswith("builtin:") else kind
+    if entry not in kinds:
+        raise ConfigError(f"unknown {name}.{selector} {kind!r}")
+    reads, needs = kinds[entry]
+    foreign = sorted(set(block) - {selector, *reads})
+    if foreign:
+        raise ConfigError(f"{name} keys {foreign} are not read with "
+                          f"{name}.{selector} = {json.dumps(kind)}: "
+                          + ", ".join(f"{name}.{k}" for k in foreign))
+    missing = sorted(set(needs) - set(block))
+    if missing:
+        raise ConfigError(f"with {name}.{selector} = {json.dumps(kind)}, "
+                          f"{name} needs "
+                          + ", ".join(f"{name}.{k}" for k in missing))
+    return block
 
 
 @dataclass
@@ -180,8 +220,6 @@ def load_config(path_or_dict) -> RunConfig:
     if isinstance(doc["schema"], bool) or doc["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {doc['schema']!r}")
     blocks = {name: _block(doc, name) for name in _BLOCKS}
-    if blocks["certificate"].get("dim1") and "h" not in blocks["certificate"]:
-        raise ConfigError("the dim1 certificate needs certificate.h")
 
     return override(RunConfig(
         domain=blocks["domain"],
@@ -208,36 +246,20 @@ def override(cfg: RunConfig, grid_n=None, seed=None,
     return cfg
 
 
-def build_domain(cfg: RunConfig) -> Domain:
-    d = cfg.domain
-    try:
-        return Domain(
-            kind=d["kind"],
-            a=float(d.get("a", 1.0)),
-            b=float(d.get("b", 1.0)),
-            N=int(d.get("N", 2)),
-            R=float(d.get("R", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_exponent(cfg: RunConfig, grid: Grid) -> ex.ExponentField:
     e = cfg.exponent
     try:
         if e["kind"] == "constant":
-            return ex.constant_exponent(grid, float(e["value"]))
+            return ex.constant_exponent(grid, e["value"])
         if e["kind"] == "affine":
-            return ex.affine_exponent(grid, float(e["a"]), float(e["b"]))
-        if e["kind"] == "table":
-            xs = np.linspace(0.0, 1.0, len(e["values"]))
-            coords = grid.x1
-            span = coords.max() - coords.min()
-            rel = (coords - coords.min()) / (span if span else 1.0)
-            return ex.tabulated_exponent(grid, np.interp(rel, xs, e["values"]))
-    except (KeyError, ValueError) as exc:
+            return ex.affine_exponent(grid, e["a"], e["b"])
+        xs = np.linspace(0.0, 1.0, len(e["values"]))
+        coords = grid.x1
+        span = coords.max() - coords.min()
+        rel = (coords - coords.min()) / (span if span else 1.0)
+        return ex.tabulated_exponent(grid, np.interp(rel, xs, e["values"]))
+    except ValueError as exc:
         raise ConfigError(f"invalid exponent block: {exc}") from exc
-    raise ConfigError(f"unknown exponent kind {e['kind']!r}")
 
 
 def _resample(values: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
@@ -271,18 +293,13 @@ def field_on_grid(value, grid: Grid, where: str):
 def build_potential(cfg: RunConfig, p: ex.ExponentField) -> pot.PotentialSpec:
     b = cfg.potential
     theta = field_on_grid(b.get("theta", 1.0), p.grid, "potential.theta")
-    if "variant" in b and b["family"] != "perturbed_power":
-        raise ConfigError(f"potential.variant applies only to the "
-                          f"perturbed_power family, not {b['family']!r}")
     try:
         if b["family"] == "power":
             return pot.make_power_family(theta, p)
-        if b["family"] == "perturbed_power":
-            return pot.make_perturbed_family(
-                theta, p, b.get("variant", "standard"))
+        return pot.make_perturbed_family(
+            theta, p, b.get("variant", "standard"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown potential family {b['family']!r}")
 
 
 def tabulated_g(block: dict):
@@ -325,33 +342,23 @@ def tabulated_g(block: dict):
 def build_nonlinearity(cfg: RunConfig, grid: Grid,
                        p: ex.ExponentField) -> pot.NonlinearitySpec:
     b = cfg.nonlinearity
-    qv = b.get("q", 1.5)
-    q = ex.constant_exponent(grid, float(qv))
+    q = ex.constant_exponent(grid, b.get("q", 1.5))
     if not q.p_plus < p.p_minus:
         raise ConfigError("nonlinearity exponent q must satisfy q^+ < p^-")
     xi = field_on_grid(b.get("xi"), grid, "nonlinearity.xi")
     alpha = field_on_grid(b.get("alpha", 1.0), grid, "nonlinearity.alpha")
-    kind = b["kind"]
-    table_keys = sorted({"g_t", "g_values"} & set(b))
+    if b["kind"] == "table":
+        name, (g, G, zeros, knots) = "separable", tabulated_g(b)
+        if xi is None:  # sup|g| of a piecewise-linear g with flat ends
+            xi = np.max(np.abs(alpha)) * np.max(np.abs(knots[1]))
+    else:
+        name = b["kind"].split(":", 1)[1]
+        g = G = zeros = knots = None
     try:
-        if kind == "table":
-            name, (g, G, zeros, knots) = "separable", tabulated_g(b)
-            if xi is None:  # sup|g| of a piecewise-linear g with flat ends
-                xi = np.max(np.abs(alpha)) * np.max(np.abs(knots[1]))
-        elif not kind.startswith("builtin:"):
-            raise ConfigError(f"unknown nonlinearity kind {kind!r}")
-        elif table_keys:
-            raise ConfigError(f"nonlinearity keys {table_keys} apply only "
-                              f"to the table kind, not {kind!r}")
-        else:
-            name = kind.split(":", 1)[1]
-            g = G = zeros = knots = None
         return pot.builtin_nonlinearity(
-            name, grid, q, xi=xi, zeta=float(b.get("zeta", 1.0)),
+            name, grid, q, xi=xi, zeta=b.get("zeta", 1.0),
             alpha=alpha, g=g, G=G, zeros=zeros, knots=knots)
-    except ConfigError:
-        raise
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid nonlinearity block: {exc}") from exc
 
 
@@ -361,8 +368,7 @@ def build_problem(cfg: RunConfig, lam: float | None = None,
     verify, a config whose hypotheses do not all pass is refused."""
     from .energy import ProblemInstance
 
-    domain = build_domain(cfg)
-    grid = build_grid(domain, cfg.grid_n)
+    grid = build_grid(Domain(**cfg.domain), cfg.grid_n)
     p = build_exponent(cfg, grid)
     spec = build_potential(cfg, p)
     nl = build_nonlinearity(cfg, grid, p)

@@ -160,10 +160,13 @@ def test_alpha_r_reads_the_tent_of_a_table_load(bound):
 
 
 def test_certify_rejects_a_dip_of_F_between_samples():
+    # F dips to -2 at t = 1.002; g = 0 on |t| <= c0 gamma_r = 0.79, so
+    # alpha_r = 0 and no beta_h exceeds it
     flipped = dict(TENT, g_values=[-v for v in TENT["g_values"]])
     cert = certify(table_problem(flipped), r=5.0, h=1.2)
-    assert not cert.feasible and not cert.checks["F_nonneg_on_0_h"]
-    assert "F_nonneg_on_0_h" in cert.reason
+    assert cert.alpha_r == 0.0
+    assert not cert.feasible and not cert.checks["beta_gt_alpha"]
+    assert cert.reason == "beta_gt_alpha"
 
 
 def test_table_G_is_the_exact_antiderivative_of_g():
@@ -599,15 +602,22 @@ def test_certify_h_scan_matches_per_h_oracle(M, beta_fails):
     assert certify(inst, r, None, fine=fine).to_json() == want.to_json()
 
 
+#: the ridge table shifted down by 0.1: g(0) = -0.05, so F < 0 near t = 0
+RIDGE_T = np.linspace(0.0, 4.0, 1601)
+DIPPED_RIDGE = {"xi": 40.05, "g_t": RIDGE_T.tolist(),
+                "g_values": (spike_g(RIDGE_T) - 0.1).tolist()}
+
+
 @pytest.mark.parametrize("inst, h", [
     *[(spike_instance(build_grid(Domain("interval"), n)), 1.2)
       for n in (101, 201, 401)],
     *[(ridge_rectangle(4000.0, n), None) for n in (9, 17, 33)],
+    *[(table_problem(DIPPED_RIDGE, n), 1.2) for n in (101, 201)],
 ])
 def test_printed_interval_is_backed_by_its_test_function(inst, h):
     # the theorem's conditions, read off the vbar that the certificate
     # names with the grid's own J and Phi: r < J(vbar), and the lower end
-    # is at least J(vbar) / Phi(vbar)
+    # is at least J(vbar) / Phi(vbar).  F may dip below 0 on [0, h]
     r = 5.0
     cert = certify(inst, r, h)
     assert cert.feasible

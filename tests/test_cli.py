@@ -287,13 +287,29 @@ def test_unknown_key_is_bad_input(tmp_path):
     assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
 
 
-def test_a_variant_on_the_power_family_is_bad_input(tmp_path, capsys):
-    """potential.variant is read only by perturbed_power; on power it is
-    rejected rather than ignored."""
-    cfg = write_config(tmp_path, base_doc(potential={
-        "family": "power", "theta": 1.0, "variant": "paper_literal"}))
+#: block.key -> a block whose kind does not read that key
+FOREIGN_KEYS = {
+    "potential.variant": {"family": "power", "theta": 1.0,
+                          "variant": "paper_literal"},
+    "domain.a": {"kind": "interval", "a": 2.0},
+    "domain.R": {"kind": "rectangle", "R": 2.0},
+    "exponent.b": {"kind": "constant", "value": 2.0, "b": 0.5},
+    "exponent.value": {"kind": "affine", "a": 2.0, "b": 0.5, "value": 2.0},
+    "certificate.l": {"l": 1.0},
+    "certificate.r": {"dim1": True, "h": 0.15, "r": 1.0},
+    "certificate.h_scan": {"dim1": True, "h": 0.15, "h_scan": True},
+}
+
+
+@pytest.mark.parametrize("key", list(FOREIGN_KEYS))
+def test_a_key_its_kind_does_not_read_is_bad_input(tmp_path, capsys, key):
+    """A key that the block's kind does not read (potential.variant on
+    power, domain.a on an interval, certificate.r with dim1, ...) is
+    rejected at load, by its name, rather than ignored."""
+    block = key.split(".")[0]
+    cfg = write_config(tmp_path, base_doc(**{block: FOREIGN_KEYS[key]}))
     assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
-    assert "potential.variant" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 #: a = (1+t^2)^3 t grows like |t|^7, the H2 bound c1 (1 + t^2) like t^2
@@ -495,11 +511,18 @@ SOLVER_BUDGET = {"n_starts": 1, "k_max": 2, "sweep_m": 2, "max_iter": 10_000}
 RIDGE = json.loads((CONFIGS / "spike_ridge.json").read_text())
 
 
-# potential.variant is drawn on a perturbed_power potential, the only
-# family that has one, at p = 2.5, where both variants build (and
-# paper_literal fails H2)
-PERTURBED = {"potential": {"family": "perturbed_power", "theta": 1.0},
-             "exponent": {"kind": "constant", "value": 2.5}}
+# a key that one kind alone reads is drawn on a base of that kind:
+# potential.variant on a perturbed_power potential at p = 2.5, where both
+# variants build (and paper_literal fails H2)
+KIND_BASES = {
+    ("potential", "variant"): {
+        "potential": {"family": "perturbed_power", "theta": 1.0},
+        "exponent": {"kind": "constant", "value": 2.5}},
+    ("domain", "a"): {"domain": {"kind": "rectangle"}},
+    ("domain", "N"): {"domain": {"kind": "ball_radial"}},
+    ("exponent", "values"): {"exponent": {"kind": "table"}},
+    ("certificate", "l"): {"certificate": {"dim1": True, "h": 0.15}},
+}
 
 
 @settings(max_examples=150, deadline=None,
@@ -510,6 +533,9 @@ PERTURBED = {"potential": {"family": "perturbed_power", "theta": 1.0},
 @example(path=("grid_n",), value=[3], command="hypotheses")
 @example(path=("certificate", "dim1"), value=True, command="certify")
 @example(path=("domain",), value=["kind"], command="hypotheses")
+# the kind is looked up after its value check, so an unhashable kind is
+# bad input rather than a TypeError
+@example(path=("domain", "kind"), value=[], command="hypotheses")
 @example(path=("lambda",), value=1e300, command="solve")
 @example(path=("solver", "seed"), value=3, command="sweep")
 # p = 400 and 790: J(vbar) overflows or underflows at some heights
@@ -520,6 +546,10 @@ PERTURBED = {"potential": {"family": "perturbed_power", "theta": 1.0},
 @example(path=("potential", "variant"), value="standard", command="solve")
 @example(path=("potential", "variant"), value="paper_literal",
          command="hypotheses")
+@example(path=("domain", "a"), value=2, command="certify")
+@example(path=("domain", "N"), value=3, command="solve")
+@example(path=("exponent", "values"), value=[2.0, 3.0], command="sweep")
+@example(path=("certificate", "l"), value=0.5, command="certify")
 def test_any_config_value_keeps_the_exit_code_contract(
         tmp_path, monkeypatch, capsys, path, value, command):
     base = BEAM
@@ -530,8 +560,7 @@ def test_any_config_value_keeps_the_exit_code_contract(
         base = RIDGE if command == "sweep" else BEAM
         base = dict(base, solver=dict(base.get("solver", {}),
                                       **SOLVER_BUDGET))
-    if path == ("potential", "variant"):
-        base = dict(base, **PERTURBED)
+    base = dict(base, **KIND_BASES.get(path, {}))
     monkeypatch.chdir(tmp_path)           # the solutions and sweep CSVs
     cfg = write_config(tmp_path, config_with(path, value, base))
     code = main([command, "--config", cfg, "--grid-n", "9"])

@@ -1,5 +1,9 @@
 """Config parsing: schema, strict keys, block builders."""
 
+import json
+import runpy
+from pathlib import Path
+
 import pytest
 
 from pxbiharm.config import ConfigError, build_problem, load_config
@@ -59,9 +63,8 @@ def test_nonpositive_lambda_rejected():
 
 
 def test_unknown_exponent_kind_rejected():
-    cfg = load_config(base_doc(exponent={"kind": "spline"}))
     with pytest.raises(ConfigError):
-        build_problem(cfg)
+        load_config(base_doc(exponent={"kind": "spline"}))
 
 
 def test_affine_exponent_built():
@@ -80,9 +83,8 @@ def test_exponent_table_built():
 
 
 def test_unknown_potential_family_rejected():
-    cfg = load_config(base_doc(potential={"family": "quartic"}))
     with pytest.raises(ConfigError):
-        build_problem(cfg)
+        load_config(base_doc(potential={"family": "quartic"}))
 
 
 def test_q_must_stay_below_p_minus():
@@ -158,3 +160,21 @@ def test_per_node_list_of_no_grid_is_rejected(domain, m):
         potential={"family": "power", "theta": [1.0] * m}))
     with pytest.raises(ConfigError, match="potential.theta"):
         build_problem(cfg)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def shipped_and_benchmarked_configs():
+    """Each configs/*.json and each benchmark workload's config, read from
+    bench/workloads.py without changing it."""
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    return [*(pytest.param(json.loads(path.read_text()), id=path.name)
+              for path in sorted((ROOT / "configs").glob("*.json"))),
+            *(pytest.param(w.config(ROOT), id=name)
+              for name, w in workloads["WORKLOADS"].items())]
+
+
+@pytest.mark.parametrize("doc", shipped_and_benchmarked_configs())
+def test_every_shipped_and_benchmarked_config_builds(doc):
+    build_problem(load_config(doc), verify=True)
