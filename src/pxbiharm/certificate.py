@@ -69,11 +69,6 @@ _GREEN_BLOCK = 8
 #: far more than the rounding of the bound and of the screening modular
 _SKIP_MARGIN = 1e-9
 
-#: the Young parameters beta of `_young_bound`: one Poisson solve each per
-#: grid, a 12 x 961 x 8 B = 92 KB table on the 33 x 33 grid (below glibc's
-#: 128 KB mmap threshold)
-_YOUNG_BETAS = np.geomspace(0.3, 30.0, 12)
-
 
 @dataclass
 class Certificate:
@@ -206,6 +201,13 @@ def estimate_c0(grid: Grid, p: ExponentField):
     exponent p'- (exact at constant p' = 2), and, where p' varies and
     p'- < 2, `_young_bound`, which charges each node with p'_j <= 2 its
     own exponent by Young's inequality.
+
+    On a rectangle, G is symmetric under x2 -> b - x2 and x1 -> a - x1.
+    Where p' (all n x n nodal values) is unchanged by a reflection, a row
+    and its mirror image have the same norm, so only the rows with
+    i <= m - 1 - i on that axis (m interior nodes a side) are visited:
+    about half for an exponent of x1 alone, a quarter for a constant one.
+    An exponent whose values break a mirror visits every row on that axis.
     """
     if grid.domain.kind == "interval":
         return 0.25, "analytic"
@@ -213,6 +215,15 @@ def estimate_c0(grid: Grid, p: ExponentField):
     moments, rows, green = _green_rows(grid)
     young = _young_terms(grid, pc, green)
     todo = np.argsort(moments[1])[::-1]
+    if grid.domain.kind == "rectangle":
+        q2, m = pc.values.reshape(grid.shape), grid.n - 2
+        i1, i2 = np.divmod(todo, m)
+        keep = np.ones(todo.size, bool)
+        if np.array_equal(q2, q2[:, ::-1]):
+            keep &= 2 * i2 < m
+        if np.array_equal(q2, q2[::-1, :]):
+            keep &= 2 * i1 < m
+        todo = todo[keep]
     best = 0.0
     while todo.size:
         block = rows(todo[:_GREEN_BLOCK])
@@ -260,9 +271,20 @@ def _modular_bound(moments: np.ndarray, mu: float, q: ExponentField):
         return np.maximum(1.0, top) ** (hi - lo) * body
 
 
+def _young_betas(q: ExponentField) -> np.ndarray:
+    """The Young parameters beta of `_young_terms` and `_young_bound`, as a
+    column: 12 log-spaced values in [(q- - 1)/2, 2].  Any beta > 0 gives a
+    valid bound.  Young's v^q <= alpha v + beta v^2 is tight where
+    beta = (q - 1) v^{q-2}, and v near 1 holds the modular mass of the rows
+    near the best norm.  Each beta costs one Poisson solve per grid, a
+    12 x 961 x 8 B = 92 KB table on the 33 x 33 grid (below glibc's 128 KB
+    mmap threshold)."""
+    return np.geomspace((q.p_minus - 1.0) / 2.0, 2.0, 12)[:, None]
+
+
 def _young_terms(grid: Grid, q: ExponentField, green):
     """T[k, i] = sum_j alpha_j(beta_k) |G_ij| for each beta_k of
-    `_YOUNG_BETAS`, the mu-free part of `_young_bound`, or None where that
+    `_young_betas`, the mu-free part of `_young_bound`, or None where that
     bound cannot beat `_modular_bound`: a constant q, where its minimum over
     beta is the Lyapunov bound, and q- >= 2, where no node has an alpha.
 
@@ -278,7 +300,7 @@ def _young_terms(grid: Grid, q: ExponentField, green):
     if q.is_constant or q.p_minus >= 2.0:
         return None
     qv = q.values[grid.interior_mask]
-    beta = _YOUNG_BETAS[:, None]
+    beta = _young_betas(q)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         alpha = (2.0 - qv) * ((qv - 1.0) / beta) ** ((qv - 1.0) / (2.0 - qv))
     alpha[:, qv > 2.0] = 0.0
@@ -299,9 +321,9 @@ def _young_bound(terms: np.ndarray, moments: np.ndarray, mu: float,
     v_j^q_j <= K v_j^2 with K = max(1, M/mu)^{q+ - 2}, as in
     `_modular_bound`.  Summed with the weights w_j, the modular is at most
     T_i(beta)/mu + max(beta, K) L2_i/mu^2, taken at the best beta of
-    `_YOUNG_BETAS`.
+    `_young_betas`, the same beta as `_young_terms`.
     """
-    coef = _YOUNG_BETAS[:, None]
+    coef = _young_betas(q)
     if q.p_plus > 2.0:
         with np.errstate(over="ignore"):
             coef = np.maximum(

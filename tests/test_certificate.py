@@ -385,11 +385,12 @@ NEAR_2 = st.sampled_from([2.0, 2.0 - 1e-9, 2.0 + 1e-9, 2.0 + 1e-6, 2.01])
 @st.composite
 def grids_and_exponents(draw):
     """The 9x9 square or the 17-node disc, with an affine or a tabulated
-    exponent with p in [1.2, 4] on it, so that p'- < 2 < p'+ is drawn as
-    well as either side of 2, and p = 2 is touched at an end of the affine
-    range or at table entries."""
+    exponent with p in [1.2, 40] on it, so that p'- < 2 < p'+ is drawn as
+    well as either side of 2, p = 2 is touched at an end of the affine
+    range or at table entries, and the smallest Young beta (p'- - 1)/2
+    reaches down to about 0.013."""
     grid = BALL_17 if draw(st.booleans()) else SQUARE_9
-    values = st.floats(1.2, 4.0) | NEAR_2
+    values = st.floats(1.2, 40.0) | NEAR_2
     if draw(st.booleans()):
         lo = draw(values)
         hi = draw(values)
@@ -468,31 +469,66 @@ def test_skipping_rows_keeps_c0_bit_identical(domain, n, kind):
     assert estimate_c0(grid, p)[0] == screened_c0(grid, p)
 
 
-def _rows_generated(monkeypatch, grid, p):
-    """How many Green's rows estimate_c0 generates on grid."""
+def _generated_rows(monkeypatch, grid, p):
+    """The interior indices of the Green's rows estimate_c0 generates on
+    grid, and its c0."""
     generated = []
 
     def counting_green_rows(grid):
         moments, rows, green = _green_rows(grid)
 
         def counted(idx):
-            generated.append(len(idx))
+            generated.extend(idx)
             return rows(idx)
         return moments, counted, green
 
     monkeypatch.setattr(certificate, "_green_rows", counting_green_rows)
-    estimate_c0(grid, p)
-    return sum(generated)
+    c0, _ = estimate_c0(grid, p)
+    return np.array(generated, dtype=int), c0
 
 
 def test_c0_generates_few_rows(monkeypatch):
-    # the bound is exact at p = 2, and the benchmark exponent skips most
-    # rows of the doubled 17 x 17 grid (135 of 961 generated)
-    grid = build_grid(Domain("rectangle"), 33)
-    assert _rows_generated(monkeypatch, grid,
-                           constant_exponent(grid, 2.0)) == _GREEN_BLOCK
-    assert _rows_generated(monkeypatch, grid, affine_exponent(grid, 2.0, 0.5)) \
-        <= 0.2 * (grid.n - 2) ** 2
+    # the bound is exact at p = 2; the benchmark exponent visits one row
+    # of each mirror pair and skips most of those (48 of 961 generated on
+    # the doubled 17 x 17 grid), and p+ <= 2 skips fewer (277 of 961)
+    def count(grid, p):
+        return _generated_rows(monkeypatch, grid, p)[0].size
+
+    for n, most in ((17, 13), (33, 48)):
+        grid = build_grid(Domain("rectangle"), n)
+        assert count(grid, affine_exponent(grid, 2.0, 0.5)) <= most
+    assert count(grid, constant_exponent(grid, 2.0)) == _GREEN_BLOCK
+    assert count(grid, affine_exponent(grid, 1.5, 0.3)) <= 277
+
+
+@pytest.mark.parametrize("node, mirrored", [((8, 4), False),
+                                            ((4, 8), True)])
+def test_c0_takes_the_mirror_only_when_it_holds(monkeypatch, node, mirrored):
+    # p = 2 + x1/2 on the 17 x 17 square with one node raised by 1e-3: off
+    # the centre column x2 = 1/2 it breaks the mirror x2 -> 1 - x2, and
+    # every row must stay in play; on it the mirror holds
+    grid = build_grid(Domain("rectangle"), 17)
+    vals = (2.0 + grid.x1 / 2).reshape(grid.shape)
+    vals[node] += 1e-3
+    p = tabulated_exponent(grid, vals.ravel())
+    idx, c0 = _generated_rows(monkeypatch, grid, p)
+    m = grid.n - 2
+    assert np.all(2 * (idx % m) < m) == mirrored
+    assert c0 == pytest.approx(all_rows_c0(grid, p), rel=1e-10)
+
+
+@pytest.mark.parametrize("domain, n, exponent", [
+    (Domain("rectangle"), 33, lambda g: affine_exponent(g, 3.0, 2.0)),
+    (Domain("rectangle", a=2.0, b=0.5), 17,
+     lambda g: constant_exponent(g, 3.0)),
+])
+def test_mirrored_c0_matches_solving_every_row(domain, n, exponent):
+    # the mirror in x2 alone (p = 3 + 2 x1, where it changes which row sets
+    # the best norm first), and in both axes (constant p)
+    grid = build_grid(domain, n)
+    p = exponent(grid)
+    c0, _ = estimate_c0(grid, p)
+    assert c0 == pytest.approx(all_rows_c0(grid, p), rel=1e-13)
 
 
 def test_certify_spike_is_feasible():
