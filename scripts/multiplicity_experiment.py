@@ -12,7 +12,7 @@ Runs two fixtures on the unit interval with the p = 2 power potential:
     has exactly one solution there.  Each row prints mu, and the search
     stops at the first solution.
   * ridge: g(t) = 0.05 + 40 exp(-((|t|-1)/0.05)^2).  The general
-    certificate is feasible near lambda ~ 23..126 and the deflated Newton
+    certificate is feasible near lambda ~ 25.9..219 and the deflated Newton
     search finds the three branches (small, mountain-pass, large) at every
     lambda of the sweep.
 

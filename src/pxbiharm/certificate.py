@@ -13,16 +13,13 @@ Phi(vbar) are the grid's own quadratures, rounded outwards by a
 floating-point slack.  The record also carries the inradius D with its
 centre x0, the unit ball volume w and the annulus measure L.
 
-Which problem an interval speaks about follows c0's provenance: with the
-"analytic" c0 = 1/4 (unit interval) it is the continuum problem; with the
-"discrete-green" c0 (rectangle, radial ball) it is the discrete problem
-on the certificate's grid.
+Every interval is a claim about the discrete problem on the certificate's
+grid: c0 is the "discrete-green" constant of that grid on every domain.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,13 +95,6 @@ class Certificate:
     def feasible(self) -> bool:
         return self.lambda_interval is not None
 
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["x0"] = list(self.x0)
-        if self.lambda_interval is not None:
-            payload["lambda_interval"] = list(self.lambda_interval)
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def inradius(domain: Domain):
     """(D, x0): exact inradius of a supported domain and an attaining center."""
@@ -179,16 +169,11 @@ def alpha_r(inst: ProblemInstance, r: float, c0: float) -> float:
 
 
 def estimate_c0(grid: Grid, p: ExponentField):
-    """(c0, provenance): the embedding constant in ||u||_inf <= c0 ||u||.
-
-    * "analytic" (unit interval only): the continuum constant 1/4.  The
-      interval certifies the continuum problem.
-    * "discrete-green" (rectangle, radial ball): the constant of the
-      discrete problem on this grid.  With G the inverse of the interior
-      Laplacian, u = G (Lu) on the interior, so u_i = int (G_i/w) Lu dx
-      and Holder's inequality gives
-      c0 = (1/p- + 1/p'-) max_i |G_i/w|_{p'(x)}, sharp for p = 2.  The
-      interval certifies the discrete problem on its grid.
+    """(c0, "discrete-green"): the embedding constant in
+    ||u||_inf <= c0 ||u|| of the discrete problem on this grid.  With G
+    the inverse of the interior Laplacian, u = G (Lu) on the interior, so
+    u_i = int (G_i/w) Lu dx and Holder's inequality gives
+    c0 = (1/p- + 1/p'-) max_i |G_i/w|_{p'(x)}, sharp for p = 2.
 
     The rows are visited by their p = 2 value L2_i = sum_j G_ij^2 / w_j,
     largest first, in blocks of `_GREEN_BLOCK`.  A row whose modular at
@@ -202,27 +187,25 @@ def estimate_c0(grid: Grid, p: ExponentField):
     p'- < 2, `_young_bound`, which charges each node with p'_j <= 2 its
     own exponent by Young's inequality.
 
-    On a rectangle, G is symmetric under x2 -> b - x2 and x1 -> a - x1.
-    Where p' (all n x n nodal values) is unchanged by a reflection, a row
+    On an interval or a rectangle, G is symmetric under the reflection of
+    each axis (x -> 1 - x, x1 -> a - x1, x2 -> b - x2).  Where p' (all its
+    nodal values, shaped as the grid) is unchanged by a reflection, a row
     and its mirror image have the same norm, so only the rows with
     i <= m - 1 - i on that axis (m interior nodes a side) are visited:
-    about half for an exponent of x1 alone, a quarter for a constant one.
-    An exponent whose values break a mirror visits every row on that axis.
+    about half for a rectangle's exponent of x1 alone, a quarter for a
+    constant one.  An exponent whose values break a mirror visits every
+    row on that axis.
     """
-    if grid.domain.kind == "interval":
-        return 0.25, "analytic"
     pc = conjugate(p)
     moments, rows, green = _green_rows(grid)
     young = _young_terms(grid, pc, green)
     todo = np.argsort(moments[1])[::-1]
-    if grid.domain.kind == "rectangle":
-        q2, m = pc.values.reshape(grid.shape), grid.n - 2
-        i1, i2 = np.divmod(todo, m)
+    if grid.domain.kind != "ball_radial":
+        q, m = pc.values.reshape(grid.shape), grid.n - 2
         keep = np.ones(todo.size, bool)
-        if np.array_equal(q2, q2[:, ::-1]):
-            keep &= 2 * i2 < m
-        if np.array_equal(q2, q2[::-1, :]):
-            keep &= 2 * i1 < m
+        for axis, i in enumerate(np.unravel_index(todo, (m,) * q.ndim)):
+            if np.array_equal(q, np.flip(q, axis)):
+                keep &= 2 * i < m
         todo = todo[keep]
     best = 0.0
     while todo.size:
@@ -345,9 +328,9 @@ def _green_rows(grid: Grid):
     and |G| f = S ((S f S) / lam) S, since G is entrywise of one sign (the
     inverse of an M-matrix); L1 = |G| 1.  By the discrete maximum
     principle the row maximum is the diagonal, M = (S^2 (1/lam) S^2) / w
-    with the constant interior weight w.  On the radial ball G is the
-    dense inverse of the 1D interior block, and the moments are read from
-    it.
+    with the constant interior weight w.  On the interval and the radial
+    ball G is the dense inverse of the interior block, and the moments
+    are read from it.
     """
     n = grid.n
     interior = grid.interior_mask

@@ -1,5 +1,6 @@
 """Certificate constants, feasibility decisions and the 1D interval."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import brentq
 
 from pxbiharm import certificate
 from pxbiharm.certificate import (
@@ -234,11 +236,6 @@ def test_a_separable_load_without_zeros_cannot_be_certified(interval_grid):
         certify(inst, r=5.0, h=1.2)
 
 
-def test_c0_interval_is_analytic(interval_grid):
-    c0, prov = estimate_c0(interval_grid, constant_exponent(interval_grid, 2.0))
-    assert (c0, prov) == (0.25, "analytic")
-
-
 def dense_green_rows(grid):
     """G_i / w for every interior node i, with G the dense inverse of the
     interior Laplacian, as full-grid rows (zero on the boundary)."""
@@ -247,6 +244,34 @@ def dense_green_rows(grid):
     rows = np.zeros((G.shape[0], grid.size))
     rows[:, interior] = G / grid.weights[interior]
     return G, rows
+
+
+@pytest.mark.parametrize("inner, outer", [(1.05, 6.0), (1.01, 40.0),
+                                          (1.2, 3.0)])
+def test_c0_bounds_the_interval_witness(inner, outer):
+    # p = inner on |x - 1/2| < 0.1 and outer elsewhere, n = 201.  With
+    # k_j = |G_ij|/w_j at the centre row, f_j = (k_j/(nu p_j))^{1/(p_j-1)}
+    # maximises sum_j w_j k_j f_j under sum_j w_j f_j^{p_j} = 1 (Lagrange),
+    # and u = G(-f) has u_i = sum_j w_j k_j f_j.  The first two exceed the
+    # continuum 1/4 (0.2573 and 0.3079 ||Lu||)
+    grid = build_grid(Domain("interval"), 201)
+    p = tabulated_exponent(
+        grid, np.where(np.abs(grid.x1 - 0.5) < 0.1, inner, outer))
+    G, rows = dense_green_rows(grid)
+    k = np.abs(rows[len(G) // 2])
+    pv, w = p.values, grid.weights
+
+    def field(log_nu):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp((np.log(k) - log_nu - np.log(pv)) / (pv - 1.0))
+
+    log_nu = brentq(lambda t: w @ field(t) ** pv - 1.0, -200.0, 200.0)
+    f = field(log_nu)
+    vals = np.zeros(grid.size)
+    vals[grid.interior_mask] = -G @ f[grid.interior_mask]
+    u = GridFunction(grid, vals, bc="navier")
+    c0, _ = estimate_c0(grid, p)
+    assert sup_norm(u) <= c0 * laplacian_norm(u, p).value
 
 
 def test_c0_ball_is_estimated(ball_grid):
@@ -268,6 +293,8 @@ GREEN_GRIDS = [
     (Domain("rectangle", a=2.0, b=0.5), 17),
     (Domain("ball_radial", N=2, R=1.0), 65),
     (Domain("ball_radial", N=3, R=0.7), 33),
+    (Domain("interval"), 33),
+    (Domain("interval"), 201),
 ]
 
 
@@ -561,10 +588,6 @@ def test_certify_r_bound_violation():
     assert not cert.feasible
 
 
-def refuse_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
 @pytest.mark.parametrize("domain, p_value, h, where", [
     # J(vbar) ~ (h lam1)^p / p with lam1 = 9.87 underflows to 0 at
     # h = 0.01 and overflows at h = 100
@@ -582,7 +605,7 @@ def test_certify_reports_a_test_function_it_cannot_evaluate(domain, p_value,
     assert cert.reason == "J(vbar) is not in (0, inf), or Phi(vbar) / " \
         "J(vbar) is not finite, " + where
     assert cert.beta_h is cert.J_vbar is cert.Phi_vbar_lower is None
-    json.loads(cert.to_json(), parse_constant=refuse_constant)
+    json.dumps(dataclasses.asdict(cert), allow_nan=False)
 
 
 def test_certify_requires_eligible_exponent(ball_grid):
@@ -596,7 +619,7 @@ def test_certify_requires_eligible_exponent(ball_grid):
 def test_certificate_json_roundtrip():
     grid = build_grid(Domain("interval"), 65)
     cert = certify(spike_instance(grid), r=5.0, h=1.2)
-    doc = json.loads(cert.to_json())
+    doc = json.loads(json.dumps(dataclasses.asdict(cert), allow_nan=False))
     assert doc["lambda_interval"] == list(cert.lambda_interval)
     assert doc["checks"] == cert.checks
 
@@ -635,7 +658,7 @@ def test_certify_h_scan_matches_per_h_oracle(M, beta_fails):
     assert best[2] == pytest.approx(10 ** (1 / 6), rel=1e-12)
     assert want.checks["r_bound"]
     assert want.checks["beta_gt_alpha"] != beta_fails
-    assert certify(inst, r, None, fine=fine).to_json() == want.to_json()
+    assert certify(inst, r, None, fine=fine) == want
 
 
 #: the ridge table shifted down by 0.1: g(0) = -0.05, so F < 0 near t = 0

@@ -396,7 +396,7 @@ def test_certify_h_scan_keeps_heights_whose_r_bound_holds(tmp_path, capsys):
     assert "h-scan selected h = 1.4678\n" in out.err
     assert payload["h"] == pytest.approx(10 ** (1 / 6), rel=1e-12)
     assert all(payload["checks"].values()) and payload["converged"]
-    assert payload["lambda_interval"] == pytest.approx([27.6236, 126.4911],
+    assert payload["lambda_interval"] == pytest.approx([27.6236, 219.0671],
                                                        abs=1e-4)
 
 
@@ -631,8 +631,7 @@ def test_well_formed_config_values_keep_the_exit_code_contract(
     code = main([command, "--config", cfg, "--grid-n", "9"])
     assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_INPUT)
     out = capsys.readouterr().out
-    if command == "certify" and code != EXIT_BAD_INPUT \
-            and domain["kind"] != "interval":
+    if command == "certify" and code != EXIT_BAD_INPUT:
         payload = json.loads(out)
         assert np.isfinite(payload["c0"]) and payload["c0"] > 0
         assert payload["c0_provenance"] == "discrete-green"
