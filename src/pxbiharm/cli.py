@@ -3,6 +3,9 @@
 Subcommands: check-spaces, hypotheses, certify, solve, sweep.
 Machine-readable JSON goes to stdout (or --out); human text to stderr.
 Exit codes: 0 success/feasible, 1 infeasible-but-valid, 2 invalid input.
+
+The argument parser is built once, at import, and `main(argv)` keeps no
+state between calls, so one process may run any number of commands.
 """
 
 from __future__ import annotations
@@ -166,18 +169,17 @@ def cmd_certify(args) -> int:
 
 
 def _write_solutions_csv(path: str, inst: ProblemInstance, sols):
-    """One row per node: its coordinates and every solution's value there,
-    each the repr of a Python float, which float() reads back exactly."""
+    """One row per node: its coordinates and every solution's value there.
+    csv writes each Python float as str(float), which is its repr, so
+    float() reads every cell back exactly."""
     grid = inst.grid
-    nodes = grid.nodes.reshape(grid.size, -1).tolist()
-    values = [p.u.values.tolist() for p in sols.points]
+    nodes = grid.nodes.reshape(grid.size, -1)
+    values = [p.u.values for p in sols.points]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         header = ["x1", "x2"] if grid.domain.kind == "rectangle" else ["x"]
         wr.writerow(header + [f"u{i}" for i in range(len(values))])
-        for j, node in enumerate(nodes):
-            wr.writerow([repr(x) for x in node]
-                        + [repr(u[j]) for u in values])
+        wr.writerows(np.column_stack([nodes, *values]).tolist())
 
 
 def cmd_solve(args) -> int:
@@ -205,13 +207,12 @@ def cmd_solve(args) -> int:
 
 def write_sweep_csv(path: str, rows):
     """The sweep table of lambda_sweep's rows: lambda, the solution count
-    and the energies joined by ';'."""
+    and the energies joined by ';', every float as its repr."""
+    table = [["lambda", "n_solutions", "energies"]]
+    table += [[row["lambda"], row["n_solutions"],
+               ";".join(map(repr, row["energies"]))] for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["lambda", "n_solutions", "energies"])
-        for row in rows:
-            wr.writerow([repr(row["lambda"]), row["n_solutions"],
-                         ";".join(repr(e) for e in row["energies"])])
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
 
 def cmd_sweep(args) -> int:
@@ -264,8 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args returns a fresh Namespace and changes no parser state
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON payloads, CSV artifacts."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import pxbiharm
 from pxbiharm import certificate, solver
+from pxbiharm import cli
 from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.grids import Domain, build_grid
@@ -214,6 +216,42 @@ def test_bad_flag_values_are_bad_input(tmp_path, monkeypatch, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
     assert not (tmp_path / "solutions.csv").exists()
+
+
+def test_main_builds_no_parser_per_command(tmp_path, capsys, monkeypatch):
+    """The parser is built once, at import: a command constructs no
+    ArgumentParser (the parent and every subcommand's)."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = write_config(tmp_path, base_doc())
+    for _ in range(2):
+        assert main(["hypotheses", "--config", cfg]) == EXIT_OK
+    capsys.readouterr()
+    assert built == []
+
+
+def test_consecutive_commands_share_no_state(tmp_path, capsys, monkeypatch):
+    """A command's flags do not reach the next command in the same process,
+    and the parser built at import is the one build_parser makes."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, base_doc(solver={"n_starts": 1,
+                                                   "k_max": 2}))
+    assert main(["solve", "--config", cfg, "--lambda", "2", "--seed", "5",
+                 "--grid-n", "9"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg]) == EXIT_BAD_INPUT
+    assert "solve needs lambda" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", cfg, "--lambda", "1"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "--lambda" in capsys.readouterr().err
+    assert cli._PARSER.format_help() == cli.build_parser().format_help()
 
 
 def test_sweep_deterministic_csv(tmp_path, monkeypatch):
