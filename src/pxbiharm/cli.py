@@ -4,8 +4,9 @@ Subcommands: check-spaces, hypotheses, certify, solve, sweep.
 Machine-readable JSON goes to stdout (or --out); human text to stderr.
 Exit codes: 0 success/feasible, 1 infeasible-but-valid, 2 invalid input.
 
-The argument parser is built once, at import, and `main(argv)` keeps no
-state between calls, so one process may run any number of commands.
+The argument parser is built on the first `main(argv)` call and reused,
+and `main` keeps no state between calls, so one process may run any
+number of commands.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -240,6 +242,7 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pxbiharm",
@@ -265,12 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# parse_args returns a fresh Namespace and changes no parser state
-_PARSER = build_parser()
-
-
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # the cached parser is safe to share: parse_args returns a fresh
+    # Namespace and changes no parser state
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
