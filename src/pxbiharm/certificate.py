@@ -375,14 +375,6 @@ def _green_rows(grid: Grid):
     return moments, rows, green
 
 
-def _grid_constants(inst: ProblemInstance, r: float) -> dict:
-    """The h-independent ingredients of the certificate on the instance's
-    grid: c0 with its provenance, gamma_r and alpha_r."""
-    c0, prov = estimate_c0(inst.grid, inst.p)
-    return dict(c0=c0, c0_provenance=prov, gamma_r=gamma_r(inst.p, r),
-                alpha=alpha_r(inst, r, c0))
-
-
 def _scan_h(inst: ProblemInstance, r: float, alpha: float) -> float:
     """The h of H_GRID with the largest beta_h / alpha_r among the heights
     whose r-bound holds, else among those where vbar can serve (`_beta`),
@@ -414,28 +406,29 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     `fine` is the same problem on the doubled grid (2n - 1 nodes per axis
     of the same domain).  When it is given, `converged` records whether
     alpha_r and beta_h agree on both grids to `_CONVERGENCE_RTOL`;
-    otherwise it is None.  The h-independent constants are computed once
-    per grid."""
+    otherwise it is None.  c0 and alpha_r are computed once per grid; the
+    doubled grid computes only them and beta_h."""
     if not inst.p.certificate_eligible(inst.grid.domain.dim):
         raise ValueError("certificate requires p_minus > N/2")
     if fine is not None and (fine.grid.domain != inst.grid.domain
                              or fine.grid.n != 2 * inst.grid.n - 1):
         raise ValueError("fine must be the problem on the doubled grid "
                          "(2n - 1 nodes per axis) of the same domain")
-    core = _grid_constants(inst, r)
+    c0, c0_provenance = estimate_c0(inst.grid, inst.p)
+    alpha = alpha_r(inst, r, c0)
     scanned = h is None
     if scanned:
-        h = _scan_h(inst, r, core["alpha"])
+        h = _scan_h(inst, r, alpha)
     bounds = _test_function_bounds(inst, [h])
     beta = float(_beta(*bounds)[0])
     J_lo, J_up, Phi_lo = (float(b[0]) for b in bounds)
     usable = not np.isnan(beta)
     checks = {
         "r_bound": usable and r < J_lo,
-        "beta_gt_alpha": usable and beta > core["alpha"] > 0.0,
+        "beta_gt_alpha": usable and beta > alpha > 0.0,
     }
     feasible = all(checks.values())
-    interval = (1.0 / beta, 1.0 / core["alpha"]) if feasible else None
+    interval = (1.0 / beta, 1.0 / alpha) if feasible else None
     reason = None
     if not usable:
         reason = ("J(vbar) is not in (0, inf), or Phi(vbar) / J(vbar) is "
@@ -446,17 +439,17 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
 
     converged = None
     if fine is not None:
+        fine_alpha = alpha_r(fine, r, estimate_c0(fine.grid, fine.p)[0])
         fine_beta = float(_beta(*_test_function_bounds(fine, [h]))[0])
-        converged = _close(core["alpha"], _grid_constants(fine, r)["alpha"]) \
-            and _close(beta, fine_beta)
+        converged = _close(alpha, fine_alpha) and _close(beta, fine_beta)
 
     N = inst.grid.domain.dim
     D, x0 = inradius(inst.grid.domain)
     return Certificate(
         r=r, h=h, N=N, D=D, x0=tuple(x0), w=unit_ball_volume(N),
-        L=compute_L(N, D), gamma_r=core["gamma_r"],
-        c0=core["c0"], c0_provenance=core["c0_provenance"],
-        alpha_r=core["alpha"], beta_h=beta if usable else None,
+        L=compute_L(N, D), gamma_r=gamma_r(inst.p, r),
+        c0=c0, c0_provenance=c0_provenance,
+        alpha_r=alpha, beta_h=beta if usable else None,
         lambda_interval=interval, checks=checks, converged=converged,
         J_vbar=J_up if usable else None,
         Phi_vbar_lower=Phi_lo if usable else None, reason=reason,

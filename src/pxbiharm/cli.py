@@ -184,15 +184,19 @@ def _write_solutions_csv(path: str, inst: ProblemInstance, sols):
         wr.writerows(np.column_stack([nodes, *values]).tolist())
 
 
+def _search_keywords(cfg: cfgmod.RunConfig) -> dict:
+    """The keywords of `solver.deflate_and_search`, for solve and sweep."""
+    s = cfg.solver
+    return dict(k_max=s.k_max, n_starts=s.n_starts, seed=s.seed, tol=s.tol,
+                vbar_scale=cfg.certificate.get("h", 1.0), max_iter=s.max_iter)
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
     if cfg.lam is None:
         raise ConfigError("solve needs lambda (pass --lambda or config)")
     inst = cfgmod.build_problem(cfg, verify=True)
-    s = cfg.solver
-    sols = sol.deflate_and_search(
-        inst, k_max=s.k_max, n_starts=s.n_starts, seed=s.seed, tol=s.tol,
-        vbar_scale=cfg.certificate.get("h", 1.0), max_iter=s.max_iter)
+    sols = sol.deflate_and_search(inst, **_search_keywords(cfg))
     _write_solutions_csv(cfg.output.solutions_csv, inst, sols)
     payload = {
         "lambda": inst.lam,
@@ -225,11 +229,8 @@ def cmd_sweep(args) -> int:
         _info("certificate interval is empty; nothing to sweep")
         _emit(dataclasses.asdict(certificate), args.out)
         return EXIT_INFEASIBLE
-    s = cfg.solver
-    rows = sol.lambda_sweep(
-        inst, certificate.lambda_interval, s.sweep_m, k_max=s.k_max,
-        n_starts=s.n_starts, seed=s.seed, tol=s.tol,
-        vbar_scale=cfg.certificate.get("h", 1.0), max_iter=s.max_iter)
+    rows = sol.lambda_sweep(inst, certificate.lambda_interval,
+                            cfg.solver.sweep_m, **_search_keywords(cfg))
     write_sweep_csv(cfg.output.sweep_csv, rows)
     payload = {
         "lambda_interval": list(certificate.lambda_interval),

@@ -308,9 +308,6 @@ class GridFunction:
     def zeros(cls, grid: Grid, bc: str = "navier") -> "GridFunction":
         return cls(grid, np.zeros(grid.size), bc)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.bc)
-
 
 def laplacian(grid: Grid, u: GridFunction) -> GridFunction:
     """Second-order discrete Laplacian; boundary values are forced to zero

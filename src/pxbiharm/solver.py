@@ -300,8 +300,8 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     with the Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0)
     instead, which is positive definite.  Armijo backtracking on the energy
     sets the step length, unless the predicted decrease lies below the
-    energy's rounding floor.  Stops as _newton does, or when no step length
-    lowers the energy."""
+    energy's rounding floor; each trial energy is evaluated once.  Stops as
+    _newton does, or when no step length lowers the energy."""
     interior = inst.grid.interior_mask
     hessian = _Hessian(inst)
     z = u0.values[interior]
@@ -323,13 +323,13 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
         # there the full step is taken
         slope, t = float(np.dot(r, step)), 1.0
         floor = _energy_floor(inst, vals)
-        while -slope > floor and total_energy(
-                inst, _lift(inst, z + t * step)) > e + ARMIJO * t * slope:
+        trial = total_energy(inst, _lift(inst, z + step))
+        while -slope > floor and trial > e + ARMIJO * t * slope:
             t *= 0.5
             if t < EPS:
                 return _critical_point(inst, z, tol)
-        z = z + t * step
-        e = total_energy(inst, _lift(inst, z))
+            trial = total_energy(inst, _lift(inst, z + t * step))
+        z, e = z + t * step, trial
         if t * np.max(np.abs(step)) <= STEP_TOL * max(
                 1.0, float(np.max(np.abs(z)))):
             break
@@ -458,10 +458,9 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
 
 
 def lambda_sweep(inst: ProblemInstance, interval, m: int,
-                 k_max: int = 6, n_starts: int = 12, seed: int = 0,
-                 tol: float = DEFAULT_TOL, vbar_scale: float = 1.0,
-                 straddle: bool = True, max_iter: int = DEFAULT_MAX_ITER):
-    """Run deflate_and_search at m log-spaced lambda values across
+                 straddle: bool = True, **search):
+    """Run deflate_and_search, with the keywords search (k_max, n_starts,
+    seed, tol, vbar_scale, max_iter), at m log-spaced lambda values across
     [lo*0.5, hi*2] (straddling the certified interval) and tabulate the
     counts and energies; deterministic for a fixed seed."""
     if m < 2:
@@ -472,10 +471,7 @@ def lambda_sweep(inst: ProblemInstance, interval, m: int,
     lambdas = np.geomspace(lo, hi, m)
     rows = []
     for lam in lambdas:
-        sols = deflate_and_search(replace(inst, lam=float(lam)),
-                                  k_max=k_max, n_starts=n_starts, seed=seed,
-                                  tol=tol, vbar_scale=vbar_scale,
-                                  max_iter=max_iter)
+        sols = deflate_and_search(replace(inst, lam=float(lam)), **search)
         rows.append({
             "lambda": float(lam),
             "n_solutions": len(sols.points),

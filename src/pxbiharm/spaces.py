@@ -41,9 +41,6 @@ class NormResult:
     value: float | np.ndarray
     iterations: int
 
-    def __float__(self):
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class HolderReport:

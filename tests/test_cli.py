@@ -771,6 +771,23 @@ def test_malformed_types_are_bad_input(tmp_path, path, value):
     assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("exponent", "value"), 0.5, "invalid exponent block"),
+    (("nonlinearity", "zeta"), -1.0, "zeta must be nonnegative"),
+    (("potential",), {"family": "perturbed_power", "theta": -1.0},
+     "theta must be strictly positive"),
+    (("domain",), {"kind": "rectangle", "a": -1.0, "b": 1.0},
+     "rectangle sides must be positive"),
+    (("domain",), {"kind": "ball_radial", "N": 2, "R": -1.0},
+     "ball_radial needs N >= 1 and R > 0"),
+])
+def test_builder_value_errors_are_bad_input(tmp_path, capsys, path, value,
+                                            message):
+    cfg = write_config(tmp_path, config_with(path, value))
+    assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_cli_import_leaves_out_the_sparse_solvers():
     """The Newton core solves with LAPACK's banded LU, so importing the
     command line loads none of scipy.sparse.linalg (SuperLU, ARPACK, ...)."""

@@ -71,22 +71,23 @@ def test_ball_radial_solve_matches_ode_solution():
     assert np.max(np.abs(pt.u.values - exact)) < 1e-4
 
 
-def count_residuals(monkeypatch):
+def counted(monkeypatch, name):
+    """A list that gains one entry per call of solver's `name`."""
     calls = []
-    real = solver.residual_vector
+    real = getattr(solver, name)
 
-    def counted(*args, **kwargs):
+    def wrapper(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "residual_vector", counted)
+    monkeypatch.setattr(solver, name, wrapper)
     return calls
 
 
 def test_minimize_newton_descent_is_cheap(monkeypatch):
     grid = build_grid(Domain("interval"), 201)
     inst = make_instance(grid, nl_name="rational_bump", lam=0.27)
-    calls = count_residuals(monkeypatch)
+    calls = counted(monkeypatch, "residual_vector")
     pt = minimize(inst, GridFunction.zeros(grid))
     assert pt.converged
     assert len(calls) <= 50
@@ -108,7 +109,7 @@ def test_minimize_leaves_a_saddle_downhill(monkeypatch):
     assert eigval[0] == pytest.approx(-30.3, abs=0.1) and eigval[1] > 0
     vals = saddle.u.values.copy()
     vals[grid.interior_mask] += 1e-3 * eigvec[:, 0]
-    calls = count_residuals(monkeypatch)
+    calls = counted(monkeypatch, "residual_vector")
     pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
     assert pt.converged
     assert pt.energy < saddle.energy - 1.0
@@ -128,6 +129,42 @@ def test_minimize_does_not_stall_at_the_rounding_floor():
         pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
         assert pt.converged, (s, pt.residual_norm, pt.threshold)
         assert pt.energy == pytest.approx(big.energy, rel=1e-12)
+
+
+def test_minimize_evaluates_each_trial_energy_once(monkeypatch):
+    """On the beam, where Newton takes the full step every time, the
+    descent evaluates the energy once per step (the accepted trial point)
+    plus at the start and in `_critical_point`."""
+    grid = build_grid(Domain("interval"), 101)
+    inst = make_instance(grid)
+    energies = counted(monkeypatch, "total_energy")
+    floors = counted(monkeypatch, "_energy_floor")
+    pt = minimize(inst, GridFunction.zeros(grid))
+    assert pt.converged
+    assert len(floors) >= 1
+    assert len(energies) == len(floors) + 2
+
+
+def test_minimize_gives_up_when_no_step_lowers_the_energy(monkeypatch):
+    """With the rounding floor at 0 and every trial energy above the
+    start's, the line search halves the step below eps and returns the
+    start, not converged."""
+    grid = build_grid(Domain("interval"), 41)
+    inst = make_instance(grid)
+    monkeypatch.setattr(solver, "_energy_floor", lambda inst, values: 0.0)
+    # 0 at the zero start, 1 at every point the line search tries
+    monkeypatch.setattr(solver, "total_energy",
+                        lambda inst, u: float(np.any(u.values != 0.0)))
+    pt = minimize(inst, GridFunction.zeros(grid))
+    assert not pt.converged
+    assert np.array_equal(pt.u.values, np.zeros(grid.size))
+
+
+def test_deflation_scale_is_zero_on_a_known_root():
+    z = np.linspace(0.1, 0.9, 9)
+    step, w = np.ones(9), np.full(9, 0.1)
+    assert solver._deflation_scale(z, step, w, [z]) == 0.0
+    assert solver._deflation_scale(z, step, w, [z + 1.0]) != 0.0
 
 
 def band_to_dense(band, k):
