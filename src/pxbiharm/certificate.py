@@ -198,7 +198,8 @@ def estimate_c0(grid: Grid, p: ExponentField):
     """
     pc = conjugate(p)
     moments, rows, green = _green_rows(grid)
-    young = _young_terms(grid, pc, green)
+    beta = _young_betas(pc)
+    young = _young_terms(grid, pc, green, beta)
     todo = np.argsort(moments[1])[::-1]
     if grid.domain.kind != "ball_radial":
         q, m = pc.values.reshape(grid.shape), grid.n - 2
@@ -218,7 +219,7 @@ def estimate_c0(grid: Grid, p: ExponentField):
             norm = float(np.max(_luxemburg_of_values(block, grid, pc).value))
             if norm > best:
                 best = norm
-                bound = _row_bound(moments[:, todo], best, pc,
+                bound = _row_bound(moments[:, todo], best, pc, beta,
                                    None if young is None else young[:, todo])
                 # written so that a NaN bound keeps its row
                 todo = todo[~(bound <= 1.0 - _SKIP_MARGIN)]
@@ -226,12 +227,12 @@ def estimate_c0(grid: Grid, p: ExponentField):
 
 
 def _row_bound(moments: np.ndarray, mu: float, q: ExponentField,
-               young: np.ndarray | None):
+               beta: np.ndarray, young: np.ndarray | None):
     """The smaller of `_modular_bound` and, given the rows'
-    `_young_terms`, `_young_bound`; NaN where either is NaN."""
+    `_young_terms` at beta, `_young_bound`; NaN where either is NaN."""
     bound = _modular_bound(moments, mu, q)
     if young is not None:
-        bound = np.minimum(bound, _young_bound(young, moments, mu, q))
+        bound = np.minimum(bound, _young_bound(young, beta, moments, mu, q))
     return bound
 
 
@@ -256,18 +257,18 @@ def _modular_bound(moments: np.ndarray, mu: float, q: ExponentField):
 
 def _young_betas(q: ExponentField) -> np.ndarray:
     """The Young parameters beta of `_young_terms` and `_young_bound`, as a
-    column: 12 log-spaced values in [(q- - 1)/2, 2].  Any beta > 0 gives a
-    valid bound.  Young's v^q <= alpha v + beta v^2 is tight where
-    beta = (q - 1) v^{q-2}, and v near 1 holds the modular mass of the rows
-    near the best norm.  Each beta costs one Poisson solve per grid, a
-    12 x 961 x 8 B = 92 KB table on the 33 x 33 grid (below glibc's 128 KB
-    mmap threshold)."""
+    column, computed once per `estimate_c0`: 12 log-spaced values in
+    [(q- - 1)/2, 2].  Any beta > 0 gives a valid bound.  Young's
+    v^q <= alpha v + beta v^2 is tight where beta = (q - 1) v^{q-2}, and
+    v near 1 holds the modular mass of the rows near the best norm.  Each
+    beta costs one Poisson solve per grid, a 12 x 961 x 8 B = 92 KB table
+    on the 33 x 33 grid (below glibc's 128 KB mmap threshold)."""
     return np.geomspace((q.p_minus - 1.0) / 2.0, 2.0, 12)[:, None]
 
 
-def _young_terms(grid: Grid, q: ExponentField, green):
-    """T[k, i] = sum_j alpha_j(beta_k) |G_ij| for each beta_k of
-    `_young_betas`, the mu-free part of `_young_bound`, or None where that
+def _young_terms(grid: Grid, q: ExponentField, green, beta: np.ndarray):
+    """T[k, i] = sum_j alpha_j(beta_k) |G_ij| for each beta_k of beta
+    (`_young_betas`), the mu-free part of `_young_bound`, or None where that
     bound cannot beat `_modular_bound`: a constant q, where its minimum over
     beta is the Lyapunov bound, and q- >= 2, where no node has an alpha.
 
@@ -283,7 +284,6 @@ def _young_terms(grid: Grid, q: ExponentField, green):
     if q.is_constant or q.p_minus >= 2.0:
         return None
     qv = q.values[grid.interior_mask]
-    beta = _young_betas(q)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         alpha = (2.0 - qv) * ((qv - 1.0) / beta) ** ((qv - 1.0) / (2.0 - qv))
     alpha[:, qv > 2.0] = 0.0
@@ -294,8 +294,8 @@ def _young_terms(grid: Grid, q: ExponentField, green):
     return terms
 
 
-def _young_bound(terms: np.ndarray, moments: np.ndarray, mu: float,
-                 q: ExponentField):
+def _young_bound(terms: np.ndarray, beta: np.ndarray, moments: np.ndarray,
+                 mu: float, q: ExponentField):
     """An upper bound on the modular int |G_i/(w mu)|^{q(x)} dx of each
     row from its `_young_terms` and moments (L1, L2, M).
 
@@ -303,15 +303,14 @@ def _young_bound(terms: np.ndarray, moments: np.ndarray, mu: float,
     v_j^q_j <= alpha_j v_j + beta v_j^2, and one with q_j > 2 has
     v_j^q_j <= K v_j^2 with K = max(1, M/mu)^{q+ - 2}, as in
     `_modular_bound`.  Summed with the weights w_j, the modular is at most
-    T_i(beta)/mu + max(beta, K) L2_i/mu^2, taken at the best beta of
-    `_young_betas`, the same beta as `_young_terms`.
+    T_i(beta)/mu + max(beta, K) L2_i/mu^2, taken at the best of the
+    betas (a column) that `_young_terms` was evaluated at.
     """
-    coef = _young_betas(q)
     if q.p_plus > 2.0:
         with np.errstate(over="ignore"):
-            coef = np.maximum(
-                coef, np.maximum(1.0, moments[2] / mu) ** (q.p_plus - 2.0))
-    return np.min(terms / mu + coef * (moments[1] / mu**2), axis=0)
+            beta = np.maximum(
+                beta, np.maximum(1.0, moments[2] / mu) ** (q.p_plus - 2.0))
+    return np.min(terms / mu + beta * (moments[1] / mu**2), axis=0)
 
 
 def _green_rows(grid: Grid):

@@ -171,17 +171,24 @@ def cmd_certify(args) -> int:
 
 
 def _write_solutions_csv(path: str, inst: ProblemInstance, sols):
-    """One row per node: its coordinates and every solution's value there.
-    csv writes each Python float as str(float), which is its repr, so
-    float() reads every cell back exactly."""
+    """One row per node: its coordinates and every solution's value there,
+    each cell the repr of its float, so float() reads every cell back
+    exactly; the bytes are those of csv.writer with lineterminator "\n".
+    A node coordinate repeats across rows (n times on an n x n
+    rectangle), so each distinct one, by bit pattern (-0.0 keeps its own
+    repr), is repr'd once."""
     grid = inst.grid
-    nodes = grid.nodes.reshape(grid.size, -1)
-    values = [p.u.values for p in sols.points]
+    nodes = np.ascontiguousarray(grid.nodes, float).reshape(grid.size, -1)
+    bits, where = np.unique(nodes.view(np.int64), return_inverse=True)
+    coords = np.array([repr(x) for x in bits.view(float).tolist()],
+                      dtype=object)[where.reshape(nodes.shape)]
+    columns = [c.tolist() for c in coords.T]
+    columns += [list(map(repr, p.u.values.tolist())) for p in sols.points]
+    header = ["x1", "x2"] if grid.domain.kind == "rectangle" else ["x"]
+    header += [f"u{i}" for i in range(len(sols.points))]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        header = ["x1", "x2"] if grid.domain.kind == "rectangle" else ["x"]
-        wr.writerow(header + [f"u{i}" for i in range(len(values))])
-        wr.writerows(np.column_stack([nodes, *values]).tolist())
+        fh.write("\n".join(lines) + "\n")
 
 
 def _search_keywords(cfg: cfgmod.RunConfig) -> dict:

@@ -9,15 +9,17 @@ solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exponents import ExponentField
-from .grids import Grid, GridFunction, integrate, laplacian, nodewise
+from .grids import Grid, GridFunction, integrate, nodewise
 from .potentials import NonlinearitySpec, PotentialSpec
 
 __all__ = [
     "ProblemInstance",
+    "PointTerms",
     "energy_J",
     "load_Phi",
     "total_energy",
@@ -39,47 +41,100 @@ class ProblemInstance:
             raise ValueError("lambda must be positive")
 
 
+class PointTerms:
+    """The terms of the total energy and of its gradient at nodal values
+    (nodes on the leading axis; a nodes x starts array holds one point per
+    column), each evaluated once, when first read: Lu, A(Lu) and F(u) for
+    the energy, Lu, a(Lu) and f(u) for the gradient.  Lu is L @ values
+    where the caller has it already.  `energy` and `residual` are the one
+    home of E_lambda's and its gradient's formulas."""
+
+    def __init__(self, inst: ProblemInstance, values: np.ndarray,
+                 Lu: np.ndarray | None = None):
+        self.inst, self.values = inst, values
+        if Lu is not None:
+            self.Lu = Lu
+
+    @cached_property
+    def Lu(self) -> np.ndarray:
+        return self.inst.grid.laplacian_matrix() @ self.values
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return self.inst.potential.A(self.Lu)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return self.inst.nonlinearity.F(self.values)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self.inst.potential.a(self.Lu)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self.inst.nonlinearity.f(self.values)
+
+    @property
+    def J(self) -> float:
+        """J(u) = int A(x, Delta u) dx."""
+        return integrate(self.inst.grid, self.A)
+
+    @property
+    def Phi(self) -> float:
+        """Phi(u) = int F(x, u) dx."""
+        return integrate(self.inst.grid, self.F)
+
+    @cached_property
+    def energy(self) -> float:
+        """E_lambda(u) = J(u) - lambda * Phi(u)."""
+        return self.J - self.inst.lam * self.Phi
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """Gradient of the discrete total energy w.r.t. the nodal values,
+        zero on the boundary (boundary dofs are fixed by the Navier bc)."""
+        grid = self.inst.grid
+        w = nodewise(grid.weights, self.values)
+        g = grid.laplacian_transpose() @ (w * self.a) \
+            - self.inst.lam * w * self.f
+        g[grid.boundary_mask] = 0.0
+        return g
+
+
+def _navier(u: GridFunction, what: str) -> GridFunction:
+    if u.bc != "navier":
+        raise ValueError(f"{what} expects Navier boundary conditions")
+    return u
+
+
 def energy_J(inst: ProblemInstance, u: GridFunction) -> float:
     """J(u) = int A(x, Delta u) dx."""
-    if u.bc != "navier":
-        raise ValueError("energy_J expects Navier boundary conditions")
-    du = laplacian(inst.grid, u)
-    return integrate(inst.grid, inst.potential.A(du.values))
+    return PointTerms(inst, _navier(u, "energy_J").values).J
 
 
 def load_Phi(inst: ProblemInstance, u: GridFunction) -> float:
     """Phi(u) = int F(x, u) dx."""
-    return integrate(inst.grid, inst.nonlinearity.F(u.values))
+    return PointTerms(inst, u.values).Phi
 
 
 def total_energy(inst: ProblemInstance, u: GridFunction) -> float:
     """E_lambda(u) = J(u) - lambda * Phi(u)."""
-    return energy_J(inst, u) - inst.lam * load_Phi(inst, u)
+    return PointTerms(inst, _navier(u, "total_energy").values).energy
 
 
 def residual_vector(inst: ProblemInstance, values: np.ndarray,
                     Lu: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the discrete total energy w.r.t. the nodal values,
-    zero on the boundary (boundary dofs are fixed by the Navier bc).
-    values has the nodes on its leading axis; a nodes x starts array is
-    evaluated for every column at once.  Lu is L @ values where the caller
-    has it already."""
-    if Lu is None:
-        Lu = inst.grid.laplacian_matrix() @ values
-    w = nodewise(inst.grid.weights, values)
-    a_vals = inst.potential.a(Lu)
-    f_vals = inst.nonlinearity.f(values)
-    g = inst.grid.laplacian_transpose() @ (w * a_vals) \
-        - inst.lam * w * f_vals
-    g[inst.grid.boundary_mask] = 0.0
-    return g
+    """`PointTerms.residual` at values (nodes on the leading axis); a nodes
+    x starts array is evaluated for every column at once.  Lu is L @ values
+    where the caller has it already."""
+    return PointTerms(inst, values, Lu).residual
 
 
 def weak_residual(inst: ProblemInstance, u: GridFunction) -> GridFunction:
     """Dual-weighted nodal residual: <g, v> = int a(x,Du) Dv - lambda int f v
     for every Navier test direction v."""
-    if u.bc != "navier":
-        raise ValueError("weak_residual expects Navier boundary conditions")
+    _navier(u, "weak_residual")
     return GridFunction(inst.grid, residual_vector(inst, u.values), bc="none")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,6 +123,12 @@ class Grid:
     def laplacian_transpose(self) -> sp.csc_matrix:
         """The transpose of laplacian_matrix(), built once with the grid."""
         return self._lap_t
+
+    @cached_property
+    def abs_laplacian(self) -> sp.csr_matrix:
+        """|L| entrywise, for the solver's rounding floors: built on first
+        use, so a grid that is never solved on never pays for it."""
+        return abs(self._lap)
 
 
 def _stencil(size: int, rows: np.ndarray, offsets, coefs) -> sp.csr_matrix:

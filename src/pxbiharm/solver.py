@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .energy import ProblemInstance, residual_vector, total_energy
+from .energy import PointTerms, ProblemInstance, residual_vector
 from .grids import GridFunction, laplacian_floor
 
 __all__ = [
@@ -80,10 +80,11 @@ class SolutionSet:
         self.points.sort(key=lambda p: (p.energy, tuple(p.u.values)))
 
 
-def _lift(inst, z):
+def _point(inst, z) -> PointTerms:
+    """The terms at the interior values z, zero on the boundary."""
     vals = np.zeros(inst.grid.size)
     vals[inst.grid.interior_mask] = z
-    return GridFunction(inst.grid, vals, bc="navier")
+    return PointTerms(inst, vals)
 
 
 def _slope(fun, t):
@@ -181,35 +182,35 @@ class _Hessian:
         return x if info == 0 else np.full_like(x, np.nan)
 
 
-def acceptance_threshold(inst: ProblemInstance, values: np.ndarray,
-                         tol: float = DEFAULT_TOL) -> float:
+def acceptance_threshold(pt: PointTerms, tol: float = DEFAULT_TOL) -> float:
     """max(tol, FLOOR_FACTOR * floor), where floor is the rounding error
     eps * |L|^T W (|a(Lu)| + |a_t(Lu)| |L||u|) + eps * lambda W |f(u)| of
-    the residual's own terms (sup over the interior).  The floor grows
-    like h^-3, so an absolute tol alone is unreachable on fine grids; where
-    the floor is below tol/FLOOR_FACTOR the threshold is exactly tol."""
-    L = inst.grid.laplacian_matrix()
-    absL = abs(L)
-    w = inst.grid.weights
-    Lu, a_t, _ = _linearise(inst, values)
-    terms = absL.T @ (w * (np.abs(inst.potential.a(Lu))
-                           + np.abs(a_t) * (absL @ np.abs(values))))
-    terms += inst.lam * w * np.abs(inst.nonlinearity.f(values))
+    the residual's own terms at the point pt (sup over the interior).  It
+    reads the Lu, a(Lu) and f(u) that pt holds, or evaluates them there
+    once, with the grid's |L|; of the slopes it evaluates a_t only (two
+    evaluations of a), not f_t.  The floor grows like h^-3, so an absolute
+    tol alone is unreachable on fine grids; where the floor is below
+    tol/FLOOR_FACTOR the threshold is exactly tol."""
+    inst = pt.inst
+    absL, w = inst.grid.abs_laplacian, inst.grid.weights
+    a_t = _slope(inst.potential.a, pt.Lu)
+    terms = absL.T @ (w * (np.abs(pt.a)
+                           + np.abs(a_t) * (absL @ np.abs(pt.values))))
+    terms += inst.lam * w * np.abs(pt.f)
     floor = EPS * float(np.max(terms[inst.grid.interior_mask]))
     return max(tol, FLOOR_FACTOR * floor)
 
 
-def _energy_floor(inst: ProblemInstance, values: np.ndarray) -> float:
+def _energy_floor(pt: PointTerms) -> float:
     """FLOOR_FACTOR times the rounding error
     eps * W (|A(Lu)| + |a(Lu)| |L||u|) + eps * lambda W (|F(u)| + |f(u) u|)
-    of the total energy's own terms, the analogue of acceptance_threshold's
-    floor: energy differences below it cannot be measured."""
-    L = inst.grid.laplacian_matrix()
-    pot, nl = inst.potential, inst.nonlinearity
-    u = np.abs(values)
-    Lu = L @ values
-    terms = np.abs(pot.A(Lu)) + np.abs(pot.a(Lu)) * (abs(L) @ u)
-    terms += inst.lam * (np.abs(nl.F(values)) + np.abs(nl.f(values)) * u)
+    of the total energy's own terms at pt, the analogue of
+    `acceptance_threshold`'s floor: energy differences below it cannot be
+    measured."""
+    inst = pt.inst
+    u = np.abs(pt.values)
+    terms = np.abs(pt.A) + np.abs(pt.a) * (inst.grid.abs_laplacian @ u)
+    terms += inst.lam * (np.abs(pt.F) + np.abs(pt.f) * u)
     return FLOOR_FACTOR * EPS * float(np.dot(inst.grid.weights, terms))
 
 
@@ -279,14 +280,18 @@ def _newton(inst, Z, tol, hessian: _Hessian, known=(), done=None):
     return Z.T
 
 
-def _critical_point(inst, z, tol, starts_used=1) -> CriticalPoint:
-    """Clean (undeflated) residual check against the acceptance threshold.
-    A point whose energy is not finite is never converged: its threshold
-    grows with the overflowing terms."""
-    u = _lift(inst, z)
-    rn = float(np.max(np.abs(residual_vector(inst, u.values))))
-    thr = acceptance_threshold(inst, u.values, tol)
-    e = total_energy(inst, u)
+def _critical_point(inst, z, tol, starts_used=1,
+                    pt: PointTerms | None = None) -> CriticalPoint:
+    """Clean (undeflated) residual check against the acceptance threshold,
+    from pt, the terms at z where the caller holds them.  A point whose
+    energy is not finite is never converged: its threshold grows with the
+    overflowing terms."""
+    if pt is None:
+        pt = _point(inst, z)
+    u = GridFunction(inst.grid, pt.values, bc="navier")
+    rn = float(np.max(np.abs(pt.residual)))
+    thr = acceptance_threshold(pt, tol)
+    e = pt.energy
     return CriticalPoint(u, e, rn, starts_used,
                          converged=bool(rn <= thr and np.isfinite(e)),
                          threshold=thr)
@@ -300,20 +305,23 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     with the Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0)
     instead, which is positive definite.  Armijo backtracking on the energy
     sets the step length, unless the predicted decrease lies below the
-    energy's rounding floor; each trial energy is evaluated once.  Stops as
-    _newton does, or when no step length lowers the energy."""
+    energy's rounding floor.  Stops as _newton does, or when no step length
+    lowers the energy.
+
+    Each point visited (the start and every trial) is one `PointTerms`, so
+    its energy terms Lu, A(Lu), F(u) and its residual terms a(Lu), f(u) are
+    evaluated at most once, and only when read: the energy floor and the
+    closing acceptance check read the terms the loop already holds, and
+    |L| is the grid's `abs_laplacian`."""
     interior = inst.grid.interior_mask
     hessian = _Hessian(inst)
     z = u0.values[interior]
-    e = total_energy(inst, _lift(inst, z))
-    L = inst.grid.laplacian_matrix()
+    pt = _point(inst, z)
     for _ in range(max_iter):
-        vals = _lift(inst, z).values
-        Lu = L @ vals
-        r = residual_vector(inst, vals, Lu)[interior]
+        r = pt.residual[interior]
         if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
             break
-        V, Lu = vals[:, None], Lu[:, None]
+        V, Lu = pt.values[:, None], pt.Lu[:, None]
         step = hessian.steps(V, -r[None], Lu)[0]
         if not np.dot(r, step) < 0.0:
             step = hessian.steps(V, -r[None], Lu, convex=True)[0]
@@ -322,18 +330,19 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
         # a decrease below the energy's rounding floor cannot be measured:
         # there the full step is taken
         slope, t = float(np.dot(r, step)), 1.0
-        floor = _energy_floor(inst, vals)
-        trial = total_energy(inst, _lift(inst, z + step))
-        while -slope > floor and trial > e + ARMIJO * t * slope:
+        floor = _energy_floor(pt)
+        trial = _point(inst, z + step)
+        while -slope > floor and \
+                trial.energy > pt.energy + ARMIJO * t * slope:
             t *= 0.5
             if t < EPS:
-                return _critical_point(inst, z, tol)
-            trial = total_energy(inst, _lift(inst, z + t * step))
-        z, e = z + t * step, trial
+                return _critical_point(inst, z, tol, pt=pt)
+            trial = _point(inst, z + t * step)
+        z, pt = z + t * step, trial
         if t * np.max(np.abs(step)) <= STEP_TOL * max(
                 1.0, float(np.max(np.abs(z)))):
             break
-    return _critical_point(inst, z, tol)
+    return _critical_point(inst, z, tol, pt=pt)
 
 
 def uniqueness_modulus(inst: ProblemInstance) -> float | None:

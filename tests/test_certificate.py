@@ -15,6 +15,7 @@ from pxbiharm.certificate import (
     _GREEN_BLOCK,
     _green_rows,
     _row_bound,
+    _young_betas,
     _young_terms,
     H_GRID,
     alpha_r,
@@ -439,18 +440,20 @@ def test_modular_bound_exceeds_every_row_modular(case, log_s):
     pc = conjugate(p)
     s = 10.0**log_s
     moments, _, green = _green_rows(grid)
-    young = _young_terms(grid, pc, green)
+    beta = _young_betas(pc)
+    young = _young_terms(grid, pc, green, beta)
     _, rows = dense_green_rows(grid)
     exact = _modular_values(rows / s, grid, pc)
-    assert np.all(_row_bound(moments, s, pc, young) >= exact * (1 - 1e-12))
+    assert np.all(_row_bound(moments, s, pc, beta, young)
+                  >= exact * (1 - 1e-12))
     if young is not None:
         # a NaN in either bound reaches the combined one, which keeps it
         bad = young.copy()
         bad[:, 0] = np.nan
-        assert np.isnan(_row_bound(moments, s, pc, bad)[0])
+        assert np.isnan(_row_bound(moments, s, pc, beta, bad)[0])
     bad = moments.copy()
     bad[:, 0] = np.nan
-    assert np.isnan(_row_bound(bad, s, pc, young)[0])
+    assert np.isnan(_row_bound(bad, s, pc, beta, young)[0])
 
 
 def screened_c0(grid, p):

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, JSON payloads, CSV artifacts."""
 
 import argparse
+import csv
+import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,7 @@ from pxbiharm import certificate, solver
 from pxbiharm import cli
 from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
 from pxbiharm.config import build_problem, load_config
-from pxbiharm.grids import Domain, build_grid
+from pxbiharm.grids import Domain, GridFunction, build_grid
 
 from conftest import spike_g
 
@@ -195,6 +199,72 @@ def test_solutions_csv_reads_back_exactly(tmp_path, capsys, monkeypatch, doc):
     assert np.array_equal(cells[:, :dim], nodes)
     assert np.array_equal(cells[:, dim:],
                           np.array([p.u.values for p in sols.points]).T)
+
+
+def reference_solutions_csv(path, grid, columns):
+    """The solutions CSV as csv.writer writes it, one float per cell."""
+    nodes = grid.nodes.reshape(grid.size, -1)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh, lineterminator="\n")
+        header = ["x1", "x2"] if nodes.shape[1] == 2 else ["x"]
+        wr.writerow(header + [f"u{i}" for i in range(len(columns))])
+        wr.writerows(np.column_stack([nodes, *columns]).tolist())
+
+
+def rectangle_with_signed_zeros():
+    """A 7 x 7 rectangle whose corner node reads x1 = -0.0, beside the
+    +0.0 of every other node on that edge."""
+    grid = build_grid(Domain("rectangle", a=2.0, b=1.0), 7)
+    nodes = grid.nodes.copy()
+    nodes[0, 0] = -0.0
+    return dataclasses.replace(grid, nodes=nodes)
+
+
+@pytest.mark.parametrize("grid, n_solutions", [
+    (build_grid(Domain("rectangle", a=2.0, b=1.0), 9), 2),
+    (build_grid(Domain("interval"), 11), 0),
+    (rectangle_with_signed_zeros(), 2),
+], ids=["rectangle", "interval-empty", "signed-zero"])
+def test_solutions_csv_matches_csv_writer(tmp_path, grid, n_solutions):
+    rng = np.random.default_rng(n_solutions)
+    columns = [rng.standard_normal(grid.size) * 10.0 ** rng.integers(
+        -20, 20, grid.size) for _ in range(n_solutions)]
+    for c in columns:
+        c[grid.boundary_mask] = 0.0
+    if n_solutions:
+        columns[0][np.flatnonzero(grid.interior_mask)[0]] = -0.0
+    sols = types.SimpleNamespace(points=[
+        types.SimpleNamespace(u=GridFunction(grid, c)) for c in columns])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    cli._write_solutions_csv(str(got), types.SimpleNamespace(grid=grid),
+                             sols)
+    reference_solutions_csv(want, grid, columns)
+    assert got.read_bytes() == want.read_bytes()
+    if grid.nodes.ndim == 2 and grid.nodes[0, 0] == 0.0:
+        rows = got.read_text().splitlines()[1:]
+        assert rows[0].startswith("-0.0,") == np.signbit(grid.nodes[0, 0])
+        assert rows[1].startswith("0.0,")
+
+
+def test_certify_computes_young_betas_once_per_grid(tmp_path, monkeypatch,
+                                                    capsys):
+    """The benchmark's rect_certify command builds c0 on its grid and on
+    the doubled one, and each c0 computes its Young parameters once."""
+    root = CONFIGS.parent
+    workloads = runpy.run_path(str(root / "bench" / "workloads.py"))
+    doc = workloads["WORKLOADS"]["rect_certify"].config(root)
+    calls = []
+    real = certificate._young_betas
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(certificate, "_young_betas", counted)
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) in (EXIT_OK, EXIT_INFEASIBLE)
+    assert json.loads(capsys.readouterr().out)["c0"] > 0
+    assert len(calls) == 2
 
 
 def test_solve_requires_lambda(tmp_path):

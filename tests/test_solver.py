@@ -1,6 +1,7 @@
 """Newton descent, deflation and the lambda sweep."""
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 from pxbiharm import solver
 from pxbiharm.certificate import build_test_function, certify
 from pxbiharm.config import build_problem, load_config
-from pxbiharm.energy import ProblemInstance, residual_vector
+from pxbiharm.energy import PointTerms, ProblemInstance, residual_vector
 from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid, laplacian_floor
 from pxbiharm.potentials import (
@@ -72,22 +73,25 @@ def test_ball_radial_solve_matches_ode_solution():
 
 
 def counted(monkeypatch, name):
-    """A list that gains one entry per call of solver's `name`."""
+    """A list that gains the point each time a `PointTerms` term `name`
+    (residual, energy, A, ...) is evaluated."""
     calls = []
-    real = getattr(solver, name)
+    real = PointTerms.__dict__[name].func
 
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(pt):
+        calls.append(pt)
+        return real(pt)
 
-    monkeypatch.setattr(solver, name, wrapper)
+    prop = cached_property(counting)
+    prop.__set_name__(PointTerms, name)
+    monkeypatch.setattr(PointTerms, name, prop)
     return calls
 
 
 def test_minimize_newton_descent_is_cheap(monkeypatch):
     grid = build_grid(Domain("interval"), 201)
     inst = make_instance(grid, nl_name="rational_bump", lam=0.27)
-    calls = counted(monkeypatch, "residual_vector")
+    calls = counted(monkeypatch, "residual")
     pt = minimize(inst, GridFunction.zeros(grid))
     assert pt.converged
     assert len(calls) <= 50
@@ -109,7 +113,7 @@ def test_minimize_leaves_a_saddle_downhill(monkeypatch):
     assert eigval[0] == pytest.approx(-30.3, abs=0.1) and eigval[1] > 0
     vals = saddle.u.values.copy()
     vals[grid.interior_mask] += 1e-3 * eigvec[:, 0]
-    calls = counted(monkeypatch, "residual_vector")
+    calls = counted(monkeypatch, "residual")
     pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
     assert pt.converged
     assert pt.energy < saddle.energy - 1.0
@@ -133,31 +137,76 @@ def test_minimize_does_not_stall_at_the_rounding_floor():
 
 def test_minimize_evaluates_each_trial_energy_once(monkeypatch):
     """On the beam, where Newton takes the full step every time, the
-    descent evaluates the energy once per step (the accepted trial point)
-    plus at the start and in `_critical_point`."""
+    descent visits the start and one point per step.  Each of their energy
+    and residual terms is evaluated once, and the final point's are not
+    evaluated again by the closing acceptance check."""
     grid = build_grid(Domain("interval"), 101)
     inst = make_instance(grid)
-    energies = counted(monkeypatch, "total_energy")
-    floors = counted(monkeypatch, "_energy_floor")
+    terms = {name: counted(monkeypatch, name) for name in
+             ("Lu", "A", "F", "a", "f", "energy", "residual")}
+    steps = []
+    real_steps = solver._Hessian.steps
+
+    def counting_steps(self, *args, **kwargs):
+        steps.append(1)
+        return real_steps(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Hessian, "steps", counting_steps)
     pt = minimize(inst, GridFunction.zeros(grid))
-    assert pt.converged
-    assert len(floors) >= 1
-    assert len(energies) == len(floors) + 2
+    assert pt.converged and len(steps) >= 1
+    for name, points in terms.items():
+        values = [q.values.tobytes() for q in points]
+        assert len(values) == len(steps) + 1, name
+        assert len(set(values)) == len(values), name
+        assert pt.u.values.tobytes() in values, name
+
+
+def give_up_instance(monkeypatch):
+    """The beam from its zero start, where the energy's rounding floor is 0,
+    with every point but the start given a higher energy: no step length
+    passes the Armijo test."""
+    grid = build_grid(Domain("interval"), 41)
+    inst = make_instance(grid)
+    z0 = np.zeros(grid.interior_mask.sum())
+    assert solver._energy_floor(solver._point(inst, z0)) == 0.0
+    monkeypatch.setattr(PointTerms, "energy", property(
+        lambda pt: float(np.any(pt.values != 0.0))))
+    return inst
 
 
 def test_minimize_gives_up_when_no_step_lowers_the_energy(monkeypatch):
-    """With the rounding floor at 0 and every trial energy above the
-    start's, the line search halves the step below eps and returns the
-    start, not converged."""
-    grid = build_grid(Domain("interval"), 41)
-    inst = make_instance(grid)
-    monkeypatch.setattr(solver, "_energy_floor", lambda inst, values: 0.0)
-    # 0 at the zero start, 1 at every point the line search tries
-    monkeypatch.setattr(solver, "total_energy",
-                        lambda inst, u: float(np.any(u.values != 0.0)))
-    pt = minimize(inst, GridFunction.zeros(grid))
+    """The line search halves the step below eps and returns the start,
+    not converged."""
+    inst = give_up_instance(monkeypatch)
+    pt = minimize(inst, GridFunction.zeros(inst.grid))
     assert not pt.converged
-    assert np.array_equal(pt.u.values, np.zeros(grid.size))
+    assert np.array_equal(pt.u.values, np.zeros(inst.grid.size))
+
+
+@pytest.mark.parametrize("case", ["beam", "rect_solve", "give_up"])
+def test_minimize_reports_what_a_fresh_check_computes(monkeypatch, case):
+    """The energy, residual, threshold and verdict that minimize returns
+    from the terms it holds are, bit for bit, those of `_critical_point`
+    evaluated from scratch at its final point."""
+    if case == "beam":
+        inst = make_instance(build_grid(Domain("interval"), 101))
+    elif case == "rect_solve":
+        inst, _ = rect_solve_problem()
+    else:
+        inst = give_up_instance(monkeypatch)
+    u0 = GridFunction.zeros(inst.grid)
+    if case == "rect_solve":     # the search's near-zero start
+        u0 = solver._structured_starts(inst, 1.0)[0]
+    tol = solver.DEFAULT_TOL
+    got = minimize(inst, u0, tol=tol)
+    want = solver._critical_point(
+        inst, got.u.values[inst.grid.interior_mask], tol)
+    assert np.array_equal(got.u.values, want.u.values)
+    assert got.energy == want.energy
+    assert got.residual_norm == want.residual_norm
+    assert got.threshold == want.threshold
+    assert got.converged == want.converged
+    assert got.converged == (case != "give_up")
 
 
 def test_deflation_scale_is_zero_on_a_known_root():
@@ -236,7 +285,7 @@ def test_singular_band_stops_newton(monkeypatch):
     z = solver._newton(inst, z0[:, None], 1e-8, hessian)
     assert np.array_equal(z, z0[:, None])
     monkeypatch.setattr(solver, "_Hessian", ZeroHessian)
-    u0 = solver._lift(inst, z0)
+    u0 = GridFunction(grid, solver._point(inst, z0).values, bc="navier")
     pt = minimize(inst, u0)
     assert np.array_equal(pt.u.values, u0.values) and not pt.converged
 
@@ -299,7 +348,8 @@ def test_acceptance_threshold_is_tol_below_the_floor():
     inst = make_instance(grid)
     pt = minimize(inst, GridFunction.zeros(grid))
     assert pt.threshold == 1e-8
-    assert acceptance_threshold(inst, pt.u.values, 1e-8) == 1e-8
+    assert acceptance_threshold(PointTerms(inst, pt.u.values), 1e-8) \
+        == 1e-8
 
 
 def test_deflation_deterministic_given_seed():
