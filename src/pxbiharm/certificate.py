@@ -405,8 +405,9 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     `fine` is the same problem on the doubled grid (2n - 1 nodes per axis
     of the same domain).  When it is given, `converged` records whether
     alpha_r and beta_h agree on both grids to `_CONVERGENCE_RTOL`;
-    otherwise it is None.  c0 and alpha_r are computed once per grid; the
-    doubled grid computes only them and beta_h."""
+    otherwise it is None.  c0 and alpha_r are computed once per grid.  The
+    doubled grid computes beta_h first, and its c0 and alpha_r only when
+    beta_h agreed: where beta_h does not, the verdict is False already."""
     if not inst.p.certificate_eligible(inst.grid.domain.dim):
         raise ValueError("certificate requires p_minus > N/2")
     if fine is not None and (fine.grid.domain != inst.grid.domain
@@ -438,9 +439,9 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
 
     converged = None
     if fine is not None:
-        fine_alpha = alpha_r(fine, r, estimate_c0(fine.grid, fine.p)[0])
         fine_beta = float(_beta(*_test_function_bounds(fine, [h]))[0])
-        converged = _close(alpha, fine_alpha) and _close(beta, fine_beta)
+        converged = _close(beta, fine_beta) and _close(
+            alpha, alpha_r(fine, r, estimate_c0(fine.grid, fine.p)[0]))
 
     N = inst.grid.domain.dim
     D, x0 = inradius(inst.grid.domain)

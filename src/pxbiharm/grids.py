@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,6 +131,48 @@ class Grid:
         use, so a grid that is never solved on never pays for it."""
         return abs(self._lap)
 
+    @cached_property
+    def band_layout(self) -> "BandLayout":
+        """The band layout of L^T D L on the interior (`_band_layout`):
+        built on first use, and then shared by every problem on the grid."""
+        return _band_layout(self)
+
+
+class BandLayout(NamedTuple):
+    """Where L^T D L (D diagonal) on the interior goes in LAPACK band
+    storage, fixed by the grid.  For each product p of two stored entries
+    L[r,i], L[r,j] in one row r of L (i, j interior columns): row[p] = r,
+    coef[p] = L[r,i] L[r,j], and pos[p] is the flat column-major position
+    of entry (i, j), at row diag + i - j and column j of a `shape` =
+    (3k+1, m) array, with k the bandwidth, diag = 2k, and the top k rows
+    room for the LU fill-in."""
+
+    row: np.ndarray
+    coef: np.ndarray
+    k: int
+    diag: int
+    shape: tuple
+    pos: np.ndarray
+
+
+def _band_layout(grid: Grid) -> BandLayout:
+    Li = grid.laplacian_matrix()[:, grid.interior_mask].tocsr()
+    # every pair (a, b) of stored entries that share a row r of L
+    cnt = np.diff(Li.indptr)
+    sq = cnt * cnt
+    t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+    first = np.repeat(Li.indptr[:-1], sq)
+    per_row = np.repeat(cnt, sq)
+    a, b = first + t // per_row, first + t % per_row
+    i, j = Li.indices[a], Li.indices[b]
+    k = int(np.max(np.abs(i - j), initial=0))
+    shape = (3 * k + 1, Li.shape[1])
+    row, coef = np.repeat(np.arange(Li.shape[0]), sq), Li.data[a] * Li.data[b]
+    pos = j * shape[0] + 2 * k + i - j
+    # shared by every problem on the grid, so read-only
+    row.flags.writeable = coef.flags.writeable = pos.flags.writeable = False
+    return BandLayout(row, coef, k, 2 * k, shape, pos)
+
 
 def _stencil(size: int, rows: np.ndarray, offsets, coefs) -> sp.csr_matrix:
     """The size x size CSR matrix holding coefs[k, j] in row rows[k] (rows
@@ -200,15 +243,48 @@ def _ball_radial_grid(domain: Domain, n: int) -> Grid:
     return Grid(domain, n, r, vol, (h,), (n,), L)
 
 
+_BUILDERS = {"interval": _interval_grid, "rectangle": _rectangle_grid,
+             "ball_radial": _ball_radial_grid}
+
+#: the largest coefficient of L a grid may have: ||L||_inf, twice it,
+#: has a finite square
+_COEF_MAX = 0.5 * math.sqrt(np.finfo(float).max)
+
+
+def _size(domain: Domain) -> str:
+    if domain.kind == "rectangle":
+        return f"the rectangle [0, {domain.a:g}] x [0, {domain.b:g}]"
+    if domain.kind == "ball_radial":
+        return f"the ball of radius R = {domain.R:g} in R^{domain.N}"
+    return "the interval [0, 1]"
+
+
 def build_grid(domain: Domain, n: int) -> Grid:
-    """Uniform grid with quadrature weights on a supported domain."""
+    """Uniform grid with quadrature weights on a supported domain.
+
+    ValueError where the domain is too small or too large for n nodes per
+    axis: where a weight is not positive and finite, or ||L||_inf (twice
+    the largest coefficient of L, as each row of L sums to zero) squared is
+    not finite, which keeps every coefficient, and the products and sums of
+    them that `laplacian_floor` and `first_mode` form, finite.  The grid is
+    built with NumPy's floating-point errors raised, not warned, so that an
+    overflow or a division by zero stops it without a RuntimeWarning."""
     if n < 5:
         raise ValueError("need at least 5 nodes per axis")
-    if domain.kind == "interval":
-        return _interval_grid(domain, n)
-    if domain.kind == "rectangle":
-        return _rectangle_grid(domain, n)
-    return _ball_radial_grid(domain, n)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            grid = _BUILDERS[domain.kind](domain, n)
+    except FloatingPointError:
+        grid = None
+    # a NaN fails every comparison
+    if grid is None or not (
+            0.0 < grid.weights.min() and grid.weights.max() < np.inf
+            and np.abs(grid._lap.data).max() <= _COEF_MAX):
+        raise ValueError(
+            f"{_size(domain)} is too small or too large for {n} nodes per "
+            "axis: the grid's Laplacian or quadrature weights overflow or "
+            "vanish")
+    return grid
 
 
 def sine_eigenvalues(grid: Grid) -> np.ndarray:

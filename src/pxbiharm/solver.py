@@ -107,33 +107,18 @@ def _linearise(inst, values, Lu=None):
 
 class _Hessian:
     """Interior block of the energy Hessian
-    L^T W diag(a_t(Lu)) L - lambda W diag(f_t(u)) in LAPACK band storage:
-    entry (i, j) sits in row 2k + i - j, column j of a (3k+1, m) array, k
-    the bandwidth (2 on intervals and balls, 2(n-2) on an n x n rectangle)
-    and the top k rows room for the LU fill-in.  The pattern is fixed by
-    the grid, so the band position of every product L[r,i] L[r,j] is laid
-    out once; each Newton step only sums the products times (W a_t)[r]
-    into the band, one band per start."""
+    L^T W diag(a_t(Lu)) L - lambda W diag(f_t(u)) in LAPACK band storage
+    (`grids.BandLayout`; the bandwidth k is 2 on intervals and balls,
+    2(n-2) on an n x n rectangle).  The pattern is fixed by the grid, so
+    the band position of every product L[r,i] L[r,j] is laid out once per
+    grid (`Grid.band_layout`); each Newton step only sums the products
+    times (W a_t)[r] into the band, one band per start."""
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
         self.interior = inst.grid.interior_mask
-        Li = inst.grid.laplacian_matrix()[:, self.interior].tocsr()
-        # every pair (a, b) of stored entries that share a row r of L
-        cnt = np.diff(Li.indptr)
-        sq = cnt * cnt
-        t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
-        first = np.repeat(Li.indptr[:-1], sq)
-        per_row = np.repeat(cnt, sq)
-        a, b = first + t // per_row, first + t % per_row
-        self.row = np.repeat(np.arange(Li.shape[0]), sq)
-        self.coef = Li.data[a] * Li.data[b]
-        i, j = Li.indices[a], Li.indices[b]
-        self.k = int(np.max(np.abs(i - j), initial=0))
-        self.diag = 2 * self.k           # band row of the diagonal
-        self.shape = (3 * self.k + 1, Li.shape[1])
-        # flat column-major band position of entry (i, j)
-        self.pos = j * self.shape[0] + self.diag + i - j
+        self.row, self.coef, self.k, self.diag, self.shape, self.pos = \
+            inst.grid.band_layout
 
     def bands(self, values: np.ndarray, Lu: np.ndarray | None = None,
               convex: bool = False):

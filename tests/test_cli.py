@@ -248,23 +248,30 @@ def test_solutions_csv_matches_csv_writer(tmp_path, grid, n_solutions):
 
 def test_certify_computes_young_betas_once_per_grid(tmp_path, monkeypatch,
                                                     capsys):
-    """The benchmark's rect_certify command builds c0 on its grid and on
-    the doubled one, and each c0 computes its Young parameters once."""
+    """Each c0 of the benchmark's rect_certify command computes its Young
+    parameters once.  beta_h disagrees across the doubled grid there, so
+    c0 is built on the instance's grid alone."""
     root = CONFIGS.parent
     workloads = runpy.run_path(str(root / "bench" / "workloads.py"))
     doc = workloads["WORKLOADS"]["rect_certify"].config(root)
-    calls = []
-    real = certificate._young_betas
+    calls, grids = [], []
+    real_betas, real_c0 = certificate._young_betas, certificate.estimate_c0
 
-    def counted(q):
+    def counted_betas(q):
         calls.append(q)
-        return real(q)
+        return real_betas(q)
 
-    monkeypatch.setattr(certificate, "_young_betas", counted)
+    def counted_c0(grid, *args, **kwargs):
+        grids.append(grid.n)
+        return real_c0(grid, *args, **kwargs)
+
+    monkeypatch.setattr(certificate, "_young_betas", counted_betas)
+    monkeypatch.setattr(certificate, "estimate_c0", counted_c0)
     cfg = write_config(tmp_path, doc)
     assert main(["certify", "--config", cfg]) in (EXIT_OK, EXIT_INFEASIBLE)
-    assert json.loads(capsys.readouterr().out)["c0"] > 0
-    assert len(calls) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["c0"] > 0 and payload["converged"] is False
+    assert grids == [doc["grid_n"]] and len(calls) == 1
 
 
 def test_solve_requires_lambda(tmp_path):
@@ -382,6 +389,26 @@ def test_overflowing_exponent_is_bad_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["hypotheses", "certify", "solve"])
+@pytest.mark.parametrize("domain, size", [
+    ({"kind": "rectangle", "a": 1e-160, "b": 1.0}, "[0, 1e-160] x [0, 1]"),
+    ({"kind": "rectangle", "a": 1.0, "b": 1e-160}, "[0, 1] x [0, 1e-160]"),
+    ({"kind": "ball_radial", "R": 1e-160}, "R = 1e-160"),
+], ids=["a", "b", "R"])
+def test_a_domain_too_small_for_its_grid_is_bad_input(
+        tmp_path, capsys, monkeypatch, command, domain, size):
+    """hx^2 underflows to 0 at a = 1e-160 on 9 nodes, and the ball's cell
+    volumes vanish at R = 1e-160: the grid is refused before any command
+    reads it."""
+    monkeypatch.chdir(tmp_path)
+    doc = dict(BEAM, domain=domain, grid_n=9)
+    assert main([command, "--config", write_config(tmp_path, doc)]) \
+        == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and size in err and "9 nodes" in err
+    assert not (tmp_path / "solutions.csv").exists()
+
+
 def test_unwritable_output_is_bad_input(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc(
         grid_n=21, output={"solutions_csv": str(tmp_path)}))
@@ -488,8 +515,60 @@ def test_certify_h_scan_runs_c0_search_once_per_grid(tmp_path, monkeypatch,
         certificate={"r": 50.0, "h_scan": True})
     cfg = write_config(tmp_path, doc)
     assert main(["certify", "--config", cfg]) in (EXIT_OK, EXIT_INFEASIBLE)
-    assert json.loads(capsys.readouterr().out)["c0"] > 0
-    assert grids == [9, 17]   # the instance's grid, then the doubled one
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["c0"] > 0 and payload["converged"] is False
+    # the instance's grid only: beta_h disagrees on the doubled one, which
+    # decides the verdict without its c0
+    assert grids == [9]
+
+
+# the configs of the three ways `converged` can be decided: beta_h
+# disagrees across the doubled grid (its c0 is never built), both agree,
+# and beta_h agrees while alpha_r does not
+CONVERGENCE_CASES = {
+    "beta_disagrees": (base_doc(
+        domain={"kind": "rectangle", "a": 1.0, "b": 1.0}, grid_n=9,
+        exponent={"kind": "affine", "a": 2.0, "b": 0.5},
+        nonlinearity=ridge_table(),
+        certificate={"r": 50.0, "h_scan": True}), [9], False),
+    "both_agree": (json.loads((CONFIGS / "spike_ridge.json").read_text()),
+                   [101, 201], True),
+    "alpha_disagrees": (base_doc(
+        domain={"kind": "rectangle", "a": 1.0, "b": 1.0}, grid_n=9,
+        certificate={"r": 1.0, "h": 0.5}), [9, 17], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVERGENCE_CASES))
+def test_certify_builds_the_doubled_grids_c0_only_when_beta_agrees(
+        tmp_path, monkeypatch, capsys, case):
+    """converged is the conjunction of alpha_r and beta_h agreeing on both
+    grids; the doubled grid's c0 is built only where beta_h agrees, and
+    the verdict is the one that computes both halves."""
+    doc, want_grids, want = CONVERGENCE_CASES[case]
+    grids = []
+    real = certificate.estimate_c0
+
+    def counted(grid, *args, **kwargs):
+        grids.append(grid.n)
+        return real(grid, *args, **kwargs)
+
+    monkeypatch.setattr(certificate, "estimate_c0", counted)
+    assert main(["certify", "--config", write_config(tmp_path, doc)]) \
+        in (EXIT_OK, EXIT_INFEASIBLE)
+    payload = json.loads(capsys.readouterr().out)
+    assert grids == want_grids
+    # both halves on the doubled grid, computed by hand
+    n, r, h = doc["grid_n"], doc["certificate"]["r"], payload["h"]
+    fine = build_problem(load_config(dict(doc, grid_n=2 * n - 1)),
+                         verify=False)
+    fine_alpha = certificate.alpha_r(fine, r,
+                                     real(fine.grid, fine.p)[0])
+    fine_beta = float(certificate._beta(
+        *certificate._test_function_bounds(fine, [h]))[0])
+    eager = certificate._close(payload["alpha_r"], fine_alpha) \
+        and certificate._close(payload["beta_h"], fine_beta)
+    assert payload["converged"] is eager is want
 
 
 def test_certify_h_scan_keeps_heights_whose_r_bound_holds(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Grids: quadrature weights, discrete Laplacians, boundary handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -105,6 +107,37 @@ def test_gridfunction_shape_and_finite_checks():
 def test_build_grid_rejects_tiny_n():
     with pytest.raises(ValueError):
         build_grid(Domain("interval"), 3)
+
+
+@pytest.mark.parametrize("domain, size", [
+    (Domain("rectangle", a=1e-160), "rectangle [0, 1e-160] x [0, 1]"),
+    (Domain("rectangle", b=1e-160), "rectangle [0, 1] x [0, 1e-160]"),
+    (Domain("ball_radial", R=1e-160), "radius R = 1e-160 in R^2"),
+    (Domain("rectangle", a=1e200, b=1e200), "[0, 1e+200] x [0, 1e+200]"),
+    (Domain("ball_radial", N=3, R=1e200), "radius R = 1e+200 in R^3"),
+    # coefficients about 1e181: finite, but not their products
+    (Domain("ball_radial", R=1e-90), "radius R = 1e-90"),
+], ids=["tiny_a", "tiny_b", "tiny_R", "huge_rectangle", "huge_ball",
+        "ball_of_1e-90"])
+def test_build_grid_rejects_a_domain_too_small_or_large(domain, size):
+    """Overflow, a division by zero or a vanishing weight is bad input,
+    named by the domain's size and n, and no grid warns on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            build_grid(domain, 9)
+    assert size in str(err.value) and "9 nodes per axis" in str(err.value)
+
+
+@pytest.mark.parametrize("domain", [Domain("rectangle", a=1e-70),
+                                    Domain("ball_radial", R=1e-70),
+                                    Domain("ball_radial", N=60, R=1.0)])
+def test_a_grid_that_builds_has_a_finite_floor_and_mode(domain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = build_grid(domain, 9)
+        assert 0.0 < laplacian_floor(grid) < np.inf
+        assert np.all(np.isfinite(first_mode(grid)))
 
 
 def test_unsupported_domain_kind():

@@ -1,7 +1,9 @@
 """Newton descent, deflation and the lambda sweep."""
 
+import json
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from pxbiharm import solver
+from pxbiharm import grids, solver
 from pxbiharm.certificate import build_test_function, certify
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.energy import PointTerms, ProblemInstance, residual_vector
@@ -36,6 +38,7 @@ from conftest import (
     spike_instance,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def beam_exact(x):
     """(u'')'' = 1 with Navier conditions on (0,1)."""
@@ -385,6 +388,33 @@ def test_lambda_sweep_rows():
     for r in rows:
         assert r["n_solutions"] == len(r["energies"])
         assert all(res <= 1e-8 for res in r["residuals"])
+
+
+def test_lambda_sweep_lays_out_the_band_once(monkeypatch):
+    """The band layout depends on the grid alone: a 5-lambda sweep of the
+    ridge at n = 41 builds 10 Hessians, a descent's and a deflated batch's
+    per lambda, on one layout that all of them share."""
+    layouts, hessians = [], []
+    real = grids._band_layout
+
+    def counted_layout(grid):
+        layouts.append(grid.n)
+        return real(grid)
+
+    class CountedHessian(solver._Hessian):
+        def __init__(self, inst):
+            super().__init__(inst)
+            hessians.append(self.pos)
+
+    monkeypatch.setattr(grids, "_band_layout", counted_layout)
+    monkeypatch.setattr(solver, "_Hessian", CountedHessian)
+    doc = json.loads((CONFIGS / "spike_ridge.json").read_text())
+    inst = build_problem(load_config(dict(doc, grid_n=41)), lam=1.0)
+    interval = certify(inst, 5.0, 1.2).lambda_interval
+    lambda_sweep(inst, interval, 5, k_max=5, n_starts=6, seed=0)
+    assert layouts == [41] and len(hessians) == 10
+    assert all(pos is inst.grid.band_layout.pos for pos in hessians)
+    assert not inst.grid.band_layout.pos.flags.writeable
 
 
 def test_lambda_sweep_needs_two_points():
