@@ -5,8 +5,9 @@ command whose stdout, stderr, exit code or written files differ.
     python3 scripts/compare_outputs.py A B
 
 A and B are repository roots, each with its own src/pxbiharm.  The inputs
-are this repository's configs/*.json and the rect_certify and rect_solve
-configs of bench/workloads.py, so both trees run the same configs.  Each
+are this repository's configs/*.json, the rect_certify and rect_solve
+configs of bench/workloads.py, and two variants of configs/*.json with a
+perturbed_power potential, so both trees run the same configs.  Each
 command runs as `python -m pxbiharm.cli` in a fresh temporary directory,
 with that tree's src on PYTHONPATH and one BLAS thread.  Exits 1 if any
 command differs.
@@ -33,6 +34,15 @@ def configs() -> dict:
             for path in sorted((ROOT / "configs").glob("*.json"))}
     for name in ("rect_certify", "rect_solve"):
         docs[name] = WORKLOADS[name].config(ROOT)
+    # paper_literal at p = 3 fails H2 (lhs 7, rhs 2), and the dim1
+    # certificate of a standard perturbed potential reads its c3
+    docs["beam_literal_p3"] = dict(
+        docs["beam"], exponent={"kind": "constant", "value": 3.0},
+        potential={"family": "perturbed_power", "variant": "paper_literal",
+                   "theta": 1.0})
+    docs["bump_dim1_perturbed"] = dict(
+        docs["bump_dim1"], exponent={"kind": "constant", "value": 2.5},
+        potential={"family": "perturbed_power", "theta": 1.0})
     return docs
 
 

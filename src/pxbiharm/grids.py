@@ -354,7 +354,13 @@ def first_mode(grid: Grid) -> np.ndarray:
     if grid.domain.kind == "ball_radial":
         from scipy.linalg import eigh_tridiagonal
 
-        y = eigh_tridiagonal(*_radial_block(grid), select="i",
+        # T times 4^e, with h = m 2^e and m in [1/2, 1): an exact scaling
+        # to entries of order 1, which leaves the eigenvector as it is.  On
+        # a tiny ball (R = 1.7e-75, entries of order 1e152) the unscaled
+        # solve returns NaN without a warning
+        scale = np.ldexp(1.0, 2 * int(np.frexp(grid.spacing[0])[1]))
+        diag, off = _radial_block(grid)
+        y = eigh_tridiagonal(diag * scale, off * scale, select="i",
                              select_range=(0, 0))[1][:, 0]
         inner = y / np.sqrt(grid.weights[interior])
     else:

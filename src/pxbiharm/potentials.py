@@ -11,6 +11,7 @@ Built-in families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,25 +44,41 @@ class PotentialSpec:
     a_eval / A_eval take (theta_node, p_node, t) and are vectorized; the
     nodewise wrappers `a` and `A` broadcast over the grid, with the nodes
     on t's leading axis (one column per further index, as x[:, None]).
-    a_t_min holds inf_t d/dt a(x, t) per node in closed form, None where
-    it is unknown.  witnesses maps H2, H3 and H4 to the Witness where the
-    family's c1, a_t_min and c2 are attained, which verify_hypotheses
-    reports when that hypothesis fails; it is None for a hand-built spec,
-    whose H2-H4 cannot be verified.
+    c1 and c3 are the result of `sups()`, called on the first read of
+    either and kept: only the dedicated 1D certificate reads c3, and no
+    verdict reads c1.  a_t_min holds inf_t d/dt a(x, t) per node in closed
+    form, None where it is unknown; growth holds per node the exponent of
+    |t| in the growth of |a| / (d + |t|^{p-1}) as |t| -> inf, so c1 is
+    infinite exactly where it is positive.  witnesses maps H2, H3 and H4 to
+    the Witness where growth, a_t_min and c2 fail first or are attained,
+    which verify_hypotheses reports when that hypothesis fails; it is None
+    for a hand-built spec, whose H2-H4 cannot be verified.
     """
 
     family: str
     theta: np.ndarray
     p: ExponentField
     variant: str | None
-    c1: float
     c2: float
-    c3: float
     d: np.ndarray
+    sups: callable = field(repr=False)
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
     a_t_min: np.ndarray = field(repr=False, default=None)
+    growth: np.ndarray = field(repr=False, default=None)
     witnesses: dict | None = field(repr=False, default=None)
+
+    @cached_property
+    def _c1_c3(self) -> tuple:
+        return self.sups()
+
+    @property
+    def c1(self) -> float:
+        return self._c1_c3[0]
+
+    @property
+    def c3(self) -> float:
+        return self._c1_c3[1]
 
     def a(self, t) -> np.ndarray:
         """a(x, t) at every node; t is a scalar or has the nodes on its
@@ -165,7 +182,8 @@ def _power_A(theta, p, t):
 
 def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     """a = theta |t|^{p-2} t with closed-form antiderivative and constants:
-    c1 = max(1, theta+), c2 = min(1, theta-), c3 = theta+ / p- and d = 0."""
+    c1 = max(1, theta+), c2 = min(1, theta-), c3 = theta+ / p-, d = 0 and
+    growth 0."""
     theta = np.broadcast_to(np.asarray(theta, float), (p.grid.size,)).copy()
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
@@ -175,18 +193,19 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     a_t_min = np.where(p.values == 2.0, theta, 0.0)
     x, pv = p.grid.nodes, p.values
     i, j = int(np.argmin(theta)), int(np.argmin(a_t_min))
+    sups = max(1.0, theta_max), theta_max / p.p_minus
     return PotentialSpec(
         family="power",
         theta=theta,
         p=p,
         variant=None,
-        c1=max(1.0, theta_max),
         c2=min(1.0, float(theta.min())),
-        c3=theta_max / p.p_minus,
         d=np.zeros(p.grid.size),
+        sups=lambda: sups,
         a_eval=_power_a,
         A_eval=_power_A,
         a_t_min=a_t_min,
+        growth=np.zeros(p.grid.size),
         # |a| grows like the bound, and min(a t, p A) = theta |t|^p at every t
         witnesses={"H2": _witness(x[i], np.inf, pv[i] - 1.0, pv[i] - 1.0),
                    "H3": _witness(x[j], 0.0 if pv[j] >= 2.0 else np.inf,
@@ -314,9 +333,13 @@ def _ratio_extremes(p, e, x1, kinds):
 
 def make_perturbed_family(theta, p: ExponentField,
                           variant: str = "standard") -> PotentialSpec:
-    """a = theta (1+t^2)^e t; A in closed form; c1, c2 and c3 the exact
-    extremes of their ratios (_ratio_extremes), computed once per distinct
-    p, with d = 1."""
+    """a = theta (1+t^2)^e t; A in closed form; d = 1; c2 the exact extreme
+    of its ratios (_ratio_extremes) for paper_literal, computed once per
+    distinct p, and in closed form for standard.  c1 and c3, their exact
+    sups, are computed the same way on the first read of either (see
+    PotentialSpec).  growth is the exponent x1 = e + 1 - p/2 at which every
+    ratio grows as |t| -> inf: 0 for standard, (6p - p^2 - 4) / (2(p - 2))
+    for paper_literal."""
     if variant not in ("standard", "paper_literal"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "paper_literal" and np.any(np.abs(p.values - 2.0) < 1e-12):
@@ -341,37 +364,43 @@ def make_perturbed_family(theta, p: ExponentField,
         # e + 1 - p/2 = 0: every ratio has a finite limit as t -> inf.
         # Both c2 ratios, (1 + 1/s)^e and ((1+s)^{p/2} - 1) / s^{p/2}, fall
         # in s to 1 for p >= 2, and rise from 0 for p < 2
-        ratio = _ratio_extremes(pu, e, np.zeros_like(pu), [0, 1])[0]
+        x1 = np.zeros_like(pu)
         c2_ratio = np.where(pu >= 2.0, 1.0, 0.0)
         c2_at = np.where(pu >= 2.0, np.inf, 0.0)
     else:
-        ratio, at = _ratio_extremes(
-            pu, e, (6.0 * pu - pu**2 - 4.0) / (2.0 * (pu - 2.0)),
-            [0, 1, 2, 3])
-        lower = ratio[2] <= ratio[3]
-        c2_ratio = np.where(lower, ratio[2], ratio[3])
-        c2_at = np.where(lower, at[2], at[3])
-    c1_nodes, c3_nodes = theta * ratio[0][inv], theta * ratio[1][inv]
+        x1 = (6.0 * pu - pu**2 - 4.0) / (2.0 * (pu - 2.0))
+        ratio, at = _ratio_extremes(pu, e, x1, [2, 3])
+        lower = ratio[0] <= ratio[1]
+        c2_ratio = np.where(lower, ratio[0], ratio[1])
+        c2_at = np.where(lower, at[0], at[1])
+
+    def sups():
+        ratio = _ratio_extremes(pu, e, x1, [0, 1])[0]
+        with np.errstate(over="ignore"):       # a sup past the largest float
+            return (float(np.max(theta * ratio[0][inv])),
+                    float(np.max(theta * ratio[1][inv])))
+
     c2_nodes = theta * c2_ratio[inv]
     slope_min, slope_at = _perturbed_slope_min(e)
     a_t_min = theta * slope_min[inv]
+    growth = x1[inv]
     x = p.grid.nodes
-    i, j, k = (int(np.argmax(c1_nodes)), int(np.argmin(a_t_min)),
+    i, j, k = (int(np.argmax(growth > 0.0)), int(np.argmin(a_t_min)),
                int(np.argmin(c2_nodes)))
     return PotentialSpec(
         family="perturbed_power",
         theta=theta,
         p=p,
         variant=variant,
-        c1=float(c1_nodes[i]),
         c2=float(c2_nodes[k]),
-        c3=float(c3_nodes.max()),
         d=np.ones(p.grid.size),
+        sups=sups,
         a_eval=a_eval,
         A_eval=A_eval,
         a_t_min=a_t_min,
-        # c1 is finite unless its ratio diverges as |t| -> inf, where |a|
-        # grows like |t|^{2e+1} and the H2 bound like |t|^{p-1}
+        growth=growth,
+        # H2 fails first at node i, where |a| grows like |t|^{2e+1} and the
+        # H2 bound like |t|^{p-1}
         witnesses={
             "H2": _witness(x[i], np.inf, 2.0 * e[inv[i]] + 1.0,
                            p.values[i] - 1.0),
@@ -411,19 +440,20 @@ def _h5_excess(nl: NonlinearitySpec):
 def verify_hypotheses(spec: PotentialSpec,
                       nl: NonlinearitySpec | None) -> HypothesisReport:
     """The structural hypotheses, read from the declared data with no
-    sampling: H1 from a(x, 0); H2 from c1 being finite; H3, strict
-    monotonicity of t -> a(x, t), from a_t_min >= 0 (the built-in families'
-    slope vanishes only at isolated t); H4 from c2 >= 1; H5 exactly on the
-    load's knots (`_h5_excess`), with q+ < p-.  H2-H4 of a hand-built spec
-    (no witnesses) and H5 of a load without xi or knots are "unverifiable".
-    Failures are data, not errors; each carries a witness.
+    sampling: H1 from a(x, 0); H2, a finite c1, from the growth exponent
+    `spec.growth` being <= 0 at every node (c1 itself is not computed); H3,
+    strict monotonicity of t -> a(x, t), from a_t_min >= 0 (the built-in
+    families' slope vanishes only at isolated t); H4 from c2 >= 1; H5
+    exactly on the load's knots (`_h5_excess`), with q+ < p-.  H2-H4 of a
+    hand-built spec (no witnesses) and H5 of a load without xi or knots are
+    "unverifiable".  Failures are data, not errors; each carries a witness.
     """
     x = spec.p.grid.nodes
     a0 = spec.a_eval(spec.theta, spec.p.values, 0.0)
     i = int(np.argmax(np.abs(a0)))
     checks = {"H1": (abs(a0[i]) <= _TOL, _witness(x[i], 0.0, a0[i], 0.0))}
     if spec.witnesses is not None:
-        checks["H2"] = (np.isfinite(spec.c1), spec.witnesses["H2"])
+        checks["H2"] = (not np.any(spec.growth > 0.0), spec.witnesses["H2"])
         checks["H3"] = (np.all(spec.a_t_min >= 0.0), spec.witnesses["H3"])
         checks["H4"] = (spec.c2 >= 1.0, spec.witnesses["H4"])
     if nl is not None and nl.xi is not None and nl.knots is not None:

@@ -381,16 +381,19 @@ def _fourier_start(inst, rng, amplitude: float, n_modes: int = 5):
     return GridFunction(grid, vals, bc="navier")
 
 
-def _structured_starts(inst, vbar_scale: float):
-    """Zero-adjacent perturbation plus +/- the certificate's test function."""
-    from .certificate import build_test_function
-
-    grid = inst.grid
+def _near_zero_start(grid):
+    """The descent's start: 1e-3 at every interior node."""
     tiny = np.zeros(grid.size)
     tiny[grid.interior_mask] = 1e-3
+    return GridFunction(grid, tiny, bc="navier")
+
+
+def _vbar_starts(grid, vbar_scale: float):
+    """+/- the certificate's test function."""
+    from .certificate import build_test_function
+
     vb = build_test_function(vbar_scale, grid)
-    return [GridFunction(grid, tiny, bc="navier"), vb,
-            GridFunction(grid, -vb.values, bc="navier")]
+    return [vb, GridFunction(grid, -vb.values, bc="navier")]
 
 
 def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
@@ -408,16 +411,16 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     running the starts one at a time.  max_iter caps the descent from the
     near-zero start.  When the descent's point is accepted and
     `uniqueness_modulus` is positive, it is the only critical point and
-    the search ends there."""
+    the search ends there, before the other starts are built."""
     interior = inst.grid.interior_mask
     found = SolutionSet(uniqueness_modulus=uniqueness_modulus(inst))
-    starts = _structured_starts(inst, vbar_scale)
+    start = _near_zero_start(inst.grid)
 
     # the descent from the near-zero start first.  It ends at a local
     # minimiser, not necessarily the global one: on the ridge load at
     # n = 201, lambda = 30.25 it stops at E = -0.0095, while the global
     # minimiser, found from +vbar, has E = -7.67
-    base = minimize(inst, starts[0], tol=tol, max_iter=max_iter)
+    base = minimize(inst, start, tol=tol, max_iter=max_iter)
     if base.converged:
         found.points.append(base)
         mu = found.uniqueness_modulus
@@ -426,6 +429,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
 
     rng = np.random.default_rng(seed)
     amp = max(vbar_scale, 10 * DISTINCTNESS)
+    starts = [start, *_vbar_starts(inst.grid, vbar_scale)]
     starts += [_fourier_start(inst, rng, amp) for _ in range(n_starts)]
     hessian = _Hessian(inst)
     Z = np.column_stack([s.values[interior] for s in starts])

@@ -67,15 +67,20 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
     """Solve modular(v/mu) = 1 for mu, for each row v of `vals` (a 1-D
     input is one row), by a safeguarded Newton iteration on s = log mu.
 
-    Each row is first scaled to unit sup norm (the norm is homogeneous).
+    A row whose sup is below 1/2 is first multiplied by the power of two
+    2^-k that puts its sup in [1/2, 1), which is exact, and its norm is
+    multiplied back by 2^k at the end, rounded up where it is subnormal,
+    so a nonzero row with a subnormal sup gets a positive norm.  The
+    result is the same, bit for bit, wherever the norm is normal.  Each
+    row is then scaled to unit sup norm (the norm is homogeneous).
     f(s) = log modular(v/e^s) = log sum_j w_j |v_j|^{p_j} e^{-p_j s} is a
     log-sum-exp of lines with slopes -p_j: convex and decreasing, with
     slope in [-p+, -p-], so the root lies in [f(0)/p+, f(0)/p-] (ends
     ordered by the sign of f(0)).  The iteration starts at the end where
     f >= 0; a tangent of a convex f lies below it, so every Newton iterate
-    stays left of the root and climbs to it (about 5 evaluations).  A step leaving
-    the bracket is replaced by bisection.  From the last iterate s, where
-    f(s) >= 0, the slope bound puts the root below s + f(s)/p-.  The
+    stays left of the root and climbs to it (about 5 evaluations).  A step
+    leaving the bracket is replaced by bisection.  From the last iterate s,
+    where f(s) >= 0, the slope bound puts the root below s + f(s)/p-.  The
     modular of v / mu is evaluated in plain form at that upper end, which
     is widened until the modular is <= 1, so the returned norm is that
     end, never just an iterate.
@@ -83,6 +88,10 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
     vals = np.abs(np.asarray(vals, dtype=float))
     batch = vals.reshape(-1, vals.shape[-1])
     amax = batch.max(axis=1)
+    k = np.minimum(np.frexp(amax)[1], 0)
+    if np.any(k < 0):
+        np.ldexp(batch, -k[:, None], out=batch)   # a view of np.abs's copy
+        amax = np.ldexp(amax, -k)
     live = amax > 0.0
     rows = batch[live] / amax[live, None]
     pv, lo_p, hi_p = p.values, p.p_minus, p.p_plus
@@ -136,6 +145,9 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
         widen *= 2.0
     else:
         raise RuntimeError("Luxemburg upper end could not be certified")
+    scaled, value = value, np.ldexp(value, k)
+    low = np.ldexp(value, -k) < scaled
+    value[low] = np.nextafter(value[low], np.inf)
     if vals.ndim == 1:
         return NormResult(float(value[0]), int(steps.sum()))
     return NormResult(value, int(steps.sum()))

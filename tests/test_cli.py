@@ -23,7 +23,7 @@ from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.grids import Domain, GridFunction, build_grid
 
-from conftest import spike_g
+from conftest import count_ratio_extremes, spike_g
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -476,6 +476,35 @@ def test_solve_refuses_a_config_that_fails_H2(tmp_path, capsys,
     out = capsys.readouterr()
     assert out.out == "" and "H2 (fail)" in out.err
     assert not (tmp_path / "solutions.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["hypotheses"], ["certify"],
+                                     ["solve", "--lambda", "30"], ["sweep"]])
+def test_a_standard_potential_runs_no_root_finding(tmp_path, monkeypatch,
+                                                   command):
+    """A standard perturbed potential's c2 and H2 are closed forms, and
+    only the dim1 certificate reads c1 or c3: no other command calls
+    _ratio_extremes, though each builds the problem (certify twice)."""
+    monkeypatch.chdir(tmp_path)
+    kinds = count_ratio_extremes(monkeypatch)
+    doc = dict(RIDGE, grid_n=9, exponent={"kind": "affine", "a": 2.5,
+                                          "b": 0.5},
+               potential={"family": "perturbed_power", "theta": 1.0},
+               solver=dict(RIDGE["solver"], **SOLVER_BUDGET))
+    cfg = write_config(tmp_path, doc)
+    assert main([command[0], "--config", cfg, *command[1:]]) == EXIT_OK
+    assert kinds == []
+
+
+def test_the_dim1_certificate_finds_c3_once(tmp_path, monkeypatch):
+    """The dim1 certificate reads c3 of a standard perturbed potential,
+    which one _ratio_extremes call computes with c1."""
+    kinds = count_ratio_extremes(monkeypatch)
+    doc = dict(bump_table_doc(), exponent={"kind": "constant", "value": 2.5},
+               potential={"family": "perturbed_power", "theta": 1.0})
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) == EXIT_OK
+    assert kinds == [[0, 1]]
 
 
 def test_hypotheses_check_a_table_past_t_10(tmp_path, capsys):

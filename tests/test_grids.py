@@ -140,6 +140,20 @@ def test_a_grid_that_builds_has_a_finite_floor_and_mode(domain):
         assert np.all(np.isfinite(first_mode(grid)))
 
 
+def test_first_mode_of_a_tiny_ball_is_the_unit_balls():
+    """On a ball of radius 1.7e-75 (interior block entries about 1e152)
+    the mode is finite and positive, and equals the R = 1 mode to
+    rounding: the eigenvector does not depend on the radius."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = first_mode(build_grid(Domain("ball_radial", N=2, R=1.699e-75),
+                                     21))
+    unit = first_mode(build_grid(Domain("ball_radial", N=2, R=1.0), 21))
+    assert np.all(np.isfinite(tiny)) and np.max(tiny) == 1.0
+    assert np.all(tiny[:-1] > 0.0)
+    assert np.max(np.abs(tiny - unit)) <= 64 * np.finfo(float).eps
+
+
 def test_unsupported_domain_kind():
     with pytest.raises(ValueError):
         Domain("simplex")

@@ -18,13 +18,15 @@ from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import (
     PotentialSpec,
     _h5_excess,
+    _ratio_extremes,
+    _witness,
     builtin_nonlinearity,
     make_perturbed_family,
     make_power_family,
     verify_hypotheses,
 )
 
-from conftest import spike_g, spike_lip
+from conftest import count_ratio_extremes, spike_g, spike_lip
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +135,7 @@ def test_a_hand_built_spec_leaves_H2_to_H4_unverifiable(grid):
     p = constant_exponent(grid, 2.0)
     spec = PotentialSpec(
         family="power", theta=np.ones(grid.size), p=p, variant=None,
-        c1=2.0, c2=1.0, c3=1.0, d=np.ones(grid.size),
+        c2=1.0, d=np.ones(grid.size), sups=lambda: (2.0, 1.0),
         a_eval=lambda th, pv, t: th * (t - t**3),
         A_eval=lambda th, pv, t: th * (t**2 / 2 - t**4 / 4),
     )
@@ -510,6 +512,95 @@ def test_growth_constants_bound_every_ratio_and_are_tight(variant, p0,
     for got, want in zip((spec.c1, spec.c3, spec.c2),
                          dense_extremes(theta, p.values, e)):
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+
+def direct_extremes(theta, p, variant):
+    """Per node, theta times each of the four ratio extremes of the family
+    (rows: c1, c3, c2 from a t, c2 from p A), from one direct
+    _ratio_extremes call over all kinds."""
+    pu, inv = np.unique(p.values, return_inverse=True)
+    if variant == "paper_literal":
+        e = pu / (pu - 2.0)
+        x1 = (6.0 * pu - pu**2 - 4.0) / (2.0 * (pu - 2.0))
+    else:
+        e, x1 = (pu - 2.0) / 2.0, np.zeros_like(pu)
+    return theta * _ratio_extremes(pu, e, x1, [0, 1, 2, 3])[0][:, inv]
+
+
+@pytest.mark.parametrize("exponent", sorted(RATIO_EXPONENTS))
+@pytest.mark.parametrize("p0", [1.3, 2.5, 3.5, 6.0])
+@pytest.mark.parametrize("variant", ["standard", "paper_literal"])
+def test_c1_and_c3_are_computed_once_on_first_read(monkeypatch, variant, p0,
+                                                   exponent):
+    """Building the family finds no sup (standard) or only c2's infs
+    (paper_literal); the first read of c1 or c3 finds both sups in one
+    _ratio_extremes call, bit for bit the maxima of a direct call over all
+    four kinds, and later reads call nothing."""
+    grid = build_grid(Domain("interval"), 11)
+    p = RATIO_EXPONENTS[exponent](grid, p0)
+    theta = 0.8 + 0.5 * grid.x1
+    kinds = count_ratio_extremes(monkeypatch)
+    spec = make_perturbed_family(theta, p, variant)
+    assert kinds == ([] if variant == "standard" else [[2, 3]])
+    first = spec.c3 if p0 > 3.0 else spec.c1     # either read finds both
+    assert kinds[-1] == [0, 1]
+    c1, c3 = spec.c1, spec.c3
+    assert first == (c3 if p0 > 3.0 else c1)
+    assert len(kinds) == (1 if variant == "standard" else 2)
+    want = direct_extremes(theta, p, variant)
+    assert (c1, c3) == (want[0].max(), want[1].max())
+    if variant == "paper_literal":
+        assert spec.c2 == np.minimum(want[2], want[3]).min()
+
+
+#: p swept for each variant; paper_literal fails H2 for 2 < p < 3 + sqrt 5,
+#: and these include both sides of either end
+H2_SWEEP = {
+    "standard": np.linspace(1.15, 8.05, 24),
+    "paper_literal": np.concatenate([np.linspace(1.15, 8.05, 24), [
+        1.999, 2.001, 2.4, 3.0, 4.0, 5.2, 3.0 + np.sqrt(5.0) - 1e-9,
+        3.0 + np.sqrt(5.0) + 1e-9]])}
+
+
+@pytest.mark.parametrize("exponent", sorted(RATIO_EXPONENTS))
+@pytest.mark.parametrize("variant", sorted(H2_SWEEP))
+def test_h2_from_the_growth_exponent_is_c1_being_finite(variant, exponent):
+    """Over a sweep of p, H2 read from the growth exponent passes exactly
+    where c1 is finite, and fails with the witness at the node where c1
+    is attained: the first with an infinite ratio, its limit t -> inf,
+    lhs 2e + 1 and rhs p - 1."""
+    grid = build_grid(Domain("interval"), 11)
+    theta = 0.8 + 0.5 * grid.x1
+    fails = []
+    for p0 in H2_SWEEP[variant]:
+        p = RATIO_EXPONENTS[exponent](grid, p0)
+        report = verify_hypotheses(make_perturbed_family(theta, p, variant),
+                                   None)
+        c1_nodes = direct_extremes(theta, p, variant)[0]
+        ok = report.status["H2"] == "pass"
+        assert ok == np.isfinite(c1_nodes.max())
+        fails.append(not ok)
+        if not ok:
+            i = int(np.argmax(c1_nodes))
+            pv = p.values[i]
+            e = pv / (pv - 2.0)
+            assert report.witnesses["H2"] == _witness(
+                grid.x1[i], np.inf, 2.0 * e + 1.0, pv - 1.0)
+    sweep = H2_SWEEP[variant]
+    if variant == "standard":
+        assert not any(fails)
+    elif exponent == "constant":
+        assert fails == list((2.0 < sweep) & (sweep < 3.0 + np.sqrt(5.0)))
+
+
+def test_h2_reads_the_growth_exponent_not_an_overflowing_c1(grid):
+    """theta the largest float overflows c1 = theta sup ratio to inf (the
+    ratio peaks above 1 for p = 4), but |a| still grows like the H2 bound:
+    H2 passes."""
+    spec = make_perturbed_family(np.finfo(float).max,
+                                 constant_exponent(grid, 4.0))
+    assert spec.c1 == np.inf
+    assert verify_hypotheses(spec, None).status["H2"] == "pass"
 
 
 H5_TABLES = {

@@ -199,7 +199,7 @@ def test_minimize_reports_what_a_fresh_check_computes(monkeypatch, case):
         inst = give_up_instance(monkeypatch)
     u0 = GridFunction.zeros(inst.grid)
     if case == "rect_solve":     # the search's near-zero start
-        u0 = solver._structured_starts(inst, 1.0)[0]
+        u0 = solver._near_zero_start(inst.grid)
     tol = solver.DEFAULT_TOL
     got = minimize(inst, u0, tol=tol)
     want = solver._critical_point(
@@ -432,7 +432,8 @@ def sequential_search(inst, k_max, n_starts, seed, vbar_scale):
     interior = inst.grid.interior_mask
     rng = np.random.default_rng(seed)
     hessian = solver._Hessian(inst)
-    starts = solver._structured_starts(inst, vbar_scale)
+    starts = [solver._near_zero_start(inst.grid),
+              *solver._vbar_starts(inst.grid, vbar_scale)]
     starts += [solver._fourier_start(inst, rng, max(vbar_scale, 10 * dist))
                for _ in range(n_starts)]
     found = SolutionSet()
@@ -450,6 +451,23 @@ def sequential_search(inst, k_max, n_starts, seed, vbar_scale):
             found.points.append(pt)
     found.sort()
     return found, len(starts)
+
+
+def test_the_vbar_starts_are_built_only_past_the_descent(monkeypatch):
+    """rect_solve's mu > 0 ends the search at the descent's point, before
+    the +/- vbar starts are built; a search that goes on builds them
+    once."""
+    built = []
+    real = solver._vbar_starts
+    monkeypatch.setattr(solver, "_vbar_starts",
+                        lambda *args: built.append(args) or real(*args))
+    inst, search = rect_solve_problem()
+    assert solver.uniqueness_modulus(inst) > 0.0
+    assert len(deflate_and_search(inst, **search).points) == 1
+    assert built == []
+    inst, search = rect_spike_problem()
+    deflate_and_search(inst, **search)
+    assert len(built) == 1
 
 
 def criterion_08_first_lambda():

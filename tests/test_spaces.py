@@ -4,6 +4,8 @@ Property-based checks drive the norm axioms and the modular/norm
 relations with randomized nodal values.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +57,20 @@ def test_luxemburg_matches_classical_lp(p_const):
 def test_zero_function_has_zero_norm():
     p = constant_exponent(GRID, 2.0)
     assert luxemburg_norm(_field(np.zeros(GRID.size)), p).value == 0.0
+
+
+def test_a_subnormal_function_has_a_positive_norm():
+    """Values 5e-324 and 1e-323 (a subnormal sup) get a positive norm at
+    which the modular is <= 1, without a RuntimeWarning."""
+    grid = build_grid(Domain("interval"), 33)
+    p = affine_exponent(grid, 2.0, 1.0)
+    vals = np.zeros(grid.size)
+    vals[[3, 7]] = 5e-324, 1e-323
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = _luxemburg_of_values(vals, grid, p).value
+        assert norm > 0.0
+        assert _modular_values(vals / norm, grid, p) <= 1.0
 
 
 @given(vals=finite_vals, c=st.floats(-5.0, 5.0, allow_nan=False))
