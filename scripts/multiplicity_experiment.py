@@ -4,19 +4,18 @@ critical points the deflated solver actually finds.
 
 Runs two fixtures on the unit interval with the p = 2 power potential:
 
-  * bounded: g(t) = 1/(1+t^2) + 1.  The dedicated 1D certificate prints an
-    interval near lambda ~ 0.27, but that interval carries no three
-    solutions: the solver's monotonicity modulus
+  * bounded: g(t) = 1/(1+t^2) + 1.  The solver's monotonicity modulus
     mu = nu^2 - lambda Lip(g), with Lip(g) = 3 sqrt(3)/8 and nu^2 = 97.4 at
-    n = 101, is positive for every lambda < 149, so the discrete problem
-    has exactly one solution there.  Each row prints mu, and the search
-    stops at the first solution.
+    n = 101, is positive for every lambda below lambda_u = 149.9, so the
+    discrete problem has exactly one solution there.  The script prints
+    the general certificate's verdict (infeasible) and lambda_u, and sweeps
+    nothing.
   * ridge: g(t) = 0.05 + 40 exp(-((|t|-1)/0.05)^2).  The general
     certificate is feasible near lambda ~ 25.9..219 and the deflated Newton
     search finds the three branches (small, mountain-pass, large) at every
     lambda of the sweep.
 
-Writes artifacts/multiplicity_bounded.csv and artifacts/multiplicity_ridge.csv.
+Writes artifacts/multiplicity_ridge.csv.
 """
 
 import argparse
@@ -28,13 +27,13 @@ from scipy.special import erf
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from pxbiharm.certificate import certify, dim1_certificate  # noqa: E402
+from pxbiharm.certificate import certify  # noqa: E402
 from pxbiharm.cli import write_sweep_csv  # noqa: E402
 from pxbiharm.energy import ProblemInstance  # noqa: E402
 from pxbiharm.exponents import constant_exponent  # noqa: E402
 from pxbiharm.grids import Domain, build_grid  # noqa: E402
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family  # noqa: E402
-from pxbiharm.solver import lambda_sweep  # noqa: E402
+from pxbiharm.solver import lambda_sweep, uniqueness_modulus  # noqa: E402
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), os.pardir, "artifacts")
 
@@ -80,11 +79,13 @@ def main():
 
     print("bounded fixture: g = 1/(1+t^2) + 1")
     nl = builtin_nonlinearity("rational_bump", grid, q)
-    cert = dim1_certificate(nl, p, l=1.0, h=0.15, c3=spec.c3)
-    print(f"  certified interval: {cert.lambda_interval}")
-    run_sweep(ProblemInstance(grid, p, spec, nl, 1.0), cert.lambda_interval,
-              args.sweep_m, vbar_scale=0.15, n_starts=3, seed=args.seed,
-              path=os.path.join(ARTIFACTS, "multiplicity_bounded.csv"))
+    inst = ProblemInstance(grid, p, spec, nl, 1.0)
+    cert = certify(inst, r=1.0, h=0.15)
+    print(f"  certified interval: {cert.lambda_interval} ({cert.reason})")
+    # mu is linear in lambda; ProblemInstance refuses lambda = 0
+    mu1 = uniqueness_modulus(inst)
+    mu2 = uniqueness_modulus(ProblemInstance(grid, p, spec, nl, 2.0))
+    print(f"  one solution for every lambda < {mu1 / (mu1 - mu2) + 1.0:.6g}")
 
     print("ridge fixture: g = 0.05 + 40 exp(-((|t|-1)/0.05)^2)")
     nl2 = builtin_nonlinearity("separable", grid, q, alpha=1.0,

@@ -8,7 +8,6 @@ from .certificate import (
     build_test_function,
     certify,
     compute_L,
-    dim1_certificate,
     estimate_c0,
     gamma_r,
     inradius,

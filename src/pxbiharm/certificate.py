@@ -1,8 +1,8 @@
 """Explicit three-solution certificates for the fourth-order problem.
 
 Computes every constant of the admissible lambda-interval (gamma_r, the
-embedding constant c0, alpha_r, beta_h), decides feasibility, and provides
-the dedicated 1D interval with its constant k.
+embedding constant c0, alpha_r, beta_h) and decides feasibility, by one
+construction on every domain, the interval included.
 
 The interval is that of the three-critical-points theorem of Bonanno and
 Marano (Appl. Anal. 89, 2010), which needs one test function vbar with
@@ -27,7 +27,6 @@ from .energy import ProblemInstance
 from .exponents import ExponentField, conjugate
 from .grids import (Domain, Grid, GridFunction, first_mode, integrate,
                     sine_eigenvalues, unit_ball_volume)
-from .potentials import NonlinearitySpec
 from .spaces import _luxemburg_of_values, _modular_values
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "alpha_r",
     "certify",
     "estimate_c0",
-    "dim1_certificate",
 ]
 
 #: relative change under grid doubling below which a certificate is stamped
@@ -84,9 +82,6 @@ class Certificate:
     lambda_interval: tuple | None
     checks: dict
     converged: bool | None = None
-    k: float | None = None           # 1D path
-    l: float | None = None           # 1D path
-    nu: float | None = None          # 1D path
     J_vbar: float | None = None
     Phi_vbar_lower: float | None = None
     reason: str | None = None
@@ -459,73 +454,3 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
 def _close(a, b):
     scale = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / scale < _CONVERGENCE_RTOL
-
-
-def dim1_certificate(nl: NonlinearitySpec, p: ExponentField,
-                     l: float, h: float, c3: float) -> Certificate:
-    """The dedicated 1D certificate for (|u''|^{p(x)-2} u'')'' =
-    lambda alpha(x) g(u) on (0,1), with the load nl on p's grid.
-
-    Feasible iff G(l)/l^{p+} < k G(h)/h^{p+} with
-    k = (1/(p+ c3)) (3/8)^{p+} alpha_0/||alpha||_1; the side condition
-    l <= 1 <= (8h/3)^{p-/p+} (1/4)^{1/p+} and the vanishing-growth
-    condition g(t) |t|^{-nu} -> 0 are checked and recorded.
-    """
-    grid, g, alpha_vals = p.grid, nl.g, nl.alpha
-    if grid.domain.kind != "interval":
-        raise ValueError("the dedicated 1D certificate needs an interval grid")
-    if np.any(alpha_vals <= 0):
-        raise ValueError("alpha must be positive")
-    g0 = float(np.asarray(g(0.0)))
-    checks = {}
-    reason = None
-    if g0 == 0.0:
-        checks["g0_nonzero"] = False
-        reason = "g(0) = 0"
-    else:
-        checks["g0_nonzero"] = True
-
-    # vanishing growth: exists nu in [0, p^- - 1) with g(t) |t|^{-nu} -> 0,
-    # probed by sampling at |t| in {1e2, 1e3, 1e4}
-    nu = None
-    probes = np.array([1e2, 1e3, 1e4])
-    for cand in np.linspace(0.0, p.p_minus - 1.0, 21)[:-1]:
-        ratios = np.abs(np.asarray(g(probes), float)) / probes**cand
-        if np.all(np.diff(ratios) < 0) and ratios[-1] < 1e-2:
-            nu = float(cand)
-            break
-    checks["nu_growth"] = nu is not None
-
-    pp = p.p_plus
-    side = (l <= 1.0 + 1e-12) and \
-        (1.0 <= (8 * h / 3) ** (p.p_minus / pp) * 0.25 ** (1.0 / pp) + 1e-12)
-    checks["side_condition"] = bool(side)
-
-    alpha_0 = float(alpha_vals.min())
-    alpha_l1 = integrate(grid, np.abs(alpha_vals))
-    k = (1.0 / (pp * c3)) * (3.0 / 8.0) ** pp * alpha_0 / alpha_l1
-
-    G_h = float(np.asarray(nl.G(h)))
-    G_l = float(np.asarray(nl.G(l)))
-    feas_ratio = (G_l / l**pp) < (k * G_h / h**pp)
-    checks["G_ratio"] = bool(feas_ratio)
-
-    feasible = feas_ratio and checks["g0_nonzero"]
-    if feasible:
-        lo = (8.0 / 3.0) ** pp * h**pp * c3 / (alpha_0 * G_h)
-        hi = l**pp / (pp * alpha_l1 * G_l)
-        interval = (lo, hi)
-    else:
-        interval = None
-        if reason is None:
-            reason = "G(l)/l^{p+} >= k G(h)/h^{p+}"
-
-    D, x0 = inradius(grid.domain)
-    return Certificate(
-        r=l**pp / pp, h=h, N=1, D=D, x0=tuple(x0),
-        w=unit_ball_volume(1), L=compute_L(1, D),
-        gamma_r=l, c0=0.25, c0_provenance="analytic",
-        alpha_r=None, beta_h=None,
-        lambda_interval=interval, checks=checks,
-        k=k, l=l, nu=nu, reason=reason,
-    )

@@ -146,10 +146,6 @@ def cmd_hypotheses(args) -> int:
 
 def _certify_from_config(cfg: cfgmod.RunConfig, inst: ProblemInstance):
     block = cfg.certificate
-    if block.get("dim1"):
-        return cert.dim1_certificate(
-            inst.nonlinearity, inst.p, l=block.get("l", 1.0), h=block["h"],
-            c3=inst.potential.c3)
     scan = block.get("h_scan") or "h" not in block
     # the same config on the doubled grid, for the convergence check, which
     # reads only alpha_r and beta_h there

@@ -111,8 +111,8 @@ _BLOCKS = {
     "nonlinearity": ({"kind": _text, "xi": _optional_field, "zeta": _number,
                       "q": _number, "alpha": _field, "g_t": _numbers,
                       "g_values": _numbers}, {"kind"}),
-    "certificate": ({"r": _positive, "h": _positive, "h_scan": _flag,
-                     "dim1": _flag, "l": _positive}, set()),
+    "certificate": ({"r": _positive, "h": _positive, "h_scan": _flag},
+                    set()),
     "solver": ({"tol": _positive, "max_iter": _integer(1),
                 "n_starts": _integer(0), "k_max": _integer(1),
                 "seed": _integer(0), "sweep_m": _integer(2)}, set()),
@@ -123,7 +123,7 @@ _grid_n = _integer(5)
 _LOAD = ("q", "alpha", "xi", "zeta")
 #: block -> (the key that selects its kind, kind -> (the other keys that
 #: kind reads, the keys it needs)).  Every "builtin:<name>" load is looked
-#: up as "builtin:", and the certificate's kind is its dim1 flag
+#: up as "builtin:"
 _KINDS = {
     "domain": ("kind", {"interval": ((), ()), "rectangle": (("a", "b"), ()),
                         "ball_radial": (("N", "R"), ())}),
@@ -135,8 +135,6 @@ _KINDS = {
     "nonlinearity": ("kind", {
         "table": (_LOAD + ("g_t", "g_values"), ("g_t", "g_values")),
         "builtin:": (_LOAD, ())}),
-    "certificate": ("dim1", {False: (("r", "h", "h_scan"), ()),
-                             True: (("h", "l"), ("h",))}),
 }
 
 
@@ -151,10 +149,9 @@ def _block(doc: dict, name: str) -> dict:
     block = {k: checks[k](v, f"{name}.{k}") for k, v in block.items()}
     if name not in _KINDS:
         return block
-    # the value checks above leave the kind a str or a bool, so hashable
     selector, kinds = _KINDS[name]
-    kind = block.get(selector, False)
-    entry = "builtin:" if str(kind).startswith("builtin:") else kind
+    kind = block[selector]
+    entry = "builtin:" if kind.startswith("builtin:") else kind
     if entry not in kinds:
         raise ConfigError(f"unknown {name}.{selector} {kind!r}")
     reads, needs = kinds[entry]

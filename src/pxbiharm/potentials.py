@@ -11,7 +11,6 @@ Built-in families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +43,13 @@ class PotentialSpec:
     a_eval / A_eval take (theta_node, p_node, t) and are vectorized; the
     nodewise wrappers `a` and `A` broadcast over the grid, with the nodes
     on t's leading axis (one column per further index, as x[:, None]).
-    c1 and c3 are the result of `sups()`, called on the first read of
-    either and kept: only the dedicated 1D certificate reads c3, and no
-    verdict reads c1.  a_t_min holds inf_t d/dt a(x, t) per node in closed
-    form, None where it is unknown; growth holds per node the exponent of
-    |t| in the growth of |a| / (d + |t|^{p-1}) as |t| -> inf, so c1 is
-    infinite exactly where it is positive.  witnesses maps H2, H3 and H4 to
-    the Witness where growth, a_t_min and c2 fail first or are attained,
-    which verify_hypotheses reports when that hypothesis fails; it is None
-    for a hand-built spec, whose H2-H4 cannot be verified.
+    a_t_min holds inf_t d/dt a(x, t) per node in closed form, None where it
+    is unknown; growth holds per node the exponent of |t| in the growth of
+    |a| / (d + |t|^{p-1}) as |t| -> inf, so H2's constant c1 is infinite
+    exactly where it is positive.  witnesses maps H2, H3 and H4 to the
+    Witness where growth, a_t_min and c2 fail first or are attained, which
+    verify_hypotheses reports when that hypothesis fails; it is None for a
+    hand-built spec, whose H2-H4 cannot be verified.
     """
 
     family: str
@@ -61,24 +58,11 @@ class PotentialSpec:
     variant: str | None
     c2: float
     d: np.ndarray
-    sups: callable = field(repr=False)
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
     a_t_min: np.ndarray = field(repr=False, default=None)
     growth: np.ndarray = field(repr=False, default=None)
     witnesses: dict | None = field(repr=False, default=None)
-
-    @cached_property
-    def _c1_c3(self) -> tuple:
-        return self.sups()
-
-    @property
-    def c1(self) -> float:
-        return self._c1_c3[0]
-
-    @property
-    def c3(self) -> float:
-        return self._c1_c3[1]
 
     def a(self, t) -> np.ndarray:
         """a(x, t) at every node; t is a scalar or has the nodes on its
@@ -177,23 +161,22 @@ def _power_a(theta, p, t):
 
 
 def _power_A(theta, p, t):
-    return theta * np.abs(t) ** p / p
+    # an A past the largest float is inf, which the energy's callers test
+    with np.errstate(over="ignore"):
+        return theta * np.abs(t) ** p / p
 
 
 def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     """a = theta |t|^{p-2} t with closed-form antiderivative and constants:
-    c1 = max(1, theta+), c2 = min(1, theta-), c3 = theta+ / p-, d = 0 and
-    growth 0."""
+    c2 = min(1, theta-), d = 0 and growth 0."""
     theta = np.broadcast_to(np.asarray(theta, float), (p.grid.size,)).copy()
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
-    theta_max = float(theta.max())
     # d/dt a = theta (p-1) |t|^{p-2}: theta at p = 2, else its inf is 0, at
     # t = 0 for p > 2 and as |t| -> inf for p < 2
     a_t_min = np.where(p.values == 2.0, theta, 0.0)
     x, pv = p.grid.nodes, p.values
     i, j = int(np.argmin(theta)), int(np.argmin(a_t_min))
-    sups = max(1.0, theta_max), theta_max / p.p_minus
     return PotentialSpec(
         family="power",
         theta=theta,
@@ -201,7 +184,6 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
         variant=None,
         c2=min(1.0, float(theta.min())),
         d=np.zeros(p.grid.size),
-        sups=lambda: sups,
         a_eval=_power_a,
         A_eval=_power_A,
         a_t_min=a_t_min,
@@ -240,9 +222,11 @@ def _perturbed_slope_min(e):
 #   kind 1, c3   |A| / (|t| + |t|^p)                           sup
 #   kind 2, c2   a t / |t|^p                                   inf
 #   kind 3, c2   p A / |t|^p                                   inf
-# and c2 takes the lower inf.  Their derivatives d log / d log s are 1 + e
-# sigma and phi for the numerators, 1/2 + k tau and p/2 for the
-# denominators, with sigma = s/(1+s), phi = w sigma / (1 - (1+s)^{-w})
+# and c2 takes the lower inf.  The families build c2 alone: no code reads
+# the sups c1 and c3, which the tests take as H2's reference.  Their
+# derivatives d log / d log s are 1 + e sigma and phi for the numerators,
+# 1/2 + k tau and p/2 for the denominators, with sigma = s/(1+s),
+# phi = w sigma / (1 - (1+s)^{-w})
 # (monotone in s, from 1 to max(w, 0)), k = (p-1)/2 and tau = s^k/(1+s^k).
 # None is monotone in general: c3's ratio peaks inside for standard p above
 # about 2.88 (at 1.0219 / p, s = 6.5, for p = 3), c1's for p > 3, and both
@@ -335,9 +319,7 @@ def make_perturbed_family(theta, p: ExponentField,
                           variant: str = "standard") -> PotentialSpec:
     """a = theta (1+t^2)^e t; A in closed form; d = 1; c2 the exact extreme
     of its ratios (_ratio_extremes) for paper_literal, computed once per
-    distinct p, and in closed form for standard.  c1 and c3, their exact
-    sups, are computed the same way on the first read of either (see
-    PotentialSpec).  growth is the exponent x1 = e + 1 - p/2 at which every
+    distinct p, and in closed form for standard.  growth is the exponent x1 = e + 1 - p/2 at which every
     ratio grows as |t| -> inf: 0 for standard, (6p - p^2 - 4) / (2(p - 2))
     for paper_literal."""
     if variant not in ("standard", "paper_literal"):
@@ -374,12 +356,6 @@ def make_perturbed_family(theta, p: ExponentField,
         c2_ratio = np.where(lower, ratio[0], ratio[1])
         c2_at = np.where(lower, at[0], at[1])
 
-    def sups():
-        ratio = _ratio_extremes(pu, e, x1, [0, 1])[0]
-        with np.errstate(over="ignore"):       # a sup past the largest float
-            return (float(np.max(theta * ratio[0][inv])),
-                    float(np.max(theta * ratio[1][inv])))
-
     c2_nodes = theta * c2_ratio[inv]
     slope_min, slope_at = _perturbed_slope_min(e)
     a_t_min = theta * slope_min[inv]
@@ -394,7 +370,6 @@ def make_perturbed_family(theta, p: ExponentField,
         variant=variant,
         c2=float(c2_nodes[k]),
         d=np.ones(p.grid.size),
-        sups=sups,
         a_eval=a_eval,
         A_eval=A_eval,
         a_t_min=a_t_min,

@@ -301,33 +301,37 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     interior = inst.grid.interior_mask
     hessian = _Hessian(inst)
     z = u0.values[interior]
-    pt = _point(inst, z)
-    for _ in range(max_iter):
-        r = pt.residual[interior]
-        if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
-            break
-        V, Lu = pt.values[:, None], pt.Lu[:, None]
-        step = hessian.steps(V, -r[None], Lu)[0]
-        if not np.dot(r, step) < 0.0:
-            step = hessian.steps(V, -r[None], Lu, convex=True)[0]
-        if not np.all(np.isfinite(step)):
-            break
-        # a decrease below the energy's rounding floor cannot be measured:
-        # there the full step is taken
-        slope, t = float(np.dot(r, step)), 1.0
-        floor = _energy_floor(pt)
-        trial = _point(inst, z + step)
-        while -slope > floor and \
-                trial.energy > pt.energy + ARMIJO * t * slope:
-            t *= 0.5
-            if t < EPS:
-                return _critical_point(inst, z, tol, pt=pt)
-            trial = _point(inst, z + t * step)
-        z, pt = z + t * step, trial
-        if t * np.max(np.abs(step)) <= STEP_TOL * max(
-                1.0, float(np.max(np.abs(z)))):
-            break
-    return _critical_point(inst, z, tol, pt=pt)
+    # past the largest float the energy, its floor and the slopes overflow
+    # to inf or NaN; the isfinite and `not ... < 0.0` tests decide the
+    # outcome there, so the arithmetic runs without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        pt = _point(inst, z)
+        for _ in range(max_iter):
+            r = pt.residual[interior]
+            if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
+                break
+            V, Lu = pt.values[:, None], pt.Lu[:, None]
+            step = hessian.steps(V, -r[None], Lu)[0]
+            if not np.dot(r, step) < 0.0:
+                step = hessian.steps(V, -r[None], Lu, convex=True)[0]
+            if not np.all(np.isfinite(step)):
+                break
+            # a decrease below the energy's rounding floor cannot be
+            # measured: there the full step is taken
+            slope, t = float(np.dot(r, step)), 1.0
+            floor = _energy_floor(pt)
+            trial = _point(inst, z + step)
+            while -slope > floor and \
+                    trial.energy > pt.energy + ARMIJO * t * slope:
+                t *= 0.5
+                if t < EPS:
+                    return _critical_point(inst, z, tol, pt=pt)
+                trial = _point(inst, z + t * step)
+            z, pt = z + t * step, trial
+            if t * np.max(np.abs(step)) <= STEP_TOL * max(
+                    1.0, float(np.max(np.abs(z)))):
+                break
+        return _critical_point(inst, z, tol, pt=pt)
 
 
 def uniqueness_modulus(inst: ProblemInstance) -> float | None:

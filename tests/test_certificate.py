@@ -1,4 +1,4 @@
-"""Certificate constants, feasibility decisions and the 1D interval."""
+"""Certificate constants and feasibility decisions."""
 
 import dataclasses
 import json
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
-from pxbiharm import certificate
+from pxbiharm import certificate, solver
 from pxbiharm.certificate import (
     _GREEN_BLOCK,
     _green_rows,
@@ -22,7 +22,6 @@ from pxbiharm.certificate import (
     build_test_function,
     certify,
     compute_L,
-    dim1_certificate,
     estimate_c0,
     gamma_r,
     inradius,
@@ -699,64 +698,56 @@ def test_certify_rejects_a_fine_problem_on_another_grid():
             certify(inst, 5.0, 1.0, fine=fine)
 
 
-# --- dedicated 1D path ------------------------------------------------------
-
-def bump_load(grid, alpha=1.0):
-    """g = 1/(1+t^2) + 1 with G = arctan t + t."""
-    return builtin_nonlinearity("rational_bump", grid,
-                                constant_exponent(grid, 1.5), alpha=alpha)
-
-
-def test_dim1_constant_k(interval_grid):
-    p = constant_exponent(interval_grid, 2.0)
-    cert = dim1_certificate(bump_load(interval_grid), p, l=1.0, h=0.15,
-                            c3=0.5)
-    assert cert.k == pytest.approx(9.0 / 64.0, abs=1e-12)
+#: the two grids of the uniqueness property: the interval at 101 nodes and
+#: the 17 x 17 unit square
+UNIQUENESS_GRIDS = {"interval": ({"kind": "interval"}, 101),
+                    "square": ({"kind": "rectangle", "a": 1.0, "b": 1.0},
+                               17)}
 
 
-def test_dim1_interval_oracle(interval_grid):
-    p = constant_exponent(interval_grid, 2.0)
-    cert = dim1_certificate(bump_load(interval_grid), p, l=1.0, h=0.15,
-                            c3=0.5)
-    assert cert.feasible
-    lo, hi = cert.lambda_interval
-    # hand-derived endpoints: (32/9) h^2 / G(h) and 1 / (2 G(1))
-    assert lo == pytest.approx(
-        (32.0 / 9.0) * 0.15**2 / (np.arctan(0.15) + 0.15), rel=1e-12)
-    assert hi == pytest.approx(1.0 / (2.0 * (np.arctan(1.0) + 1.0)),
-                               rel=1e-12)
-    assert cert.checks["nu_growth"]
-    # the side condition fails for this h but does not gate feasibility
-    assert not cert.checks["side_condition"]
+def ridge_table_problem(domain, eps, M, c, sigma):
+    """p = 2, theta = 1 and the ridge g = eps + M exp(-((t - c)/sigma)^2)
+    tabulated on [0, c + 6 sigma] at 801 nodes (flat past the last), on
+    one of UNIQUENESS_GRIDS, at lambda = 1.  The table is the load, so its
+    Lip(g) is the steepest segment's slope."""
+    kind, n = UNIQUENESS_GRIDS[domain]
+    t = np.linspace(0.0, c + 6.0 * sigma, 801)
+    g = eps + M * np.exp(-(((t - c) / sigma) ** 2))
+    return build_problem(load_config({
+        "schema": 1, "domain": kind, "grid_n": n,
+        "exponent": {"kind": "constant", "value": 2.0},
+        "potential": {"family": "power", "theta": 1.0},
+        "nonlinearity": {"kind": "table", "q": 1.5, "alpha": 1.0,
+                         "g_t": t.tolist(), "g_values": g.tolist()}}),
+        lam=1.0, verify=False)
 
 
-def test_dim1_infeasible_for_large_h(interval_grid):
-    p = constant_exponent(interval_grid, 2.0)
-    cert = dim1_certificate(bump_load(interval_grid), p, l=1.0, h=2.0,
-                            c3=0.5)
-    assert not cert.feasible
-    assert not cert.checks["G_ratio"]
+def uniqueness_threshold(inst):
+    """lambda_u, below which the discrete problem has one critical point:
+    the zero of the modulus mu(lambda), which is linear in lambda, read
+    off mu(1) and mu(2) (a ProblemInstance refuses lambda = 0)."""
+    mu1 = solver.uniqueness_modulus(inst)
+    mu2 = solver.uniqueness_modulus(dataclasses.replace(inst, lam=2.0))
+    return mu1 / (mu1 - mu2) + 1.0
 
 
-def test_dim1_detects_g0_zero(interval_grid):
-    p = constant_exponent(interval_grid, 2.0)
-    nl = builtin_nonlinearity(
-        "separable", interval_grid, constant_exponent(interval_grid, 1.5),
-        g=lambda t: np.asarray(t, float),
-        G=lambda t: np.asarray(t, float) ** 2 / 2, zeros=[0.0])
-    cert = dim1_certificate(nl, p, l=1.0, h=0.15, c3=0.5)
-    assert not cert.checks["g0_nonzero"]
-    assert not cert.feasible
-
-
-def test_dim1_rejects_nonpositive_alpha(interval_grid):
-    p = constant_exponent(interval_grid, 2.0)
-    with pytest.raises(ValueError):
-        dim1_certificate(bump_load(interval_grid, alpha=0.0), p, l=1.0,
-                         h=0.15, c3=0.5)
-
-
-def test_dim1_needs_interval(ball_grid):
-    p = constant_exponent(ball_grid, 2.0)
-    with pytest.raises(ValueError):
-        dim1_certificate(bump_load(ball_grid), p, l=1.0, h=0.15, c3=0.5)
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(sorted(UNIQUENESS_GRIDS)),
+       eps=st.floats(0.01, 1.0), M=st.floats(1.0, 5000.0),
+       c=st.floats(0.1, 3.0), sigma=st.floats(0.02, 1.0),
+       log_r=st.floats(-3.0, 3.0))
+# feasible: the ridge of criterion 08 and the tall ridge on the square
+@example(domain="interval", eps=0.05, M=40.0, c=1.0, sigma=0.05,
+         log_r=np.log10(5.0))
+@example(domain="square", eps=0.05, M=4000.0, c=1.0, sigma=0.05,
+         log_r=np.log10(5.0))
+def test_a_feasible_certificate_lies_above_the_uniqueness_threshold(
+        domain, eps, M, c, sigma, log_r):
+    """Below lambda_u (`uniqueness_threshold`) the discrete problem has
+    exactly one critical point, so no three-solution interval may start
+    there: every feasible certificate, with its h scanned, has
+    lo >= lambda_u."""
+    inst = ridge_table_problem(domain, eps, M, c, sigma)
+    cert = certify(inst, 10.0 ** log_r)
+    if cert.feasible:
+        assert cert.lambda_interval[0] >= uniqueness_threshold(inst)

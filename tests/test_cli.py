@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,26 +48,19 @@ def base_doc(**overrides):
     return doc
 
 
-def bump_table_doc(h=0.15, **solver):
-    t = np.linspace(0.0, 50.0, 2001)
-    g = 1.0 / (1.0 + t**2) + 1.0
-    return base_doc(
-        nonlinearity={"kind": "table", "q": 1.5, "alpha": 1.0,
-                      "g_t": t.tolist(), "g_values": g.tolist()},
-        certificate={"dim1": True, "h": h, "l": 1.0},
-        solver=solver or {"n_starts": 2, "k_max": 2, "sweep_m": 2},
-    )
-
-
-def spike_table_doc():
+def spike_table_doc(**overrides):
+    """The ridge load tabulated on [0, 4] with 1601 nodes, certified with
+    r = 5 and h = 1.2: feasible on 41 and 65 nodes."""
     t = np.linspace(0.0, 4.0, 1601)
-    return base_doc(
+    doc = base_doc(
         grid_n=65,
         nonlinearity={"kind": "table", "q": 1.5, "alpha": 1.0, "xi": 40.05,
                       "g_t": t.tolist(),
                       "g_values": spike_g(t).tolist()},
         certificate={"r": 5.0, "h": 1.2},
     )
+    doc.update(overrides)
+    return doc
 
 
 def ridge_table(**overrides):
@@ -107,36 +101,6 @@ def test_hypotheses_pass(tmp_path, capsys):
     assert payload["status"]["H3"] == "pass"
 
 
-def test_certify_dim1_feasible(tmp_path, capsys):
-    cfg = write_config(tmp_path, bump_table_doc())
-    assert main(["certify", "--config", cfg]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    lo, hi = payload["lambda_interval"]
-    assert 0.26 < lo < hi < 0.29
-    assert payload["k"] == pytest.approx(9.0 / 64.0, rel=1e-6)
-
-
-def test_certify_dim1_infeasible_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, bump_table_doc(h=2.0))
-    assert main(["certify", "--config", cfg]) == EXIT_INFEASIBLE
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["lambda_interval"] is None
-
-
-def test_certify_dim1_reads_a_builtin_load(tmp_path, capsys):
-    """Every load is alpha(x) g(t), so the 1D certificate takes a built-in
-    one; with the exact G = arctan t + t of the bump it gives the closed
-    form (8/3)^2 h^2 c3 / G(h), 1 / (2 G(1)) with c3 = 1/2."""
-    doc = bump_table_doc()
-    doc["nonlinearity"] = {"kind": "builtin:rational_bump", "q": 1.5}
-    cfg = write_config(tmp_path, doc)
-    assert main(["certify", "--config", cfg]) == EXIT_OK
-    G = lambda t: np.arctan(t) + t  # noqa: E731
-    want = [(8 / 3) ** 2 * 0.15 ** 2 * 0.5 / G(0.15), 1 / (2 * G(1.0))]
-    got = json.loads(capsys.readouterr().out)["lambda_interval"]
-    assert got == pytest.approx(want, rel=1e-12)
-
-
 def test_certify_spike_feasible(tmp_path, capsys):
     cfg = write_config(tmp_path, spike_table_doc())
     assert main(["certify", "--config", cfg]) == EXIT_OK
@@ -146,10 +110,10 @@ def test_certify_spike_feasible(tmp_path, capsys):
 
 
 def test_certify_out_file(tmp_path):
-    cfg = write_config(tmp_path, bump_table_doc())
+    cfg = write_config(tmp_path, spike_table_doc(grid_n=41))
     out = tmp_path / "cert.json"
     assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert json.loads(out.read_text())["k"] > 0
+    assert json.loads(out.read_text())["lambda_interval"][0] > 0
 
 
 def test_solve_writes_csv(tmp_path, capsys, monkeypatch):
@@ -333,8 +297,8 @@ def test_consecutive_commands_share_no_state(tmp_path, capsys, monkeypatch):
 
 def test_sweep_deterministic_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    doc = bump_table_doc()
-    doc["solver"] = {"n_starts": 2, "k_max": 2, "sweep_m": 2, "seed": 0}
+    doc = spike_table_doc(grid_n=41, solver={"n_starts": 2, "k_max": 2,
+                                             "sweep_m": 2, "seed": 0})
     cfg = write_config(tmp_path, doc)
     out1 = tmp_path / "sweep1.json"
     out2 = tmp_path / "sweep2.json"
@@ -349,8 +313,8 @@ def test_sweep_deterministic_csv(tmp_path, monkeypatch):
 
 def test_reports_carry_the_uniqueness_modulus(tmp_path, capsys,
                                               monkeypatch):
-    """solve and every sweep row report mu; the sweep CSV keeps its
-    columns."""
+    """solve and every sweep row report mu, that of the problem at the
+    row's lambda; the sweep CSV keeps its columns."""
     monkeypatch.chdir(tmp_path)
     doc = base_doc(grid_n=21, solver={"n_starts": 1, "k_max": 2})
     cfg = write_config(tmp_path, doc)
@@ -358,19 +322,31 @@ def test_reports_carry_the_uniqueness_modulus(tmp_path, capsys,
     mu = json.loads(capsys.readouterr().out)["uniqueness_modulus"]
     inst = build_problem(load_config(cfg), lam=2.0)
     assert mu == solver.uniqueness_modulus(inst) > 0
-    doc = bump_table_doc(n_starts=1, k_max=2, sweep_m=3)
+    doc = spike_table_doc(grid_n=41, solver={"n_starts": 1, "k_max": 2,
+                                             "sweep_m": 3})
     cfg = write_config(tmp_path, doc)
     assert main(["sweep", "--config", cfg]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert all(row["uniqueness_modulus"] > 0 for row in rows)
+    assert len(rows) == 3
+    for row in rows:
+        inst = build_problem(load_config(cfg), lam=row["lambda"])
+        assert row["uniqueness_modulus"] == solver.uniqueness_modulus(inst)
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
     assert header == "lambda,n_solutions,energies"
 
 
-def test_sweep_infeasible_certificate(tmp_path, monkeypatch):
+def test_sweep_infeasible_certificate(tmp_path, capsys, monkeypatch):
+    """The shipped bounded load has one solution for every lambda below
+    about 150 (its uniqueness modulus), and its certificate fails both
+    checks: certify and sweep exit 1 and name them."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, bump_table_doc(h=2.0))
-    assert main(["sweep", "--config", cfg]) == EXIT_INFEASIBLE
+    cfg = str(CONFIGS / "bump_dim1.json")
+    for command in ("certify", "sweep"):
+        assert main([command, "--config", cfg]) == EXIT_INFEASIBLE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lambda_interval"] is None
+        assert payload["reason"] == "r_bound; beta_gt_alpha"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_bad_config_file(tmp_path):
@@ -417,9 +393,18 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_unknown_key_is_bad_input(tmp_path):
-    cfg = write_config(tmp_path, base_doc(typo=1))
-    assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
+def test_unknown_key_is_bad_input(tmp_path, capsys):
+    """A misspelt key, and the keys of the former dedicated 1D
+    certificate, exit 2 at load with the keys named."""
+    for doc, where in [
+            (base_doc(typo=1), "config: ['typo']"),
+            (base_doc(certificate={"dim1": True, "h": 0.15}),
+             "certificate: ['dim1']"),
+            (base_doc(certificate={"h": 0.15, "l": 1.0}),
+             "certificate: ['l']")]:
+        cfg = write_config(tmp_path, doc)
+        assert main(["hypotheses", "--config", cfg]) == EXIT_BAD_INPUT
+        assert f"unknown keys in {where}" in capsys.readouterr().err
 
 
 #: block.key -> a block whose kind does not read that key
@@ -430,16 +415,13 @@ FOREIGN_KEYS = {
     "domain.R": {"kind": "rectangle", "R": 2.0},
     "exponent.b": {"kind": "constant", "value": 2.0, "b": 0.5},
     "exponent.value": {"kind": "affine", "a": 2.0, "b": 0.5, "value": 2.0},
-    "certificate.l": {"l": 1.0},
-    "certificate.r": {"dim1": True, "h": 0.15, "r": 1.0},
-    "certificate.h_scan": {"dim1": True, "h": 0.15, "h_scan": True},
 }
 
 
 @pytest.mark.parametrize("key", list(FOREIGN_KEYS))
 def test_a_key_its_kind_does_not_read_is_bad_input(tmp_path, capsys, key):
     """A key that the block's kind does not read (potential.variant on
-    power, domain.a on an interval, certificate.r with dim1, ...) is
+    power, domain.a on an interval, ...) is
     rejected at load, by its name, rather than ignored."""
     block = key.split(".")[0]
     cfg = write_config(tmp_path, base_doc(**{block: FOREIGN_KEYS[key]}))
@@ -482,9 +464,9 @@ def test_solve_refuses_a_config_that_fails_H2(tmp_path, capsys,
                                      ["solve", "--lambda", "30"], ["sweep"]])
 def test_a_standard_potential_runs_no_root_finding(tmp_path, monkeypatch,
                                                    command):
-    """A standard perturbed potential's c2 and H2 are closed forms, and
-    only the dim1 certificate reads c1 or c3: no other command calls
-    _ratio_extremes, though each builds the problem (certify twice)."""
+    """A standard perturbed potential's c2 and H2 are closed forms, and no
+    command reads c1 or c3: none calls _ratio_extremes, though each builds
+    the problem (certify twice)."""
     monkeypatch.chdir(tmp_path)
     kinds = count_ratio_extremes(monkeypatch)
     doc = dict(RIDGE, grid_n=9, exponent={"kind": "affine", "a": 2.5,
@@ -494,17 +476,6 @@ def test_a_standard_potential_runs_no_root_finding(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, doc)
     assert main([command[0], "--config", cfg, *command[1:]]) == EXIT_OK
     assert kinds == []
-
-
-def test_the_dim1_certificate_finds_c3_once(tmp_path, monkeypatch):
-    """The dim1 certificate reads c3 of a standard perturbed potential,
-    which one _ratio_extremes call computes with c1."""
-    kinds = count_ratio_extremes(monkeypatch)
-    doc = dict(bump_table_doc(), exponent={"kind": "constant", "value": 2.5},
-               potential={"family": "perturbed_power", "theta": 1.0})
-    cfg = write_config(tmp_path, doc)
-    assert main(["certify", "--config", cfg]) == EXIT_OK
-    assert kinds == [[0, 1]]
 
 
 def test_hypotheses_check_a_table_past_t_10(tmp_path, capsys):
@@ -675,9 +646,10 @@ def test_solver_max_iter_reaches_minimize(tmp_path, monkeypatch, command):
         return real(*args, max_iter=max_iter, **kwargs)
 
     monkeypatch.setattr(solver, "minimize", spy)
-    doc = bump_table_doc(n_starts=1, k_max=1, sweep_m=2, max_iter=7)
+    doc = spike_table_doc(grid_n=41, solver={"n_starts": 1, "k_max": 1,
+                                             "sweep_m": 2, "max_iter": 7})
     cfg = write_config(tmp_path, doc)
-    extra = ["--lambda", "0.27"] if command == "solve" else []
+    extra = ["--lambda", "30"] if command == "solve" else []
     main([command, "--config", cfg, *extra])
     assert seen and set(seen) == {7}
 
@@ -691,7 +663,7 @@ CONFIG_KEYS = [(k,) for k in sorted(BEAM)] + [
         ("exponent", ["kind", "value", "values"]),
         ("potential", ["family", "theta", "variant"]),
         ("nonlinearity", ["kind", "q", "xi", "zeta", "alpha"]),
-        ("certificate", ["r", "h", "h_scan", "dim1", "l"]),
+        ("certificate", ["r", "h", "h_scan"]),
         ("solver", ["tol", "max_iter", "n_starts", "k_max", "seed",
                     "sweep_m"]),
         ("output", ["solutions_csv"]),
@@ -737,7 +709,6 @@ KIND_BASES = {
     ("domain", "a"): {"domain": {"kind": "rectangle"}},
     ("domain", "N"): {"domain": {"kind": "ball_radial"}},
     ("exponent", "values"): {"exponent": {"kind": "table"}},
-    ("certificate", "l"): {"certificate": {"dim1": True, "h": 0.15}},
 }
 
 
@@ -747,7 +718,6 @@ KIND_BASES = {
        value=JSON_VALUES | st.sampled_from(["standard", "paper_literal"]),
        command=st.sampled_from(["hypotheses", "certify", "solve", "sweep"]))
 @example(path=("grid_n",), value=[3], command="hypotheses")
-@example(path=("certificate", "dim1"), value=True, command="certify")
 @example(path=("domain",), value=["kind"], command="hypotheses")
 # the kind is looked up after its value check, so an unhashable kind is
 # bad input rather than a TypeError
@@ -765,7 +735,6 @@ KIND_BASES = {
 @example(path=("domain", "a"), value=2, command="certify")
 @example(path=("domain", "N"), value=3, command="solve")
 @example(path=("exponent", "values"), value=[2.0, 3.0], command="sweep")
-@example(path=("certificate", "l"), value=0.5, command="certify")
 def test_any_config_value_keeps_the_exit_code_contract(
         tmp_path, monkeypatch, capsys, path, value, command):
     base = BEAM
@@ -914,12 +883,18 @@ def test_a_table_with_a_non_finite_slope_or_G_is_bad_input(
 
 
 def test_an_overflowing_energy_is_no_solution(tmp_path, capsys, monkeypatch):
+    """The beam's solution at lambda = 1e300, about lambda / nu^2, is
+    unique (mu > 0) but overflows A = |Lu|^2 / 2: solve exits 1 with no
+    solution, decided by the descent's own finiteness tests, and numpy
+    warns about none of the overflowing arithmetic."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, config_with(("lambda",), 1e300))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["solve", "--config", cfg, "--grid-n", "9"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--config", str(CONFIGS / "beam.json"),
+                     "--lambda", "1e300", "--grid-n", "9"])
     assert code == EXIT_INFEASIBLE
-    assert strict_json(capsys.readouterr().out)["n_solutions"] == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["n_solutions"] == 0 and payload["uniqueness_modulus"] > 0
 
 
 def test_a_non_finite_number_in_the_report_is_bad_input(tmp_path, capsys,

@@ -129,7 +129,8 @@ def test_perturbed_family_from_config():
                    "theta": 1.0}))
     inst = build_problem(cfg, verify=False)
     assert inst.potential.family == "perturbed_power"
-    assert inst.potential.c3 > 0
+    assert inst.potential.variant == "standard"
+    assert inst.potential.c2 == 1.0
 
 
 @pytest.mark.parametrize("domain, m", [({"kind": "interval"}, 5),

@@ -26,7 +26,7 @@ from pxbiharm.potentials import (
     verify_hypotheses,
 )
 
-from conftest import count_ratio_extremes, spike_g, spike_lip
+from conftest import spike_g, spike_lip
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +37,7 @@ def grid():
 def test_power_family_closed_form_constants(grid):
     p = constant_exponent(grid, 2.0)
     spec = make_power_family(1.0, p)
-    assert spec.c1 == 1.0
     assert spec.c2 == 1.0
-    assert spec.c3 == 0.5  # theta_max / p_minus
     assert np.all(spec.d == 0.0)
 
 
@@ -95,23 +93,25 @@ def test_perturbed_literal_singular_at_p2(grid):
 
 def test_perturbed_literal_constants_satisfy_bounds(grid):
     # at p = 3, inside (2, 3 + sqrt 5), |a| grows like |t|^{2e+1} with
-    # e = p/(p-2), faster than |t|^{p-1}, and c1 = c3 = inf; the bounds are
-    # checked where both are finite, p < 2 and p > 3 + sqrt 5
-    spec = make_perturbed_family(1.0, constant_exponent(grid, 3.0),
-                                 "paper_literal")
-    assert spec.c1 == spec.c3 == np.inf
+    # e = p/(p-2), faster than |t|^{p-1}, and the sups c1 and c3 of
+    # _ratio_extremes are inf; the bounds are checked where both are
+    # finite, p < 2 and p > 3 + sqrt 5
+    p = constant_exponent(grid, 3.0)
+    c1, c3 = direct_extremes(1.0, p, "paper_literal")[:2].max(axis=1)
+    assert c1 == c3 == np.inf
     t = np.linspace(-10, 10, 201)
     t = t[t != 0]
     for p_value in (1.5, 1.8, 5.5, 8.0):
-        spec = make_perturbed_family(1.0, constant_exponent(grid, p_value),
-                                     "paper_literal")
-        assert np.isfinite(spec.c1) and np.isfinite(spec.c3)
+        p = constant_exponent(grid, p_value)
+        spec = make_perturbed_family(1.0, p, "paper_literal")
+        c1, c3 = direct_extremes(1.0, p, "paper_literal")[:2].max(axis=1)
+        assert np.isfinite(c1) and np.isfinite(c3)
         a_vals = spec.a_eval(1.0, p_value, t)
         A_vals = spec.A_eval(1.0, p_value, t)
         assert np.all(np.abs(a_vals) <=
-                      spec.c1 * (spec.d[0] + np.abs(t) ** (p_value - 1.0)))
+                      c1 * (spec.d[0] + np.abs(t) ** (p_value - 1.0)))
         assert np.all(np.abs(A_vals) <=
-                      spec.c3 * (np.abs(t) + np.abs(t) ** p_value))
+                      c3 * (np.abs(t) + np.abs(t) ** p_value))
 
 
 def test_unknown_variant_rejected(grid):
@@ -135,7 +135,7 @@ def test_a_hand_built_spec_leaves_H2_to_H4_unverifiable(grid):
     p = constant_exponent(grid, 2.0)
     spec = PotentialSpec(
         family="power", theta=np.ones(grid.size), p=p, variant=None,
-        c2=1.0, d=np.ones(grid.size), sups=lambda: (2.0, 1.0),
+        c2=1.0, d=np.ones(grid.size),
         a_eval=lambda th, pv, t: th * (t - t**3),
         A_eval=lambda th, pv, t: th * (t**2 / 2 - t**4 / 4),
     )
@@ -409,17 +409,15 @@ PARITY_EXPONENTS = {
 @pytest.mark.parametrize("family", ["power", "standard", "paper_literal"])
 def test_builders_declare_the_closed_forms(domain, exponent, per_node,
                                            family):
-    """power's c1 = max(1, theta+), c2 = min(1, theta-), c3 = theta+ / p-
-    and d = 0; d = 1 for the perturbed families; every family's a_t_min."""
+    """power's c2 = min(1, theta-) and d = 0; d = 1 for the perturbed
+    families; every family's a_t_min."""
     grid = build_grid(*PARITY_DOMAINS[domain])
     p = PARITY_EXPONENTS[exponent](grid)
     theta = 0.7 + grid.x1 if per_node else 1.3
     spec = (make_power_family(theta, p) if family == "power"
             else make_perturbed_family(theta, p, family))
     if family == "power":
-        th = spec.theta
-        assert (spec.c1, spec.c2, spec.c3) == (
-            max(1.0, th.max()), min(1.0, th.min()), th.max() / p.p_minus)
+        assert spec.c2 == min(1.0, spec.theta.min())
     assert np.array_equal(spec.d, np.full(grid.size,
                                           float(family != "power")))
     assert np.array_equal(spec.a_t_min,
@@ -485,16 +483,17 @@ RATIO_EXPONENTS = {
 @pytest.mark.parametrize("variant, p0", RATIO_CASES)
 def test_growth_constants_bound_every_ratio_and_are_tight(variant, p0,
                                                           exponent):
-    """c1 and c3 are >= and c2 <= every ratio of a and A as the family
-    evaluates them on |t| in [1e-8, 1e8] (up to 1e-12 relative rounding),
-    and each is within 1e-6 relative of the extreme of a dense log-space
-    sample of |t| in [1e-150, 1e150], or 1e-12 absolute where that extreme
-    is a limit 0; c1 and c3 are inf exactly where a ratio grows without
-    bound."""
+    """c1 and c3, the sups of _ratio_extremes' kinds 0 and 1, are >= and
+    the family's c2 <= every ratio of a and A as the family evaluates them
+    on |t| in [1e-8, 1e8] (up to 1e-12 relative rounding), and each is
+    within 1e-6 relative of the extreme of a dense log-space sample of |t|
+    in [1e-150, 1e150], or 1e-12 absolute where that extreme is a limit 0;
+    c1 and c3 are inf exactly where a ratio grows without bound."""
     grid = build_grid(Domain("interval"), 11)
     p = RATIO_EXPONENTS[exponent](grid, p0)
     theta = 0.8 + 0.5 * grid.x1
     spec = make_perturbed_family(theta, p, variant)
+    c1, c3 = direct_extremes(theta, p, variant)[:2].max(axis=1)
     th, pv = theta[:, None], p.values[:, None]
     t = np.geomspace(1e-8, 1e8, 20001)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -504,12 +503,12 @@ def test_growth_constants_bound_every_ratio_and_are_tight(variant, p0,
                   np.minimum(a * t, pv * A) / t**pv]
     # a ratio overflows only where it grows without bound
     ratios = [np.nan_to_num(r, nan=np.inf) for r in ratios]
-    assert np.all(ratios[0] <= spec.c1 * (1.0 + 1e-12))
-    assert np.all(ratios[1] <= spec.c3 * (1.0 + 1e-12))
+    assert np.all(ratios[0] <= c1 * (1.0 + 1e-12))
+    assert np.all(ratios[1] <= c3 * (1.0 + 1e-12))
     assert np.all(ratios[2] >= spec.c2 * (1.0 - 1e-12))
     e = (p.values / (p.values - 2.0) if variant == "paper_literal"
          else (p.values - 2.0) / 2.0)
-    for got, want in zip((spec.c1, spec.c3, spec.c2),
+    for got, want in zip((c1, c3, spec.c2),
                          dense_extremes(theta, p.values, e)):
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
@@ -525,32 +524,6 @@ def direct_extremes(theta, p, variant):
     else:
         e, x1 = (pu - 2.0) / 2.0, np.zeros_like(pu)
     return theta * _ratio_extremes(pu, e, x1, [0, 1, 2, 3])[0][:, inv]
-
-
-@pytest.mark.parametrize("exponent", sorted(RATIO_EXPONENTS))
-@pytest.mark.parametrize("p0", [1.3, 2.5, 3.5, 6.0])
-@pytest.mark.parametrize("variant", ["standard", "paper_literal"])
-def test_c1_and_c3_are_computed_once_on_first_read(monkeypatch, variant, p0,
-                                                   exponent):
-    """Building the family finds no sup (standard) or only c2's infs
-    (paper_literal); the first read of c1 or c3 finds both sups in one
-    _ratio_extremes call, bit for bit the maxima of a direct call over all
-    four kinds, and later reads call nothing."""
-    grid = build_grid(Domain("interval"), 11)
-    p = RATIO_EXPONENTS[exponent](grid, p0)
-    theta = 0.8 + 0.5 * grid.x1
-    kinds = count_ratio_extremes(monkeypatch)
-    spec = make_perturbed_family(theta, p, variant)
-    assert kinds == ([] if variant == "standard" else [[2, 3]])
-    first = spec.c3 if p0 > 3.0 else spec.c1     # either read finds both
-    assert kinds[-1] == [0, 1]
-    c1, c3 = spec.c1, spec.c3
-    assert first == (c3 if p0 > 3.0 else c1)
-    assert len(kinds) == (1 if variant == "standard" else 2)
-    want = direct_extremes(theta, p, variant)
-    assert (c1, c3) == (want[0].max(), want[1].max())
-    if variant == "paper_literal":
-        assert spec.c2 == np.minimum(want[2], want[3]).min()
 
 
 #: p swept for each variant; paper_literal fails H2 for 2 < p < 3 + sqrt 5,
@@ -597,9 +570,10 @@ def test_h2_reads_the_growth_exponent_not_an_overflowing_c1(grid):
     """theta the largest float overflows c1 = theta sup ratio to inf (the
     ratio peaks above 1 for p = 4), but |a| still grows like the H2 bound:
     H2 passes."""
-    spec = make_perturbed_family(np.finfo(float).max,
-                                 constant_exponent(grid, 4.0))
-    assert spec.c1 == np.inf
+    theta, p = np.finfo(float).max, constant_exponent(grid, 4.0)
+    with np.errstate(over="ignore"):
+        assert direct_extremes(theta, p, "standard")[0].max() == np.inf
+    spec = make_perturbed_family(theta, p)
     assert verify_hypotheses(spec, None).status["H2"] == "pass"
 
 
