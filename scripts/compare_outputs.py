@@ -6,7 +6,7 @@ command whose stdout, stderr, exit code or written files differ.
 
 A and B are repository roots, each with its own src/pxbiharm.  The inputs
 are this repository's configs/*.json, the rect_certify and rect_solve
-configs of bench/workloads.py, and two variants of configs/*.json with a
+configs of bench/workloads.py, and three variants of configs/*.json with a
 perturbed_power potential, so both trees run the same configs.  Each
 command runs as `python -m pxbiharm.cli` in a fresh temporary directory,
 with that tree's src on PYTHONPATH and one BLAS thread.  Exits 1 if any
@@ -34,12 +34,14 @@ def configs() -> dict:
             for path in sorted((ROOT / "configs").glob("*.json"))}
     for name in ("rect_certify", "rect_solve"):
         docs[name] = WORKLOADS[name].config(ROOT)
-    # paper_literal at p = 3 fails H2 (lhs 7, rhs 2), and the bounded
-    # load's general 1D certificate runs on a standard perturbed potential
-    docs["beam_literal_p3"] = dict(
-        docs["beam"], exponent={"kind": "constant", "value": 3.0},
-        potential={"family": "perturbed_power", "variant": "paper_literal",
-                   "theta": 1.0})
+    # paper_literal at p = 3 fails H2 (lhs 7, rhs 2), and with theta = 0.2
+    # also H4, at c2's interior minimum; the bounded load's general 1D
+    # certificate runs on a standard perturbed potential
+    for suffix, theta in (("", 1.0), ("_theta02", 0.2)):
+        docs[f"beam_literal_p3{suffix}"] = dict(
+            docs["beam"], exponent={"kind": "constant", "value": 3.0},
+            potential={"family": "perturbed_power",
+                       "variant": "paper_literal", "theta": theta})
     bump = next(name for name in docs if name.startswith("bump"))
     docs[f"{bump}_perturbed"] = dict(
         docs[bump], exponent={"kind": "constant", "value": 2.5},

@@ -6,6 +6,8 @@ Built-in families:
   * perturbed_power:  a = theta(x) (1+t^2)^e t with e = (p-2)/2 ("standard")
                       or e = p/(p-2) ("paper_literal", singular at p = 2);
                       A = theta ((1+t^2)^{e+1} - 1) / (2(e+1)) in closed form.
+Each family builds its growth constant c2 in closed form as well; no
+growth constant is found by a numeric search.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ __all__ = [
     "builtin_nonlinearity",
 ]
 
-#: relative slack (as a factor e^{+-slack}) on every extreme of a growth
-#: ratio: it covers the floating-point error of a root and of the ratio
-#: evaluated there, and a limit's overshoot past the bracketing grid (see
-#: _ratio_extremes).  The closed forms take none
-_EXTREMUM_SLACK = 1e-9
 #: slack of the H1 and H5 comparisons
 _TOL = 1e-9
 
@@ -215,113 +212,51 @@ def _perturbed_slope_min(e):
             np.where(e >= 0.0, 0.0, np.where(e < -0.5, dip_t, np.inf)))
 
 
-# Each growth ratio of a = theta (1+s)^e t, with s = t^2 and d = 1, is per
-# unit theta a numerator, a t = s (1+s)^e or A = ((1+s)^w - 1) / (2w) with
-# w = e + 1, over a denominator, |t| + |t|^p or |t|^p:
-#   kind 0, c1   |a| / (1 + |t|^{p-1}) = a t / (|t| + |t|^p)    sup
-#   kind 1, c3   |A| / (|t| + |t|^p)                           sup
-#   kind 2, c2   a t / |t|^p                                   inf
-#   kind 3, c2   p A / |t|^p                                   inf
-# and c2 takes the lower inf.  The families build c2 alone: no code reads
-# the sups c1 and c3, which the tests take as H2's reference.  Their
-# derivatives d log / d log s are 1 + e sigma and phi for the numerators,
-# 1/2 + k tau and p/2 for the denominators, with sigma = s/(1+s),
-# phi = w sigma / (1 - (1+s)^{-w})
-# (monotone in s, from 1 to max(w, 0)), k = (p-1)/2 and tau = s^k/(1+s^k).
-# None is monotone in general: c3's ratio peaks inside for standard p above
-# about 2.88 (at 1.0219 / p, s = 6.5, for p = 3), c1's for p > 3, and both
-# for paper_literal p < 2 and p > 3 + sqrt 5.
-#: log-spaced nodes of s on which the interior extrema are bracketed
-_BRACKET_NODES = 61
-_ILLINOIS_STEPS = 6
+#: relative margin by which the interior minimum of the c2 ratio is
+#: rounded down, so that c2 stays a lower bound: against a 60-digit
+#: evaluation of the exact minimum, the rounding of sigma, log and exp
+#: came to at most 1.6 eps (10,000 p in (2, 50], p down to 2 + 1e-11,
+#: and every float within 300 ulps of 3 + sqrt 5)
+_ROUND_DOWN = 4.0 * np.finfo(float).eps
 
 
-def _dlog_ratio(u, p, e, kind):
-    """d log r / d log s at u = log s of the ratio of each kind; all four
-    arguments broadcast."""
-    s = np.exp(u)
-    sigma, w, k = s / (1.0 + s), e + 1.0, (p - 1.0) / 2.0
-    phi = w * sigma / -np.expm1(-w * np.log1p(s))
-    return (np.where(kind % 2, phi, 1.0 + e * sigma)
-            - np.where(kind < 2, 1.0 + k + k * np.tanh(k * u / 2.0), p) / 2.0)
+def _perturbed_c2(p, e, x1):
+    """(R, t) per p (1-D, with its e and x1 = e + 1 - p/2): R is the inf
+    over t of min(a t, p A) / (theta |t|^p) for a = theta (1+t^2)^e t, and
+    t the |t| where it is attained (0 or inf for a limit).
 
-
-def _log_ratio(u, p, e, kind):
-    """log r at u = log s of the ratio of each kind, broadcast as in
-    _dlog_ratio."""
-    log1p_s, w = np.log1p(np.exp(u)), e + 1.0
-    log_A = np.log(np.expm1(w * log1p_s) / (2.0 * w))
-    return (np.where(kind % 2, log_A, u + e * log1p_s)
-            + np.where(kind == 3, np.log(p), 0.0)
-            - np.where(kind < 2, np.logaddexp(u / 2.0, p * u / 2.0),
-                       p * u / 2.0))
-
-
-def _ratio_extremes(p, e, x1, kinds):
-    """The extreme (sup for kinds 0 and 1, inf for 2 and 3) of the ratio of
-    each kind (rows) for each p (1-D, with its e and the exponent
-    x1 = e + 1 - p/2 of every ratio's growth as s -> inf), and the |t|
-    where it is attained (0 or inf for a limit).
-
-    It is the best of the two limits, in closed form, and of the interior
-    extrema.  Those are bracketed by the sign changes of d log r / d log s
-    on a log-spaced grid of s from 1e-6 / max(1, |e|)^2 (paper_literal's
-    extrema move to 0 as p -> 2) to 1e10, and found by Illinois iterations;
-    log r there is raised by the bracket's width times |d log r / d log s|
-    at the iterate, which bounds the rest to first order.  A pair of
-    extrema closer than the grid's spacing is missed; in c3's ratio, the
-    only one with two, the maximum stays below the limit until they are
-    more than 1.6 apart in log s.  Past 1e10 a ratio moves monotonically
-    to its limit, or overshoots it by about 1e-10 (standard p just above
-    3).  The result is widened by the factor exp(+-_EXTREMUM_SLACK)."""
-    kinds = np.asarray(kinds)
-    sense = np.where(kinds < 2, 1.0, -1.0)
-    lo = np.log(1e-6) - 2.0 * np.log(np.maximum(1.0, np.abs(e)))
-    u = lo[:, None] + (np.log(1e10) - lo)[:, None] * np.linspace(
-        0.0, 1.0, _BRACKET_NODES)
-    # (1+s)^{-w} overflows for w < 0 and large s, where phi -> 0
-    with np.errstate(over="ignore", divide="ignore"):
-        d = sense[:, None, None] * _dlog_ratio(u, p[:, None], e[:, None],
-                                                kinds[:, None, None])
-        row_kind, row, j = np.nonzero((d[..., :-1] > 0.0)
-                                      & (d[..., 1:] <= 0.0))
-        kind, sgn, pr, er = kinds[row_kind], sense[row_kind], p[row], e[row]
-        a, b = u[row, j], u[row, j + 1]
-        fa, fb = d[row_kind, row, j], d[row_kind, row, j + 1]
-        for _ in range(_ILLINOIS_STEPS):
-            c = b - fb * (b - a) / (fb - fa)
-            fc = sgn * _dlog_ratio(c, pr, er, kind)
-            flip = fc * fb < 0.0
-            a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
-            b, fb = c, fc
-        # scores: sense * log r, the higher the better
-        found = sgn * _log_ratio(b, pr, er, kind) + np.abs(b - a) * np.abs(fb)
-        w = e + 1.0
-        balanced = np.array([np.ones_like(p), 0.5 / w, np.ones_like(p),
-                             p / w / 2.0])[kinds]
-        at_zero = np.where(kinds[:, None] < 2, 0.0, np.where(
-            p < 2.0, 0.0, np.where(p > 2.0, np.inf, 1.0)))
-        at_inf = np.where(x1 > 0.0, np.inf, np.where(x1 < 0.0, 0.0, balanced))
-        score_0 = sense[:, None] * np.log(at_zero)
-        score_inf = sense[:, None] * np.log(at_inf)
-    inner = np.full(score_0.shape, -np.inf)
-    np.maximum.at(inner, (row_kind, row), found)
-    t_inner = np.zeros(score_0.shape)
-    top = found == inner[row_kind, row]
-    t_inner[row_kind[top], row[top]] = np.exp(b[top] / 2.0)
-    best = np.maximum(np.maximum(score_0, score_inf), inner)
-    t = np.where(best == score_0, 0.0,
-                 np.where(best == score_inf, np.inf, t_inner))
-    return np.exp(sense[:, None] * (best + _EXTREMUM_SLACK)), t
+    If a(t) t >= R theta |t|^p for every t, then a(t) >= R theta t^{p-1}
+    for t > 0 and, integrating, p A(t) >= R theta |t|^p: the p A ratio is
+    never the lower, and R = inf over s = t^2 > 0 of s^{1-p/2} (1+s)^e.
+    Its log has slope 1 - p/2 + e s/(1+s) in log s.  For p < 2 the inf is
+    the limit 0 at t = 0.  For p > 2 and x1 > 0 (paper_literal with
+    2 < p < 3 + sqrt 5) the slope vanishes at s/(1+s) = sigma =
+    (p - 2)/(2e) < 1, where R = sigma^{1-p/2} (1 - sigma)^{-x1} > 1 is
+    rounded down by _ROUND_DOWN, at t = sqrt((p - 2) / (2 x1)).
+    Otherwise the ratio falls to its limit as t -> inf, 1 where x1 = 0
+    (standard, p >= 2) and 0 where x1 < 0; these stay exact."""
+    at = np.where(p < 2.0, 0.0, np.inf)
+    ratio = np.minimum(at, x1 >= 0.0)
+    # x1 is 0 for standard and below 0 for paper_literal with p < 2, so
+    # x1 > 0 only where p > 2
+    inner = np.flatnonzero(x1 > 0.0)
+    if inner.size:
+        # x1 > 0 is at least 2^-53 (see make_perturbed_family) and e < 2
+        # where it is that small, so sigma = 1 - x1/e rounds below 1
+        pi, xi = p[inner], x1[inner]
+        sigma = (pi - 2.0) / (2.0 * e[inner])
+        ratio[inner] = (1.0 - _ROUND_DOWN) * np.exp(
+            (1.0 - pi / 2.0) * np.log(sigma) - xi * np.log1p(-sigma))
+        at[inner] = np.sqrt((pi - 2.0) / (2.0 * xi))
+    return ratio, at
 
 
 def make_perturbed_family(theta, p: ExponentField,
                           variant: str = "standard") -> PotentialSpec:
-    """a = theta (1+t^2)^e t; A in closed form; d = 1; c2 the exact extreme
-    of its ratios (_ratio_extremes) for paper_literal, computed once per
-    distinct p, and in closed form for standard.  growth is the exponent x1 = e + 1 - p/2 at which every
-    ratio grows as |t| -> inf: 0 for standard, (6p - p^2 - 4) / (2(p - 2))
-    for paper_literal."""
+    """a = theta (1+t^2)^e t; A in closed form; d = 1; c2 in closed form
+    (_perturbed_c2), computed once per distinct p.  growth is the exponent
+    x1 = e + 1 - p/2 at which every ratio grows as |t| -> inf: 0 for
+    standard, (6p - p^2 - 4) / (2(p - 2)) for paper_literal."""
     if variant not in ("standard", "paper_literal"):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "paper_literal" and np.any(np.abs(p.values - 2.0) < 1e-12):
@@ -342,20 +277,11 @@ def make_perturbed_family(theta, p: ExponentField,
 
     pu, inv = np.unique(p.values, return_inverse=True)
     e = _perturbed_exponent(pu, variant)
-    if variant == "standard":
-        # e + 1 - p/2 = 0: every ratio has a finite limit as t -> inf.
-        # Both c2 ratios, (1 + 1/s)^e and ((1+s)^{p/2} - 1) / s^{p/2}, fall
-        # in s to 1 for p >= 2, and rise from 0 for p < 2
-        x1 = np.zeros_like(pu)
-        c2_ratio = np.where(pu >= 2.0, 1.0, 0.0)
-        c2_at = np.where(pu >= 2.0, np.inf, 0.0)
-    else:
-        x1 = (6.0 * pu - pu**2 - 4.0) / (2.0 * (pu - 2.0))
-        ratio, at = _ratio_extremes(pu, e, x1, [2, 3])
-        lower = ratio[0] <= ratio[1]
-        c2_ratio = np.where(lower, ratio[0], ratio[1])
-        c2_at = np.where(lower, at[0], at[1])
-
+    # exactly 0 for standard (p - 2 is exact), and exact for paper_literal
+    # near its root 3 + sqrt 5, where e - p/2 is near -1: a positive x1
+    # there is at least 2^-53
+    x1 = e - pu / 2.0 + 1.0
+    c2_ratio, c2_at = _perturbed_c2(pu, e, x1)
     c2_nodes = theta * c2_ratio[inv]
     slope_min, slope_at = _perturbed_slope_min(e)
     a_t_min = theta * slope_min[inv]

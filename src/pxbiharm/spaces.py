@@ -50,8 +50,11 @@ class HolderReport:
 
 
 def _modular_values(vals: np.ndarray, grid: Grid, p: ExponentField):
-    """int |v|^{p(x)} dx for one row (a float) or each row of a batch."""
-    out = (np.abs(vals) ** p.values) @ grid.weights
+    """int |v|^{p(x)} dx for one row (a float) or each row of a batch.
+    A modular past the largest float is inf, which every caller's
+    comparison with 1 reads correctly."""
+    with np.errstate(over="ignore"):
+        out = (np.abs(vals) ** p.values) @ grid.weights
     return float(out) if out.ndim == 0 else out
 
 

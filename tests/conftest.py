@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from pxbiharm import potentials
 from pxbiharm.energy import ProblemInstance
 from pxbiharm.exponents import constant_exponent
 from pxbiharm.grids import Domain, build_grid
@@ -71,18 +70,6 @@ def spike_instance(grid, lam=1.0):
     nl = builtin_nonlinearity("separable", grid, q, alpha=1.0,
                               g=spike_g, G=spike_G, zeros=())
     return ProblemInstance(grid, p, spec, replace(nl, lip=spike_lip()), lam)
-
-
-def count_ratio_extremes(monkeypatch):
-    """The kinds of every _ratio_extremes call from here on."""
-    kinds, real = [], potentials._ratio_extremes
-
-    def counted(p, e, x1, k):
-        kinds.append(list(k))
-        return real(p, e, x1, k)
-
-    monkeypatch.setattr(potentials, "_ratio_extremes", counted)
-    return kinds
 
 
 def dense_hessian(inst, values):

@@ -24,7 +24,7 @@ from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.grids import Domain, GridFunction, build_grid
 
-from conftest import count_ratio_extremes, spike_g
+from conftest import spike_g
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -458,24 +458,6 @@ def test_solve_refuses_a_config_that_fails_H2(tmp_path, capsys,
     out = capsys.readouterr()
     assert out.out == "" and "H2 (fail)" in out.err
     assert not (tmp_path / "solutions.csv").exists()
-
-
-@pytest.mark.parametrize("command", [["hypotheses"], ["certify"],
-                                     ["solve", "--lambda", "30"], ["sweep"]])
-def test_a_standard_potential_runs_no_root_finding(tmp_path, monkeypatch,
-                                                   command):
-    """A standard perturbed potential's c2 and H2 are closed forms, and no
-    command reads c1 or c3: none calls _ratio_extremes, though each builds
-    the problem (certify twice)."""
-    monkeypatch.chdir(tmp_path)
-    kinds = count_ratio_extremes(monkeypatch)
-    doc = dict(RIDGE, grid_n=9, exponent={"kind": "affine", "a": 2.5,
-                                          "b": 0.5},
-               potential={"family": "perturbed_power", "theta": 1.0},
-               solver=dict(RIDGE["solver"], **SOLVER_BUDGET))
-    cfg = write_config(tmp_path, doc)
-    assert main([command[0], "--config", cfg, *command[1:]]) == EXIT_OK
-    assert kinds == []
 
 
 def test_hypotheses_check_a_table_past_t_10(tmp_path, capsys):

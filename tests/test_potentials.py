@@ -18,7 +18,6 @@ from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import (
     PotentialSpec,
     _h5_excess,
-    _ratio_extremes,
     _witness,
     builtin_nonlinearity,
     make_perturbed_family,
@@ -513,17 +512,169 @@ def test_growth_constants_bound_every_ratio_and_are_tight(variant, p0,
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
 
+#: relative slack (as a factor e^{+-slack}) on every extreme of a growth
+#: ratio: it covers the floating-point error of a root and of the ratio
+#: evaluated there, and a limit's overshoot past the bracketing grid (see
+#: _ratio_extremes)
+_EXTREMUM_SLACK = 1e-9
+
+
+# Each growth ratio of a = theta (1+s)^e t, with s = t^2 and d = 1, is per
+# unit theta a numerator, a t = s (1+s)^e or A = ((1+s)^w - 1) / (2w) with
+# w = e + 1, over a denominator, |t| + |t|^p or |t|^p:
+#   kind 0, c1   |a| / (1 + |t|^{p-1}) = a t / (|t| + |t|^p)    sup
+#   kind 1, c3   |A| / (|t| + |t|^p)                           sup
+#   kind 2, c2   a t / |t|^p                                   inf
+#   kind 3, c2   p A / |t|^p                                   inf
+# and c2 takes the lower inf.  The families build c2 in closed form; these
+# extremes, found by a numeric search, are the tests' reference.  Their
+# derivatives d log / d log s are 1 + e sigma and phi for the numerators,
+# 1/2 + k tau and p/2 for the denominators, with sigma = s/(1+s),
+# phi = w sigma / (1 - (1+s)^{-w})
+# (monotone in s, from 1 to max(w, 0)), k = (p-1)/2 and tau = s^k/(1+s^k).
+# None is monotone in general: c3's ratio peaks inside for standard p above
+# about 2.88 (at 1.0219 / p, s = 6.5, for p = 3), c1's for p > 3, and both
+# for paper_literal p < 2 and p > 3 + sqrt 5.
+#: log-spaced nodes of s on which the interior extrema are bracketed
+_BRACKET_NODES = 61
+_ILLINOIS_STEPS = 6
+
+
+def _dlog_ratio(u, p, e, kind):
+    """d log r / d log s at u = log s of the ratio of each kind; all four
+    arguments broadcast."""
+    s = np.exp(u)
+    sigma, w, k = s / (1.0 + s), e + 1.0, (p - 1.0) / 2.0
+    phi = w * sigma / -np.expm1(-w * np.log1p(s))
+    return (np.where(kind % 2, phi, 1.0 + e * sigma)
+            - np.where(kind < 2, 1.0 + k + k * np.tanh(k * u / 2.0), p) / 2.0)
+
+
+def _log_ratio(u, p, e, kind):
+    """log r at u = log s of the ratio of each kind, broadcast as in
+    _dlog_ratio."""
+    log1p_s, w = np.log1p(np.exp(u)), e + 1.0
+    log_A = np.log(np.expm1(w * log1p_s) / (2.0 * w))
+    return (np.where(kind % 2, log_A, u + e * log1p_s)
+            + np.where(kind == 3, np.log(p), 0.0)
+            - np.where(kind < 2, np.logaddexp(u / 2.0, p * u / 2.0),
+                       p * u / 2.0))
+
+
+def _ratio_extremes(p, e, x1, kinds):
+    """The extreme (sup for kinds 0 and 1, inf for 2 and 3) of the ratio of
+    each kind (rows) for each p (1-D, with its e and the exponent
+    x1 = e + 1 - p/2 of every ratio's growth as s -> inf), and the |t|
+    where it is attained (0 or inf for a limit).
+
+    It is the best of the two limits, in closed form, and of the interior
+    extrema.  Those are bracketed by the sign changes of d log r / d log s
+    on a log-spaced grid of s from 1e-6 / max(1, |e|)^2 (paper_literal's
+    extrema move to 0 as p -> 2) to 1e10, and found by Illinois iterations;
+    log r there is raised by the bracket's width times |d log r / d log s|
+    at the iterate, which bounds the rest to first order.  A pair of
+    extrema closer than the grid's spacing is missed; in c3's ratio, the
+    only one with two, the maximum stays below the limit until they are
+    more than 1.6 apart in log s.  Past 1e10 a ratio moves monotonically
+    to its limit, or overshoots it by about 1e-10 (standard p just above
+    3).  The result is widened by the factor exp(+-_EXTREMUM_SLACK)."""
+    kinds = np.asarray(kinds)
+    sense = np.where(kinds < 2, 1.0, -1.0)
+    lo = np.log(1e-6) - 2.0 * np.log(np.maximum(1.0, np.abs(e)))
+    u = lo[:, None] + (np.log(1e10) - lo)[:, None] * np.linspace(
+        0.0, 1.0, _BRACKET_NODES)
+    # (1+s)^{-w} overflows for w < 0 and large s, where phi -> 0
+    with np.errstate(over="ignore", divide="ignore"):
+        d = sense[:, None, None] * _dlog_ratio(u, p[:, None], e[:, None],
+                                                kinds[:, None, None])
+        row_kind, row, j = np.nonzero((d[..., :-1] > 0.0)
+                                      & (d[..., 1:] <= 0.0))
+        kind, sgn, pr, er = kinds[row_kind], sense[row_kind], p[row], e[row]
+        a, b = u[row, j], u[row, j + 1]
+        fa, fb = d[row_kind, row, j], d[row_kind, row, j + 1]
+        for _ in range(_ILLINOIS_STEPS):
+            c = b - fb * (b - a) / (fb - fa)
+            fc = sgn * _dlog_ratio(c, pr, er, kind)
+            flip = fc * fb < 0.0
+            a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+            b, fb = c, fc
+        # scores: sense * log r, the higher the better
+        found = sgn * _log_ratio(b, pr, er, kind) + np.abs(b - a) * np.abs(fb)
+        w = e + 1.0
+        balanced = np.array([np.ones_like(p), 0.5 / w, np.ones_like(p),
+                             p / w / 2.0])[kinds]
+        at_zero = np.where(kinds[:, None] < 2, 0.0, np.where(
+            p < 2.0, 0.0, np.where(p > 2.0, np.inf, 1.0)))
+        at_inf = np.where(x1 > 0.0, np.inf, np.where(x1 < 0.0, 0.0, balanced))
+        score_0 = sense[:, None] * np.log(at_zero)
+        score_inf = sense[:, None] * np.log(at_inf)
+    inner = np.full(score_0.shape, -np.inf)
+    np.maximum.at(inner, (row_kind, row), found)
+    t_inner = np.zeros(score_0.shape)
+    top = found == inner[row_kind, row]
+    t_inner[row_kind[top], row[top]] = np.exp(b[top] / 2.0)
+    best = np.maximum(np.maximum(score_0, score_inf), inner)
+    t = np.where(best == score_0, 0.0,
+                 np.where(best == score_inf, np.inf, t_inner))
+    return np.exp(sense[:, None] * (best + _EXTREMUM_SLACK)), t
+
+
 def direct_extremes(theta, p, variant):
     """Per node, theta times each of the four ratio extremes of the family
     (rows: c1, c3, c2 from a t, c2 from p A), from one direct
     _ratio_extremes call over all kinds."""
     pu, inv = np.unique(p.values, return_inverse=True)
+    return theta * _ratio_extremes(pu, *oracle_exponents(pu, variant),
+                                   [0, 1, 2, 3])[0][:, inv]
+
+
+def oracle_exponents(p, variant):
+    """e and the growth exponent x1 for each p, by the variant's own
+    formulas, as _ratio_extremes takes them."""
     if variant == "paper_literal":
-        e = pu / (pu - 2.0)
-        x1 = (6.0 * pu - pu**2 - 4.0) / (2.0 * (pu - 2.0))
+        return p / (p - 2.0), (6.0 * p - p**2 - 4.0) / (2.0 * (p - 2.0))
+    return (p - 2.0) / 2.0, np.zeros_like(p)
+
+
+#: p swept for the closed-form c2: both sides of 2 and of 3 + sqrt 5, where
+#: paper_literal's interior minimum leaves for t -> inf, up to 9, and
+#: standard's p = 2, where both limits are 1
+C2_CASES = [(variant, p) for variant in ("standard", "paper_literal")
+            for p in np.concatenate([np.linspace(1.01, 9.0, 41), [
+                1.999, 2.0 - 1e-6, 2.0 + 1e-6, 2.001, 3.0,
+                3.0 + np.sqrt(5.0) - 1e-9, 3.0 + np.sqrt(5.0) + 1e-9]])]
+C2_CASES.append(("standard", 2.0))
+
+
+@pytest.mark.parametrize("variant, p_value", C2_CASES)
+def test_closed_form_c2_is_the_searched_inf(grid, variant, p_value):
+    """The family's c2 and its H4 witness t against the numeric search of
+    _ratio_extremes: c2 is the lower of the kind-2 and kind-3 infs to 2e-9
+    relative, and the kind-3 inf is never below the kind-2 inf beyond the
+    slack (a t >= R |t|^p integrates to p A >= R |t|^p).  The limits are
+    exact: 0 at t = 0 for p < 2, 1 at t = inf for standard p >= 2 (p = 2
+    included, where the ratio is 1 at every t) and 0 at t = inf past
+    3 + sqrt 5.  An interior t is where min(a t, p A) / |t|^p reads c2;
+    the search's iterate lies within 1e-5 of it."""
+    e, x1 = oracle_exponents(np.array([p_value]), variant)
+    (r2, r3), (t2, _) = _ratio_extremes(np.array([p_value]), e, x1, [2, 3])
+    assert r3[0] >= r2[0] * np.exp(-_EXTREMUM_SLACK)
+    spec = make_perturbed_family(1.0, constant_exponent(grid, p_value),
+                                 variant)
+    t = spec.witnesses["H4"].t
+    assert spec.c2 == pytest.approx(min(r2[0], r3[0]), rel=2e-9, abs=0.0)
+    if variant == "standard":
+        assert spec.c2 == (1.0 if p_value >= 2.0 else 0.0)
+    if spec.c2 == 0.0 or variant == "standard":
+        assert t == (0.0 if p_value < 2.0 else "inf")
     else:
-        e, x1 = (pu - 2.0) / 2.0, np.zeros_like(pu)
-    return theta * _ratio_extremes(pu, e, x1, [0, 1, 2, 3])[0][:, inv]
+        assert 0.0 < t < np.inf
+        assert t == pytest.approx(t2[0], rel=1e-5)
+        ratio = min(spec.a_eval(1.0, p_value, t) * t,
+                    p_value * spec.A_eval(1.0, p_value, t)) / t**p_value
+        # the family's 1 + t^2 rounds, and ^e multiplies that error by e
+        assert ratio == pytest.approx(
+            spec.c2, rel=max(1e-12, 4.0 * e[0] * np.finfo(float).eps))
 
 
 #: p swept for each variant; paper_literal fails H2 for 2 < p < 3 + sqrt 5,
