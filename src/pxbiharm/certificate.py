@@ -10,8 +10,11 @@ r < J(vbar) and Phi(vbar) / J(vbar) > alpha_r, and then gives
 lambda in (J(vbar) / Phi(vbar), 1 / alpha_r).  Here vbar = h phi_1, the
 first eigenvector of -L on the interior scaled to sup h, and J(vbar) and
 Phi(vbar) are the grid's own quadratures, rounded outwards by a
-floating-point slack.  The record also carries the inradius D with its
-centre x0, the unit ball volume w and the annulus measure L.
+floating-point slack.  Below the uniqueness threshold lambda_u
+(`solver.uniqueness_threshold`) the discrete problem has one critical
+point, so an interval is printed only when it starts at or above
+lambda_u.  The record also carries the inradius D with its centre x0, the
+unit ball volume w and the annulus measure L.
 
 Every interval is a claim about the discrete problem on the certificate's
 grid: c0 is the "discrete-green" constant of that grid on every domain.
@@ -27,6 +30,7 @@ from .energy import ProblemInstance
 from .exponents import ExponentField, conjugate
 from .grids import (Domain, Grid, GridFunction, first_mode, integrate,
                     sine_eigenvalues, unit_ball_volume)
+from .solver import uniqueness_threshold
 from .spaces import _luxemburg_of_values, _modular_values
 
 __all__ = [
@@ -82,6 +86,7 @@ class Certificate:
     lambda_interval: tuple | None
     checks: dict
     converged: bool | None = None
+    lambda_unique: float | str | None = None
     J_vbar: float | None = None
     Phi_vbar_lower: float | None = None
     reason: str | None = None
@@ -389,8 +394,10 @@ def _scan_h(inst: ProblemInstance, r: float, alpha: float) -> float:
 
 def certify(inst: ProblemInstance, r: float, h: float | None = None,
             fine: ProblemInstance | None = None) -> Certificate:
-    """Full certificate: all constants, the r-bound and beta > alpha checks,
-    and the admissible lambda-interval when both hold.  The test function
+    """Full certificate: all constants, the r-bound, beta > alpha and
+    above-uniqueness checks, and the admissible lambda-interval when all
+    hold: above_uniqueness holds where lambda_u is unknown or the
+    interval's lower end 1 / beta_h is at least lambda_u.  The test function
     is vbar = h phi_1 (`build_test_function`); with h=None its height is
     chosen by `_scan_h`.  J(vbar) and Phi(vbar) are the grid's own
     (`_test_function_bounds`): the r-bound reads r < J(vbar) rounded down,
@@ -418,9 +425,12 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     beta = float(_beta(*bounds)[0])
     J_lo, J_up, Phi_lo = (float(b[0]) for b in bounds)
     usable = not np.isnan(beta)
+    lam_u = uniqueness_threshold(inst)
     checks = {
         "r_bound": usable and r < J_lo,
         "beta_gt_alpha": usable and beta > alpha > 0.0,
+        "above_uniqueness": lam_u is None or (
+            usable and beta > 0.0 and 1.0 / beta >= float(lam_u)),
     }
     feasible = all(checks.values())
     interval = (1.0 / beta, 1.0 / alpha) if feasible else None
@@ -446,7 +456,7 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
         c0=c0, c0_provenance=c0_provenance,
         alpha_r=alpha, beta_h=beta if usable else None,
         lambda_interval=interval, checks=checks, converged=converged,
-        J_vbar=J_up if usable else None,
+        lambda_unique=lam_u, J_vbar=J_up if usable else None,
         Phi_vbar_lower=Phi_lo if usable else None, reason=reason,
     )
 

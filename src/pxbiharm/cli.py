@@ -2,7 +2,8 @@
 
 Subcommands: check-spaces, hypotheses, certify, solve, sweep.
 Machine-readable JSON goes to stdout (or --out); human text to stderr.
-Exit codes: 0 success/feasible, 1 infeasible-but-valid, 2 invalid input.
+Exit codes: 0 success/feasible, 1 infeasible-but-valid, 2 invalid input,
+a problem too large for memory included.
 
 The argument parser is built on the first `main(argv)` call and reused,
 and `main` keeps no state between calls, so one process may run any
@@ -280,6 +281,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         _info(f"error: {exc}")
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        _info(f"error: out of memory: {exc}")
         return EXIT_BAD_INPUT
 
 

@@ -311,10 +311,10 @@ def tabulated_g(block: dict):
     gv = np.asarray(block["g_values"], float)
     if tg.size != gv.size or tg.size < 2:
         raise ConfigError("tabulated g needs matching g_t/g_values")
-    if tg[0] != 0.0 or np.any(np.diff(tg) <= 0.0):
+    dt = np.diff(tg)
+    if tg[0] != 0.0 or np.any(dt <= 0.0):
         raise ConfigError("nonlinearity.g_t must start at 0 and strictly "
                           "increase")
-    dt = np.diff(tg)
     with np.errstate(over="ignore", invalid="ignore"):
         slope = np.append(np.diff(gv) / dt, 0.0)
         Gtab = np.concatenate([[0.0],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
+from .grids import Grid, nodal_field
 
 __all__ = [
     "ExponentField",
@@ -42,8 +42,9 @@ class ExponentField:
 
 
 def validate_exponent(raw, grid: Grid) -> ExponentField:
-    """Validate nodal exponent samples: finite and > 1 everywhere."""
-    vals = np.broadcast_to(np.asarray(raw, dtype=float), (grid.size,)).copy()
+    """Validate nodal exponent samples (a number or one value per node):
+    finite and > 1 everywhere."""
+    vals = nodal_field(grid, raw)
     if not np.all(np.isfinite(vals)):
         raise ValueError("exponent has non-finite values")
     if np.any(vals <= 1.0):
@@ -52,7 +53,7 @@ def validate_exponent(raw, grid: Grid) -> ExponentField:
 
 
 def constant_exponent(grid: Grid, c: float) -> ExponentField:
-    return validate_exponent(np.full(grid.size, float(c)), grid)
+    return validate_exponent(float(c), grid)
 
 
 def affine_exponent(grid: Grid, a: float, b: float) -> ExponentField:

@@ -23,6 +23,7 @@ __all__ = [
     "laplacian_floor",
     "sine_eigenvalues",
     "first_mode",
+    "nodal_field",
     "nodewise",
     "integrate",
 ]
@@ -98,7 +99,6 @@ class Grid:
         mask.flags.writeable = interior.flags.writeable = False
         object.__setattr__(self, "_boundary", mask)
         object.__setattr__(self, "_interior", interior)
-        object.__setattr__(self, "_lap_t", self._lap.T)
 
     @property
     def size(self) -> int:
@@ -122,8 +122,14 @@ class Grid:
         return self._lap
 
     def laplacian_transpose(self) -> sp.csc_matrix:
-        """The transpose of laplacian_matrix(), built once with the grid."""
+        """The transpose of laplacian_matrix(), built on first use: only
+        the residual reads it, so a grid that is never solved on never
+        pays for it."""
         return self._lap_t
+
+    @cached_property
+    def _lap_t(self) -> sp.csc_matrix:
+        return self._lap.T
 
     @cached_property
     def abs_laplacian(self) -> sp.csr_matrix:
@@ -175,18 +181,24 @@ def _band_layout(grid: Grid) -> BandLayout:
 
 
 def _stencil(size: int, rows: np.ndarray, offsets, coefs) -> sp.csr_matrix:
-    """The size x size CSR matrix holding coefs[k, j] in row rows[k] (rows
+    """The size x size CSR matrix holding coefs[k, j] in row rows[k] (int32,
     ascending), column rows[k] + offsets[j] (offsets ascending); coefs may
-    be one row shared by all rows.  Zero coefficients are not stored, and
-    every row not in rows is empty."""
-    coefs = np.broadcast_to(coefs, (rows.size, len(offsets)))
+    be one row shared by all rows, which is then tiled.  Zero coefficients
+    are not stored, and every row not in rows is empty."""
+    offsets = np.asarray(offsets, dtype=np.int32)
     keep = coefs != 0.0
-    cols = rows[:, None] + np.asarray(offsets)
+    if coefs.ndim == 1:
+        data = np.empty((rows.size, np.count_nonzero(keep)))
+        data[:] = coefs[keep]
+        cols, per_row = rows[:, None] + offsets[keep], data.shape[1]
+    else:
+        data, cols = coefs[keep], (rows[:, None] + offsets)[keep]
+        per_row = keep.sum(axis=1)
     counts = np.zeros(size + 1, dtype=np.int32)
-    counts[rows + 1] = keep.sum(axis=1)
-    indptr = np.cumsum(counts, dtype=np.int32)
-    return sp.csr_matrix((coefs[keep], cols[keep].astype(np.int32), indptr),
-                         shape=(size, size))
+    counts[rows + 1] = per_row
+    return sp.csr_matrix(
+        (data.ravel(), cols.ravel(), np.cumsum(counts, dtype=np.int32)),
+        shape=(size, size))
 
 
 def _trapezoid(x: np.ndarray) -> np.ndarray:
@@ -200,7 +212,7 @@ def _trapezoid(x: np.ndarray) -> np.ndarray:
 def _interval_grid(domain: Domain, n: int) -> Grid:
     x = np.linspace(0.0, 1.0, n)
     h = x[1] - x[0]
-    L = _stencil(n, np.arange(1, n - 1), (-1, 0, 1),
+    L = _stencil(n, np.arange(1, n - 1, dtype=np.int32), (-1, 0, 1),
                  np.array([1.0, -2.0, 1.0]) / h**2)
     return Grid(domain, n, x, _trapezoid(x), (h,), (n,), L)
 
@@ -209,11 +221,14 @@ def _rectangle_grid(domain: Domain, n: int) -> Grid:
     x = np.linspace(0.0, domain.a, n)
     y = np.linspace(0.0, domain.b, n)
     hx, hy = x[1] - x[0], y[1] - y[0]
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    # node k = i n + j is (x_i, y_j), written through an (n, n, 2) view
+    nodes = np.empty((n * n, 2))
+    view = nodes.reshape(n, n, 2)
+    view[..., 0], view[..., 1] = x[:, None], y
     weights = np.outer(_trapezoid(x), _trapezoid(y)).ravel()
     cx, cy = 1.0 / hx**2, 1.0 / hy**2
-    rows = np.arange(n * n).reshape(n, n)[1:-1, 1:-1].ravel()
+    inner = np.arange(1, n - 1, dtype=np.int32)
+    rows = (inner[:, None] * n + inner).ravel()
     L = _stencil(n * n, rows, (-n, -1, 0, 1, n),
                  np.array([cx, cy, -2.0 * (cx + cy), cy, cx]))
     return Grid(domain, n, nodes, weights, (hx, hy), (n, n), L)
@@ -239,7 +254,7 @@ def _ball_radial_grid(domain: Domain, n: int) -> Grid:
     inner = np.append(0.0, outer[:-1])
     coefs = np.column_stack([inner, -(inner + outer), outer]) \
         / (h * vol[:-1, None])
-    L = _stencil(n, np.arange(n - 1), (-1, 0, 1), coefs)
+    L = _stencil(n, np.arange(n - 1, dtype=np.int32), (-1, 0, 1), coefs)
     return Grid(domain, n, r, vol, (h,), (n,), L)
 
 
@@ -268,7 +283,8 @@ def build_grid(domain: Domain, n: int) -> Grid:
     not finite, which keeps every coefficient, and the products and sums of
     them that `laplacian_floor` and `first_mode` form, finite.  The grid is
     built with NumPy's floating-point errors raised, not warned, so that an
-    overflow or a division by zero stops it without a RuntimeWarning."""
+    overflow or a division by zero stops it without a RuntimeWarning.
+    MemoryError, naming the grid, where its arrays do not fit in memory."""
     if n < 5:
         raise ValueError("need at least 5 nodes per axis")
     try:
@@ -276,6 +292,9 @@ def build_grid(domain: Domain, n: int) -> Grid:
             grid = _BUILDERS[domain.kind](domain, n)
     except FloatingPointError:
         grid = None
+    except MemoryError as exc:
+        raise MemoryError(f"the grid of {n} nodes per axis on {_size(domain)} "
+                          f"does not fit in memory") from exc
     # a NaN fails every comparison
     if grid is None or not (
             0.0 < grid.weights.min() and grid.weights.max() < np.inf
@@ -405,6 +424,14 @@ def laplacian(grid: Grid, u: GridFunction) -> GridFunction:
         raise ValueError("grid mismatch")
     vals = grid.laplacian_matrix() @ u.values
     return GridFunction(grid, vals, bc="none")
+
+
+def nodal_field(grid: Grid, value) -> np.ndarray:
+    """A fresh, writeable float array of grid.size values from a number or
+    one value per node; ValueError on any other length."""
+    out = np.empty(grid.size)
+    out[...] = value
+    return out
 
 
 def nodewise(node_values: np.ndarray, values) -> np.ndarray:

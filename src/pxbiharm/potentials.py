@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentField
-from .grids import nodewise
+from .grids import nodal_field, nodewise
 
 __all__ = [
     "PotentialSpec",
@@ -166,7 +166,7 @@ def _power_A(theta, p, t):
 def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     """a = theta |t|^{p-2} t with closed-form antiderivative and constants:
     c2 = min(1, theta-), d = 0 and growth 0."""
-    theta = np.broadcast_to(np.asarray(theta, float), (p.grid.size,)).copy()
+    theta = nodal_field(p.grid, theta)
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
     # d/dt a = theta (p-1) |t|^{p-2}: theta at p = 2, else its inf is 0, at
@@ -261,13 +261,15 @@ def make_perturbed_family(theta, p: ExponentField,
         raise ValueError(f"unknown variant {variant!r}")
     if variant == "paper_literal" and np.any(np.abs(p.values - 2.0) < 1e-12):
         raise ValueError("paper_literal variant has a singular exponent at p = 2")
-    theta = np.broadcast_to(np.asarray(theta, float), (p.grid.size,)).copy()
+    theta = nodal_field(p.grid, theta)
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
 
     def a_eval(th, pv, t):
+        # (1+t^2)^e through log1p, as in A_eval: rounding 1 + t^2 first
+        # would cost a relative error of about e eps
         e = _perturbed_exponent(pv, variant)
-        return th * (1.0 + t**2) ** e * t
+        return th * np.exp(e * np.log1p(t**2)) * t
 
     def A_eval(th, pv, t):
         # theta ((1+t^2)^{e+1} - 1) / (2(e+1)), in a form that keeps its
@@ -325,14 +327,17 @@ def _h5_excess(nl: NonlinearitySpec):
                            return_inverse=True)
     alpha, q = pairs.real[:, None], pairs.imag[:, None]
     cand = np.broadcast_to(t, (pairs.size, t.size))
+    # |g| at the knots is |v|; only the critical points are interpolated
+    g_abs = np.broadcast_to(np.abs(v), cand.shape)
     if nl.zeta > 0.0 and np.any(q > 2.0):
         with np.errstate(divide="ignore", over="ignore"):
             crit = (alpha * np.abs(slope) / (nl.zeta * (q - 1.0))) \
                 ** (1.0 / (q - 2.0))
-        crit = np.clip(crit, t, np.append(t[1:], np.inf))
-        cand = np.concatenate([cand, np.where(q > 2.0, crit, t)], axis=1)
-    excess = alpha * np.abs(np.interp(cand, t, v)) \
-        - nl.zeta * cand ** (q - 1.0)
+        crit = np.where(q > 2.0, np.clip(crit, t, np.append(t[1:], np.inf)),
+                        t)
+        cand = np.concatenate([cand, crit], axis=1)
+        g_abs = np.concatenate([g_abs, np.abs(np.interp(crit, t, v))], axis=1)
+    excess = alpha * g_abs - nl.zeta * cand ** (q - 1.0)
     best = np.argmax(excess, axis=1)[:, None]
     return (np.take_along_axis(excess, best, 1)[inv, 0],
             np.take_along_axis(cand, best, 1)[inv, 0])
@@ -380,10 +385,6 @@ def verify_hypotheses(spec: PotentialSpec,
 # ---------------------------------------------------------------------------
 # built-in nonlinearities
 
-def _const_field(grid, v):
-    return np.broadcast_to(np.asarray(v, float), (grid.size,)).copy()
-
-
 #: (g, G, sup|g|, sup|g'|) of each built-in load with a fixed g; both have
 #: g > 0, peaking at t = 0.  |g'| = 2|t|/(1+t^2)^2 peaks at t = 1/sqrt(3),
 #: and e^{-|t|} <= 1
@@ -426,7 +427,7 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
         raise ValueError(f"unknown builtin nonlinearity {name!r}")
     if g is None or G is None:
         raise ValueError("separable nonlinearity needs g and G")
-    alpha = _const_field(grid, 1.0 if alpha is None else alpha)
+    alpha = nodal_field(grid, 1.0 if alpha is None else alpha)
     if sup_g is not None:  # a fixed g never changes sign
         zeros, knots = (), (np.zeros(1), np.full(1, sup_g), np.zeros(1))
         if xi is None:
@@ -435,6 +436,6 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
         lip = float(np.max(np.abs(knots[2])))
     return NonlinearitySpec(
         name=name, alpha=alpha, g=g, G=G,
-        xi=None if xi is None else _const_field(grid, xi), zeta=zeta, q=q,
+        xi=None if xi is None else nodal_field(grid, xi), zeta=zeta, q=q,
         zeros=None if zeros is None else np.asarray(zeros, float), lip=lip,
         knots=knots)

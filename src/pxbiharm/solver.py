@@ -29,6 +29,7 @@ __all__ = [
     "acceptance_threshold",
     "minimize",
     "uniqueness_modulus",
+    "uniqueness_threshold",
     "deflate_and_search",
     "lambda_sweep",
 ]
@@ -348,13 +349,43 @@ def uniqueness_modulus(inst: ProblemInstance) -> float | None:
     with f_r = alpha_r (g(z_r) - g(y_r)).  With mu > 0 the gradient is
     strongly monotone, so the discrete energy has exactly one critical
     point (in exact arithmetic)."""
+    terms = _modulus_terms(inst)
+    if terms is None:
+        return None
+    a, top, lip = terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(a - inst.lam * top * lip)
+    return mu if np.isfinite(mu) else None
+
+
+def uniqueness_threshold(inst: ProblemInstance) -> float | str | None:
+    """lambda_u = min a_t_min nu^2 / (max|alpha| Lip(g)), the zero of
+    `uniqueness_modulus`, which is linear in lambda: for lambda < lambda_u
+    the discrete problem has exactly one critical point.  None where
+    a_t_min or Lip(g) is unknown; "inf" (which JSON can hold) where the
+    quotient is inf, as where the load term vanishes and min a_t_min > 0;
+    0 where min a_t_min <= 0, as no lambda > 0 is then shown unique."""
+    terms = _modulus_terms(inst)
+    if terms is None:
+        return None
+    a, top, lip = terms
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam_u = float(a / (top * lip))
+    if lam_u == np.inf:
+        return "inf"
+    # a NaN is 0 / 0, a vanishing a_t_min
+    return lam_u if lam_u > 0.0 else 0.0
+
+
+def _modulus_terms(inst: ProblemInstance):
+    """(min a_t_min nu^2, max|alpha|, Lip(g)), the terms of the modulus,
+    or None where a_t_min or Lip(g) is unknown."""
     a_min, lip = inst.potential.a_t_min, inst.nonlinearity.lip
     if a_min is None or lip is None:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = float(np.min(a_min) * laplacian_floor(inst.grid) ** 2
-                   - inst.lam * np.max(np.abs(inst.nonlinearity.alpha)) * lip)
-    return mu if np.isfinite(mu) else None
+    with np.errstate(over="ignore"):
+        return (np.min(a_min) * laplacian_floor(inst.grid) ** 2,
+                np.max(np.abs(inst.nonlinearity.alpha)), lip)
 
 
 def _fourier_start(inst, rng, amplitude: float, n_modes: int = 5):

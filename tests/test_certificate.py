@@ -163,12 +163,13 @@ def test_alpha_r_reads_the_tent_of_a_table_load(bound):
 
 def test_certify_rejects_a_dip_of_F_between_samples():
     # F dips to -2 at t = 1.002; g = 0 on |t| <= c0 gamma_r = 0.79, so
-    # alpha_r = 0 and no beta_h exceeds it
+    # alpha_r = 0 and no beta_h exceeds it; beta_h < 0 starts no interval,
+    # above lambda_u or otherwise
     flipped = dict(TENT, g_values=[-v for v in TENT["g_values"]])
     cert = certify(table_problem(flipped), r=5.0, h=1.2)
-    assert cert.alpha_r == 0.0
+    assert cert.alpha_r == 0.0 and cert.beta_h < 0.0
     assert not cert.feasible and not cert.checks["beta_gt_alpha"]
-    assert cert.reason == "beta_gt_alpha"
+    assert cert.reason == "beta_gt_alpha; above_uniqueness"
 
 
 def test_table_G_is_the_exact_antiderivative_of_g():
@@ -746,8 +747,36 @@ def test_a_feasible_certificate_lies_above_the_uniqueness_threshold(
     """Below lambda_u (`uniqueness_threshold`) the discrete problem has
     exactly one critical point, so no three-solution interval may start
     there: every feasible certificate, with its h scanned, has
-    lo >= lambda_u."""
+    lo >= lambda_u.  The certificate records lambda_u, read off the
+    solver's modulus here, and its above_uniqueness check compares the
+    interval's would-be lower end 1 / beta_h with it."""
     inst = ridge_table_problem(domain, eps, M, c, sigma)
     cert = certify(inst, 10.0 ** log_r)
+    lam_u = uniqueness_threshold(inst)
+    assert cert.lambda_unique == pytest.approx(lam_u, rel=1e-9, abs=1e-12)
+    if cert.beta_h is not None and cert.beta_h > 0.0:
+        assert cert.checks["above_uniqueness"] == (
+            1.0 / cert.beta_h >= cert.lambda_unique)
     if cert.feasible:
-        assert cert.lambda_interval[0] >= uniqueness_threshold(inst)
+        assert cert.checks["above_uniqueness"]
+        assert cert.lambda_interval[0] >= lam_u
+
+
+def test_the_uniqueness_threshold_at_its_limits():
+    """lambda_u is "inf" where Lip(g) = 0 and a_t_min > 0 (the beam: one
+    solution at every lambda, so no interval passes), 0 where a_t_min
+    vanishes (p = 2.5), and null where Lip(g) is unknown, where the check
+    holds and the spike's interval stands."""
+    grid = build_grid(Domain("interval"), 65)
+    beam = certify(make_instance(grid), 1.0, 1.0)
+    assert beam.lambda_unique == "inf"
+    assert not beam.checks["above_uniqueness"] and not beam.feasible
+    json.dumps(dataclasses.asdict(beam), allow_nan=False)
+    assert solver.uniqueness_threshold(
+        make_instance(grid, p_value=2.5)) == 0.0
+    spike = spike_instance(grid)
+    unknown = dataclasses.replace(spike, nonlinearity=dataclasses.replace(
+        spike.nonlinearity, lip=None))
+    cert = certify(unknown, 5.0, 1.2)
+    assert cert.lambda_unique is None and cert.checks["above_uniqueness"]
+    assert cert.lambda_interval == certify(spike, 5.0, 1.2).lambda_interval

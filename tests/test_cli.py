@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import pxbiharm
-from pxbiharm import certificate, solver
+from pxbiharm import certificate, grids, solver
 from pxbiharm import cli
 from pxbiharm.cli import EXIT_BAD_INPUT, EXIT_INFEASIBLE, EXIT_OK, main
 from pxbiharm.config import build_problem, load_config
@@ -337,15 +337,17 @@ def test_reports_carry_the_uniqueness_modulus(tmp_path, capsys,
 
 def test_sweep_infeasible_certificate(tmp_path, capsys, monkeypatch):
     """The shipped bounded load has one solution for every lambda below
-    about 150 (its uniqueness modulus), and its certificate fails both
-    checks: certify and sweep exit 1 and name them."""
+    about 150 (its uniqueness threshold), and its certificate fails all
+    three checks: certify and sweep exit 1 and name them."""
     monkeypatch.chdir(tmp_path)
     cfg = str(CONFIGS / "bump_dim1.json")
     for command in ("certify", "sweep"):
         assert main([command, "--config", cfg]) == EXIT_INFEASIBLE
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda_interval"] is None
-        assert payload["reason"] == "r_bound; beta_gt_alpha"
+        assert payload["reason"] == \
+            "r_bound; beta_gt_alpha; above_uniqueness"
+        assert payload["lambda_unique"] == pytest.approx(150.0, rel=1e-3)
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -363,6 +365,63 @@ def test_overflowing_exponent_is_bad_input(tmp_path, capsys):
     code = main(["check-spaces", "--config", cfg, "--grid-n", "7"])
     assert code == EXIT_BAD_INPUT
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, built", [
+    (["check-spaces"], False), (["hypotheses"], False), (["certify"], False),
+    (["solve", "--lambda", "1"], True)],
+    ids=["check-spaces", "hypotheses", "certify", "solve"])
+def test_the_transpose_is_built_only_where_the_residual_reads_it(
+        tmp_path, monkeypatch, command, built):
+    """Only the solver's residual reads L^T: certify, hypotheses and
+    check-spaces build no transpose on any grid they make, and solve's
+    equals L.T."""
+    monkeypatch.chdir(tmp_path)
+    made = []
+
+    def spy(domain, n):
+        made.append(build_grid(domain, n))
+        return made[-1]
+
+    monkeypatch.setattr(pxbiharm.config, "build_grid", spy)
+    main([*command, "--config", write_config(tmp_path, spike_table_doc(
+        grid_n=17, solver={"n_starts": 1, "k_max": 1}))])
+    assert made and all(("_lap_t" in g.__dict__) is built for g in made)
+    for g in made if built else ():
+        LT, want = g.laplacian_transpose(), g.laplacian_matrix().T
+        assert type(LT) is type(want) and (LT != want).nnz == 0
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", [
+    ["check-spaces"], ["hypotheses"], ["certify"], ["solve", "--lambda", "1"],
+    ["sweep"]], ids=lambda command: command[0])
+def test_a_grid_too_large_for_memory_is_bad_input(
+        tmp_path, capsys, monkeypatch, command):
+    """A rectangle of 100000 nodes a side does not fit in memory: the grid
+    builder's MemoryError (raised here without allocating) exits 2 with
+    the grid named, not with a traceback and exit 1."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(grids._BUILDERS, "rectangle", _out_of_memory)
+    doc = base_doc(domain={"kind": "rectangle", "a": 1.0, "b": 1.0})
+    assert main([*command, "--config", write_config(tmp_path, doc),
+                 "--grid-n", "100000"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert "100000 nodes per axis on the rectangle [0, 1] x [0, 1]" in err
+
+
+def test_running_out_of_memory_past_set_up_is_bad_input(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pxbiharm.potentials, "verify_hypotheses",
+                        _out_of_memory)
+    assert main(["hypotheses", "--config", write_config(tmp_path, BEAM)]) \
+        == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: out of memory")
 
 
 @pytest.mark.parametrize("command", ["hypotheses", "certify", "solve"])

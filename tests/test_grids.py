@@ -14,6 +14,7 @@ from pxbiharm.grids import (
     integrate,
     laplacian,
     laplacian_floor,
+    nodal_field,
     sine_eigenvalues,
     unit_ball_volume,
 )
@@ -157,6 +158,27 @@ def test_first_mode_of_a_tiny_ball_is_the_unit_balls():
 def test_unsupported_domain_kind():
     with pytest.raises(ValueError):
         Domain("simplex")
+
+
+@pytest.mark.parametrize("value", [2.5, [1.0, 2.0, 3.0, 4.0, 5.0],
+                                   np.arange(5.0)],
+                         ids=["number", "list", "ndarray"])
+def test_nodal_field_is_a_fresh_writeable_array(value):
+    grid = build_grid(Domain("interval"), 5)
+    field = nodal_field(grid, value)
+    assert field.dtype == float and field.shape == (5,)
+    assert np.array_equal(field, np.broadcast_to(value, (5,)))
+    assert field.flags.writeable and field.flags.owndata
+    field[:] = -1.0
+    assert not np.any(np.asarray(value) == -1.0)
+    assert np.array_equal(nodal_field(grid, value),
+                          np.broadcast_to(value, (5,)))
+
+
+@pytest.mark.parametrize("value", [[1.0, 2.0], np.ones(6)])
+def test_nodal_field_rejects_a_wrong_length(value):
+    with pytest.raises(ValueError):
+        nodal_field(build_grid(Domain("interval"), 5), value)
 
 
 def test_integrate_rejects_mismatched_length():
@@ -308,15 +330,20 @@ def _same_bytes(a, b):
 ])
 @pytest.mark.parametrize("n", [5, 6, 17, 33])
 def test_stencil_grid_matches_whole_matrix_assembly(domain, n):
+    """Bit for bit, with int32 indices and C-ordered nodes; the transpose
+    is built on first use."""
     grid = build_grid(domain, n)
+    assert "_lap_t" not in grid.__dict__
     L, LT = grid.laplacian_matrix(), grid.laplacian_transpose()
+    assert LT is grid.laplacian_transpose()
     ref, weights, nodes = assembled_grid(domain, n)
     for mat, want in ((L, ref), (LT, ref.T)):
         assert type(mat) is type(want)
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32
         for part in ("data", "indices", "indptr"):
             assert _same_bytes(getattr(mat, part), getattr(want, part))
     assert _same_bytes(grid.weights, weights)
-    assert _same_bytes(grid.nodes, nodes)
+    assert _same_bytes(grid.nodes, nodes) and grid.nodes.flags.c_contiguous
     assert np.array_equal(grid.boundary_mask, np.diff(L.indptr) == 0)
     interior = np.flatnonzero(grid.interior_mask)
     assert np.all(L.diagonal()[interior] != 0.0)
