@@ -31,10 +31,8 @@ def ridge_G(t):
 
 
 def show(cert):
-    print(f"  N={cert.N}  D={cert.D}  x0={cert.x0}  w={cert.w:.6f}  "
-          f"L={cert.L:.6f}")
-    print(f"  c0={cert.c0:.6f} ({cert.c0_provenance})  "
-          f"gamma_r={cert.gamma_r:.6f}")
+    print(f"  D={cert.D}  w={cert.w:.6f}  L={cert.L:.6f}")
+    print(f"  c0={cert.c0:.6f}  gamma_r={cert.gamma_r:.6f}")
     print(f"  alpha_r={cert.alpha_r:.6g}  beta_h={cert.beta_h:.6g}")
     print(f"  test function h phi_1 at h={cert.h:g}: J(vbar)={cert.J_vbar:.6g} "
           f"(rounded up)  Phi(vbar)={cert.Phi_vbar_lower:.6g} (rounded down)")

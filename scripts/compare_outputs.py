@@ -9,8 +9,10 @@ are this repository's configs/*.json, the rect_certify and rect_solve
 configs of bench/workloads.py, and three variants of configs/*.json with a
 perturbed_power potential, so both trees run the same configs.  Each
 command runs as `python -m pxbiharm.cli` in a fresh temporary directory,
-with that tree's src on PYTHONPATH and one BLAS thread.  Exits 1 if any
-command differs.
+with that tree's src on PYTHONPATH and one BLAS thread.  Where an output
+that differs is a JSON object on both sides (a report on stdout or in an
+--out file), the top-level keys added, removed or changed are named.
+Exits 1 if any command differs.
 """
 
 import json
@@ -69,13 +71,31 @@ def run(tree: str, name: str, doc: dict, command: list) -> dict:
     return out
 
 
+def describe(key: str, a, b) -> str:
+    """key, followed by the top-level keys that were added, removed or
+    changed where a and b both parse as JSON objects."""
+    try:
+        ja, jb = json.loads(a), json.loads(b)
+    except (TypeError, ValueError):
+        return key
+    if not (isinstance(ja, dict) and isinstance(jb, dict)):
+        return key
+    parts = [f"{label} {sorted(keys)}" for label, keys in (
+        ("added", jb.keys() - ja.keys()),
+        ("removed", ja.keys() - jb.keys()),
+        ("changed", {k for k in ja.keys() & jb.keys() if ja[k] != jb[k]}))
+        if keys]
+    return f"{key} ({'; '.join(parts) or 'the same JSON'})"
+
+
 def main(a: str, b: str) -> int:
     pairs = differ = 0
     for name, doc in configs().items():
         for command in COMMANDS:
             pairs += 1
             ra, rb = run(a, name, doc, command), run(b, name, doc, command)
-            keys = [k for k in sorted(ra.keys() | rb.keys())
+            keys = [describe(k, ra.get(k), rb.get(k))
+                    for k in sorted(ra.keys() | rb.keys())
                     if ra.get(k) != rb.get(k)]
             if keys:
                 differ += 1

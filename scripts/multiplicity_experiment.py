@@ -33,7 +33,7 @@ from pxbiharm.energy import ProblemInstance  # noqa: E402
 from pxbiharm.exponents import constant_exponent  # noqa: E402
 from pxbiharm.grids import Domain, build_grid  # noqa: E402
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family  # noqa: E402
-from pxbiharm.solver import lambda_sweep, uniqueness_modulus  # noqa: E402
+from pxbiharm.solver import lambda_sweep, uniqueness_threshold  # noqa: E402
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), os.pardir, "artifacts")
 
@@ -82,10 +82,8 @@ def main():
     inst = ProblemInstance(grid, p, spec, nl, 1.0)
     cert = certify(inst, r=1.0, h=0.15)
     print(f"  certified interval: {cert.lambda_interval} ({cert.reason})")
-    # mu is linear in lambda; ProblemInstance refuses lambda = 0
-    mu1 = uniqueness_modulus(inst)
-    mu2 = uniqueness_modulus(ProblemInstance(grid, p, spec, nl, 2.0))
-    print(f"  one solution for every lambda < {mu1 / (mu1 - mu2) + 1.0:.6g}")
+    lam_u = float(uniqueness_threshold(inst))
+    print(f"  one solution for every lambda < {lam_u:.6g}")
 
     print("ridge fixture: g = 0.05 + 40 exp(-((|t|-1)/0.05)^2)")
     nl2 = builtin_nonlinearity("separable", grid, q, alpha=1.0,

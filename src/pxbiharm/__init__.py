@@ -25,7 +25,6 @@ from .exponents import (
     affine_exponent,
     conjugate,
     constant_exponent,
-    critical_exponent,
     tabulated_exponent,
     validate_exponent,
 )

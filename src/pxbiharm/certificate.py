@@ -13,11 +13,12 @@ Phi(vbar) are the grid's own quadratures, rounded outwards by a
 floating-point slack.  Below the uniqueness threshold lambda_u
 (`solver.uniqueness_threshold`) the discrete problem has one critical
 point, so an interval is printed only when it starts at or above
-lambda_u.  The record also carries the inradius D with its centre x0, the
-unit ball volume w and the annulus measure L.
+lambda_u.  The record also carries the inradius D, the unit ball volume
+w and the annulus measure L.
 
 Every interval is a claim about the discrete problem on the certificate's
-grid: c0 is the "discrete-green" constant of that grid on every domain.
+grid: c0 is the constant of that grid's discrete Green's function on every
+domain.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemInstance
+from .energy import PointTerms, ProblemInstance
 from .exponents import ExponentField, conjugate
 from .grids import (Domain, Grid, GridFunction, first_mode, integrate,
                     sine_eigenvalues, unit_ball_volume)
@@ -73,14 +74,11 @@ _SKIP_MARGIN = 1e-9
 class Certificate:
     r: float | None
     h: float
-    N: int
     D: float
-    x0: tuple
     w: float
     L: float
     gamma_r: float | None
     c0: float
-    c0_provenance: str
     alpha_r: float | None
     beta_h: float | None
     lambda_interval: tuple | None
@@ -96,17 +94,17 @@ class Certificate:
         return self.lambda_interval is not None
 
 
-def inradius(domain: Domain):
-    """(D, x0): exact inradius of a supported domain and an attaining center."""
+def inradius(domain: Domain) -> float:
+    """D: the exact inradius of a supported domain."""
     if domain.kind == "interval":
-        return 0.5, (0.5,)
+        return 0.5
     if domain.kind == "rectangle":
-        return min(domain.a, domain.b) / 2, (domain.a / 2, domain.b / 2)
-    return domain.R, (0.0,)  # ball_radial
+        return min(domain.a, domain.b) / 2
+    return domain.R  # ball_radial
 
 
 def compute_L(N: int, D: float) -> float:
-    """Measure of the annulus B(x0,D) \\ B(x0,D/2): w (D^N - (D/2)^N)."""
+    """Measure of an annulus of radii D/2 and D: w (D^N - (D/2)^N)."""
     return unit_ball_volume(N) * (D**N - (D / 2) ** N)
 
 
@@ -126,13 +124,13 @@ def build_test_function(h: float, grid: Grid) -> GridFunction:
 def _test_function_bounds(inst: ProblemInstance, heights):
     """(J_lo, J_up, Phi_lo): J(vbar) rounded down and up and Phi(vbar)
     rounded down for vbar = h phi_1 at each of heights, all in one pass,
-    by the quadrature of `energy.energy_J` and `energy.load_Phi`."""
+    from the terms A(L vbar) and F(vbar) of `energy.PointTerms`."""
     grid = inst.grid
-    V = first_mode(grid)[:, None] * np.asarray(heights, float)
+    pt = PointTerms(inst, first_mode(grid)[:, None]
+                    * np.asarray(heights, float))
     with np.errstate(over="ignore", invalid="ignore"):
-        J_lo, J_up = _rounded_sum(
-            grid, inst.potential.A(grid.laplacian_matrix() @ V))
-        Phi_lo = _rounded_sum(grid, inst.nonlinearity.F(V))[0]
+        J_lo, J_up = _rounded_sum(grid, pt.A)
+        Phi_lo = _rounded_sum(grid, pt.F)[0]
     return J_lo, J_up, Phi_lo
 
 
@@ -168,8 +166,8 @@ def alpha_r(inst: ProblemInstance, r: float, c0: float) -> float:
     return integrate(inst.grid, sup_F) / r
 
 
-def estimate_c0(grid: Grid, p: ExponentField):
-    """(c0, "discrete-green"): the embedding constant in
+def estimate_c0(grid: Grid, p: ExponentField) -> float:
+    """c0: the embedding constant in
     ||u||_inf <= c0 ||u|| of the discrete problem on this grid.  With G
     the inverse of the interior Laplacian, u = G (Lu) on the interior, so
     u_i = int (G_i/w) Lu dx and Holder's inequality gives
@@ -223,7 +221,7 @@ def estimate_c0(grid: Grid, p: ExponentField):
                                    None if young is None else young[:, todo])
                 # written so that a NaN bound keeps its row
                 todo = todo[~(bound <= 1.0 - _SKIP_MARGIN)]
-    return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best, "discrete-green"
+    return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best
 
 
 def _row_bound(moments: np.ndarray, mu: float, q: ExponentField,
@@ -416,7 +414,7 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
                              or fine.grid.n != 2 * inst.grid.n - 1):
         raise ValueError("fine must be the problem on the doubled grid "
                          "(2n - 1 nodes per axis) of the same domain")
-    c0, c0_provenance = estimate_c0(inst.grid, inst.p)
+    c0 = estimate_c0(inst.grid, inst.p)
     alpha = alpha_r(inst, r, c0)
     scanned = h is None
     if scanned:
@@ -446,14 +444,13 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     if fine is not None:
         fine_beta = float(_beta(*_test_function_bounds(fine, [h]))[0])
         converged = _close(beta, fine_beta) and _close(
-            alpha, alpha_r(fine, r, estimate_c0(fine.grid, fine.p)[0]))
+            alpha, alpha_r(fine, r, estimate_c0(fine.grid, fine.p)))
 
     N = inst.grid.domain.dim
-    D, x0 = inradius(inst.grid.domain)
+    D = inradius(inst.grid.domain)
     return Certificate(
-        r=r, h=h, N=N, D=D, x0=tuple(x0), w=unit_ball_volume(N),
-        L=compute_L(N, D), gamma_r=gamma_r(inst.p, r),
-        c0=c0, c0_provenance=c0_provenance,
+        r=r, h=h, D=D, w=unit_ball_volume(N), L=compute_L(N, D),
+        gamma_r=gamma_r(inst.p, r), c0=c0,
         alpha_r=alpha, beta_h=beta if usable else None,
         lambda_interval=interval, checks=checks, converged=converged,
         lambda_unique=lam_u, J_vbar=J_up if usable else None,

@@ -217,6 +217,10 @@ def load_config(path_or_dict) -> RunConfig:
     if isinstance(doc["schema"], bool) or doc["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {doc['schema']!r}")
     blocks = {name: _block(doc, name) for name in _BLOCKS}
+    if blocks["certificate"].get("h_scan") is False \
+            and "h" not in blocks["certificate"]:
+        raise ConfigError("certificate.h_scan = false needs certificate.h, "
+                          "the height to certify at")
 
     return override(RunConfig(
         domain=blocks["domain"],
@@ -356,7 +360,9 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
             name, grid, q, xi=xi, zeta=b.get("zeta", 1.0),
             alpha=alpha, g=g, G=G, zeros=zeros, knots=knots)
     except ValueError as exc:
-        raise ConfigError(f"invalid nonlinearity block: {exc}") from exc
+        raise ConfigError(
+            f"invalid nonlinearity block with nonlinearity.kind = "
+            f"{json.dumps(b['kind'])}: {exc}") from exc
 
 
 def build_problem(cfg: RunConfig, lam: float | None = None,

@@ -21,7 +21,6 @@ __all__ = [
     "tabulated_exponent",
     "validate_exponent",
     "conjugate",
-    "critical_exponent",
 ]
 
 
@@ -70,11 +69,3 @@ def conjugate(p: ExponentField) -> ExponentField:
     vals = p.values / (p.values - 1.0)
     return ExponentField(p.grid, vals, float(vals.min()), float(vals.max()))
 
-
-def critical_exponent(p: ExponentField, N: int) -> np.ndarray:
-    """Nodewise critical Sobolev exponent N p/(N - 2p) where p < N/2,
-    infinity otherwise."""
-    out = np.full(p.values.shape, np.inf)
-    low = p.values < N / 2
-    out[low] = N * p.values[low] / (N - 2 * p.values[low])
-    return out

@@ -65,14 +65,6 @@ class Domain:
             return 2
         return self.N
 
-    @property
-    def volume(self) -> float:
-        if self.kind == "interval":
-            return 1.0
-        if self.kind == "rectangle":
-            return self.a * self.b
-        return unit_ball_volume(self.N) * self.R ** self.N
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:

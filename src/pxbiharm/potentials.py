@@ -42,7 +42,7 @@ class PotentialSpec:
     on t's leading axis (one column per further index, as x[:, None]).
     a_t_min holds inf_t d/dt a(x, t) per node in closed form, None where it
     is unknown; growth holds per node the exponent of |t| in the growth of
-    |a| / (d + |t|^{p-1}) as |t| -> inf, so H2's constant c1 is infinite
+    |a| / |t|^{p-1} as |t| -> inf, so H2's constant c1 is infinite
     exactly where it is positive.  witnesses maps H2, H3 and H4 to the
     Witness where growth, a_t_min and c2 fail first or are attained, which
     verify_hypotheses reports when that hypothesis fails; it is None for a
@@ -54,7 +54,6 @@ class PotentialSpec:
     p: ExponentField
     variant: str | None
     c2: float
-    d: np.ndarray
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
     a_t_min: np.ndarray = field(repr=False, default=None)
@@ -152,7 +151,9 @@ class HypothesisReport:
 
 
 def _power_a(theta, p, t):
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an a past the largest float is inf, which the solver's residual
+    # checks stop on
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = theta * np.abs(t) ** (p - 2.0) * t
     return np.where(np.asarray(t) == 0.0, 0.0, out)
 
@@ -165,7 +166,7 @@ def _power_A(theta, p, t):
 
 def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     """a = theta |t|^{p-2} t with closed-form antiderivative and constants:
-    c2 = min(1, theta-), d = 0 and growth 0."""
+    c2 = min(1, theta-) and growth 0."""
     theta = nodal_field(p.grid, theta)
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
@@ -180,7 +181,6 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
         p=p,
         variant=None,
         c2=min(1.0, float(theta.min())),
-        d=np.zeros(p.grid.size),
         a_eval=_power_a,
         A_eval=_power_A,
         a_t_min=a_t_min,
@@ -253,7 +253,7 @@ def _perturbed_c2(p, e, x1):
 
 def make_perturbed_family(theta, p: ExponentField,
                           variant: str = "standard") -> PotentialSpec:
-    """a = theta (1+t^2)^e t; A in closed form; d = 1; c2 in closed form
+    """a = theta (1+t^2)^e t; A in closed form; c2 in closed form
     (_perturbed_c2), computed once per distinct p.  growth is the exponent
     x1 = e + 1 - p/2 at which every ratio grows as |t| -> inf: 0 for
     standard, (6p - p^2 - 4) / (2(p - 2)) for paper_literal."""
@@ -297,7 +297,6 @@ def make_perturbed_family(theta, p: ExponentField,
         p=p,
         variant=variant,
         c2=float(c2_nodes[k]),
-        d=np.ones(p.grid.size),
         a_eval=a_eval,
         A_eval=A_eval,
         a_t_min=a_t_min,
@@ -419,6 +418,8 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
     sup_g = lip = None
     if name.startswith("const:"):
         c = float(name.split(":", 1)[1])
+        if not np.isfinite(c):
+            raise ValueError(f"const:<c> needs a finite c, got {name!r}")
         g, G = lambda t: np.full(np.shape(t), c), lambda t: c * t
         sup_g, lip = abs(c), 0.0
     elif name in _BUILTIN_G:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .energy import PointTerms, ProblemInstance, residual_vector
-from .grids import GridFunction, laplacian_floor
+from .grids import GridFunction, first_mode, laplacian_floor
 
 __all__ = [
     "CriticalPoint",
@@ -91,9 +91,11 @@ def _point(inst, z) -> PointTerms:
 def _slope(fun, t):
     """Elementwise central difference of an elementwise function.  The step
     never falls below 1e-6, which keeps a_t finite (about 1e-6^{p-2}) at
-    t = 0 where p < 2 and a_t is singular."""
+    t = 0 where p < 2 and a_t is singular.  Where fun overflows the slope
+    is nan or inf, which no threshold or step built on it accepts."""
     d = 1e-6 * np.maximum(np.abs(t), 1.0)
-    return (fun(t + d) - fun(t - d)) / (2.0 * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (fun(t + d) - fun(t - d)) / (2.0 * d)
 
 
 def _linearise(inst, values, Lu=None):
@@ -424,11 +426,11 @@ def _near_zero_start(grid):
 
 
 def _vbar_starts(grid, vbar_scale: float):
-    """+/- the certificate's test function."""
-    from .certificate import build_test_function
-
-    vb = build_test_function(vbar_scale, grid)
-    return [vb, GridFunction(grid, -vb.values, bc="navier")]
+    """+/- the certificate's test function vbar = vbar_scale phi_1
+    (`certificate.build_test_function`)."""
+    vb = vbar_scale * first_mode(grid)
+    return [GridFunction(grid, vb, bc="navier"),
+            GridFunction(grid, -vb, bc="navier")]
 
 
 def deflate_and_search(inst: ProblemInstance, k_max: int = 6,

@@ -47,10 +47,9 @@ from conftest import make_instance, spike_G, spike_g, spike_instance
 
 
 def test_inradius_values():
-    assert inradius(Domain("interval")) == (0.5, (0.5,))
-    D, x0 = inradius(Domain("rectangle", a=2.0, b=1.0))
-    assert D == 0.5 and x0 == (1.0, 0.5)
-    assert inradius(Domain("ball_radial", N=3, R=0.7)) == (0.7, (0.0,))
+    assert inradius(Domain("interval")) == 0.5
+    assert inradius(Domain("rectangle", a=2.0, b=1.0)) == 0.5
+    assert inradius(Domain("ball_radial", N=3, R=0.7)) == 0.7
 
 
 def test_annulus_measure():
@@ -271,16 +270,15 @@ def test_c0_bounds_the_interval_witness(inner, outer):
     vals = np.zeros(grid.size)
     vals[grid.interior_mask] = -G @ f[grid.interior_mask]
     u = GridFunction(grid, vals, bc="navier")
-    c0, _ = estimate_c0(grid, p)
+    c0 = estimate_c0(grid, p)
     assert sup_norm(u) <= c0 * laplacian_norm(u, p).value
 
 
 def test_c0_ball_is_estimated(ball_grid):
     # the ball's c0 is the discrete Green's-function constant, which at
     # p = 2 is the largest sqrt(sum_j G_ij^2 / w_j) of the dense inverse
-    c0, prov = estimate_c0(ball_grid, constant_exponent(ball_grid, 2.0))
+    c0 = estimate_c0(ball_grid, constant_exponent(ball_grid, 2.0))
     _, rows = dense_green_rows(ball_grid)
-    assert prov == "discrete-green"
     assert c0 == pytest.approx(
         np.sqrt(np.max(rows**2 @ ball_grid.weights)), rel=1e-10)
     assert c0 == pytest.approx(0.19955, abs=1e-5)
@@ -303,9 +301,8 @@ GREEN_GRIDS = [
 def test_c0_at_p2_equals_dense_inverse(domain, n):
     # at p = 2 the Holder factor is 1 and |G_i/w|_2^2 = sum_j G_ij^2 / w_j
     grid = build_grid(domain, n)
-    c0, prov = estimate_c0(grid, constant_exponent(grid, 2.0))
+    c0 = estimate_c0(grid, constant_exponent(grid, 2.0))
     _, rows = dense_green_rows(grid)
-    assert prov == "discrete-green"
     assert c0 == pytest.approx(
         np.sqrt(np.max(rows**2 @ grid.weights)), rel=1e-10)
 
@@ -316,7 +313,7 @@ def test_c0_at_p2_is_attained_by_the_extremal_field(domain, n):
     # u = G (G_i/w) has Lu = G_i/w and u_i = |G_i/w|_2^2 = c0 ||u||
     grid = build_grid(domain, n)
     p = constant_exponent(grid, 2.0)
-    c0, _ = estimate_c0(grid, p)
+    c0 = estimate_c0(grid, p)
     G, rows = dense_green_rows(grid)
     i = int(np.argmax(rows**2 @ grid.weights))
     vals = np.zeros(grid.size)
@@ -330,7 +327,7 @@ def test_c0_on_the_benchmark_rectangle():
     # p = 2 + x1/2 on the unit square, 17x17 and its doubled grid
     for n, want in ((17, 0.11205), (33, 0.11152)):
         grid = build_grid(Domain("rectangle"), n)
-        c0, _ = estimate_c0(grid, affine_exponent(grid, 2.0, 0.5))
+        c0 = estimate_c0(grid, affine_exponent(grid, 2.0, 0.5))
         assert c0 == pytest.approx(want, abs=5e-6)
 
 
@@ -352,7 +349,7 @@ def test_c0_screening_matches_solving_every_row(domain, n, kind):
     else:
         rng = np.random.default_rng(n)
         p = tabulated_exponent(grid, rng.uniform(1.4, 3.5, grid.size))
-    c0, _ = estimate_c0(grid, p)
+    c0 = estimate_c0(grid, p)
     assert c0 == pytest.approx(all_rows_c0(grid, p), rel=1e-10)
 
 
@@ -385,7 +382,7 @@ def test_no_navier_field_beats_c0(p, lap):
     vals = np.zeros(SQUARE_9.size)
     vals[SQUARE_9.interior_mask] = _G9 @ lap
     u = GridFunction(SQUARE_9, vals, bc="navier")
-    c0, _ = estimate_c0(SQUARE_9, p)
+    c0 = estimate_c0(SQUARE_9, p)
     assert sup_norm(u) <= c0 * laplacian_norm(u, p).value * (1 + 1e-12)
 
 
@@ -496,7 +493,7 @@ def _identity_exponent(grid, kind):
 def test_skipping_rows_keeps_c0_bit_identical(domain, n, kind):
     grid = build_grid(domain, n)
     p = _identity_exponent(grid, kind)
-    assert estimate_c0(grid, p)[0] == screened_c0(grid, p)
+    assert estimate_c0(grid, p) == screened_c0(grid, p)
 
 
 def _generated_rows(monkeypatch, grid, p):
@@ -513,7 +510,7 @@ def _generated_rows(monkeypatch, grid, p):
         return moments, counted, green
 
     monkeypatch.setattr(certificate, "_green_rows", counting_green_rows)
-    c0, _ = estimate_c0(grid, p)
+    c0 = estimate_c0(grid, p)
     return np.array(generated, dtype=int), c0
 
 
@@ -557,7 +554,7 @@ def test_mirrored_c0_matches_solving_every_row(domain, n, exponent):
     # the best norm first), and in both axes (constant p)
     grid = build_grid(domain, n)
     p = exponent(grid)
-    c0, _ = estimate_c0(grid, p)
+    c0 = estimate_c0(grid, p)
     assert c0 == pytest.approx(all_rows_c0(grid, p), rel=1e-13)
 
 

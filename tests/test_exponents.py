@@ -1,4 +1,4 @@
-"""Exponent fields: validation, conjugates, critical exponents."""
+"""Exponent fields: validation, conjugates, certificate eligibility."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from pxbiharm.exponents import (
     affine_exponent,
     conjugate,
     constant_exponent,
-    critical_exponent,
     tabulated_exponent,
     validate_exponent,
 )
@@ -58,14 +57,6 @@ def test_conjugate_identity(grid):
     # p = 2 is self-conjugate
     p2 = constant_exponent(grid, 2.0)
     assert np.allclose(conjugate(p2).values, 2.0)
-
-
-def test_critical_exponent_finite_and_infinite(grid):
-    p = constant_exponent(grid, 2.0)
-    # N = 8: p < N/2, so N p/(N - 2p) = 16/4 = 4
-    assert np.allclose(critical_exponent(p, 8), 4.0)
-    # N = 1: p >= N/2 everywhere, sentinel infinity
-    assert np.all(np.isinf(critical_exponent(p, 1)))
 
 
 def test_certificate_eligibility(grid):

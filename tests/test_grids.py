@@ -34,8 +34,11 @@ def test_unit_ball_volumes():
 ])
 def test_weights_sum_to_volume(domain):
     grid = build_grid(domain, 65)
-    assert float(np.sum(grid.weights)) == pytest.approx(
-        domain.volume, rel=1e-13)
+    if domain.kind == "ball_radial":
+        volume = unit_ball_volume(domain.N) * domain.R ** domain.N
+    else:
+        volume = domain.a * domain.b if domain.kind == "rectangle" else 1.0
+    assert float(np.sum(grid.weights)) == pytest.approx(volume, rel=1e-13)
 
 
 def test_interval_quadrature_exact_on_linear():

@@ -38,7 +38,6 @@ def test_power_family_closed_form_constants(grid):
     p = constant_exponent(grid, 2.0)
     spec = make_power_family(1.0, p)
     assert spec.c2 == 1.0
-    assert np.all(spec.d == 0.0)
 
 
 def test_power_family_a_and_A(grid):
@@ -109,7 +108,7 @@ def test_perturbed_literal_constants_satisfy_bounds(grid):
         a_vals = spec.a_eval(1.0, p_value, t)
         A_vals = spec.A_eval(1.0, p_value, t)
         assert np.all(np.abs(a_vals) <=
-                      c1 * (spec.d[0] + np.abs(t) ** (p_value - 1.0)))
+                      c1 * (1.0 + np.abs(t) ** (p_value - 1.0)))
         assert np.all(np.abs(A_vals) <=
                       c3 * (np.abs(t) + np.abs(t) ** p_value))
 
@@ -134,8 +133,7 @@ def test_a_hand_built_spec_leaves_H2_to_H4_unverifiable(grid):
     # witnesses, so its constants and slope cannot be read as verdicts
     p = constant_exponent(grid, 2.0)
     spec = PotentialSpec(
-        family="power", theta=np.ones(grid.size), p=p, variant=None,
-        c2=1.0, d=np.ones(grid.size),
+        family="power", theta=np.ones(grid.size), p=p, variant=None, c2=1.0,
         a_eval=lambda th, pv, t: th * (t - t**3),
         A_eval=lambda th, pv, t: th * (t**2 / 2 - t**4 / 4),
     )
@@ -409,8 +407,7 @@ PARITY_EXPONENTS = {
 @pytest.mark.parametrize("family", ["power", "standard", "paper_literal"])
 def test_builders_declare_the_closed_forms(domain, exponent, per_node,
                                            family):
-    """power's c2 = min(1, theta-) and d = 0; d = 1 for the perturbed
-    families; every family's a_t_min."""
+    """power's c2 = min(1, theta-) and every family's a_t_min."""
     grid = build_grid(*PARITY_DOMAINS[domain])
     p = PARITY_EXPONENTS[exponent](grid)
     theta = 0.7 + grid.x1 if per_node else 1.3
@@ -418,8 +415,6 @@ def test_builders_declare_the_closed_forms(domain, exponent, per_node,
             else make_perturbed_family(theta, p, family))
     if family == "power":
         assert spec.c2 == min(1.0, spec.theta.min())
-    assert np.array_equal(spec.d, np.full(grid.size,
-                                          float(family != "power")))
     assert np.array_equal(spec.a_t_min,
                           reference_a_t_min(family, spec.theta, p.values))
 
