@@ -6,13 +6,13 @@ command whose stdout, stderr, exit code or written files differ.
 
 A and B are repository roots, each with its own src/pxbiharm.  The inputs
 are this repository's configs/*.json, the rect_certify and rect_solve
-configs of bench/workloads.py, and three variants of configs/*.json with a
-perturbed_power potential, so both trees run the same configs.  Each
-command runs as `python -m pxbiharm.cli` in a fresh temporary directory,
-with that tree's src on PYTHONPATH and one BLAS thread.  Where an output
-that differs is a JSON object on both sides (a report on stdout or in an
---out file), the top-level keys added, removed or changed are named.
-Exits 1 if any command differs.
+configs of bench/workloads.py, rect_certify on the 33 x 33 grid, and three
+variants of configs/*.json with a perturbed_power potential, so both trees
+run the same configs.  Each command runs as `python -m pxbiharm.cli` in a
+fresh temporary directory, with that tree's src on PYTHONPATH and one BLAS
+thread.  Where an output that differs is a JSON object on both sides (a
+report on stdout or in an --out file), the top-level keys added, removed
+or changed are named.  Exits 1 if any command differs.
 """
 
 import json
@@ -36,6 +36,9 @@ def configs() -> dict:
             for path in sorted((ROOT / "configs").glob("*.json"))}
     for name in ("rect_certify", "rect_solve"):
         docs[name] = WORKLOADS[name].config(ROOT)
+    # its certify converges, so it builds the 65 x 65 grid's c0, on a
+    # varying p' with p'- < 2
+    docs["rect_certify_33"] = dict(docs["rect_certify"], grid_n=33)
     # paper_literal at p = 3 fails H2 (lhs 7, rhs 2), and with theta = 0.2
     # also H4, at c2's interior minimum; the bounded load's general 1D
     # certificate runs on a standard perturbed potential

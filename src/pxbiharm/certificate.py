@@ -179,11 +179,8 @@ def estimate_c0(grid: Grid, p: ExponentField) -> float:
     Whenever the best norm grows, every row still to visit whose modular
     bound at it is <= 1 - `_SKIP_MARGIN` is dropped before it is
     generated; its modular is <= 1 too, so c0 is the same as when every
-    row is generated and screened.  The bound is the smaller of two
-    closed forms: `_modular_bound`, which charges every node the worst
-    exponent p'- (exact at constant p' = 2), and, where p' varies and
-    p'- < 2, `_young_bound`, which charges each node with p'_j <= 2 its
-    own exponent by Young's inequality.
+    row is generated and screened.  The bound is `_modular_bound`, which
+    charges every node the worst exponent p'- (exact at constant p' = 2).
 
     On an interval or a rectangle, G is symmetric under the reflection of
     each axis (x -> 1 - x, x1 -> a - x1, x2 -> b - x2).  Where p' (all its
@@ -195,9 +192,7 @@ def estimate_c0(grid: Grid, p: ExponentField) -> float:
     row on that axis.
     """
     pc = conjugate(p)
-    moments, rows, green = _green_rows(grid)
-    beta = _young_betas(pc)
-    young = _young_terms(grid, pc, green, beta)
+    moments, rows = _green_rows(grid)
     todo = np.argsort(moments[1])[::-1]
     if grid.domain.kind != "ball_radial":
         q, m = pc.values.reshape(grid.shape), grid.n - 2
@@ -217,21 +212,10 @@ def estimate_c0(grid: Grid, p: ExponentField) -> float:
             norm = float(np.max(_luxemburg_of_values(block, grid, pc).value))
             if norm > best:
                 best = norm
-                bound = _row_bound(moments[:, todo], best, pc, beta,
-                                   None if young is None else young[:, todo])
+                bound = _modular_bound(moments[:, todo], best, pc)
                 # written so that a NaN bound keeps its row
                 todo = todo[~(bound <= 1.0 - _SKIP_MARGIN)]
     return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best
-
-
-def _row_bound(moments: np.ndarray, mu: float, q: ExponentField,
-               beta: np.ndarray, young: np.ndarray | None):
-    """The smaller of `_modular_bound` and, given the rows'
-    `_young_terms` at beta, `_young_bound`; NaN where either is NaN."""
-    bound = _modular_bound(moments, mu, q)
-    if young is not None:
-        bound = np.minimum(bound, _young_bound(young, beta, moments, mu, q))
-    return bound
 
 
 def _modular_bound(moments: np.ndarray, mu: float, q: ExponentField):
@@ -253,81 +237,22 @@ def _modular_bound(moments: np.ndarray, mu: float, q: ExponentField):
         return np.maximum(1.0, top) ** (hi - lo) * body
 
 
-def _young_betas(q: ExponentField) -> np.ndarray:
-    """The Young parameters beta of `_young_terms` and `_young_bound`, as a
-    column, computed once per `estimate_c0`: 12 log-spaced values in
-    [(q- - 1)/2, 2].  Any beta > 0 gives a valid bound.  Young's
-    v^q <= alpha v + beta v^2 is tight where beta = (q - 1) v^{q-2}, and
-    v near 1 holds the modular mass of the rows near the best norm.  Each
-    beta costs one Poisson solve per grid, a 12 x 961 x 8 B = 92 KB table
-    on the 33 x 33 grid (below glibc's 128 KB mmap threshold)."""
-    return np.geomspace((q.p_minus - 1.0) / 2.0, 2.0, 12)[:, None]
-
-
-def _young_terms(grid: Grid, q: ExponentField, green, beta: np.ndarray):
-    """T[k, i] = sum_j alpha_j(beta_k) |G_ij| for each beta_k of beta
-    (`_young_betas`), the mu-free part of `_young_bound`, or None where that
-    bound cannot beat `_modular_bound`: a constant q, where its minimum over
-    beta is the Lyapunov bound, and q- >= 2, where no node has an alpha.
-
-    For 1 <= q_j <= 2 and beta > 0, Young's inequality gives
-    v^q_j <= alpha_j(beta) v + beta v^2 for every v >= 0, with
-    alpha_j = (2 - q_j) ((q_j - 1)/beta)^{(q_j-1)/(2-q_j)}; at q_j = 2,
-    alpha_j is 0 for beta >= 1 and no alpha_j exists for beta < 1, whose
-    terms are inf.  Nodes with q_j > 2 take alpha_j = 0 and are charged in
-    `_young_bound`.  The rounding of alpha_j enters the bound weighted by
-    2 - q_j, so it stays a few ulps of v^q_j however large the exponent
-    grows as q_j -> 2.
-    """
-    if q.is_constant or q.p_minus >= 2.0:
-        return None
-    qv = q.values[grid.interior_mask]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        alpha = (2.0 - qv) * ((qv - 1.0) / beta) ** ((qv - 1.0) / (2.0 - qv))
-    alpha[:, qv > 2.0] = 0.0
-    alpha[:, qv == 2.0] = np.where(beta >= 1.0, 0.0, np.inf)
-    ok = np.all(np.isfinite(alpha), axis=1)
-    terms = np.full(alpha.shape, np.inf)
-    terms[ok] = green(alpha[ok])
-    return terms
-
-
-def _young_bound(terms: np.ndarray, beta: np.ndarray, moments: np.ndarray,
-                 mu: float, q: ExponentField):
-    """An upper bound on the modular int |G_i/(w mu)|^{q(x)} dx of each
-    row from its `_young_terms` and moments (L1, L2, M).
-
-    With v = |G_i|/(w mu), a node with q_j <= 2 has
-    v_j^q_j <= alpha_j v_j + beta v_j^2, and one with q_j > 2 has
-    v_j^q_j <= K v_j^2 with K = max(1, M/mu)^{q+ - 2}, as in
-    `_modular_bound`.  Summed with the weights w_j, the modular is at most
-    T_i(beta)/mu + max(beta, K) L2_i/mu^2, taken at the best of the
-    betas (a column) that `_young_terms` was evaluated at.
-    """
-    if q.p_plus > 2.0:
-        with np.errstate(over="ignore"):
-            beta = np.maximum(
-                beta, np.maximum(1.0, moments[2] / mu) ** (q.p_plus - 2.0))
-    return np.min(terms / mu + beta * (moments[1] / mu**2), axis=0)
-
-
 def _green_rows(grid: Grid):
-    """(moments, rows, green) for the interior rows G_i / w of the inverse
+    """(moments, rows) for the interior rows G_i / w of the inverse
     Laplacian.  moments is (L1, L2, M) stacked, three closed-form values
     per interior row: L1_i = sum_j |G_ij|, L2_i = sum_j G_ij^2 / w_j and
     M_i = max_j |G_ij| / w_j.  rows(idx) returns the rows idx as
-    full-grid arrays, zero on the boundary.  green(f) returns |G| f_k, one
-    Poisson solve, for each interior field f_k (the rows of f).
+    full-grid arrays, zero on the boundary.
 
     On a rectangle the 5-point Laplacian is diagonal in the orthonormal
     sine basis S (one matrix for both axes, as both have n nodes), with
-    eigenvalues lam = lx + ly of -L, so G_i = S (S[i1] (x) S[i2] / lam) S
-    and |G| f = S ((S f S) / lam) S, since G is entrywise of one sign (the
-    inverse of an M-matrix); L1 = |G| 1.  By the discrete maximum
-    principle the row maximum is the diagonal, M = (S^2 (1/lam) S^2) / w
-    with the constant interior weight w.  On the interval and the radial
-    ball G is the dense inverse of the interior block, and the moments
-    are read from it.
+    eigenvalues lam = lx + ly of -L, so G_i = S (S[i1] (x) S[i2] / lam) S.
+    G is entrywise of one sign (the inverse of an M-matrix), so L1 = |G| 1
+    = S ((S 1 S) / lam) S, one Poisson solve of the all-ones field.  By
+    the discrete maximum principle the row maximum is the diagonal,
+    M = (S^2 (1/lam) S^2) / w with the constant interior weight w.  On the
+    interval and the radial ball G is the dense inverse of the interior
+    block, and the moments are read from it.
     """
     n = grid.n
     interior = grid.interior_mask
@@ -339,10 +264,6 @@ def _green_rows(grid: Grid):
         lam = sine_eigenvalues(grid)
         S2 = S**2
 
-        def green(f):
-            f = f.reshape(len(f), m, m)
-            return (S @ ((S @ f @ S) / lam) @ S).reshape(len(f), m * m)
-
         def rows(idx):
             i1, i2 = np.divmod(idx, m)
             g = S @ (S[i1][:, :, None] * S[i2][:, None, :] / lam) @ S
@@ -351,7 +272,7 @@ def _green_rows(grid: Grid):
             return out.reshape(len(idx), n * n)
 
         moments = np.stack([
-            green(np.ones((1, m * m)))[0],
+            (S @ ((S @ np.ones((m, m)) @ S) / lam) @ S).ravel(),
             (S2 @ (1.0 / lam**2) @ S2).ravel() / w_in,
             (S2 @ (1.0 / lam) @ S2).ravel() / w_in,
         ])
@@ -362,14 +283,11 @@ def _green_rows(grid: Grid):
         moments = np.stack([absG.sum(axis=1), (G**2) @ (1.0 / w_in),
                             (absG / w_in).max(axis=1)])
 
-        def green(f):
-            return f @ absG.T
-
         def rows(idx):
             out = np.zeros((len(idx), n))
             out[:, interior] = G[idx] / w_in
             return out
-    return moments, rows, green
+    return moments, rows
 
 
 def _scan_h(inst: ProblemInstance, r: float, alpha: float) -> float:

@@ -189,7 +189,8 @@ def _write_solutions_csv(path: str, inst: ProblemInstance, sols):
 
 
 def _search_keywords(cfg: cfgmod.RunConfig) -> dict:
-    """The keywords of `solver.deflate_and_search`, for solve and sweep."""
+    """The keywords of `solver.deflate_and_search`, for solve and sweep
+    (which starts from its certificate's h in place of vbar_scale)."""
     s = cfg.solver
     return dict(k_max=s.k_max, n_starts=s.n_starts, seed=s.seed, tol=s.tol,
                 vbar_scale=cfg.certificate.get("h", 1.0), max_iter=s.max_iter)
@@ -233,8 +234,9 @@ def cmd_sweep(args) -> int:
         _info("certificate interval is empty; nothing to sweep")
         _emit(dataclasses.asdict(certificate), args.out)
         return EXIT_INFEASIBLE
+    search = dict(_search_keywords(cfg), vbar_scale=certificate.h)
     rows = sol.lambda_sweep(inst, certificate.lambda_interval,
-                            cfg.solver.sweep_m, **_search_keywords(cfg))
+                            cfg.solver.sweep_m, **search)
     write_sweep_csv(cfg.output.sweep_csv, rows)
     payload = {
         "lambda_interval": list(certificate.lambda_interval),

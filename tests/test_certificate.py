@@ -14,9 +14,7 @@ from pxbiharm import certificate, solver
 from pxbiharm.certificate import (
     _GREEN_BLOCK,
     _green_rows,
-    _row_bound,
-    _young_betas,
-    _young_terms,
+    _modular_bound,
     H_GRID,
     alpha_r,
     build_test_function,
@@ -389,7 +387,7 @@ def test_no_navier_field_beats_c0(p, lap):
 @pytest.mark.parametrize("domain, n", GREEN_GRIDS)
 def test_green_moments_match_the_dense_inverse(domain, n):
     grid = build_grid(domain, n)
-    (L1, L2, M), _, _ = _green_rows(grid)
+    (L1, L2, M), _ = _green_rows(grid)
     G, rows = dense_green_rows(grid)
     np.testing.assert_allclose(L1, np.abs(G).sum(axis=1), rtol=1e-12)
     np.testing.assert_allclose(L2, rows**2 @ grid.weights, rtol=1e-12)
@@ -402,8 +400,8 @@ def test_green_moments_match_the_dense_inverse(domain, n):
 
 BALL_17 = build_grid(Domain("ball_radial", N=2, R=1.0), 17)
 
-# exponent values on both sides of 2 and at it, where the Young exponent
-# (q - 1)/(2 - q) of the conjugate q = p/(p - 1) blows up
+# exponent values on both sides of 2 and at it, where the bound switches
+# between its forms for q- <= 2 and q- > 2 (q = p/(p - 1) the conjugate)
 NEAR_2 = st.sampled_from([2.0, 2.0 - 1e-9, 2.0 + 1e-9, 2.0 + 1e-6, 2.01])
 
 
@@ -411,9 +409,8 @@ NEAR_2 = st.sampled_from([2.0, 2.0 - 1e-9, 2.0 + 1e-9, 2.0 + 1e-6, 2.01])
 def grids_and_exponents(draw):
     """The 9x9 square or the 17-node disc, with an affine or a tabulated
     exponent with p in [1.2, 40] on it, so that p'- < 2 < p'+ is drawn as
-    well as either side of 2, p = 2 is touched at an end of the affine
-    range or at table entries, and the smallest Young beta (p'- - 1)/2
-    reaches down to about 0.013."""
+    well as either side of 2, and p = 2 is touched at an end of the affine
+    range or at table entries."""
     grid = BALL_17 if draw(st.booleans()) else SQUARE_9
     values = st.floats(1.2, 40.0) | NEAR_2
     if draw(st.booleans()):
@@ -431,33 +428,26 @@ def grids_and_exponents(draw):
 @example(case=(BALL_17, affine_exponent(BALL_17, 2.0, 0.5)), log_s=-1.0)
 @settings(max_examples=120, deadline=None)
 def test_modular_bound_exceeds_every_row_modular(case, log_s):
-    # the bound estimate_c0 skips rows by: the smaller of the worst-exponent
-    # bound and, where p' varies and p'- < 2, the Young bound
+    # the bound estimate_c0 skips rows by, which charges every node the
+    # worst exponent
     grid, p = case
     pc = conjugate(p)
     s = 10.0**log_s
-    moments, _, green = _green_rows(grid)
-    beta = _young_betas(pc)
-    young = _young_terms(grid, pc, green, beta)
+    moments, _ = _green_rows(grid)
     _, rows = dense_green_rows(grid)
     exact = _modular_values(rows / s, grid, pc)
-    assert np.all(_row_bound(moments, s, pc, beta, young)
-                  >= exact * (1 - 1e-12))
-    if young is not None:
-        # a NaN in either bound reaches the combined one, which keeps it
-        bad = young.copy()
-        bad[:, 0] = np.nan
-        assert np.isnan(_row_bound(moments, s, pc, beta, bad)[0])
+    assert np.all(_modular_bound(moments, s, pc) >= exact * (1 - 1e-12))
+    # a NaN moment gives a NaN bound, which keeps its row
     bad = moments.copy()
     bad[:, 0] = np.nan
-    assert np.isnan(_row_bound(bad, s, pc, beta, young)[0])
+    assert np.isnan(_modular_bound(bad, s, pc)[0])
 
 
 def screened_c0(grid, p):
     """c0 with every Green's row generated, in p = 2 order, and screened at
     the running best norm: `estimate_c0` before rows were skipped."""
     pc = conjugate(p)
-    moments, rows, _ = _green_rows(grid)
+    moments, rows = _green_rows(grid)
     order = np.argsort(moments[1])[::-1]
     best = 0.0
     for start in range(0, order.size, _GREEN_BLOCK):
@@ -502,12 +492,12 @@ def _generated_rows(monkeypatch, grid, p):
     generated = []
 
     def counting_green_rows(grid):
-        moments, rows, green = _green_rows(grid)
+        moments, rows = _green_rows(grid)
 
         def counted(idx):
             generated.extend(idx)
             return rows(idx)
-        return moments, counted, green
+        return moments, counted
 
     monkeypatch.setattr(certificate, "_green_rows", counting_green_rows)
     c0 = estimate_c0(grid, p)
@@ -516,12 +506,12 @@ def _generated_rows(monkeypatch, grid, p):
 
 def test_c0_generates_few_rows(monkeypatch):
     # the bound is exact at p = 2; the benchmark exponent visits one row
-    # of each mirror pair and skips most of those (48 of 961 generated on
+    # of each mirror pair and skips most of those (174 of 961 generated on
     # the doubled 17 x 17 grid), and p+ <= 2 skips fewer (277 of 961)
     def count(grid, p):
         return _generated_rows(monkeypatch, grid, p)[0].size
 
-    for n, most in ((17, 13), (33, 48)):
+    for n, most in ((17, 43), (33, 174)):
         grid = build_grid(Domain("rectangle"), n)
         assert count(grid, affine_exponent(grid, 2.0, 0.5)) <= most
     assert count(grid, constant_exponent(grid, 2.0)) == _GREEN_BLOCK

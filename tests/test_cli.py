@@ -215,32 +215,26 @@ def test_solutions_csv_matches_csv_writer(tmp_path, grid, n_solutions):
         assert rows[1].startswith("0.0,")
 
 
-def test_certify_computes_young_betas_once_per_grid(tmp_path, monkeypatch,
-                                                    capsys):
-    """Each c0 of the benchmark's rect_certify command computes its Young
-    parameters once.  beta_h disagrees across the doubled grid there, so
-    c0 is built on the instance's grid alone."""
+def test_rect_certify_builds_c0_on_the_instances_grid_alone(
+        tmp_path, monkeypatch, capsys):
+    """beta_h disagrees across the doubled grid on the benchmark's
+    rect_certify command, so c0 is built on the instance's grid alone."""
     root = CONFIGS.parent
     workloads = runpy.run_path(str(root / "bench" / "workloads.py"))
     doc = workloads["WORKLOADS"]["rect_certify"].config(root)
-    calls, grids = [], []
-    real_betas, real_c0 = certificate._young_betas, certificate.estimate_c0
-
-    def counted_betas(q):
-        calls.append(q)
-        return real_betas(q)
+    grids = []
+    real_c0 = certificate.estimate_c0
 
     def counted_c0(grid, *args, **kwargs):
         grids.append(grid.n)
         return real_c0(grid, *args, **kwargs)
 
-    monkeypatch.setattr(certificate, "_young_betas", counted_betas)
     monkeypatch.setattr(certificate, "estimate_c0", counted_c0)
     cfg = write_config(tmp_path, doc)
     assert main(["certify", "--config", cfg]) in (EXIT_OK, EXIT_INFEASIBLE)
     payload = json.loads(capsys.readouterr().out)
     assert payload["c0"] > 0 and payload["converged"] is False
-    assert grids == [doc["grid_n"]] and len(calls) == 1
+    assert grids == [doc["grid_n"]]
 
 
 def test_solve_requires_lambda(tmp_path):
@@ -354,6 +348,37 @@ def test_sweep_infeasible_certificate(tmp_path, capsys, monkeypatch):
             "r_bound; beta_gt_alpha; above_uniqueness"
         assert payload["lambda_unique"] == pytest.approx(150.0, rel=1e-3)
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("block", [{"r": 5.0},
+                                   {"r": 5.0, "h": 1.2, "h_scan": True}])
+def test_a_scanned_sweep_starts_from_the_certified_vbar(
+        tmp_path, capsys, monkeypatch, block):
+    """A sweep whose certificate scans h searches from +/- the vbar whose
+    J and Phi give the interval's lower end, not from 1.0 phi_1 or the
+    config's h; solve, which certifies nothing, starts from the config's
+    h, else 1.0."""
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((CONFIGS / "spike_ridge.json").read_text())
+    doc.update(grid_n=41, certificate=block,
+               solver=dict(doc["solver"], sweep_m=2))
+    cfg = write_config(tmp_path, doc)
+    assert main(["certify", "--config", cfg]) == EXIT_OK
+    h = json.loads(capsys.readouterr().out)["h"]
+    assert h == pytest.approx(10 ** (1 / 6), rel=1e-12)
+    scales = []
+    real = solver.deflate_and_search
+
+    def spy(inst, **kwargs):
+        scales.append(kwargs["vbar_scale"])
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(solver, "deflate_and_search", spy)
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    assert scales == [h, h]
+    scales.clear()
+    assert main(["solve", "--config", cfg, "--lambda", "30"]) == EXIT_OK
+    assert scales == [block.get("h", 1.0)]
 
 
 def test_bad_config_file(tmp_path):
