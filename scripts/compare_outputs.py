@@ -12,10 +12,15 @@ run the same configs.  Each command runs as `python -m pxbiharm.cli` in a
 fresh temporary directory, with that tree's src on PYTHONPATH and one BLAS
 thread.  Where an output that differs is a JSON object on both sides (a
 report on stdout or in an --out file), the top-level keys added, removed
-or changed are named.  Exits 1 if any command differs.
+or changed are named.  Where the two sides of an output (a JSON value, a
+changed key of a JSON object, or a .csv file, whose cells may hold
+;-separated lists) differ only in their numbers, the largest relative
+difference of those numbers is printed next to it, so a change at
+rounding level reads as one.  Exits 1 if any command differs.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,20 +79,70 @@ def run(tree: str, name: str, doc: dict, command: list) -> dict:
     return out
 
 
+def leaves(value):
+    """The numbers of a parsed JSON value or CSV in order, and its shape:
+    the value with each number replaced by None."""
+    if isinstance(value, (dict, list)):
+        items = sorted(value.items()) if isinstance(value, dict) \
+            else enumerate(value)
+        parts = [(k, *leaves(v)) for k, v in items]
+        shape = [(k, s) for k, _, s in parts]
+        return [x for _, ns, _ in parts for x in ns], shape
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [float(value)], None
+    return [], value
+
+
+def largest_rel(a, b):
+    """The largest relative difference of the numbers of a and b where
+    they differ only in their numbers, else None."""
+    (na, sa), (nb, sb) = leaves(a), leaves(b)
+    if sa != sb or not na:
+        return None
+    worst = 0.0
+    for x, y in zip(na, nb):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d = abs(x - y) / max(abs(x), abs(y))
+        worst = max(worst, d if math.isfinite(d) else math.inf)
+    return worst
+
+
+def with_rel(label: str, a, b) -> str:
+    rel = largest_rel(a, b)
+    return label if rel is None else f"{label} (max rel {rel:.1e})"
+
+
+def parse_csv(data: bytes):
+    """Rows of cells, each cell split at ';', as floats where they parse."""
+    def cell(token):
+        try:
+            return float(token)
+        except ValueError:
+            return token
+    return [[cell(t) for field in line.split(",") for t in field.split(";")]
+            for line in data.decode().splitlines()]
+
+
 def describe(key: str, a, b) -> str:
     """key, followed by the top-level keys that were added, removed or
-    changed where a and b both parse as JSON objects."""
+    changed where a and b both parse as JSON objects, and by the largest
+    relative difference where only numbers differ."""
+    if key.endswith(".csv") and a is not None and b is not None:
+        return with_rel(key, parse_csv(a), parse_csv(b))
     try:
         ja, jb = json.loads(a), json.loads(b)
     except (TypeError, ValueError):
         return key
     if not (isinstance(ja, dict) and isinstance(jb, dict)):
-        return key
+        return with_rel(key, ja, jb)
+    changed = sorted(k for k in ja.keys() & jb.keys() if ja[k] != jb[k])
     parts = [f"{label} {sorted(keys)}" for label, keys in (
         ("added", jb.keys() - ja.keys()),
-        ("removed", ja.keys() - jb.keys()),
-        ("changed", {k for k in ja.keys() & jb.keys() if ja[k] != jb[k]}))
-        if keys]
+        ("removed", ja.keys() - jb.keys())) if keys]
+    if changed:
+        parts.append("changed [" + ", ".join(
+            with_rel(repr(k), ja[k], jb[k]) for k in changed) + "]")
     return f"{key} ({'; '.join(parts) or 'the same JSON'})"
 
 

@@ -50,6 +50,13 @@ def ridge_G(t):
         erf((a - 1.0) / 0.05) + erf(1.0 / 0.05)))
 
 
+def ridge_dg(t):
+    """ridge_g' in closed form, which the solver's Hessian reads."""
+    t = np.asarray(t, float)
+    s = (np.abs(t) - 1.0) / 0.05
+    return -np.sign(t) * (2.0 * 40.0 / 0.05) * s * np.exp(-s**2)
+
+
 def run_sweep(inst, interval, m, vbar_scale, n_starts, seed, path):
     """lambda_sweep across the interval itself, printed and written to
     path."""
@@ -87,7 +94,7 @@ def main():
 
     print("ridge fixture: g = 0.05 + 40 exp(-((|t|-1)/0.05)^2)")
     nl2 = builtin_nonlinearity("separable", grid, q, alpha=1.0,
-                               g=ridge_g, G=ridge_G, zeros=())
+                               g=ridge_g, G=ridge_G, dg=ridge_dg, zeros=())
     inst0 = ProblemInstance(grid, p, spec, nl2, 1.0)
     cert2 = certify(inst0, r=5.0, h=1.2)
     print(f"  certified interval: {cert2.lambda_interval}")

@@ -304,13 +304,14 @@ def build_potential(cfg: RunConfig, p: ex.ExponentField) -> pot.PotentialSpec:
 
 
 def tabulated_g(block: dict):
-    """(g, G, zeros, knots) of a table nonlinearity block: g(t)
+    """(g, G, dg, zeros, knots) of a table nonlinearity block: g(t)
     interpolates the (g_t, g_values) samples at |t| and keeps its end value
     past the last node; G is its exact antiderivative, piecewise quadratic
-    and odd in t; zeros holds the t where g changes sign (table nodes where
-    g = 0 and crossings inside a segment, both signs); knots = (g_t,
-    g_values, slope) with each segment's slope, 0 past the last node, which
-    Lip(g) and the H5 check read (see NonlinearitySpec)."""
+    and odd in t; dg is g', sign(t) times the slope of the segment that |t|
+    lies in (0 at t = 0); zeros holds the t where g changes sign (table
+    nodes where g = 0 and crossings inside a segment, both signs); knots =
+    (g_t, g_values, slope) with each segment's slope, 0 past the last node,
+    which dg, Lip(g) and the H5 check read (see NonlinearitySpec)."""
     tg = np.asarray(block["g_t"], float)
     gv = np.asarray(block["g_values"], float)
     if tg.size != gv.size or tg.size < 2:
@@ -327,17 +328,22 @@ def tabulated_g(block: dict):
         raise ConfigError("nonlinearity.g_t/g_values: a segment slope or "
                           "the cumulative G of the table is not finite")
 
+    def segment(t):
+        return np.searchsorted(tg, np.abs(t), side="right") - 1
+
     def G(t):
-        a = np.abs(t)
-        i = np.searchsorted(tg, a, side="right") - 1
-        d = a - tg[i]
+        i = segment(t)
+        d = np.abs(t) - tg[i]
         return np.sign(t) * (Gtab[i] + d * (gv[i] + 0.5 * slope[i] * d))
+
+    def dg(t):
+        return np.sign(t) * slope[segment(t)]
 
     cross = gv[:-1] * gv[1:] < 0.0
     z = np.concatenate([tg[gv == 0.0],
                         tg[:-1][cross] - gv[:-1][cross] / slope[:-1][cross]])
     g = lambda t: np.interp(np.abs(t), tg, gv)  # noqa: E731
-    return g, G, np.unique(np.concatenate([-z, z])), (tg, gv, slope)
+    return g, G, dg, np.unique(np.concatenate([-z, z])), (tg, gv, slope)
 
 
 def build_nonlinearity(cfg: RunConfig, grid: Grid,
@@ -349,16 +355,16 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
     xi = field_on_grid(b.get("xi"), grid, "nonlinearity.xi")
     alpha = field_on_grid(b.get("alpha", 1.0), grid, "nonlinearity.alpha")
     if b["kind"] == "table":
-        name, (g, G, zeros, knots) = "separable", tabulated_g(b)
+        name, (g, G, dg, zeros, knots) = "separable", tabulated_g(b)
         if xi is None:  # sup|g| of a piecewise-linear g with flat ends
             xi = np.max(np.abs(alpha)) * np.max(np.abs(knots[1]))
     else:
         name = b["kind"].split(":", 1)[1]
-        g = G = zeros = knots = None
+        g = G = dg = zeros = knots = None
     try:
         return pot.builtin_nonlinearity(
             name, grid, q, xi=xi, zeta=b.get("zeta", 1.0),
-            alpha=alpha, g=g, G=G, zeros=zeros, knots=knots)
+            alpha=alpha, g=g, G=G, dg=dg, zeros=zeros, knots=knots)
     except ValueError as exc:
         raise ConfigError(
             f"invalid nonlinearity block with nonlinearity.kind = "

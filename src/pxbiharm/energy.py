@@ -45,9 +45,11 @@ class PointTerms:
     """The terms of the total energy and of its gradient at nodal values
     (nodes on the leading axis; a nodes x starts array holds one point per
     column), each evaluated once, when first read: Lu, A(Lu) and F(u) for
-    the energy, Lu, a(Lu) and f(u) for the gradient.  Lu is L @ values
-    where the caller has it already.  `energy` and `residual` are the one
-    home of E_lambda's and its gradient's formulas."""
+    the energy, Lu, a(Lu) and f(u) for the gradient, and the slopes
+    a_t(Lu) and f_t(u) that the family and the load declare, for the
+    Hessian.  Lu is L @ values where the caller has it already.  `energy`
+    and `residual` are the one home of E_lambda's and its gradient's
+    formulas."""
 
     def __init__(self, inst: ProblemInstance, values: np.ndarray,
                  Lu: np.ndarray | None = None):
@@ -74,6 +76,14 @@ class PointTerms:
     @cached_property
     def f(self) -> np.ndarray:
         return self.inst.nonlinearity.f(self.values)
+
+    @cached_property
+    def a_t(self) -> np.ndarray:
+        return self.inst.potential.a_t(self.Lu)
+
+    @cached_property
+    def f_t(self) -> np.ndarray:
+        return self.inst.nonlinearity.f_t(self.values)
 
     @property
     def J(self) -> float:
@@ -123,19 +133,12 @@ def total_energy(inst: ProblemInstance, u: GridFunction) -> float:
     return PointTerms(inst, _navier(u, "total_energy").values).energy
 
 
-def residual_vector(inst: ProblemInstance, values: np.ndarray,
-                    Lu: np.ndarray | None = None) -> np.ndarray:
-    """`PointTerms.residual` at values (nodes on the leading axis); a nodes
-    x starts array is evaluated for every column at once.  Lu is L @ values
-    where the caller has it already."""
-    return PointTerms(inst, values, Lu).residual
-
-
 def weak_residual(inst: ProblemInstance, u: GridFunction) -> GridFunction:
     """Dual-weighted nodal residual: <g, v> = int a(x,Du) Dv - lambda int f v
     for every Navier test direction v."""
     _navier(u, "weak_residual")
-    return GridFunction(inst.grid, residual_vector(inst, u.values), bc="none")
+    return GridFunction(inst.grid, PointTerms(inst, u.values).residual,
+                        bc="none")
 
 
 def gradient_check(inst: ProblemInstance, u: GridFunction,
@@ -144,7 +147,7 @@ def gradient_check(inst: ProblemInstance, u: GridFunction,
     """Max relative error between <weak_residual, v> and central finite
     differences of the total energy over random Navier directions."""
     rng = np.random.default_rng(rng)
-    g = residual_vector(inst, u.values)
+    g = PointTerms(inst, u.values).residual
     interior = inst.grid.interior_mask
     scale = max(1.0, float(np.max(np.abs(u.values))))
     eps = eps_scale * scale

@@ -6,8 +6,9 @@ Built-in families:
   * perturbed_power:  a = theta(x) (1+t^2)^e t with e = (p-2)/2 ("standard")
                       or e = p/(p-2) ("paper_literal", singular at p = 2);
                       A = theta ((1+t^2)^{e+1} - 1) / (2(e+1)) in closed form.
-Each family builds its growth constant c2 in closed form as well; no
-growth constant is found by a numeric search.
+Each family declares its slope a_t = d/dt a and builds its growth constant
+c2 in closed form as well; no slope or growth constant is found by a
+numeric search.  Each load declares g' next to g and G.
 """
 
 from __future__ import annotations
@@ -31,15 +32,22 @@ __all__ = [
 
 #: slack of the H1 and H5 comparisons
 _TOL = 1e-9
+#: |t| below which the power family's slope theta (p-1) |t|^{p-2} is taken
+#: at |t| = SLOPE_FLOOR: it is singular at t = 0 for p < 2 and vanishes
+#: there for p > 2, and the floor keeps the Newton Hessian regular at
+#: Lu = 0 for every p
+SLOPE_FLOOR = 1e-6
 
 
 @dataclass
 class PotentialSpec:
     """A potential family with its antiderivative and growth data.
 
-    a_eval / A_eval take (theta_node, p_node, t) and are vectorized; the
-    nodewise wrappers `a` and `A` broadcast over the grid, with the nodes
-    on t's leading axis (one column per further index, as x[:, None]).
+    a_eval / a_t_eval / A_eval take (theta_node, p_node, t) and are
+    vectorized; the nodewise wrappers `a`, `a_t` (d/dt a, in closed form)
+    and `A` broadcast over the grid, with the nodes on t's leading axis
+    (one column per further index, as x[:, None]).  A hand-built spec
+    without a_t_eval cannot be solved: the Newton Hessian reads a_t.
     a_t_min holds inf_t d/dt a(x, t) per node in closed form, None where it
     is unknown; growth holds per node the exponent of |t| in the growth of
     |a| / |t|^{p-1} as |t| -> inf, so H2's constant c1 is infinite
@@ -56,6 +64,7 @@ class PotentialSpec:
     c2: float
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
+    a_t_eval: callable = field(repr=False, default=None)
     a_t_min: np.ndarray = field(repr=False, default=None)
     growth: np.ndarray = field(repr=False, default=None)
     witnesses: dict | None = field(repr=False, default=None)
@@ -66,6 +75,15 @@ class PotentialSpec:
         t = np.asarray(t, float)
         return self.a_eval(nodewise(self.theta, t),
                            nodewise(self.p.values, t), t)
+
+    def a_t(self, t) -> np.ndarray:
+        """d/dt a(x, t) at every node, as `a`."""
+        if self.a_t_eval is None:
+            raise ValueError(f"this {self.family!r} spec declares no a_t "
+                             f"(a_t_eval), so the slope of a is unknown")
+        t = np.asarray(t, float)
+        return self.a_t_eval(nodewise(self.theta, t),
+                             nodewise(self.p.values, t), t)
 
     def A(self, t) -> np.ndarray:
         t = np.asarray(t, float)
@@ -79,7 +97,8 @@ class NonlinearitySpec:
     antiderivative F(x, t) = alpha(x) G(t), and the growth data of the
     |f| <= xi(x) + zeta |t|^{q(x)-1} bound.  alpha has one value per node;
     `f` and `F` evaluate at every node, with the nodes on t's leading axis
-    (one column per further index), as PotentialSpec.a.  lip is
+    (one column per further index), as PotentialSpec.a, and so does
+    `f_t` = alpha g', where the load declares g' as `dg`.  lip is
     sup |g'|, None where it is unknown.  knots = (t, v, slope) is a function
     of |t|, linear between the knots 0 = t_0 < t_1 < ..., flat past the
     last (slope[j] on [t_j, t_j+1], 0 past the last), whose absolute value
@@ -91,6 +110,7 @@ class NonlinearitySpec:
     alpha: np.ndarray
     g: callable = field(repr=False)
     G: callable = field(repr=False)
+    dg: callable | None = field(repr=False, default=None)
     xi: np.ndarray = None
     zeta: float = 1.0
     q: ExponentField = None
@@ -105,6 +125,14 @@ class NonlinearitySpec:
     def F(self, t) -> np.ndarray:
         t = np.asarray(t, float)
         return nodewise(self.alpha, t) * self.G(t)
+
+    def f_t(self, t) -> np.ndarray:
+        """d/dt f(x, t) = alpha(x) g'(t)."""
+        if self.dg is None:
+            raise ValueError(f"the {self.name!r} load declares no g' (dg), "
+                             f"so the slope of f is unknown")
+        t = np.asarray(t, float)
+        return nodewise(self.alpha, t) * self.dg(t)
 
     def F_range(self, lo: float, hi: float):
         """Per-node (min, max) of F(x, .) over [lo, hi]: G is monotone
@@ -158,6 +186,13 @@ def _power_a(theta, p, t):
     return np.where(np.asarray(t) == 0.0, 0.0, out)
 
 
+def _power_a_t(theta, p, t):
+    # past the largest float it is inf, as a is
+    with np.errstate(over="ignore"):
+        return theta * (p - 1.0) * np.maximum(np.abs(t), SLOPE_FLOOR) \
+            ** (p - 2.0)
+
+
 def _power_A(theta, p, t):
     # an A past the largest float is inf, which the energy's callers test
     with np.errstate(over="ignore"):
@@ -170,7 +205,7 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
     theta = nodal_field(p.grid, theta)
     if np.any(theta <= 0):
         raise ValueError("theta must be strictly positive")
-    # d/dt a = theta (p-1) |t|^{p-2}: theta at p = 2, else its inf is 0, at
+    # a_t = theta (p-1) |t|^{p-2}: theta at p = 2, else its inf is 0, at
     # t = 0 for p > 2 and as |t| -> inf for p < 2
     a_t_min = np.where(p.values == 2.0, theta, 0.0)
     x, pv = p.grid.nodes, p.values
@@ -183,6 +218,7 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
         c2=min(1.0, float(theta.min())),
         a_eval=_power_a,
         A_eval=_power_A,
+        a_t_eval=_power_a_t,
         a_t_min=a_t_min,
         growth=np.zeros(p.grid.size),
         # |a| grows like the bound, and min(a t, p A) = theta |t|^p at every t
@@ -271,6 +307,13 @@ def make_perturbed_family(theta, p: ExponentField,
         e = _perturbed_exponent(pv, variant)
         return th * np.exp(e * np.log1p(t**2)) * t
 
+    def a_t_eval(th, pv, t):
+        # (1+t^2)^{e-1} through log1p, as in a_eval
+        e = _perturbed_exponent(pv, variant)
+        s = t**2
+        return th * np.exp((e - 1.0) * np.log1p(s)) \
+            * (1.0 + (2.0 * e + 1.0) * s)
+
     def A_eval(th, pv, t):
         # theta ((1+t^2)^{e+1} - 1) / (2(e+1)), in a form that keeps its
         # relative accuracy as t -> 0 (the plain form rounds to 0 at 1e-8)
@@ -299,6 +342,7 @@ def make_perturbed_family(theta, p: ExponentField,
         c2=float(c2_nodes[k]),
         a_eval=a_eval,
         A_eval=A_eval,
+        a_t_eval=a_t_eval,
         a_t_min=a_t_min,
         growth=growth,
         # H2 fails first at node i, where |a| grows like |t|^{2e+1} and the
@@ -384,27 +428,33 @@ def verify_hypotheses(spec: PotentialSpec,
 # ---------------------------------------------------------------------------
 # built-in nonlinearities
 
-#: (g, G, sup|g|, sup|g'|) of each built-in load with a fixed g; both have
-#: g > 0, peaking at t = 0.  |g'| = 2|t|/(1+t^2)^2 peaks at t = 1/sqrt(3),
-#: and e^{-|t|} <= 1
+#: (g, G, g', sup|g|, sup|g'|) of each built-in load with a fixed g; both
+#: have g > 0, peaking at t = 0.  |g'| = 2|t|/(1+t^2)^2 peaks at
+#: t = 1/sqrt(3), and e^{-|t|} <= 1
 _BUILTIN_G = {
     "rational_bump": (lambda t: 1.0 / (1.0 + t**2) + 1.0,
-                      lambda t: np.arctan(t) + t, 2.0, 3.0 * np.sqrt(3.0) / 8),
+                      lambda t: np.arctan(t) + t,
+                      # -2t/(1+t^2)^2, one factor at a time, so that it
+                      # overflows only where t^2 does
+                      lambda t: -2.0 * (t / (1.0 + t**2)) / (1.0 + t**2),
+                      2.0, 3.0 * np.sqrt(3.0) / 8),
     "exp_abs": (lambda t: np.exp(-np.abs(t)) + 1.0,
-                lambda t: np.sign(t) * (1.0 - np.exp(-np.abs(t))) + t, 2.0,
-                1.0),
+                lambda t: np.sign(t) * (1.0 - np.exp(-np.abs(t))) + t,
+                lambda t: -np.sign(t) * np.exp(-np.abs(t)), 2.0, 1.0),
 }
 
 
 def builtin_nonlinearity(name: str, grid, q: ExponentField,
                          xi=None, zeta: float = 1.0,
-                         alpha=None, g=None, G=None,
+                         alpha=None, g=None, G=None, dg=None,
                          zeros=None, knots=None) -> NonlinearitySpec:
     """Right-hand sides alpha(x) g(t); the fixed g all have g(0) != 0.
 
     Names: "const:<c>" (g = c), "rational_bump" (1/(1+t^2) + 1),
-    "exp_abs" (e^{-|t|} + 1), "separable" (the given g, G, and the t
-    where g changes sign as `zeros`, which `F_range` reads).  alpha is a
+    "exp_abs" (e^{-|t|} + 1), "separable" (the given g, G, its slope g'
+    as `dg`, which the solver reads, and the t where g changes sign as
+    `zeros`, which `F_range` reads).  A fixed g declares g' in closed
+    form (0 at the kink t = 0 of exp_abs).  alpha is a
     number or one value per node and defaults to 1; xi defaults to
     max|alpha| sup|g| for a fixed g and to None (H5 unverifiable).  A fixed
     g, whose |g| peaks at 0 and does not increase in |t|, carries the knots
@@ -421,9 +471,10 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
         if not np.isfinite(c):
             raise ValueError(f"const:<c> needs a finite c, got {name!r}")
         g, G = lambda t: np.full(np.shape(t), c), lambda t: c * t
+        dg = lambda t: np.zeros(np.shape(t))  # noqa: E731
         sup_g, lip = abs(c), 0.0
     elif name in _BUILTIN_G:
-        g, G, sup_g, lip = _BUILTIN_G[name]
+        g, G, dg, sup_g, lip = _BUILTIN_G[name]
     elif name != "separable":
         raise ValueError(f"unknown builtin nonlinearity {name!r}")
     if g is None or G is None:
@@ -436,7 +487,7 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
     elif knots is not None:
         lip = float(np.max(np.abs(knots[2])))
     return NonlinearitySpec(
-        name=name, alpha=alpha, g=g, G=G,
+        name=name, alpha=alpha, g=g, G=G, dg=dg,
         xi=None if xi is None else nodal_field(grid, xi), zeta=zeta, q=q,
         zeros=None if zeros is None else np.asarray(zeros, float), lip=lip,
         knots=knots)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .energy import PointTerms, ProblemInstance, residual_vector
+from .energy import PointTerms, ProblemInstance
 from .grids import GridFunction, first_mode, laplacian_floor
 
 __all__ = [
@@ -88,31 +88,12 @@ def _point(inst, z) -> PointTerms:
     return PointTerms(inst, vals)
 
 
-def _slope(fun, t):
-    """Elementwise central difference of an elementwise function.  The step
-    never falls below 1e-6, which keeps a_t finite (about 1e-6^{p-2}) at
-    t = 0 where p < 2 and a_t is singular.  Where fun overflows the slope
-    is nan or inf, which no threshold or step built on it accepts."""
-    d = 1e-6 * np.maximum(np.abs(t), 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (fun(t + d) - fun(t - d)) / (2.0 * d)
-
-
-def _linearise(inst, values, Lu=None):
-    """Lu, a_t(Lu) and f_t(u) at the nodal values (nodes on the leading
-    axis); Lu is L @ values where the caller has it already."""
-    if Lu is None:
-        Lu = inst.grid.laplacian_matrix() @ values
-    a_t = _slope(inst.potential.a, Lu)
-    f_t = _slope(inst.nonlinearity.f, values)
-    return Lu, a_t, f_t
-
-
 class _Hessian:
     """Interior block of the energy Hessian
     L^T W diag(a_t(Lu)) L - lambda W diag(f_t(u)) in LAPACK band storage
     (`grids.BandLayout`; the bandwidth k is 2 on intervals and balls,
-    2(n-2) on an n x n rectangle).  The pattern is fixed by the grid, so
+    2(n-2) on an n x n rectangle), with the closed-form slopes a_t and f_t
+    that `PointTerms` holds.  The pattern is fixed by the grid, so
     the band position of every product L[r,i] L[r,j] is laid out once per
     grid (`Grid.band_layout`); each Newton step only sums the products
     times (W a_t)[r] into the band, one band per start."""
@@ -123,21 +104,19 @@ class _Hessian:
         self.row, self.coef, self.k, self.diag, self.shape, self.pos = \
             inst.grid.band_layout
 
-    def bands(self, values: np.ndarray, Lu: np.ndarray | None = None,
-              convex: bool = False):
-        """The band at each column of values (nodes x starts), each built
-        only when the caller asks for it; with convex, the band of the
-        Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0).
-        Lu is L @ values where the caller has it already."""
+    def bands(self, pt: PointTerms, convex: bool = False):
+        """The band at each point of pt (one, or one per column of a nodes x
+        starts array), each built only when the caller asks for it; with
+        convex, the band of the Hessian's convex part
+        L^T W diag(a_t) L + lambda W max(-f_t, 0)."""
         inst = self.inst
         w = inst.grid.weights[:, None]
-        _, a_t, f_t = _linearise(inst, values, Lu)
+        a_t, f_t = (np.reshape(x, (len(w), -1)) for x in (pt.a_t, pt.f_t))
         if convex:
             f_t = np.minimum(f_t, 0.0)
         # one contiguous row per start, for the gather by self.row
         wa = np.ascontiguousarray((w * a_t).T)
         wf = np.ascontiguousarray((inst.lam * (w * f_t)[self.interior]).T)
-        del a_t, f_t
         for wa_b, wf_b in zip(wa, wf):
             yield self._band(wa_b, wf_b)
 
@@ -148,12 +127,12 @@ class _Hessian:
         band[self.diag] -= wf
         return band
 
-    def steps(self, values: np.ndarray, rhs: np.ndarray,
-              Lu: np.ndarray | None = None,
+    def steps(self, pt: PointTerms, rhs: np.ndarray,
               convex: bool = False) -> np.ndarray:
-        """Row b solves H(values[:, b]) x = rhs[b].  Each band is factored
-        before the next one is built, so one band is alive at a time."""
-        bands = self.bands(values, Lu, convex)
+        """Row b solves H x = rhs[b] at the b-th point of pt.  Each band is
+        factored before the next one is built, so one band is alive at a
+        time."""
+        bands = self.bands(pt, convex)
         x = np.empty(rhs.shape)
         for b in range(len(rhs)):
             x[b] = self.solve(next(bands), rhs[b])
@@ -174,17 +153,18 @@ def acceptance_threshold(pt: PointTerms, tol: float = DEFAULT_TOL) -> float:
     """max(tol, FLOOR_FACTOR * floor), where floor is the rounding error
     eps * |L|^T W (|a(Lu)| + |a_t(Lu)| |L||u|) + eps * lambda W |f(u)| of
     the residual's own terms at the point pt (sup over the interior).  It
-    reads the Lu, a(Lu) and f(u) that pt holds, or evaluates them there
-    once, with the grid's |L|; of the slopes it evaluates a_t only (two
-    evaluations of a), not f_t.  The floor grows like h^-3, so an absolute
-    tol alone is unreachable on fine grids; where the floor is below
-    tol/FLOOR_FACTOR the threshold is exactly tol."""
+    reads the Lu, a(Lu), a_t(Lu) and f(u) that pt holds, or evaluates them
+    there once, with the grid's |L|; it does not read f_t.  The floor grows
+    like h^-3, so an absolute tol alone is unreachable on fine grids; where
+    the floor is below tol/FLOOR_FACTOR the threshold is exactly tol.  Past
+    the largest float the products overflow to inf, without numpy's
+    warnings."""
     inst = pt.inst
     absL, w = inst.grid.abs_laplacian, inst.grid.weights
-    a_t = _slope(inst.potential.a, pt.Lu)
-    terms = absL.T @ (w * (np.abs(pt.a)
-                           + np.abs(a_t) * (absL @ np.abs(pt.values))))
-    terms += inst.lam * w * np.abs(pt.f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = absL.T @ (w * (np.abs(pt.a)
+                               + np.abs(pt.a_t) * (absL @ np.abs(pt.values))))
+        terms += inst.lam * w * np.abs(pt.f)
     floor = EPS * float(np.max(terms[inst.grid.interior_mask]))
     return max(tol, FLOOR_FACTOR * floor)
 
@@ -229,7 +209,6 @@ def _newton(inst, Z, tol, hessian: _Hessian, known=(), done=None):
     done(b, z) may return True: the columns after b are then not needed
     and stop with it.  Returns the last iterates, shaped as Z."""
     interior = inst.grid.interior_mask
-    L = inst.grid.laplacian_matrix()
     w = inst.grid.weights[interior]
     Z = np.array(Z.T)                      # one contiguous row per start
     pending = np.ones(len(Z), dtype=bool)
@@ -247,15 +226,15 @@ def _newton(inst, Z, tol, hessian: _Hessian, known=(), done=None):
             break
         V = np.zeros((inst.grid.size, len(cols)))
         V[interior] = Z[cols].T
-        Lu = L @ V
-        R = residual_vector(inst, V, Lu)[interior].T
+        pt = PointTerms(inst, V)
+        R = pt.residual[interior].T
         stop(cols[~np.all(np.isfinite(R), axis=1)
                   | (np.max(np.abs(R), axis=1) <= tol)])
         go = pending[cols]
         if not go.all():
-            V, Lu, R = V[:, go], Lu[:, go], R[go]
+            pt, R = PointTerms(inst, V[:, go], pt.Lu[:, go]), R[go]
         rows = cols[go]
-        steps = hessian.steps(V, -R, Lu)
+        steps = hessian.steps(pt, -R)
         for b, step in zip(rows, steps):
             step *= _deflation_scale(Z[b], step, w, known)
         new = Z[rows] + steps
@@ -297,10 +276,11 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     lowers the energy.
 
     Each point visited (the start and every trial) is one `PointTerms`, so
-    its energy terms Lu, A(Lu), F(u) and its residual terms a(Lu), f(u) are
-    evaluated at most once, and only when read: the energy floor and the
-    closing acceptance check read the terms the loop already holds, and
-    |L| is the grid's `abs_laplacian`."""
+    its energy terms Lu, A(Lu), F(u), its residual terms a(Lu), f(u) and
+    its slopes a_t(Lu), f_t(u) are evaluated at most once, and only when
+    read: the convex retry, the energy floor and the closing acceptance
+    check read the terms the loop already holds, and |L| is the grid's
+    `abs_laplacian`."""
     interior = inst.grid.interior_mask
     hessian = _Hessian(inst)
     z = u0.values[interior]
@@ -313,10 +293,9 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
             r = pt.residual[interior]
             if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
                 break
-            V, Lu = pt.values[:, None], pt.Lu[:, None]
-            step = hessian.steps(V, -r[None], Lu)[0]
+            step = hessian.steps(pt, -r[None])[0]
             if not np.dot(r, step) < 0.0:
-                step = hessian.steps(V, -r[None], Lu, convex=True)[0]
+                step = hessian.steps(pt, -r[None], convex=True)[0]
             if not np.all(np.isfinite(step)):
                 break
             # a decrease below the energy's rounding floor cannot be

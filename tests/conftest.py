@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from pxbiharm.energy import ProblemInstance
+from pxbiharm.energy import PointTerms, ProblemInstance
 from pxbiharm.exponents import constant_exponent
 from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
-from pxbiharm.solver import _linearise
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +56,14 @@ def spike_G(t, eps=0.05, M=40.0, sigma=0.05):
         erf((a - 1.0) / sigma) + erf(1.0 / sigma)))
 
 
+def spike_dg(t, eps=0.05, M=40.0, sigma=0.05):
+    """spike_g' in closed form: -sign(t) (2M/sigma) s e^{-s^2} with
+    s = (|t| - 1)/sigma."""
+    t = np.asarray(t, float)
+    s = (np.abs(t) - 1.0) / sigma
+    return -np.sign(t) * (2.0 * M / sigma) * s * np.exp(-s**2)
+
+
 def spike_lip(M=40.0, sigma=0.05):
     """sup |spike_g'| = (2M/sigma) max_s s e^{-s^2} = 2M / (sigma sqrt(2e)),
     at |t| = 1 +- sigma/sqrt(2)."""
@@ -68,18 +75,19 @@ def spike_instance(grid, lam=1.0):
     spec = make_power_family(1.0, p)
     q = constant_exponent(grid, 1.5)
     nl = builtin_nonlinearity("separable", grid, q, alpha=1.0,
-                              g=spike_g, G=spike_G, zeros=())
+                              g=spike_g, G=spike_G, dg=spike_dg, zeros=())
     return ProblemInstance(grid, p, spec, replace(nl, lip=spike_lip()), lam)
 
 
 def dense_hessian(inst, values):
     """Dense interior energy Hessian
     L_i^T diag(w a_t) L_i - lambda diag(w f_t), L_i the interior columns of
-    the sparse Laplacian, with the solver's difference slopes a_t(Lu) and
-    f_t(u)."""
+    the sparse Laplacian, with the closed-form slopes a_t(Lu) and f_t(u)
+    that `PointTerms` holds."""
     interior = inst.grid.interior_mask
     w = inst.grid.weights
-    _, a_t, f_t = _linearise(inst, values)
+    pt = PointTerms(inst, values)
+    a_t, f_t = pt.a_t, pt.f_t
     Li = inst.grid.laplacian_matrix()[:, interior]
     H = (Li.T @ Li.multiply((w * a_t)[:, None])).toarray()
     return H - inst.lam * np.diag((w * f_t)[interior])

@@ -105,10 +105,10 @@ def sup_F_nodes_by_t(nl, bound, n_t=1001):
 
 
 def separable_table(grid, table, alpha=1.0):
-    g, G, zeros, knots = tabulated_g(table)
+    g, G, dg, zeros, knots = tabulated_g(table)
     return builtin_nonlinearity("separable", grid,
                                 constant_exponent(grid, 1.5), alpha=alpha,
-                                g=g, G=G, zeros=zeros, knots=knots)
+                                g=g, G=G, dg=dg, zeros=zeros, knots=knots)
 
 
 @pytest.mark.parametrize("bound", [0.2, 2.7, 40.0])
@@ -172,8 +172,8 @@ def test_certify_rejects_a_dip_of_F_between_samples():
 def test_table_G_is_the_exact_antiderivative_of_g():
     # the crossings of g are 1/3, 1.8 and 7/3; G(3) = -3/2 and g = -1
     # past 3
-    g, G, zeros, _ = tabulated_g({"g_t": [0.0, 1.0, 2.0, 3.0],
-                               "g_values": [1.0, -2.0, 0.5, -1.0]})
+    g, G, _, zeros, _ = tabulated_g({"g_t": [0.0, 1.0, 2.0, 3.0],
+                                     "g_values": [1.0, -2.0, 0.5, -1.0]})
     assert G(1.8) == pytest.approx(-1.3, abs=1e-14)
     t = np.array([3.0, 3.5, 7.0, 100.0])
     assert G(t) == pytest.approx(-1.5 - (t - 3.0), abs=1e-12)

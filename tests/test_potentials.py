@@ -17,6 +17,7 @@ from pxbiharm.exponents import (
 )
 from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import (
+    SLOPE_FLOOR,
     PotentialSpec,
     _h5_excess,
     _witness,
@@ -26,7 +27,7 @@ from pxbiharm.potentials import (
     verify_hypotheses,
 )
 
-from conftest import spike_g, spike_lip
+from conftest import spike_dg, spike_g, spike_lip
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,9 @@ def test_a_hand_built_spec_leaves_H2_to_H4_unverifiable(grid):
                              "H3": "unverifiable", "H4": "unverifiable",
                              "H5": "unverifiable"}
     assert report.witnesses == {}
+    # nor does it declare the slope the solver reads
+    with pytest.raises(ValueError, match="'power' spec declares no a_t"):
+        spec.a_t(np.zeros(grid.size))
 
 
 H3_FAMILIES = {
@@ -333,6 +337,114 @@ def test_a_t_min_is_the_inf_of_the_sampled_slope(case):
                 "paper_literal": p.values > 2.0}[family]
     assert np.array_equal(spec.a_t_min > 0.0, positive)
     assert np.all(spec.a_t_min[~positive] <= 0.0)
+
+
+def assert_secants_between_slopes(fun, slope, t):
+    """Each secant slope of fun between neighbours of t (along its last
+    axis) lies between the declared slopes at its two ends, within the
+    secant's rounding bound and 1e-12 of the larger end.  By the mean value
+    theorem it is the slope somewhere between them, so this holds exactly
+    where the slope is monotone between neighbours, as it is on every t
+    below."""
+    secant, err = secant_slopes(fun, t)
+    d = slope(t)
+    lo = np.minimum(d[..., 1:], d[..., :-1])
+    hi = np.maximum(d[..., 1:], d[..., :-1])
+    tol = err + 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
+    assert np.all(secant >= lo - tol)
+    assert np.all(secant <= hi + tol)
+
+
+def on_nodes(fun, grid):
+    """fun of the nodewise API applied at every node to the same t."""
+    return lambda t: fun(np.broadcast_to(t, (grid.size,) + np.shape(t)))
+
+
+# t > 0 from above the floor out to 1e3, a ratio of 1.0033 apart
+SLOPE_T = np.geomspace(2.0 * SLOPE_FLOOR, 1e3, 6001)
+ROOT = 3.0 + np.sqrt(5.0)      # where paper_literal's growth exponent is 0
+
+
+# paper_literal is singular at p = 2
+@pytest.mark.parametrize("family, pv", [
+    (family, pv) for family in ("power", "standard", "paper_literal")
+    for pv in (1.5, 2.0, 2.5, 3.0, ROOT - 1e-9, ROOT + 1e-9)
+    if (family, pv) != ("paper_literal", 2.0)])
+def test_a_t_is_the_slope_of_a(family, pv):
+    """The declared a_t brackets every secant slope of a on a log grid of
+    each sign (and, for the perturbed families, through 0 and the dip of
+    a_t where e < -1/2); below SLOPE_FLOOR it is a_t at the floor."""
+    grid = build_grid(Domain("interval"), 5)
+    p = constant_exponent(grid, pv)
+    theta = 0.5 + grid.nodes
+    spec = (make_power_family(theta, p) if family == "power"
+            else make_perturbed_family(theta, p, family))
+    a, a_t = on_nodes(spec.a, grid), on_nodes(spec.a_t, grid)
+    if family == "power":         # |t|^{p-2} is singular or kinked at 0
+        for t in (SLOPE_T, -SLOPE_T[::-1]):
+            assert_secants_between_slopes(a, a_t, t)
+        tiny = np.array([0.0, 1e-300, 1e-9, SLOPE_FLOOR / 2, SLOPE_FLOOR])
+        floor = a_t(np.full(1, SLOPE_FLOOR))
+        assert np.array_equal(a_t(np.concatenate([tiny, -tiny])),
+                              np.repeat(floor, 2 * tiny.size, axis=1))
+        return
+    e = pv / (pv - 2.0) if family == "paper_literal" else (pv - 2.0) / 2.0
+    t = np.concatenate([[0.0], SLOPE_T,
+                        [np.sqrt(-3.0 / (2.0 * e + 1.0))] if e < -0.5 else []])
+    t = np.unique(np.concatenate([-t, t]))
+    assert_secants_between_slopes(a, a_t, t)
+
+
+def table_segments(block):
+    """Nine points inside each segment of a table and past its last node,
+    one row per segment: its g is linear along each row."""
+    tg = np.append(block["g_t"], block["g_t"][-1] + 1.0)
+    return np.array([np.linspace(lo, hi, 11)[1:-1]
+                     for lo, hi in zip(tg[:-1], tg[1:])])
+
+
+@pytest.mark.parametrize("name", ["const:2.5", "rational_bump", "exp_abs",
+                                  "table", "spike"])
+def test_f_t_is_the_slope_of_f(grid, name):
+    """The declared f_t = alpha g' brackets every secant slope of f, with
+    alpha of both signs: on a dense grid through 0 and the extrema of g'
+    for rational_bump, on each sign apart for exp_abs and the conftest
+    spike (kinked at 0), and inside each segment for a table."""
+    alpha = np.linspace(-1.5, 2.0, grid.size)
+    q = constant_exponent(grid, 1.5)
+    pos = np.geomspace(1e-9, 50.0, 4001)
+    if name == "table":
+        g, G, dg, zeros, knots = tabulated_g(H5_TABLES["sign_changes"])
+        nl = builtin_nonlinearity("separable", grid, q, alpha=alpha, g=g,
+                                  G=G, dg=dg, zeros=zeros, knots=knots)
+        rows = table_segments(H5_TABLES["sign_changes"])
+        ts = [rows, -rows[:, ::-1]]
+    elif name == "spike":
+        nl = builtin_nonlinearity("separable", grid, q, alpha=alpha,
+                                  g=spike_g, G=spike_g, dg=spike_dg)
+        peaks = 1.0 + np.array([-1.0, 1.0]) * 0.05 / np.sqrt(2.0)
+        t = np.unique(np.concatenate([pos, np.linspace(0.5, 1.5, 20001),
+                                      peaks]))
+        ts = [t, -t[::-1]]
+    else:
+        nl = builtin_nonlinearity(name, grid, q, alpha=alpha)
+        ts = [pos, -pos[::-1]]
+        if name == "rational_bump":
+            t = np.concatenate([np.linspace(0.0, 5.0, 5001), pos,
+                                [1.0 / np.sqrt(3.0)]])
+            ts = [np.unique(np.concatenate([-t, t]))]
+    for t in ts:
+        assert_secants_between_slopes(on_nodes(nl.f, grid),
+                                      on_nodes(nl.f_t, grid), t)
+    # every g is even, and its slope at 0 is 0
+    assert np.array_equal(nl.f_t(np.zeros(grid.size)), np.zeros(grid.size))
+
+
+def test_f_t_of_a_load_without_g_prime_names_the_load(grid):
+    nl = builtin_nonlinearity("separable", grid, constant_exponent(grid, 1.5),
+                              g=spike_g, G=spike_g, zeros=())
+    with pytest.raises(ValueError, match="'separable' load declares no g'"):
+        nl.f_t(np.zeros(grid.size))
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -758,7 +870,7 @@ def test_h5_excess_is_the_sup_over_t(grid, table, q):
     (and each segment's critical point for q > 2) is at least the excess
     at every t of a dense sample through the knots and past the last, at
     most 1e-6 above the sampled max, and attained at the reported t."""
-    g, G, zeros, knots = tabulated_g(H5_TABLES[table])
+    g, G, _, zeros, knots = tabulated_g(H5_TABLES[table])
     alpha = np.linspace(-2.0, 1.5, grid.size)
     zeta = 0.7
     nl = builtin_nonlinearity("separable", grid, constant_exponent(grid, q),

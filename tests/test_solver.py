@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from pxbiharm import grids, solver
 from pxbiharm.certificate import build_test_function, certify
 from pxbiharm.config import build_problem, load_config
-from pxbiharm.energy import PointTerms, ProblemInstance, residual_vector
+from pxbiharm.energy import PointTerms, ProblemInstance
 from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid, laplacian_floor
 from pxbiharm.potentials import (
@@ -34,6 +34,7 @@ from conftest import (
     dense_hessian,
     make_instance,
     spike_G,
+    spike_dg,
     spike_g,
     spike_instance,
 )
@@ -100,11 +101,25 @@ def test_minimize_newton_descent_is_cheap(monkeypatch):
     assert len(calls) <= 50
 
 
+def counted_steps(monkeypatch):
+    """A list that gains an entry at each `_Hessian.steps` call."""
+    steps = []
+    real_steps = solver._Hessian.steps
+
+    def counting_steps(self, *args, **kwargs):
+        steps.append(1)
+        return real_steps(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Hessian, "steps", counting_steps)
+    return steps
+
+
 def test_minimize_leaves_a_saddle_downhill(monkeypatch):
     """Started next to the ridge load's mountain-pass solution, along the
     Hessian's direction of negative curvature, the plain Newton step points
     back uphill to the saddle; the descent must take the convex-part step
-    and end below the saddle's energy."""
+    and end below the saddle's energy.  The convex step reads the slopes
+    that the Newton step at the same point read."""
     grid = build_grid(Domain("interval"), 201)
     inst = spike_instance(grid, lam=30.25)
     sols = deflate_and_search(inst, k_max=4, n_starts=3, seed=0,
@@ -117,10 +132,15 @@ def test_minimize_leaves_a_saddle_downhill(monkeypatch):
     vals = saddle.u.values.copy()
     vals[grid.interior_mask] += 1e-3 * eigvec[:, 0]
     calls = counted(monkeypatch, "residual")
+    slopes = {name: counted(monkeypatch, name) for name in ("a_t", "f_t")}
+    steps = counted_steps(monkeypatch)
     pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
     assert pt.converged
     assert pt.energy < saddle.energy - 1.0
     assert len(calls) <= 50
+    for points in slopes.values():
+        values = {q.values.tobytes() for q in points}
+        assert len(values) == len(points) < len(steps)
 
 
 def test_minimize_does_not_stall_at_the_rounding_floor():
@@ -142,26 +162,22 @@ def test_minimize_evaluates_each_trial_energy_once(monkeypatch):
     """On the beam, where Newton takes the full step every time, the
     descent visits the start and one point per step.  Each of their energy
     and residual terms is evaluated once, and the final point's are not
-    evaluated again by the closing acceptance check."""
+    evaluated again by the closing acceptance check, which reads a_t too.
+    f_t, which only the Hessian reads, is evaluated once at each point a
+    step leaves."""
     grid = build_grid(Domain("interval"), 101)
     inst = make_instance(grid)
     terms = {name: counted(monkeypatch, name) for name in
-             ("Lu", "A", "F", "a", "f", "energy", "residual")}
-    steps = []
-    real_steps = solver._Hessian.steps
-
-    def counting_steps(self, *args, **kwargs):
-        steps.append(1)
-        return real_steps(self, *args, **kwargs)
-
-    monkeypatch.setattr(solver._Hessian, "steps", counting_steps)
+             ("Lu", "A", "F", "a", "f", "energy", "residual", "a_t", "f_t")}
+    steps = counted_steps(monkeypatch)
     pt = minimize(inst, GridFunction.zeros(grid))
     assert pt.converged and len(steps) >= 1
     for name, points in terms.items():
         values = [q.values.tobytes() for q in points]
-        assert len(values) == len(steps) + 1, name
+        last = name != "f_t"
+        assert len(values) == len(steps) + last, name
         assert len(set(values)) == len(values), name
-        assert pt.u.values.tobytes() in values, name
+        assert (pt.u.values.tobytes() in values) == last, name
 
 
 def give_up_instance(monkeypatch):
@@ -242,7 +258,7 @@ def test_band_hessian_matches_dense_reference(domain, n, k):
     vals = rng.standard_normal(grid.size)
     vals[grid.boundary_mask] = 0.0
     hessian = solver._Hessian(inst)
-    band, = hessian.bands(vals[:, None])
+    band, = hessian.bands(PointTerms(inst, vals[:, None]))
     m = grid.interior_mask.sum()
     assert hessian.k == k and band.shape == (3 * k + 1, m)
     ref = dense_hessian(inst, vals)
@@ -256,10 +272,10 @@ def test_band_hessian_matches_dense_reference(domain, n, k):
     x = hessian.solve(band, rhs.copy())
     assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
     # the convex part of minimize's saddle step: a diagonal shift
-    f_t = solver._linearise(inst, vals)[2][grid.interior_mask]
+    f_t = PointTerms(inst, vals).f_t[grid.interior_mask]
     shift = inst.lam * grid.weights[grid.interior_mask] * np.maximum(f_t, 0)
     assert np.any(shift > 0)
-    band, = hessian.bands(vals[:, None], convex=True)
+    band, = hessian.bands(PointTerms(inst, vals[:, None]), convex=True)
     got, _ = band_to_dense(band, k)
     ref += np.diag(shift)
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
@@ -272,8 +288,8 @@ class ZeroHessian(solver._Hessian):
     """A Hessian whose band is all zero: its LU factor is exactly
     singular."""
 
-    def bands(self, values, Lu=None, convex=False):
-        for _ in range(values.shape[1]):
+    def bands(self, pt, convex=False):
+        for _ in range(pt.values.size // self.inst.grid.size):
             yield np.zeros(self.shape, order="F")
 
 
@@ -282,7 +298,7 @@ def test_singular_band_stops_newton(monkeypatch):
     inst = make_instance(grid)
     hessian = ZeroHessian(inst)
     rhs = np.ones(grid.interior_mask.sum())
-    band, = hessian.bands(np.zeros((grid.size, 1)))
+    band, = hessian.bands(PointTerms(inst, np.zeros((grid.size, 1))))
     assert not np.any(np.isfinite(hessian.solve(band, rhs)))
     z0 = np.full(len(rhs), 0.1)
     z = solver._newton(inst, z0[:, None], 1e-8, hessian)
@@ -302,6 +318,17 @@ def test_solution_set_distinctness():
     assert not s.is_distinct(s.points[0].u.values, 1e-3)
     far = s.points[0].u.values + 1.0
     assert s.is_distinct(far, 1e-3)
+
+
+def test_solving_a_separable_load_without_g_prime_raises():
+    """The Newton Hessian reads f_t = alpha g': a Python separable load
+    that does not pass dg cannot be solved, and the error names it."""
+    grid = build_grid(Domain("interval"), 21)
+    nl = builtin_nonlinearity("separable", grid, constant_exponent(grid, 1.5),
+                              g=spike_g, G=spike_G, zeros=())
+    inst = replace(spike_instance(grid, lam=30.0), nonlinearity=nl)
+    with pytest.raises(ValueError, match="'separable' load declares no g'"):
+        deflate_and_search(inst, k_max=2, n_starts=0)
 
 
 def test_spike_antiderivative_matches_quadrature():
@@ -525,7 +552,8 @@ def spy_newton(monkeypatch):
     (criterion_08_first_lambda, 3, False),
     (lambda: spike_fixture(5), 3, False),
     (rect_solve_problem, 1, False),
-    (rect_spike_problem, 2, False),
+    # k_max = 3 is reached at start 2 (+vbar) of a batch of starts 1-5
+    (rect_spike_problem, 3, True),
     # the third point is start 4 of a batch of starts 2-9: k_max is
     # reached with five starts of that batch left
     (lambda: spike_fixture(3), 3, True),
@@ -628,7 +656,8 @@ def batch_instance(domain, n):
     p = affine_exponent(grid, 2.5, 0.5)
     spec = make_perturbed_family(1.0 + 0.5 * x, p)
     nl = builtin_nonlinearity("separable", grid, constant_exponent(grid, 1.5),
-                              alpha=1.0 + x, g=spike_g, G=spike_G)
+                              alpha=1.0 + x, g=spike_g, G=spike_G,
+                              dg=spike_dg)
     return ProblemInstance(grid, p, spec, nl, 2.0)
 
 
@@ -643,15 +672,15 @@ def test_batched_kernels_equal_column_by_column(domain, n):
     rng = np.random.default_rng(n)
     V = 1.5 * rng.standard_normal((grid.size, 3))
     V[grid.boundary_mask] = 0.0
-    R = residual_vector(inst, V)
+    R = PointTerms(inst, V).residual
     hessian = solver._Hessian(inst)
     rhs = rng.standard_normal((3, grid.interior_mask.sum()))
     for convex in (False, True):
-        bands = list(hessian.bands(V, convex=convex))
-        steps = hessian.steps(V, rhs.copy(), convex=convex)
+        bands = list(hessian.bands(PointTerms(inst, V), convex=convex))
+        steps = hessian.steps(PointTerms(inst, V), rhs.copy(), convex=convex)
         for b in range(3):
-            col = V[:, [b]]
-            assert np.array_equal(R[:, b], residual_vector(inst, V[:, b]))
+            col = PointTerms(inst, V[:, [b]])
+            assert np.array_equal(R[:, b], PointTerms(inst, V[:, b]).residual)
             band, = hessian.bands(col, convex=convex)
             assert np.array_equal(bands[b], band)
             x = hessian.solve(band, rhs[b].copy())
