@@ -6,8 +6,9 @@ command whose stdout, stderr, exit code or written files differ.
 
 A and B are repository roots, each with its own src/pxbiharm.  The inputs
 are this repository's configs/*.json, the rect_certify and rect_solve
-configs of bench/workloads.py, rect_certify on the 33 x 33 grid, and three
-variants of configs/*.json with a perturbed_power potential, so both trees
+configs of bench/workloads.py, rect_certify on the 33 x 33 grid, three
+variants of configs/*.json with a perturbed_power potential and the
+spike_ridge config on a disk (ball_radial, N = 2, 33 nodes), so both trees
 run the same configs.  Each command runs as `python -m pxbiharm.cli` in a
 fresh temporary directory, with that tree's src on PYTHONPATH and one BLAS
 thread.  Where an output that differs is a JSON object on both sides (a
@@ -52,6 +53,12 @@ def configs() -> dict:
             docs["beam"], exponent={"kind": "constant", "value": 3.0},
             potential={"family": "perturbed_power",
                        "variant": "paper_literal", "theta": theta})
+    # the ball's dense Green's inverse, first_mode's eigensolve and
+    # laplacian_floor's bisection; its certify converges, so it builds the
+    # 65-node grid's c0
+    docs["ball_ridge"] = dict(
+        docs["spike_ridge"], grid_n=33,
+        domain={"kind": "ball_radial", "N": 2, "R": 1.0})
     bump = next(name for name in docs if name.startswith("bump"))
     docs[f"{bump}_perturbed"] = dict(
         docs[bump], exponent={"kind": "constant", "value": 2.5},

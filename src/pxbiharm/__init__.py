@@ -5,27 +5,18 @@ driven by Leray-Lions type operators."""
 from .certificate import (
     Certificate,
     alpha_r,
-    build_test_function,
     certify,
     compute_L,
     estimate_c0,
     gamma_r,
     inradius,
 )
-from .energy import (
-    ProblemInstance,
-    energy_J,
-    gradient_check,
-    load_Phi,
-    total_energy,
-    weak_residual,
-)
+from .energy import PointTerms, ProblemInstance, gradient_check, weak_residual
 from .exponents import (
     ExponentField,
     affine_exponent,
     conjugate,
     constant_exponent,
-    tabulated_exponent,
     validate_exponent,
 )
 from .grids import Domain, Grid, GridFunction, build_grid, integrate, laplacian
@@ -51,7 +42,6 @@ from .spaces import (
     laplacian_norm,
     luxemburg_norm,
     modular,
-    sup_norm,
 )
 
 __version__ = "0.1.0"

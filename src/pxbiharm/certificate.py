@@ -29,17 +29,16 @@ import numpy as np
 
 from .energy import PointTerms, ProblemInstance
 from .exponents import ExponentField, conjugate
-from .grids import (Domain, Grid, GridFunction, first_mode, integrate,
-                    sine_eigenvalues, unit_ball_volume)
+from .grids import (Domain, Grid, first_mode, integrate, sine_eigenvalues,
+                    unit_ball_volume)
 from .solver import uniqueness_threshold
-from .spaces import _luxemburg_of_values, _modular_values
+from .spaces import luxemburg_norm, modular
 
 __all__ = [
     "Certificate",
     "inradius",
     "compute_L",
     "gamma_r",
-    "build_test_function",
     "alpha_r",
     "certify",
     "estimate_c0",
@@ -112,13 +111,6 @@ def gamma_r(p: ExponentField, r: float) -> float:
     """gamma_r = max{(p^+ r)^{1/p^+}, (p^+ r)^{1/p^-}}."""
     base = p.p_plus * r
     return max(base ** (1.0 / p.p_plus), base ** (1.0 / p.p_minus))
-
-
-def build_test_function(h: float, grid: Grid) -> GridFunction:
-    """vbar = h phi_1, with phi_1 the first eigenvector of -L on the
-    interior scaled to sup 1 (`grids.first_mode`): the certificate's test
-    function and the solver's structured start."""
-    return GridFunction(grid, h * first_mode(grid), bc="navier")
 
 
 def _test_function_bounds(inst: ProblemInstance, heights):
@@ -207,9 +199,9 @@ def estimate_c0(grid: Grid, p: ExponentField) -> float:
         todo = todo[_GREEN_BLOCK:]
         if best > 0.0:
             with np.errstate(over="ignore"):
-                block = block[_modular_values(block / best, grid, pc) > 1.0]
+                block = block[modular(block / best, pc) > 1.0]
         if len(block):
-            norm = float(np.max(_luxemburg_of_values(block, grid, pc).value))
+            norm = float(np.max(luxemburg_norm(block, pc).value))
             if norm > best:
                 best = norm
                 bound = _modular_bound(moments[:, todo], best, pc)
@@ -314,7 +306,7 @@ def certify(inst: ProblemInstance, r: float, h: float | None = None,
     above-uniqueness checks, and the admissible lambda-interval when all
     hold: above_uniqueness holds where lambda_u is unknown or the
     interval's lower end 1 / beta_h is at least lambda_u.  The test function
-    is vbar = h phi_1 (`build_test_function`); with h=None its height is
+    is vbar = h phi_1 (`grids.first_mode`); with h=None its height is
     chosen by `_scan_h`.  J(vbar) and Phi(vbar) are the grid's own
     (`_test_function_bounds`): the r-bound reads r < J(vbar) rounded down,
     and beta_h = Phi(vbar) / J(vbar), rounded down, is the reciprocal of

@@ -58,7 +58,7 @@ def _load(args) -> cfgmod.RunConfig:
 
 def cmd_check_spaces(args) -> int:
     cfg = _load(args)
-    inst = cfgmod.build_problem(cfg, lam=1.0, verify=False)
+    inst = cfgmod.build_problem(cfg, verify=False)
     grid, p = inst.grid, inst.p
     rng = np.random.default_rng(cfg.solver.seed)
     checks = {}
@@ -107,14 +107,12 @@ def cmd_check_spaces(args) -> int:
     # homogeneity and triangle inequality of the Luxemburg norm
     ok = True
     for _ in range(20):
-        u, v = rand_u("none"), rand_u("none")
+        u, v = rand_u("none").values, rand_u("none").values
         c = float(rng.standard_normal())
         nu = spaces.luxemburg_norm(u, p).value
-        ok &= abs(spaces.luxemburg_norm(
-            GridFunction(grid, c * u.values), p).value - abs(c) * nu) < 1e-8
+        ok &= abs(spaces.luxemburg_norm(c * u, p).value - abs(c) * nu) < 1e-8
         nv = spaces.luxemburg_norm(v, p).value
-        nsum = spaces.luxemburg_norm(
-            GridFunction(grid, u.values + v.values), p).value
+        nsum = spaces.luxemburg_norm(u + v, p).value
         ok &= nsum <= nu + nv + 1e-8
     checks["norm_axioms"] = bool(ok)
 
@@ -132,7 +130,7 @@ def cmd_check_spaces(args) -> int:
 
 def cmd_hypotheses(args) -> int:
     cfg = _load(args)
-    inst = cfgmod.build_problem(cfg, lam=1.0, verify=False)
+    inst = cfgmod.build_problem(cfg, verify=False)
     report = pot.verify_hypotheses(inst.potential, inst.nonlinearity)
     payload = {
         "status": report.status,
@@ -161,7 +159,7 @@ def _certify_from_config(cfg: cfgmod.RunConfig, inst: ProblemInstance):
 
 def cmd_certify(args) -> int:
     cfg = _load(args)
-    inst = cfgmod.build_problem(cfg, lam=1.0, verify=True)
+    inst = cfgmod.build_problem(cfg, verify=True)
     certificate = _certify_from_config(cfg, inst)
     _emit(dataclasses.asdict(certificate), args.out)
     return EXIT_OK if certificate.feasible else EXIT_INFEASIBLE
@@ -228,7 +226,7 @@ def write_sweep_csv(path: str, rows):
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    inst = cfgmod.build_problem(cfg, lam=1.0, verify=True)
+    inst = cfgmod.build_problem(cfg, verify=True)
     certificate = _certify_from_config(cfg, inst)
     if not certificate.feasible:
         _info("certificate interval is empty; nothing to sweep")

@@ -258,7 +258,7 @@ def build_exponent(cfg: RunConfig, grid: Grid) -> ex.ExponentField:
         coords = grid.x1
         span = coords.max() - coords.min()
         rel = (coords - coords.min()) / (span if span else 1.0)
-        return ex.tabulated_exponent(grid, np.interp(rel, xs, e["values"]))
+        return ex.validate_exponent(np.interp(rel, xs, e["values"]), grid)
     except ValueError as exc:
         raise ConfigError(f"invalid exponent block: {exc}") from exc
 
@@ -371,21 +371,21 @@ def build_nonlinearity(cfg: RunConfig, grid: Grid,
             f"{json.dumps(b['kind'])}: {exc}") from exc
 
 
-def build_problem(cfg: RunConfig, lam: float | None = None,
-                  verify: bool = True):
-    """Grid, exponent, potential, nonlinearity and a ProblemInstance.  With
-    verify, a config whose hypotheses do not all pass is refused."""
+def build_problem(cfg: RunConfig, verify: bool = True):
+    """Grid, exponent, potential, nonlinearity and a ProblemInstance at the
+    config's lambda, 1.0 where it has none.  With verify, a config whose
+    hypotheses do not all pass is refused."""
     from .energy import ProblemInstance
 
     grid = build_grid(Domain(**cfg.domain), cfg.grid_n)
     p = build_exponent(cfg, grid)
     spec = build_potential(cfg, p)
     nl = build_nonlinearity(cfg, grid, p)
-    lam = lam if lam is not None else (cfg.lam if cfg.lam is not None else 1.0)
     if verify:
         status = pot.verify_hypotheses(spec, nl).status
         failed = [f"{k} ({v})" for k, v in status.items() if v != "pass"]
         if failed:
             raise ConfigError(f"hypotheses do not hold: {', '.join(failed)}; "
                               f"run the hypotheses subcommand for witnesses")
-    return ProblemInstance(grid, p, spec, nl, lam)
+    return ProblemInstance(grid, p, spec, nl,
+                           cfg.lam if cfg.lam is not None else 1.0)

@@ -20,9 +20,6 @@ from .potentials import NonlinearitySpec, PotentialSpec
 __all__ = [
     "ProblemInstance",
     "PointTerms",
-    "energy_J",
-    "load_Phi",
-    "total_energy",
     "weak_residual",
     "gradient_check",
 ]
@@ -112,31 +109,11 @@ class PointTerms:
         return g
 
 
-def _navier(u: GridFunction, what: str) -> GridFunction:
-    if u.bc != "navier":
-        raise ValueError(f"{what} expects Navier boundary conditions")
-    return u
-
-
-def energy_J(inst: ProblemInstance, u: GridFunction) -> float:
-    """J(u) = int A(x, Delta u) dx."""
-    return PointTerms(inst, _navier(u, "energy_J").values).J
-
-
-def load_Phi(inst: ProblemInstance, u: GridFunction) -> float:
-    """Phi(u) = int F(x, u) dx."""
-    return PointTerms(inst, u.values).Phi
-
-
-def total_energy(inst: ProblemInstance, u: GridFunction) -> float:
-    """E_lambda(u) = J(u) - lambda * Phi(u)."""
-    return PointTerms(inst, _navier(u, "total_energy").values).energy
-
-
 def weak_residual(inst: ProblemInstance, u: GridFunction) -> GridFunction:
     """Dual-weighted nodal residual: <g, v> = int a(x,Du) Dv - lambda int f v
     for every Navier test direction v."""
-    _navier(u, "weak_residual")
+    if u.bc != "navier":
+        raise ValueError("weak_residual expects Navier boundary conditions")
     return GridFunction(inst.grid, PointTerms(inst, u.values).residual,
                         bc="none")
 
@@ -159,7 +136,8 @@ def gradient_check(inst: ProblemInstance, u: GridFunction,
         analytic = float(np.dot(g, v))
         up = GridFunction(inst.grid, u.values + eps * v, bc="navier")
         dn = GridFunction(inst.grid, u.values - eps * v, bc="navier")
-        fd = (total_energy(inst, up) - total_energy(inst, dn)) / (2 * eps)
+        fd = (PointTerms(inst, up.values).energy
+              - PointTerms(inst, dn.values).energy) / (2 * eps)
         denom = max(abs(analytic), abs(fd), 1e-14)
         worst = max(worst, abs(analytic - fd) / denom)
     return worst

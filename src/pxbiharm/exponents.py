@@ -1,5 +1,4 @@
-"""Variable exponents p(.) sampled on a grid, with conjugate and critical
-exponents.
+"""Variable exponents p(.) sampled on a grid, and their conjugates.
 
 An admissible exponent is continuous with values strictly above 1; here it
 is represented by its nodal samples, and p_minus / p_plus are the extrema
@@ -18,7 +17,6 @@ __all__ = [
     "ExponentField",
     "constant_exponent",
     "affine_exponent",
-    "tabulated_exponent",
     "validate_exponent",
     "conjugate",
 ]
@@ -30,10 +28,6 @@ class ExponentField:
     values: np.ndarray
     p_minus: float
     p_plus: float
-
-    @property
-    def is_constant(self) -> bool:
-        return self.p_minus == self.p_plus
 
     def certificate_eligible(self, N: int) -> bool:
         """Whether p_minus > N/2, the embedding condition the certificate needs."""
@@ -58,10 +52,6 @@ def constant_exponent(grid: Grid, c: float) -> ExponentField:
 def affine_exponent(grid: Grid, a: float, b: float) -> ExponentField:
     """p(x) = a + b*x1 (first coordinate; radius for ball_radial)."""
     return validate_exponent(a + b * grid.x1, grid)
-
-
-def tabulated_exponent(grid: Grid, values) -> ExponentField:
-    return validate_exponent(values, grid)
 
 
 def conjugate(p: ExponentField) -> ExponentField:

@@ -404,10 +404,6 @@ class GridFunction:
                 raise ValueError("Navier bc requires zero boundary values")
             self.values[b] = 0.0  # snap roundoff-level boundary values
 
-    @classmethod
-    def zeros(cls, grid: Grid, bc: str = "navier") -> "GridFunction":
-        return cls(grid, np.zeros(grid.size), bc)
-
 
 def laplacian(grid: Grid, u: GridFunction) -> GridFunction:
     """Second-order discrete Laplacian; boundary values are forced to zero

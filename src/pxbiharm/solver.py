@@ -247,15 +247,11 @@ def _newton(inst, Z, tol, hessian: _Hessian, known=(), done=None):
     return Z.T
 
 
-def _critical_point(inst, z, tol, starts_used=1,
-                    pt: PointTerms | None = None) -> CriticalPoint:
-    """Clean (undeflated) residual check against the acceptance threshold,
-    from pt, the terms at z where the caller holds them.  A point whose
-    energy is not finite is never converged: its threshold grows with the
-    overflowing terms."""
-    if pt is None:
-        pt = _point(inst, z)
-    u = GridFunction(inst.grid, pt.values, bc="navier")
+def _critical_point(pt: PointTerms, tol, starts_used=1) -> CriticalPoint:
+    """Clean (undeflated) residual check of the point pt against the
+    acceptance threshold.  A point whose energy is not finite is never
+    converged: its threshold grows with the overflowing terms."""
+    u = GridFunction(pt.inst.grid, pt.values, bc="navier")
     rn = float(np.max(np.abs(pt.residual)))
     thr = acceptance_threshold(pt, tol)
     e = pt.energy
@@ -307,13 +303,13 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
                     trial.energy > pt.energy + ARMIJO * t * slope:
                 t *= 0.5
                 if t < EPS:
-                    return _critical_point(inst, z, tol, pt=pt)
+                    return _critical_point(pt, tol)
                 trial = _point(inst, z + t * step)
             z, pt = z + t * step, trial
             if t * np.max(np.abs(step)) <= STEP_TOL * max(
                     1.0, float(np.max(np.abs(z)))):
                 break
-        return _critical_point(inst, z, tol, pt=pt)
+        return _critical_point(pt, tol)
 
 
 def uniqueness_modulus(inst: ProblemInstance) -> float | None:
@@ -406,7 +402,7 @@ def _near_zero_start(grid):
 
 def _vbar_starts(grid, vbar_scale: float):
     """+/- the certificate's test function vbar = vbar_scale phi_1
-    (`certificate.build_test_function`)."""
+    (`grids.first_mode`)."""
     vb = vbar_scale * first_mode(grid)
     return [GridFunction(grid, vb, bc="navier"),
             GridFunction(grid, -vb, bc="navier")]
@@ -455,7 +451,8 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
         tried = {}               # batch column -> (point, accepted)
 
         def done(b, z):
-            pt = _critical_point(inst, z, tol, starts_used=first + b + 1)
+            pt = _critical_point(_point(inst, z), tol,
+                                 starts_used=first + b + 1)
             ok = pt.converged and found.is_distinct(pt.u.values, DISTINCTNESS)
             tried[b] = pt, ok
             return ok            # the later starts must run again

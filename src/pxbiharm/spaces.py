@@ -1,9 +1,10 @@
-"""Modular, Luxemburg norm, sup norm and the Holder inequality on grid
-functions.
+"""Modular, Luxemburg norm and the Holder inequality on nodal values.
 
 The working norm on the fourth-order space is the Luxemburg norm of the
 discrete Laplacian (`laplacian_norm`): ||u|| = inf{ mu > 0 :
-int |Delta u / mu|^{p(x)} dx <= 1 }.
+int |Delta u / mu|^{p(x)} dx <= 1 }.  `modular` and `luxemburg_norm` take
+nodal values, one row of p.grid.size values or a batch of rows, on the
+grid of the exponent p.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ExponentField, conjugate
-from .grids import Grid, GridFunction, integrate, laplacian
+from .grids import GridFunction, integrate, laplacian
 
 __all__ = [
     "NormResult",
@@ -21,7 +22,6 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "laplacian_norm",
-    "sup_norm",
     "check_holder",
 ]
 
@@ -49,26 +49,30 @@ class HolderReport:
     holds: bool
 
 
-def _modular_values(vals: np.ndarray, grid: Grid, p: ExponentField):
-    """int |v|^{p(x)} dx for one row (a float) or each row of a batch.
-    A modular past the largest float is inf, which every caller's
-    comparison with 1 reads correctly."""
+def _nodal(values, p: ExponentField) -> np.ndarray:
+    """values as floats, ValueError unless the last axis has one value per
+    node of p's grid (a single value would broadcast)."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 0 or vals.shape[-1] != p.grid.size:
+        raise ValueError(f"values of shape {vals.shape} do not match the "
+                         f"exponent's grid of {p.grid.size} nodes")
+    return vals
+
+
+def modular(values, p: ExponentField):
+    """rho_{p(x)}(v) = int |v|^{p(x)} dx by quadrature, for one row (a
+    float) or each row of a batch.  A modular past the largest float is
+    inf, which every caller's comparison with 1 reads correctly."""
     with np.errstate(over="ignore"):
-        out = (np.abs(vals) ** p.values) @ grid.weights
+        out = (np.abs(_nodal(values, p)) ** p.values) @ p.grid.weights
     return float(out) if out.ndim == 0 else out
 
 
-def modular(u: GridFunction, p: ExponentField) -> float:
-    """rho_{p(x)}(u) = int |u|^{p(x)} dx by quadrature."""
-    if u.grid is not p.grid:
-        raise ValueError("grid mismatch between function and exponent")
-    return _modular_values(u.values, u.grid, p)
-
-
-def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
-                         p: ExponentField) -> NormResult:
-    """Solve modular(v/mu) = 1 for mu, for each row v of `vals` (a 1-D
-    input is one row), by a safeguarded Newton iteration on s = log mu.
+def luxemburg_norm(values, p: ExponentField) -> NormResult:
+    """|v|_{p(x)}: the Luxemburg norm of each row v of `values` (a 1-D
+    input is one row; ValueError on a non-finite value).  It solves
+    modular(v/mu) = 1 for mu by a safeguarded Newton iteration on
+    s = log mu.
 
     A row whose sup is below 1/2 is first multiplied by the power of two
     2^-k that puts its sup in [1/2, 1), which is exact, and its norm is
@@ -88,7 +92,9 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
     is widened until the modular is <= 1, so the returned norm is that
     end, never just an iterate.
     """
-    vals = np.abs(np.asarray(vals, dtype=float))
+    vals = np.abs(_nodal(values, p))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite nodal values")
     batch = vals.reshape(-1, vals.shape[-1])
     amax = batch.max(axis=1)
     k = np.minimum(np.frexp(amax)[1], 0)
@@ -99,7 +105,7 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
     rows = batch[live] / amax[live, None]
     pv, lo_p, hi_p = p.values, p.p_minus, p.p_plus
     with np.errstate(divide="ignore"):
-        a = np.log(grid.weights) + pv * np.log(rows)
+        a = np.log(p.grid.weights) + pv * np.log(rows)
 
     def f_and_slope(s, idx):
         z = a[idx] - pv * s[:, None]
@@ -140,7 +146,7 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
     widen = 4.0 * np.finfo(float).eps
     bad = np.flatnonzero(live)
     for _ in range(60):
-        m = _modular_values(batch[bad] / value[bad, None], grid, p)
+        m = modular(batch[bad] / value[bad, None], p)
         bad = bad[m > 1.0]
         if bad.size == 0:
             break
@@ -156,29 +162,24 @@ def _luxemburg_of_values(vals: np.ndarray, grid: Grid,
     return NormResult(value, int(steps.sum()))
 
 
-def luxemburg_norm(u: GridFunction, p: ExponentField) -> NormResult:
-    """|u|_{p(x)}: the Luxemburg norm of the nodal values."""
+def _laplacian_values(u: GridFunction, p: ExponentField) -> np.ndarray:
+    if u.bc != "navier":
+        raise ValueError("laplacian_norm and laplacian_modular require "
+                         "Navier boundary conditions")
     if u.grid is not p.grid:
         raise ValueError("grid mismatch between function and exponent")
-    return _luxemburg_of_values(u.values, u.grid, p)
+    return laplacian(u.grid, u).values
 
 
 def laplacian_norm(u: GridFunction, p: ExponentField) -> NormResult:
     """||u||: Luxemburg norm of the discrete Laplacian (requires Navier bc)."""
-    if u.bc != "navier":
-        raise ValueError("laplacian_norm requires Navier boundary conditions")
-    du = laplacian(u.grid, u)
-    return _luxemburg_of_values(du.values, u.grid, p)
+    return luxemburg_norm(_laplacian_values(u, p), p)
 
 
 def laplacian_modular(u: GridFunction, p: ExponentField) -> float:
-    """rho_{p(x)}(u) on the fourth-order space: int |Delta u|^{p(x)} dx."""
-    du = laplacian(u.grid, u)
-    return _modular_values(du.values, u.grid, p)
-
-
-def sup_norm(u: GridFunction) -> float:
-    return float(np.max(np.abs(u.values)))
+    """rho_{p(x)}(u) on the fourth-order space: int |Delta u|^{p(x)} dx
+    (requires Navier bc)."""
+    return modular(_laplacian_values(u, p), p)
 
 
 def check_holder(u: GridFunction, v: GridFunction, p: ExponentField,
@@ -189,5 +190,6 @@ def check_holder(u: GridFunction, v: GridFunction, p: ExponentField,
     pc = conjugate(p)
     lhs = abs(integrate(u.grid, u.values * v.values))
     rhs = (1.0 / p.p_minus + 1.0 / pc.p_minus) \
-        * luxemburg_norm(u, p).value * luxemburg_norm(v, pc).value
+        * luxemburg_norm(u.values, p).value \
+        * luxemburg_norm(v.values, pc).value
     return HolderReport(lhs, rhs, lhs <= rhs + tol)

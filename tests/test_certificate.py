@@ -17,7 +17,6 @@ from pxbiharm.certificate import (
     _modular_bound,
     H_GRID,
     alpha_r,
-    build_test_function,
     certify,
     compute_L,
     estimate_c0,
@@ -25,21 +24,16 @@ from pxbiharm.certificate import (
     inradius,
 )
 from pxbiharm.config import build_problem, load_config, tabulated_g
-from pxbiharm.energy import ProblemInstance, energy_J, load_Phi
+from pxbiharm.energy import PointTerms, ProblemInstance
 from pxbiharm.exponents import (
     affine_exponent,
     conjugate,
     constant_exponent,
-    tabulated_exponent,
+    validate_exponent,
 )
-from pxbiharm.grids import Domain, GridFunction, build_grid
+from pxbiharm.grids import Domain, GridFunction, build_grid, first_mode
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
-from pxbiharm.spaces import (
-    _luxemburg_of_values,
-    _modular_values,
-    laplacian_norm,
-    sup_norm,
-)
+from pxbiharm.spaces import laplacian_norm, luxemburg_norm, modular
 
 from conftest import make_instance, spike_G, spike_g, spike_instance
 
@@ -253,8 +247,8 @@ def test_c0_bounds_the_interval_witness(inner, outer):
     # and u = G(-f) has u_i = sum_j w_j k_j f_j.  The first two exceed the
     # continuum 1/4 (0.2573 and 0.3079 ||Lu||)
     grid = build_grid(Domain("interval"), 201)
-    p = tabulated_exponent(
-        grid, np.where(np.abs(grid.x1 - 0.5) < 0.1, inner, outer))
+    p = validate_exponent(
+        np.where(np.abs(grid.x1 - 0.5) < 0.1, inner, outer), grid)
     G, rows = dense_green_rows(grid)
     k = np.abs(rows[len(G) // 2])
     pv, w = p.values, grid.weights
@@ -269,7 +263,7 @@ def test_c0_bounds_the_interval_witness(inner, outer):
     vals[grid.interior_mask] = -G @ f[grid.interior_mask]
     u = GridFunction(grid, vals, bc="navier")
     c0 = estimate_c0(grid, p)
-    assert sup_norm(u) <= c0 * laplacian_norm(u, p).value
+    assert np.max(np.abs(u.values)) <= c0 * laplacian_norm(u, p).value
 
 
 def test_c0_ball_is_estimated(ball_grid):
@@ -317,8 +311,8 @@ def test_c0_at_p2_is_attained_by_the_extremal_field(domain, n):
     vals = np.zeros(grid.size)
     vals[grid.interior_mask] = G @ rows[i, grid.interior_mask]
     u = GridFunction(grid, vals, bc="navier")
-    assert sup_norm(u) / laplacian_norm(u, p).value == pytest.approx(
-        c0, rel=1e-10)
+    sup = np.max(np.abs(u.values))
+    assert sup / laplacian_norm(u, p).value == pytest.approx(c0, rel=1e-10)
 
 
 def test_c0_on_the_benchmark_rectangle():
@@ -333,7 +327,7 @@ def all_rows_c0(grid, p):
     """The Holder constant with every Green's row solved, no screening."""
     _, rows = dense_green_rows(grid)
     pc = conjugate(p)
-    best = np.max(_luxemburg_of_values(rows, grid, pc).value)
+    best = np.max(luxemburg_norm(rows, pc).value)
     return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best
 
 
@@ -346,7 +340,7 @@ def test_c0_screening_matches_solving_every_row(domain, n, kind):
         p = affine_exponent(grid, 1.6, 0.9)
     else:
         rng = np.random.default_rng(n)
-        p = tabulated_exponent(grid, rng.uniform(1.4, 3.5, grid.size))
+        p = validate_exponent(rng.uniform(1.4, 3.5, grid.size), grid)
     c0 = estimate_c0(grid, p)
     assert c0 == pytest.approx(all_rows_c0(grid, p), rel=1e-10)
 
@@ -365,7 +359,7 @@ def exponents_9(draw):
         return affine_exponent(SQUARE_9, a, b)
     vals = draw(arrays(np.float64, SQUARE_9.size,
                        elements=st.floats(1.2, 4.0)))
-    return tabulated_exponent(SQUARE_9, vals)
+    return validate_exponent(vals, SQUARE_9)
 
 
 @given(p=exponents_9(),
@@ -381,7 +375,8 @@ def test_no_navier_field_beats_c0(p, lap):
     vals[SQUARE_9.interior_mask] = _G9 @ lap
     u = GridFunction(SQUARE_9, vals, bc="navier")
     c0 = estimate_c0(SQUARE_9, p)
-    assert sup_norm(u) <= c0 * laplacian_norm(u, p).value * (1 + 1e-12)
+    assert np.max(np.abs(u.values)) \
+        <= c0 * laplacian_norm(u, p).value * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("domain, n", GREEN_GRIDS)
@@ -419,8 +414,8 @@ def grids_and_exponents(draw):
         x1 = grid.x1
         slope = (hi - lo) / (x1.max() - x1.min())
         return grid, affine_exponent(grid, lo - slope * x1.min(), slope)
-    return grid, tabulated_exponent(grid, draw(arrays(
-        np.float64, grid.size, elements=values)))
+    return grid, validate_exponent(draw(arrays(
+        np.float64, grid.size, elements=values)), grid)
 
 
 @given(case=grids_and_exponents(), log_s=st.floats(-2.5, 0.5))
@@ -435,7 +430,7 @@ def test_modular_bound_exceeds_every_row_modular(case, log_s):
     s = 10.0**log_s
     moments, _ = _green_rows(grid)
     _, rows = dense_green_rows(grid)
-    exact = _modular_values(rows / s, grid, pc)
+    exact = modular(rows / s, pc)
     assert np.all(_modular_bound(moments, s, pc) >= exact * (1 - 1e-12))
     # a NaN moment gives a NaN bound, which keeps its row
     bad = moments.copy()
@@ -454,10 +449,10 @@ def screened_c0(grid, p):
         block = rows(order[start:start + _GREEN_BLOCK])
         if best > 0.0:
             with np.errstate(over="ignore"):
-                block = block[_modular_values(block / best, grid, pc) > 1.0]
+                block = block[modular(block / best, pc) > 1.0]
         if len(block):
             best = max(best, float(np.max(
-                _luxemburg_of_values(block, grid, pc).value)))
+                luxemburg_norm(block, pc).value)))
     return (1.0 / p.p_minus + 1.0 / pc.p_minus) * best
 
 
@@ -473,7 +468,7 @@ def _identity_exponent(grid, kind):
         # first after the first block, with modular 1.01 at its best norm
         return affine_exponent(grid, 2.0, -0.1)
     rng = np.random.default_rng(grid.n)
-    return tabulated_exponent(grid, rng.uniform(1.6, 3.5, grid.size))
+    return validate_exponent(rng.uniform(1.6, 3.5, grid.size), grid)
 
 
 @pytest.mark.parametrize("kind", ["p2", "benchmark", "affine", "falling",
@@ -527,7 +522,7 @@ def test_c0_takes_the_mirror_only_when_it_holds(monkeypatch, node, mirrored):
     grid = build_grid(Domain("rectangle"), 17)
     vals = (2.0 + grid.x1 / 2).reshape(grid.shape)
     vals[node] += 1e-3
-    p = tabulated_exponent(grid, vals.ravel())
+    p = validate_exponent(vals.ravel(), grid)
     idx, c0 = _generated_rows(monkeypatch, grid, p)
     m = grid.n - 2
     assert np.all(2 * (idx % m) < m) == mirrored
@@ -670,8 +665,8 @@ def test_printed_interval_is_backed_by_its_test_function(inst, h):
     r = 5.0
     cert = certify(inst, r, h)
     assert cert.feasible
-    vbar = build_test_function(cert.h, inst.grid)
-    J, Phi = energy_J(inst, vbar), load_Phi(inst, vbar)
+    vbar = PointTerms(inst, cert.h * first_mode(inst.grid))
+    J, Phi = vbar.J, vbar.Phi
     assert r < J
     assert cert.lambda_interval[0] >= J / Phi
     assert cert.lambda_interval[0] == pytest.approx(J / Phi, rel=1e-12)
@@ -707,7 +702,7 @@ def ridge_table_problem(domain, eps, M, c, sigma):
         "potential": {"family": "power", "theta": 1.0},
         "nonlinearity": {"kind": "table", "q": 1.5, "alpha": 1.0,
                          "g_t": t.tolist(), "g_values": g.tolist()}}),
-        lam=1.0, verify=False)
+        verify=False)
 
 
 def uniqueness_threshold(inst):

@@ -319,7 +319,7 @@ def test_reports_carry_the_uniqueness_modulus(tmp_path, capsys,
     cfg = write_config(tmp_path, doc)
     assert main(["solve", "--config", cfg, "--lambda", "2.0"]) == EXIT_OK
     mu = json.loads(capsys.readouterr().out)["uniqueness_modulus"]
-    inst = build_problem(load_config(cfg), lam=2.0)
+    inst = dataclasses.replace(build_problem(load_config(cfg)), lam=2.0)
     assert mu == solver.uniqueness_modulus(inst) > 0
     doc = spike_table_doc(grid_n=41, solver={"n_starts": 1, "k_max": 2,
                                              "sweep_m": 3})
@@ -328,7 +328,8 @@ def test_reports_carry_the_uniqueness_modulus(tmp_path, capsys,
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 3
     for row in rows:
-        inst = build_problem(load_config(cfg), lam=row["lambda"])
+        inst = dataclasses.replace(build_problem(load_config(cfg)),
+                                   lam=row["lambda"])
         assert row["uniqueness_modulus"] == solver.uniqueness_modulus(inst)
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
     assert header == "lambda,n_solutions,energies"

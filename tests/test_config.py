@@ -24,7 +24,7 @@ def base_doc(**overrides):
 
 
 def test_minimal_config_builds():
-    inst = build_problem(load_config(base_doc()), lam=1.0)
+    inst = build_problem(load_config(base_doc()))
     assert inst.grid.n == 33
     assert inst.p.p_minus == 2.0
     assert verify_hypotheses(inst.potential, inst.nonlinearity).all_pass

@@ -5,11 +5,9 @@ import pytest
 
 from pxbiharm.config import ConfigError, build_problem, load_config
 from pxbiharm.energy import (
+    PointTerms,
     ProblemInstance,
-    energy_J,
     gradient_check,
-    load_Phi,
-    total_energy,
     weak_residual,
 )
 from pxbiharm.exponents import affine_exponent, constant_exponent
@@ -36,28 +34,26 @@ def test_energy_J_quadratic_oracle(interval_grid):
     h = interval_grid.spacing[0]
     sym = 4.0 / h**2 * np.sin(np.pi * h / 2) ** 2
     expected = 0.5 * sym**2 * 0.5  # int sin^2 = 1/2 on [0,1]
-    assert energy_J(inst, u) == pytest.approx(expected, rel=1e-12)
+    assert PointTerms(inst, u.values).J == pytest.approx(expected, rel=1e-12)
 
 
 def test_load_Phi_linear_oracle(interval_grid):
     # f = 1 so Phi(u) = int u = 2/pi for sin(pi x), up to quadrature error
     inst = make_instance(interval_grid)
-    assert load_Phi(inst, _sine(interval_grid)) == pytest.approx(
-        2.0 / np.pi, rel=1e-3)
+    assert PointTerms(inst, _sine(interval_grid).values).Phi \
+        == pytest.approx(2.0 / np.pi, rel=1e-3)
 
 
 def test_total_energy_identity(interval_grid):
     inst = make_instance(interval_grid, lam=3.0)
     u = _sine(interval_grid, 0.7)
-    assert total_energy(inst, u) == pytest.approx(
-        energy_J(inst, u) - 3.0 * load_Phi(inst, u), rel=1e-14)
+    pt = PointTerms(inst, u.values)
+    assert pt.energy == pytest.approx(pt.J - 3.0 * pt.Phi, rel=1e-14)
 
 
 def test_energy_requires_navier(interval_grid):
     inst = make_instance(interval_grid)
     u = GridFunction(interval_grid, np.ones(interval_grid.size), bc="none")
-    with pytest.raises(ValueError):
-        energy_J(inst, u)
     with pytest.raises(ValueError):
         weak_residual(inst, u)
 
@@ -80,8 +76,8 @@ def test_failed_hypotheses_block_instance():
     })
     with pytest.raises(ConfigError, match=r"H4 \(fail\).*hypotheses "
                                           r"subcommand"):
-        build_problem(cfg, lam=1.0)
-    assert build_problem(cfg, lam=1.0, verify=False).lam == 1.0
+        build_problem(cfg)
+    assert build_problem(cfg, verify=False).lam == 1.0
 
 
 def test_residual_zero_on_boundary(interval_grid):
@@ -134,4 +130,5 @@ def test_coercivity_witness(interval_grid):
                          bc="navier")
         nrm = laplacian_norm(u, inst.p).value
         assert nrm > 1.0
-        assert energy_J(inst, u) >= nrm**inst.p.p_minus / inst.p.p_plus - 1e-8
+        assert PointTerms(inst, u.values).J \
+            >= nrm**inst.p.p_minus / inst.p.p_plus - 1e-8

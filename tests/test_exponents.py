@@ -7,7 +7,6 @@ from pxbiharm.exponents import (
     affine_exponent,
     conjugate,
     constant_exponent,
-    tabulated_exponent,
     validate_exponent,
 )
 from pxbiharm.grids import Domain, build_grid
@@ -20,7 +19,6 @@ def grid():
 
 def test_constant_exponent(grid):
     p = constant_exponent(grid, 2.5)
-    assert p.is_constant
     assert p.p_minus == p.p_plus == 2.5
 
 
@@ -28,7 +26,6 @@ def test_affine_exponent_extrema(grid):
     p = affine_exponent(grid, 2.0, 1.0)  # p(x) = 2 + x on [0,1]
     assert p.p_minus == pytest.approx(2.0)
     assert p.p_plus == pytest.approx(3.0)
-    assert not p.is_constant
 
 
 def test_validate_rejects_exponent_at_or_below_one(grid):
@@ -42,7 +39,7 @@ def test_validate_rejects_non_finite(grid):
     vals = np.full(grid.size, 2.0)
     vals[5] = np.inf
     with pytest.raises(ValueError):
-        tabulated_exponent(grid, vals)
+        validate_exponent(vals, grid)
 
 
 def test_validate_broadcasts_scalar(grid):

@@ -31,3 +31,18 @@ def test_every_name_the_package_imports_resolves():
     for module, name in imported:
         source = importlib.import_module(f"pxbiharm.{module}")
         assert getattr(pxbiharm, name) is getattr(source, name)
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name one module of the package calls from another is public: no
+    `from .x import _name` (nor `from pxbiharm.x import _name`)."""
+    private = []
+    for path in sorted(Path(pxbiharm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith(
+                        "pxbiharm")):
+                private += [f"{path.name}: {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private

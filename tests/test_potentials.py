@@ -13,7 +13,7 @@ from pxbiharm.config import build_problem, load_config, tabulated_g
 from pxbiharm.exponents import (
     affine_exponent,
     constant_exponent,
-    tabulated_exponent,
+    validate_exponent,
 )
 from pxbiharm.grids import Domain, build_grid
 from pxbiharm.potentials import (
@@ -507,7 +507,7 @@ PARITY_DOMAINS = {"interval": (Domain("interval"), 21),
 PARITY_EXPONENTS = {
     "constant": lambda g: constant_exponent(g, 3.0),
     "affine": lambda g: affine_exponent(g, 1.5, 0.4),
-    "table": lambda g: tabulated_exponent(g, 2.2 + 0.3 * np.sin(3 * g.x1)),
+    "table": lambda g: validate_exponent(2.2 + 0.3 * np.sin(3 * g.x1), g),
 }
 
 
@@ -581,8 +581,8 @@ RATIO_CASES += [("paper_literal", 1.999), ("paper_literal", 2.001)]
 RATIO_EXPONENTS = {
     "constant": lambda g, p0: constant_exponent(g, p0),
     "affine": lambda g, p0: affine_exponent(g, p0, 0.37),
-    "table": lambda g, p0: tabulated_exponent(
-        g, p0 + 0.2 * np.sin(3 * g.x1)),
+    "table": lambda g, p0: validate_exponent(
+        p0 + 0.2 * np.sin(3 * g.x1), g),
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pxbiharm import grids, solver
-from pxbiharm.certificate import build_test_function, certify
+from pxbiharm.certificate import certify
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.energy import PointTerms, ProblemInstance
 from pxbiharm.exponents import affine_exponent, constant_exponent
@@ -41,6 +41,11 @@ from conftest import (
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+
+def zero_field(grid):
+    return GridFunction(grid, np.zeros(grid.size), bc="navier")
+
+
 def beam_exact(x):
     """(u'')'' = 1 with Navier conditions on (0,1)."""
     return x**4 / 24 - x**3 / 12 + x / 24
@@ -49,7 +54,7 @@ def beam_exact(x):
 def test_minimize_solves_beam():
     grid = build_grid(Domain("interval"), 101)
     inst = make_instance(grid)
-    u0 = GridFunction.zeros(grid)
+    u0 = zero_field(grid)
     pt = minimize(inst, u0)
     assert pt.converged
     assert pt.residual_norm <= 1e-8
@@ -60,8 +65,8 @@ def test_minimize_solves_beam():
 def test_minimize_scaling_in_lambda():
     # the p = 2 problem is linear: u_lambda = lambda * u_1
     grid = build_grid(Domain("interval"), 81)
-    u1 = minimize(make_instance(grid, lam=1.0), GridFunction.zeros(grid))
-    u3 = minimize(make_instance(grid, lam=3.0), GridFunction.zeros(grid))
+    u1 = minimize(make_instance(grid, lam=1.0), zero_field(grid))
+    u3 = minimize(make_instance(grid, lam=3.0), zero_field(grid))
     assert np.max(np.abs(u3.u.values - 3.0 * u1.u.values)) < 1e-7
 
 
@@ -69,7 +74,7 @@ def test_ball_radial_solve_matches_ode_solution():
     # Delta^2 u = 1 on the unit disk, radial: u = (1 - r^2)(3 - r^2)/64
     grid = build_grid(Domain("ball_radial", N=2, R=1.0), 101)
     inst = make_instance(grid)
-    pt = minimize(inst, GridFunction.zeros(grid))
+    pt = minimize(inst, zero_field(grid))
     r = grid.nodes
     exact = (1 - r**2) * (3 - r**2) / 64
     assert pt.converged
@@ -96,7 +101,7 @@ def test_minimize_newton_descent_is_cheap(monkeypatch):
     grid = build_grid(Domain("interval"), 201)
     inst = make_instance(grid, nl_name="rational_bump", lam=0.27)
     calls = counted(monkeypatch, "residual")
-    pt = minimize(inst, GridFunction.zeros(grid))
+    pt = minimize(inst, zero_field(grid))
     assert pt.converged
     assert len(calls) <= 50
 
@@ -149,7 +154,8 @@ def test_minimize_does_not_stall_at_the_rounding_floor():
     noise: the line search must not halve the step away there."""
     grid = build_grid(Domain("interval"), 201)
     inst = spike_instance(grid, lam=30.25)
-    big = minimize(inst, build_test_function(1.2, grid))
+    big = minimize(inst, GridFunction(grid, 1.2 * grids.first_mode(grid),
+                                      bc="navier"))
     assert big.converged
     for s in range(10):
         vals = big.u.values + 1e-9 * np.sin((s + 1) * np.pi * grid.nodes)
@@ -170,7 +176,7 @@ def test_minimize_evaluates_each_trial_energy_once(monkeypatch):
     terms = {name: counted(monkeypatch, name) for name in
              ("Lu", "A", "F", "a", "f", "energy", "residual", "a_t", "f_t")}
     steps = counted_steps(monkeypatch)
-    pt = minimize(inst, GridFunction.zeros(grid))
+    pt = minimize(inst, zero_field(grid))
     assert pt.converged and len(steps) >= 1
     for name, points in terms.items():
         values = [q.values.tobytes() for q in points]
@@ -197,7 +203,7 @@ def test_minimize_gives_up_when_no_step_lowers_the_energy(monkeypatch):
     """The line search halves the step below eps and returns the start,
     not converged."""
     inst = give_up_instance(monkeypatch)
-    pt = minimize(inst, GridFunction.zeros(inst.grid))
+    pt = minimize(inst, zero_field(inst.grid))
     assert not pt.converged
     assert np.array_equal(pt.u.values, np.zeros(inst.grid.size))
 
@@ -213,13 +219,13 @@ def test_minimize_reports_what_a_fresh_check_computes(monkeypatch, case):
         inst, _ = rect_solve_problem()
     else:
         inst = give_up_instance(monkeypatch)
-    u0 = GridFunction.zeros(inst.grid)
+    u0 = zero_field(inst.grid)
     if case == "rect_solve":     # the search's near-zero start
         u0 = solver._near_zero_start(inst.grid)
     tol = solver.DEFAULT_TOL
     got = minimize(inst, u0, tol=tol)
     want = solver._critical_point(
-        inst, got.u.values[inst.grid.interior_mask], tol)
+        solver._point(inst, got.u.values[inst.grid.interior_mask]), tol)
     assert np.array_equal(got.u.values, want.u.values)
     assert got.energy == want.energy
     assert got.residual_norm == want.residual_norm
@@ -313,7 +319,7 @@ def test_solution_set_distinctness():
     grid = build_grid(Domain("interval"), 17)
     inst = make_instance(grid)
     s = SolutionSet()
-    u = GridFunction.zeros(grid)
+    u = zero_field(grid)
     s.points.append(minimize(inst, u))
     assert not s.is_distinct(s.points[0].u.values, 1e-3)
     far = s.points[0].u.values + 1.0
@@ -360,7 +366,8 @@ def test_minimize_accepts_global_minimiser_at_rounding_floor():
     the residual's own terms; the floor-aware threshold accepts it."""
     grid = build_grid(Domain("interval"), 201)
     inst = spike_instance(grid, lam=30.25)
-    big = minimize(inst, build_test_function(1.2, grid))
+    big = minimize(inst, GridFunction(grid, 1.2 * grids.first_mode(grid),
+                                      bc="navier"))
     assert big.converged
     assert 1e-8 < big.threshold
     assert big.residual_norm <= big.threshold
@@ -376,7 +383,7 @@ def test_acceptance_threshold_is_tol_below_the_floor():
     # the beam of acceptance criterion 09: floor far below tol
     grid = build_grid(Domain("interval"), 201)
     inst = make_instance(grid)
-    pt = minimize(inst, GridFunction.zeros(grid))
+    pt = minimize(inst, zero_field(grid))
     assert pt.threshold == 1e-8
     assert acceptance_threshold(PointTerms(inst, pt.u.values), 1e-8) \
         == 1e-8
@@ -436,7 +443,7 @@ def test_lambda_sweep_lays_out_the_band_once(monkeypatch):
     monkeypatch.setattr(grids, "_band_layout", counted_layout)
     monkeypatch.setattr(solver, "_Hessian", CountedHessian)
     doc = json.loads((CONFIGS / "spike_ridge.json").read_text())
-    inst = build_problem(load_config(dict(doc, grid_n=41)), lam=1.0)
+    inst = build_problem(load_config(dict(doc, grid_n=41)))
     interval = certify(inst, 5.0, 1.2).lambda_interval
     lambda_sweep(inst, interval, 5, k_max=5, n_starts=6, seed=0)
     assert layouts == [41] and len(hessians) == 10
@@ -473,7 +480,8 @@ def sequential_search(inst, k_max, n_starts, seed, vbar_scale):
         known = [p.u.values[interior] for p in found.points]
         z = solver._newton(inst, start.values[interior][:, None], tol,
                            hessian, known)[:, 0]
-        pt = solver._critical_point(inst, z, tol, starts_used=n_used)
+        pt = solver._critical_point(solver._point(inst, z), tol,
+                                    starts_used=n_used)
         if pt.converged and found.is_distinct(pt.u.values, dist):
             found.points.append(pt)
     found.sort()
@@ -517,8 +525,7 @@ def rect_solve_problem():
         "potential": {"family": "perturbed_power", "theta": 1.2},
         "nonlinearity": {"kind": "builtin:rational_bump", "q": 1.5},
         "solver": {"n_starts": 2, "k_max": 3}})
-    return build_problem(cfg, lam=1.0), dict(k_max=3, n_starts=2,
-                                             vbar_scale=1.0)
+    return build_problem(cfg), dict(k_max=3, n_starts=2, vbar_scale=1.0)
 
 
 def rect_spike_problem():

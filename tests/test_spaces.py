@@ -15,14 +15,11 @@ from hypothesis.extra.numpy import arrays
 from pxbiharm.exponents import affine_exponent, conjugate, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.spaces import (
-    _luxemburg_of_values,
-    _modular_values,
     check_holder,
     laplacian_modular,
     laplacian_norm,
     luxemburg_norm,
     modular,
-    sup_norm,
 )
 
 GRID = build_grid(Domain("interval"), 17)
@@ -50,13 +47,13 @@ def test_luxemburg_matches_classical_lp(p_const):
     for _ in range(30):
         u = _field(rng.standard_normal(GRID.size))
         expected = classical_lp_norm(u, p_const)
-        assert luxemburg_norm(u, p).value == pytest.approx(
+        assert luxemburg_norm(u.values, p).value == pytest.approx(
             expected, abs=1e-11, rel=1e-11)
 
 
 def test_zero_function_has_zero_norm():
     p = constant_exponent(GRID, 2.0)
-    assert luxemburg_norm(_field(np.zeros(GRID.size)), p).value == 0.0
+    assert luxemburg_norm(np.zeros(GRID.size), p).value == 0.0
 
 
 def test_a_subnormal_function_has_a_positive_norm():
@@ -68,18 +65,17 @@ def test_a_subnormal_function_has_a_positive_norm():
     vals[[3, 7]] = 5e-324, 1e-323
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norm = _luxemburg_of_values(vals, grid, p).value
+        norm = luxemburg_norm(vals, p).value
         assert norm > 0.0
-        assert _modular_values(vals / norm, grid, p) <= 1.0
+        assert modular(vals / norm, p) <= 1.0
 
 
 @given(vals=finite_vals, c=st.floats(-5.0, 5.0, allow_nan=False))
 @settings(max_examples=60, deadline=None)
 def test_homogeneity(vals, c):
     p = affine_exponent(GRID, 2.0, 1.0)
-    u = _field(vals)
-    nu = luxemburg_norm(u, p).value
-    nc = luxemburg_norm(_field(c * vals), p).value
+    nu = luxemburg_norm(vals, p).value
+    nc = luxemburg_norm(c * vals, p).value
     assert nc == pytest.approx(abs(c) * nu, abs=1e-9, rel=1e-9)
 
 
@@ -87,9 +83,9 @@ def test_homogeneity(vals, c):
 @settings(max_examples=60, deadline=None)
 def test_triangle_inequality(vals1, vals2):
     p = affine_exponent(GRID, 2.0, 1.0)
-    nu = luxemburg_norm(_field(vals1), p).value
-    nv = luxemburg_norm(_field(vals2), p).value
-    nsum = luxemburg_norm(_field(vals1 + vals2), p).value
+    nu = luxemburg_norm(vals1, p).value
+    nv = luxemburg_norm(vals2, p).value
+    nsum = luxemburg_norm(vals1 + vals2, p).value
     assert nsum <= nu + nv + 1e-9
 
 
@@ -98,9 +94,8 @@ def test_triangle_inequality(vals1, vals2):
 def test_modular_unit_ball_characterization(vals):
     """modular(u) <= 1 iff |u| <= 1 (with slack for the norm's solver)."""
     p = affine_exponent(GRID, 1.5, 1.0)
-    u = _field(vals)
-    nrm = luxemburg_norm(u, p).value
-    m = modular(u, p)
+    nrm = luxemburg_norm(vals, p).value
+    m = modular(vals, p)
     if nrm < 1.0 - 1e-9:
         assert m <= 1.0 + 1e-9
     if nrm > 1.0 + 1e-9:
@@ -177,7 +172,8 @@ def test_holder_uses_conjugate_norm():
     rep = check_holder(u, v, p)
     pc = conjugate(p)
     expected = (1.0 / p.p_minus + 1.0 / pc.p_minus) \
-        * luxemburg_norm(u, p).value * luxemburg_norm(v, pc).value
+        * luxemburg_norm(u.values, p).value \
+        * luxemburg_norm(v.values, pc).value
     assert rep.rhs == pytest.approx(expected, rel=1e-12)
 
 
@@ -185,18 +181,40 @@ def test_laplacian_norm_requires_navier():
     p = constant_exponent(GRID, 2.0)
     with pytest.raises(ValueError):
         laplacian_norm(_field(np.zeros(GRID.size)), p)
-
-
-def test_sup_norm():
-    u = _field(np.linspace(-3.0, 2.0, GRID.size))
-    assert sup_norm(u) == 3.0
+    with pytest.raises(ValueError, match="Navier"):
+        laplacian_modular(_field(np.zeros(GRID.size)), p)
 
 
 def test_grid_mismatch_raises():
     other = build_grid(Domain("interval"), 33)
     p = constant_exponent(other, 2.0)
     with pytest.raises(ValueError):
-        luxemburg_norm(_field(np.zeros(GRID.size)), p)
+        luxemburg_norm(np.zeros(GRID.size), p)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        laplacian_norm(GridFunction(GRID, np.zeros(GRID.size), bc="navier"),
+                       p)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (GRID.size - 1,),
+                                   (GRID.size + 1,), (3, 1), (3, 33)])
+@pytest.mark.parametrize("norm", [modular, luxemburg_norm])
+def test_values_of_the_wrong_length_raise(norm, shape):
+    """The last axis must hold one value per node of p's grid: a single
+    value, which would broadcast over the nodes, is refused too."""
+    p = affine_exponent(GRID, 2.0, 1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        norm(np.ones(shape), p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_luxemburg_norm_rejects_non_finite_values(bad):
+    p = affine_exponent(GRID, 2.0, 1.0)
+    vals = np.ones((2, GRID.size))
+    vals[1, 4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        luxemburg_norm(vals, p)
+    with pytest.raises(ValueError, match="non-finite"):
+        luxemburg_norm(vals[1], p)
 
 
 def bisection_norm(vals, grid, p):
@@ -224,7 +242,7 @@ def test_batched_luxemburg_matches_bisection_oracle(grid):
             * 10.0 ** rng.uniform(-6, 6, (40, 1))
         rows[3] = 0.0
         rows[5, 1:] = 0.0
-        res = _luxemburg_of_values(rows, grid, p)
+        res = luxemburg_norm(rows, p)
         assert res.value[3] == 0.0
         for k, v in enumerate(rows):
             if k == 3:
@@ -232,10 +250,9 @@ def test_batched_luxemburg_matches_bisection_oracle(grid):
             want = bisection_norm(v, grid, p)
             assert res.value[k] == pytest.approx(want, rel=1e-12, abs=0.0)
             # one row alone is the same solve, up to summation order
-            assert _luxemburg_of_values(v, grid, p).value == pytest.approx(
+            assert luxemburg_norm(v, p).value == pytest.approx(
                 res.value[k], rel=1e-14, abs=0.0)
         # each value is an upper end: the modular at it was evaluated, <= 1
         live = np.any(rows, axis=1)
-        assert np.all(_modular_values(rows[live] / res.value[live, None],
-                                      grid, p) <= 1.0)
+        assert np.all(modular(rows[live] / res.value[live, None], p) <= 1.0)
         assert res.iterations <= 10 * len(rows)
