@@ -60,8 +60,8 @@ def ridge_dg(t):
 def run_sweep(inst, interval, m, vbar_scale, n_starts, seed, path):
     """lambda_sweep across the interval itself, printed and written to
     path."""
-    rows = lambda_sweep(inst, interval, m, k_max=5, n_starts=n_starts,
-                        seed=seed, vbar_scale=vbar_scale, straddle=False)
+    rows = lambda_sweep(inst, np.geomspace(*interval, m), k_max=5,
+                        n_starts=n_starts, seed=seed, vbar_scale=vbar_scale)
     for r in rows:
         print(f"  lambda={r['lambda']:10.6f}  solutions={r['n_solutions']}  "
               f"energies={['%.4g' % e for e in r['energies']]}  "

@@ -19,7 +19,7 @@ from .exponents import (
     constant_exponent,
     validate_exponent,
 )
-from .grids import Domain, Grid, GridFunction, build_grid, integrate, laplacian
+from .grids import Domain, Grid, GridFunction, build_grid, integrate
 from .potentials import (
     HypothesisReport,
     NonlinearitySpec,
@@ -36,12 +36,6 @@ from .solver import (
     lambda_sweep,
     minimize,
 )
-from .spaces import (
-    NormResult,
-    check_holder,
-    laplacian_norm,
-    luxemburg_norm,
-    modular,
-)
+from .spaces import NormResult, luxemburg_norm, modular
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "build_grid",
-    "laplacian",
     "laplacian_floor",
     "sine_eigenvalues",
     "first_mode",
@@ -403,15 +402,6 @@ class GridFunction:
             if np.any(np.abs(self.values[b]) > 1e-12 * scale):
                 raise ValueError("Navier bc requires zero boundary values")
             self.values[b] = 0.0  # snap roundoff-level boundary values
-
-
-def laplacian(grid: Grid, u: GridFunction) -> GridFunction:
-    """Second-order discrete Laplacian; boundary values are forced to zero
-    (odd-reflection ghosts encode Delta u = 0 on the boundary exactly)."""
-    if u.grid is not grid:
-        raise ValueError("grid mismatch")
-    vals = grid.laplacian_matrix() @ u.values
-    return GridFunction(grid, vals, bc="none")
 
 
 def nodal_field(grid: Grid, value) -> np.ndarray:

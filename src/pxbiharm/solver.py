@@ -468,18 +468,10 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     return found
 
 
-def lambda_sweep(inst: ProblemInstance, interval, m: int,
-                 straddle: bool = True, **search):
+def lambda_sweep(inst: ProblemInstance, lambdas, **search):
     """Run deflate_and_search, with the keywords search (k_max, n_starts,
-    seed, tol, vbar_scale, max_iter), at m log-spaced lambda values across
-    [lo*0.5, hi*2] (straddling the certified interval) and tabulate the
-    counts and energies; deterministic for a fixed seed."""
-    if m < 2:
-        raise ValueError("need at least two lambda values")
-    lo, hi = interval
-    if straddle:
-        lo, hi = 0.5 * lo, 2.0 * hi
-    lambdas = np.geomspace(lo, hi, m)
+    seed, tol, vbar_scale, max_iter), at each of the given lambda values
+    and tabulate the counts and energies; deterministic for a fixed seed."""
     rows = []
     for lam in lambdas:
         sols = deflate_and_search(replace(inst, lam=float(lam)), **search)

@@ -1,10 +1,10 @@
-"""Modular, Luxemburg norm and the Holder inequality on nodal values.
+"""The modular and the Luxemburg norm on nodal values.
 
-The working norm on the fourth-order space is the Luxemburg norm of the
-discrete Laplacian (`laplacian_norm`): ||u|| = inf{ mu > 0 :
-int |Delta u / mu|^{p(x)} dx <= 1 }.  `modular` and `luxemburg_norm` take
-nodal values, one row of p.grid.size values or a batch of rows, on the
-grid of the exponent p.
+`modular` and `luxemburg_norm` take nodal values, one row of p.grid.size
+values or a batch of rows, on the grid of the exponent p.  The working
+norm on the fourth-order space is the Luxemburg norm of the discrete
+Laplacian, ||u|| = inf{ mu > 0 : int |Delta u / mu|^{p(x)} dx <= 1 }, which
+is luxemburg_norm(L @ u, p) with L = grid.laplacian_matrix().
 """
 
 from __future__ import annotations
@@ -13,17 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ExponentField, conjugate
-from .grids import GridFunction, integrate, laplacian
+from .exponents import ExponentField
 
-__all__ = [
-    "NormResult",
-    "HolderReport",
-    "modular",
-    "luxemburg_norm",
-    "laplacian_norm",
-    "check_holder",
-]
+__all__ = ["NormResult", "modular", "luxemburg_norm"]
 
 #: Newton steps on log mu before the Luxemburg solver gives up
 _MAX_ITER = 100
@@ -40,13 +32,6 @@ class NormResult:
 
     value: float | np.ndarray
     iterations: int
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    lhs: float
-    rhs: float
-    holds: bool
 
 
 def _nodal(values, p: ExponentField) -> np.ndarray:
@@ -161,35 +146,3 @@ def luxemburg_norm(values, p: ExponentField) -> NormResult:
         return NormResult(float(value[0]), int(steps.sum()))
     return NormResult(value, int(steps.sum()))
 
-
-def _laplacian_values(u: GridFunction, p: ExponentField) -> np.ndarray:
-    if u.bc != "navier":
-        raise ValueError("laplacian_norm and laplacian_modular require "
-                         "Navier boundary conditions")
-    if u.grid is not p.grid:
-        raise ValueError("grid mismatch between function and exponent")
-    return laplacian(u.grid, u).values
-
-
-def laplacian_norm(u: GridFunction, p: ExponentField) -> NormResult:
-    """||u||: Luxemburg norm of the discrete Laplacian (requires Navier bc)."""
-    return luxemburg_norm(_laplacian_values(u, p), p)
-
-
-def laplacian_modular(u: GridFunction, p: ExponentField) -> float:
-    """rho_{p(x)}(u) on the fourth-order space: int |Delta u|^{p(x)} dx
-    (requires Navier bc)."""
-    return modular(_laplacian_values(u, p), p)
-
-
-def check_holder(u: GridFunction, v: GridFunction, p: ExponentField,
-                 tol: float = 1e-10) -> HolderReport:
-    """Holder inequality |int uv| <= (1/p^- + 1/p'^-) |u|_{p(x)} |v|_{p'(x)}."""
-    if u.grid is not v.grid or u.grid is not p.grid:
-        raise ValueError("grid mismatch")
-    pc = conjugate(p)
-    lhs = abs(integrate(u.grid, u.values * v.values))
-    rhs = (1.0 / p.p_minus + 1.0 / pc.p_minus) \
-        * luxemburg_norm(u.values, p).value \
-        * luxemburg_norm(v.values, pc).value
-    return HolderReport(lhs, rhs, lhs <= rhs + tol)

@@ -94,6 +94,26 @@ def test_check_spaces_passes(tmp_path, capsys):
     assert payload["checks"]["holder"]
 
 
+@pytest.mark.parametrize("p_const", [20.0, 200.0])
+@pytest.mark.parametrize("domain", [
+    {"kind": "interval"}, {"kind": "rectangle", "a": 1.0, "b": 1.0},
+    {"kind": "ball_radial", "N": 2, "R": 1.0}],
+    ids=["interval", "rectangle", "ball"])
+def test_check_spaces_passes_at_large_exponents(tmp_path, capsys, domain,
+                                                p_const):
+    """The modular of a field of norm up to 2.5 reaches 2.5^p: the sandwich
+    ||u||^{p-} <= modular <= ||u||^{p+} holds to a relative slack, so
+    all four checks pass at p = 20 and 200 at every seed."""
+    cfg = write_config(tmp_path, base_doc(
+        domain=domain, grid_n=17,
+        exponent={"kind": "constant", "value": p_const}))
+    for seed in range(4):
+        assert main(["check-spaces", "--config", cfg,
+                     "--seed", str(seed)]) == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert len(checks) == 4 and all(checks.values())
+
+
 def test_hypotheses_pass(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc())
     assert main(["hypotheses", "--config", cfg]) == EXIT_OK
@@ -393,9 +413,18 @@ def test_bad_config_file(tmp_path):
 def test_overflowing_exponent_is_bad_input(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc(
         exponent={"kind": "constant", "value": 790.0}))
-    code = main(["check-spaces", "--config", cfg, "--grid-n", "7"])
-    assert code == EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("error:")
+    for seed in range(4):
+        code = main(["check-spaces", "--config", cfg, "--grid-n", "7",
+                     "--seed", str(seed)])
+        assert code == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_sweep_of_one_lambda_is_bad_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, spike_table_doc(solver={"sweep_m": 1}))
+    assert main(["sweep", "--config", cfg]) == EXIT_BAD_INPUT
+    assert "solver.sweep_m" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, built", [

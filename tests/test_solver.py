@@ -412,13 +412,11 @@ def test_deflation_unique_regime_returns_one():
 def test_lambda_sweep_rows():
     grid = build_grid(Domain("interval"), 61)
     inst = make_instance(grid, nl_name="rational_bump", lam=1.0)
-    rows = lambda_sweep(inst, (0.2, 0.3), m=3, k_max=2, n_starts=2, seed=0,
+    lams = np.geomspace(0.1, 0.6, 3)
+    rows = lambda_sweep(inst, lams, k_max=2, n_starts=2, seed=0,
                         vbar_scale=0.1)
-    assert len(rows) == 3
-    lams = [r["lambda"] for r in rows]
-    # straddles the certified interval: [0.1, 0.6] log-spaced
-    assert lams[0] == pytest.approx(0.1)
-    assert lams[-1] == pytest.approx(0.6)
+    # one row at each given lambda, in order
+    assert [r["lambda"] for r in rows] == lams.tolist()
     for r in rows:
         assert r["n_solutions"] == len(r["energies"])
         assert all(res <= 1e-8 for res in r["residuals"])
@@ -444,18 +442,12 @@ def test_lambda_sweep_lays_out_the_band_once(monkeypatch):
     monkeypatch.setattr(solver, "_Hessian", CountedHessian)
     doc = json.loads((CONFIGS / "spike_ridge.json").read_text())
     inst = build_problem(load_config(dict(doc, grid_n=41)))
-    interval = certify(inst, 5.0, 1.2).lambda_interval
-    lambda_sweep(inst, interval, 5, k_max=5, n_starts=6, seed=0)
+    lo, hi = certify(inst, 5.0, 1.2).lambda_interval
+    lambda_sweep(inst, np.geomspace(0.5 * lo, 2.0 * hi, 5), k_max=5,
+                 n_starts=6, seed=0)
     assert layouts == [41] and len(hessians) == 10
     assert all(pos is inst.grid.band_layout.pos for pos in hessians)
     assert not inst.grid.band_layout.pos.flags.writeable
-
-
-def test_lambda_sweep_needs_two_points():
-    grid = build_grid(Domain("interval"), 61)
-    inst = make_instance(grid)
-    with pytest.raises(ValueError):
-        lambda_sweep(inst, (0.1, 1.0), m=1)
 
 
 def sequential_search(inst, k_max, n_starts, seed, vbar_scale):
