@@ -11,7 +11,7 @@ from .certificate import (
     gamma_r,
     inradius,
 )
-from .energy import PointTerms, ProblemInstance, gradient_check, weak_residual
+from .energy import PointTerms, ProblemInstance, weak_residual
 from .exponents import (
     ExponentField,
     affine_exponent,

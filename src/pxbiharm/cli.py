@@ -186,7 +186,7 @@ def _search_keywords(cfg: cfgmod.RunConfig) -> dict:
     (which starts from its certificate's h in place of vbar_scale)."""
     s = cfg.solver
     return dict(k_max=s.k_max, n_starts=s.n_starts, seed=s.seed, tol=s.tol,
-                vbar_scale=cfg.certificate.get("h", 1.0), max_iter=s.max_iter)
+                vbar_scale=cfg.certificate.get("h", 1.0))
 
 
 def cmd_solve(args) -> int:

@@ -113,9 +113,9 @@ _BLOCKS = {
                       "g_values": _numbers}, {"kind"}),
     "certificate": ({"r": _positive, "h": _positive, "h_scan": _flag},
                     set()),
-    "solver": ({"tol": _positive, "max_iter": _integer(1),
-                "n_starts": _integer(0), "k_max": _integer(1),
-                "seed": _integer(0), "sweep_m": _integer(2)}, set()),
+    "solver": ({"tol": _positive, "n_starts": _integer(0),
+                "k_max": _integer(1), "seed": _integer(0),
+                "sweep_m": _integer(2)}, set()),
     "output": ({"solutions_csv": _text, "sweep_csv": _text}, set()),
 }
 _grid_n = _integer(5)
@@ -171,7 +171,6 @@ def _block(doc: dict, name: str) -> dict:
 @dataclass
 class SolverConfig:
     tol: float = 1e-8
-    max_iter: int = 10_000
     n_starts: int = 12
     k_max: int = 6
     seed: int = 0
@@ -346,12 +345,9 @@ def tabulated_g(block: dict):
     return g, G, dg, np.unique(np.concatenate([-z, z])), (tg, gv, slope)
 
 
-def build_nonlinearity(cfg: RunConfig, grid: Grid,
-                       p: ex.ExponentField) -> pot.NonlinearitySpec:
+def build_nonlinearity(cfg: RunConfig, grid: Grid) -> pot.NonlinearitySpec:
     b = cfg.nonlinearity
     q = ex.constant_exponent(grid, b.get("q", 1.5))
-    if not q.p_plus < p.p_minus:
-        raise ConfigError("nonlinearity exponent q must satisfy q^+ < p^-")
     xi = field_on_grid(b.get("xi"), grid, "nonlinearity.xi")
     alpha = field_on_grid(b.get("alpha", 1.0), grid, "nonlinearity.alpha")
     if b["kind"] == "table":
@@ -380,7 +376,7 @@ def build_problem(cfg: RunConfig, verify: bool = True):
     grid = build_grid(Domain(**cfg.domain), cfg.grid_n)
     p = build_exponent(cfg, grid)
     spec = build_potential(cfg, p)
-    nl = build_nonlinearity(cfg, grid, p)
+    nl = build_nonlinearity(cfg, grid)
     if verify:
         status = pot.verify_hypotheses(spec, nl).status
         failed = [f"{k} ({v})" for k, v in status.items() if v != "pass"]

@@ -21,7 +21,6 @@ __all__ = [
     "ProblemInstance",
     "PointTerms",
     "weak_residual",
-    "gradient_check",
 ]
 
 
@@ -111,33 +110,6 @@ class PointTerms:
 
 def weak_residual(inst: ProblemInstance, u: GridFunction) -> GridFunction:
     """Dual-weighted nodal residual: <g, v> = int a(x,Du) Dv - lambda int f v
-    for every Navier test direction v."""
-    if u.bc != "navier":
-        raise ValueError("weak_residual expects Navier boundary conditions")
-    return GridFunction(inst.grid, PointTerms(inst, u.values).residual,
-                        bc="none")
-
-
-def gradient_check(inst: ProblemInstance, u: GridFunction,
-                   n_directions: int = 50, rng=None,
-                   eps_scale: float = 1e-6) -> float:
-    """Max relative error between <weak_residual, v> and central finite
-    differences of the total energy over random Navier directions."""
-    rng = np.random.default_rng(rng)
-    g = PointTerms(inst, u.values).residual
-    interior = inst.grid.interior_mask
-    scale = max(1.0, float(np.max(np.abs(u.values))))
-    eps = eps_scale * scale
-    worst = 0.0
-    for _ in range(n_directions):
-        v = np.zeros(inst.grid.size)
-        v[interior] = rng.standard_normal(interior.sum())
-        v /= np.max(np.abs(v))
-        analytic = float(np.dot(g, v))
-        up = GridFunction(inst.grid, u.values + eps * v, bc="navier")
-        dn = GridFunction(inst.grid, u.values - eps * v, bc="navier")
-        fd = (PointTerms(inst, up.values).energy
-              - PointTerms(inst, dn.values).energy) / (2 * eps)
-        denom = max(abs(analytic), abs(fd), 1e-14)
-        worst = max(worst, abs(analytic - fd) / denom)
-    return worst
+    for every Navier test direction v.  It stays for the benchmark's check
+    of each accepted point; the solver reads `PointTerms.residual`."""
+    return GridFunction(inst.grid, PointTerms(inst, u.values).residual)

@@ -384,11 +384,11 @@ def first_mode(grid: Grid) -> np.ndarray:
 
 @dataclass
 class GridFunction:
-    """Nodal values of a scalar field, optionally tagged with Navier bc."""
+    """A Navier field, the form a found point is reported in: finite nodal
+    values, zero on the boundary (roundoff-level values snapped to 0)."""
 
     grid: Grid
     values: np.ndarray
-    bc: str = "none"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -396,12 +396,11 @@ class GridFunction:
             raise ValueError("values do not match the grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite nodal values")
-        if self.bc == "navier":
-            b = self.grid.boundary_mask
-            scale = max(1.0, float(np.max(np.abs(self.values))))
-            if np.any(np.abs(self.values[b]) > 1e-12 * scale):
-                raise ValueError("Navier bc requires zero boundary values")
-            self.values[b] = 0.0  # snap roundoff-level boundary values
+        b = self.grid.boundary_mask
+        scale = max(1.0, float(np.max(np.abs(self.values))))
+        if np.any(np.abs(self.values[b]) > 1e-12 * scale):
+            raise ValueError("Navier bc requires zero boundary values")
+        self.values[b] = 0.0  # snap roundoff-level boundary values
 
 
 def nodal_field(grid: Grid, value) -> np.ndarray:

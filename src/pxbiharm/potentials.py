@@ -380,7 +380,10 @@ def _h5_excess(nl: NonlinearitySpec):
                         t)
         cand = np.concatenate([cand, crit], axis=1)
         g_abs = np.concatenate([g_abs, np.abs(np.interp(crit, t, v))], axis=1)
-    excess = alpha * g_abs - nl.zeta * cand ** (q - 1.0)
+    # past the largest float the bound is inf, and the excess -inf
+    with np.errstate(over="ignore"):
+        bound = cand ** (q - 1.0)
+    excess = alpha * g_abs - (nl.zeta * bound if nl.zeta else 0.0)
     best = np.argmax(excess, axis=1)[:, None]
     return (np.take_along_axis(excess, best, 1)[inv, 0],
             np.take_along_axis(cand, best, 1)[inv, 0])

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .energy import PointTerms, ProblemInstance
-from .grids import GridFunction, first_mode, laplacian_floor
+from .grids import GridFunction, first_mode, laplacian_floor, nodal_field
 
 __all__ = [
     "CriticalPoint",
@@ -71,9 +71,9 @@ class SolutionSet:
                     self.points[i].u.values - self.points[j].u.values)))
         return d
 
-    def is_distinct(self, values: np.ndarray, threshold: float) -> bool:
+    def is_distinct(self, values: np.ndarray) -> bool:
         return all(
-            float(np.max(np.abs(p.u.values - values))) > threshold
+            float(np.max(np.abs(p.u.values - values))) > DISTINCTNESS
             for p in self.points
         )
 
@@ -251,7 +251,7 @@ def _critical_point(pt: PointTerms, tol, starts_used=1) -> CriticalPoint:
     """Clean (undeflated) residual check of the point pt against the
     acceptance threshold.  A point whose energy is not finite is never
     converged: its threshold grows with the overflowing terms."""
-    u = GridFunction(pt.inst.grid, pt.values, bc="navier")
+    u = GridFunction(pt.inst.grid, pt.values)
     rn = float(np.max(np.abs(pt.residual)))
     thr = acceptance_threshold(pt, tol)
     e = pt.energy
@@ -260,16 +260,16 @@ def _critical_point(pt: PointTerms, tol, starts_used=1) -> CriticalPoint:
                          threshold=thr)
 
 
-def minimize(inst: ProblemInstance, u0: GridFunction,
-             tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER) -> CriticalPoint:
-    """Damped Newton descent on the total energy, at most max_iter steps.
-    Where the Newton step is no descent direction (near a saddle) it steps
-    with the Hessian's convex part L^T W diag(a_t) L + lambda W max(-f_t, 0)
-    instead, which is positive definite.  Armijo backtracking on the energy
-    sets the step length, unless the predicted decrease lies below the
-    energy's rounding floor.  Stops as _newton does, or when no step length
-    lowers the energy.
+def minimize(inst: ProblemInstance, u0: np.ndarray,
+             tol: float = DEFAULT_TOL) -> CriticalPoint:
+    """Damped Newton descent on the total energy from the interior of the
+    nodal values u0 (ValueError on a wrong length), DEFAULT_MAX_ITER steps
+    at most.  Where the Newton step is no descent direction (near a saddle)
+    it steps with the Hessian's convex part
+    L^T W diag(a_t) L + lambda W max(-f_t, 0) instead, which is positive
+    definite.  Armijo backtracking on the energy sets the step length,
+    unless the predicted decrease lies below the energy's rounding floor.
+    Stops as _newton does, or when no step length lowers the energy.
 
     Each point visited (the start and every trial) is one `PointTerms`, so
     its energy terms Lu, A(Lu), F(u), its residual terms a(Lu), f(u) and
@@ -279,13 +279,13 @@ def minimize(inst: ProblemInstance, u0: GridFunction,
     `abs_laplacian`."""
     interior = inst.grid.interior_mask
     hessian = _Hessian(inst)
-    z = u0.values[interior]
+    z = nodal_field(inst.grid, u0)[interior]
     # past the largest float the energy, its floor and the slopes overflow
     # to inf or NaN; the isfinite and `not ... < 0.0` tests decide the
     # outcome there, so the arithmetic runs without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         pt = _point(inst, z)
-        for _ in range(max_iter):
+        for _ in range(DEFAULT_MAX_ITER):
             r = pt.residual[interior]
             if not np.all(np.isfinite(r)) or np.max(np.abs(r)) <= tol:
                 break
@@ -366,7 +366,7 @@ def _modulus_terms(inst: ProblemInstance):
 
 
 def _fourier_start(inst, rng, amplitude: float, n_modes: int = 5):
-    """Fixed-seed smooth random start satisfying the Navier conditions."""
+    """Fixed-seed smooth random start, zero on the boundary up to roundoff."""
     grid = inst.grid
     if grid.domain.kind == "interval":
         x = grid.nodes
@@ -386,33 +386,28 @@ def _fourier_start(inst, rng, amplitude: float, n_modes: int = 5):
         vals = rng.standard_normal() * (1 - r**2)
         for k in range(2, n_modes + 1):
             vals += rng.standard_normal() * (1 - r**2) ** k
-        vals[grid.boundary_mask] = 0.0
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals *= amplitude * abs(rng.standard_normal()) / peak
-    return GridFunction(grid, vals, bc="navier")
+    return vals
 
 
 def _near_zero_start(grid):
     """The descent's start: 1e-3 at every interior node."""
-    tiny = np.zeros(grid.size)
-    tiny[grid.interior_mask] = 1e-3
-    return GridFunction(grid, tiny, bc="navier")
+    return np.where(grid.interior_mask, 1e-3, 0.0)
 
 
 def _vbar_starts(grid, vbar_scale: float):
     """+/- the certificate's test function vbar = vbar_scale phi_1
     (`grids.first_mode`)."""
     vb = vbar_scale * first_mode(grid)
-    return [GridFunction(grid, vb, bc="navier"),
-            GridFunction(grid, -vb, bc="navier")]
+    return [vb, -vb]
 
 
 def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
                        n_starts: int = 12, seed: int = 0,
                        tol: float = DEFAULT_TOL,
-                       vbar_scale: float = 1.0,
-                       max_iter: int = DEFAULT_MAX_ITER) -> SolutionSet:
+                       vbar_scale: float = 1.0) -> SolutionSet:
     """Deflated Newton from deterministic starts: each step is deflated
     away from the solutions found so far (shifted power deflation in the
     weighted l2 norm), and a point is accepted when its clean residual
@@ -420,8 +415,8 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     solution found.  The pending starts run as one batch, and their results
     are committed in start order: the starts after the first accepted one
     run again, deflated against the larger set, so the result is that of
-    running the starts one at a time.  max_iter caps the descent from the
-    near-zero start.  When the descent's point is accepted and
+    running the starts one at a time.  Each start is nodal values, of which
+    only the interior is read.  When the descent's point is accepted and
     `uniqueness_modulus` is positive, it is the only critical point and
     the search ends there, before the other starts are built."""
     interior = inst.grid.interior_mask
@@ -432,7 +427,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     # minimiser, not necessarily the global one: on the ridge load at
     # n = 201, lambda = 30.25 it stops at E = -0.0095, while the global
     # minimiser, found from +vbar, has E = -7.67
-    base = minimize(inst, start, tol=tol, max_iter=max_iter)
+    base = minimize(inst, start, tol=tol)
     if base.converged:
         found.points.append(base)
         mu = found.uniqueness_modulus
@@ -444,7 +439,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
     starts = [start, *_vbar_starts(inst.grid, vbar_scale)]
     starts += [_fourier_start(inst, rng, amp) for _ in range(n_starts)]
     hessian = _Hessian(inst)
-    Z = np.column_stack([s.values[interior] for s in starts])
+    Z = np.column_stack([s[interior] for s in starts])
     first = 0                    # the first start not yet committed
     while first < len(starts) and len(found.points) < k_max:
         known = [p.u.values[interior] for p in found.points]
@@ -453,7 +448,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
         def done(b, z):
             pt = _critical_point(_point(inst, z), tol,
                                  starts_used=first + b + 1)
-            ok = pt.converged and found.is_distinct(pt.u.values, DISTINCTNESS)
+            ok = pt.converged and found.is_distinct(pt.u.values)
             tried[b] = pt, ok
             return ok            # the later starts must run again
 
@@ -470,7 +465,7 @@ def deflate_and_search(inst: ProblemInstance, k_max: int = 6,
 
 def lambda_sweep(inst: ProblemInstance, lambdas, **search):
     """Run deflate_and_search, with the keywords search (k_max, n_starts,
-    seed, tol, vbar_scale, max_iter), at each of the given lambda values
+    seed, tol, vbar_scale), at each of the given lambda values
     and tabulate the counts and energies; deterministic for a fixed seed."""
     rows = []
     for lam in lambdas:

@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from pxbiharm.energy import PointTerms, ProblemInstance
 from pxbiharm.exponents import constant_exponent
-from pxbiharm.grids import Domain, build_grid
+from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
 
 
@@ -91,3 +91,28 @@ def dense_hessian(inst, values):
     Li = inst.grid.laplacian_matrix()[:, interior]
     H = (Li.T @ Li.multiply((w * a_t)[:, None])).toarray()
     return H - inst.lam * np.diag((w * f_t)[interior])
+
+
+def gradient_check(inst: ProblemInstance, u: GridFunction,
+                   n_directions: int = 50, rng=None,
+                   eps_scale: float = 1e-6) -> float:
+    """Max relative error between <weak_residual, v> and central finite
+    differences of the total energy over random Navier directions."""
+    rng = np.random.default_rng(rng)
+    g = PointTerms(inst, u.values).residual
+    interior = inst.grid.interior_mask
+    scale = max(1.0, float(np.max(np.abs(u.values))))
+    eps = eps_scale * scale
+    worst = 0.0
+    for _ in range(n_directions):
+        v = np.zeros(inst.grid.size)
+        v[interior] = rng.standard_normal(interior.sum())
+        v /= np.max(np.abs(v))
+        analytic = float(np.dot(g, v))
+        up = GridFunction(inst.grid, u.values + eps * v)
+        dn = GridFunction(inst.grid, u.values - eps * v)
+        fd = (PointTerms(inst, up.values).energy
+              - PointTerms(inst, dn.values).energy) / (2 * eps)
+        denom = max(abs(analytic), abs(fd), 1e-14)
+        worst = max(worst, abs(analytic - fd) / denom)
+    return worst

@@ -17,14 +17,14 @@ from scipy.special import j1, jn_zeros
 
 from pxbiharm import cli
 from pxbiharm.certificate import certify
-from pxbiharm.energy import PointTerms, ProblemInstance, gradient_check
+from pxbiharm.energy import PointTerms, ProblemInstance
 from pxbiharm.exponents import affine_exponent, conjugate, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid, first_mode
 from pxbiharm.potentials import builtin_nonlinearity, make_power_family
 from pxbiharm.solver import lambda_sweep, minimize
 from pxbiharm.spaces import luxemburg_norm, modular
 
-from conftest import make_instance, spike_instance
+from conftest import gradient_check, make_instance, spike_instance
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "artifacts")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -58,12 +58,10 @@ def test_criterion_01_luxemburg_matches_classical_lp(report):
     for p_const in (1.5, 2.0, 3.0):
         p = constant_exponent(grid, p_const)
         for _ in range(100):
-            u = GridFunction(grid, rng.standard_normal(grid.size))
-            classical = float(np.dot(grid.weights,
-                                     np.abs(u.values) ** p_const)
+            u = rng.standard_normal(grid.size)
+            classical = float(np.dot(grid.weights, np.abs(u) ** p_const)
                               ** (1.0 / p_const))
-            worst = max(worst,
-                        abs(luxemburg_norm(u.values, p).value - classical))
+            worst = max(worst, abs(luxemburg_norm(u, p).value - classical))
     elapsed = time.perf_counter() - t0
     report(1, f"Luxemburg vs classical L^p, max abs err {worst:.2e}, "
               f"{elapsed:.1f}s", worst < 1e-10 and elapsed < 5.0)
@@ -130,8 +128,7 @@ def test_criterion_04_gradient_fidelity(report):
             nl = builtin_nonlinearity(name, grid, q)
             inst = ProblemInstance(grid, p, spec, nl, 1.0)
             for _ in range(3):
-                u = GridFunction(grid, _interior_noise(grid, rng),
-                                 bc="navier")
+                u = GridFunction(grid, _interior_noise(grid, rng))
                 worst = max(worst, gradient_check(inst, u, n_directions=3,
                                                   rng=rng))
     elapsed = time.perf_counter() - t0
@@ -238,7 +235,7 @@ def test_criterion_08_end_to_end_multiplicity(report):
 def test_criterion_09_beam_closed_form(report):
     grid = build_grid(Domain("interval"), 201)
     inst = make_instance(grid)
-    pt = minimize(inst, GridFunction(grid, np.zeros(grid.size), bc="navier"))
+    pt = minimize(inst, np.zeros(grid.size))
     x = grid.nodes
     exact = x**4 / 24 - x**3 / 12 + x / 24
     err = float(np.max(np.abs(pt.u.values - exact)))

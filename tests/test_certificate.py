@@ -261,7 +261,7 @@ def test_c0_bounds_the_interval_witness(inner, outer):
     f = field(log_nu)
     vals = np.zeros(grid.size)
     vals[grid.interior_mask] = -G @ f[grid.interior_mask]
-    u = GridFunction(grid, vals, bc="navier")
+    u = GridFunction(grid, vals)
     c0 = estimate_c0(grid, p)
     nrm = luxemburg_norm(grid.laplacian_matrix() @ u.values, p).value
     assert np.max(np.abs(u.values)) <= c0 * nrm
@@ -311,7 +311,7 @@ def test_c0_at_p2_is_attained_by_the_extremal_field(domain, n):
     i = int(np.argmax(rows**2 @ grid.weights))
     vals = np.zeros(grid.size)
     vals[grid.interior_mask] = G @ rows[i, grid.interior_mask]
-    u = GridFunction(grid, vals, bc="navier")
+    u = GridFunction(grid, vals)
     sup = np.max(np.abs(u.values))
     nrm = luxemburg_norm(grid.laplacian_matrix() @ u.values, p).value
     assert sup / nrm == pytest.approx(c0, rel=1e-10)
@@ -375,7 +375,7 @@ def test_no_navier_field_beats_c0(p, lap):
         return
     vals = np.zeros(SQUARE_9.size)
     vals[SQUARE_9.interior_mask] = _G9 @ lap
-    u = GridFunction(SQUARE_9, vals, bc="navier")
+    u = GridFunction(SQUARE_9, vals)
     c0 = estimate_c0(SQUARE_9, p)
     nrm = luxemburg_norm(SQUARE_9.laplacian_matrix() @ u.values, p).value
     assert np.max(np.abs(u.values)) <= c0 * nrm * (1 + 1e-12)

@@ -513,10 +513,11 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys):
 
 
 def test_unknown_key_is_bad_input(tmp_path, capsys):
-    """A misspelt key, and the keys of the former dedicated 1D
-    certificate, exit 2 at load with the keys named."""
+    """A misspelt key, the keys of the former dedicated 1D certificate
+    and the former solver.max_iter exit 2 at load with the keys named."""
     for doc, where in [
             (base_doc(typo=1), "config: ['typo']"),
+            (base_doc(solver={"max_iter": 7}), "solver: ['max_iter']"),
             (base_doc(certificate={"dim1": True, "h": 0.15}),
              "certificate: ['dim1']"),
             (base_doc(certificate={"h": 0.15, "l": 1.0}),
@@ -591,6 +592,29 @@ def test_hypotheses_check_a_table_past_t_10(tmp_path, capsys):
     assert payload["status"]["H5"] == "fail"
     assert payload["witnesses"]["H5"] == {
         "x": 0.0, "t": 12.5, "lhs": 100.0, "rhs": 1.0 + 12.5 ** 0.5}
+
+
+@pytest.mark.parametrize("command, code", [
+    ("hypotheses", EXIT_INFEASIBLE), ("check-spaces", EXIT_OK),
+    ("certify", EXIT_BAD_INPUT), ("solve", EXIT_BAD_INPUT),
+    ("sweep", EXIT_BAD_INPUT)])
+def test_q_at_p_minus_is_decided_by_H5(tmp_path, capsys, monkeypatch,
+                                       command, code):
+    """q+ < p- is part of H5: with q = 2.5 > p = 2, `hypotheses` reports H5
+    failing with the witness (q+, p-), `check-spaces`, which never reads q,
+    runs, and `certify`, `solve` and `sweep` refuse the config by its H5."""
+    monkeypatch.chdir(tmp_path)
+    doc = dict(BEAM, nonlinearity=dict(BEAM["nonlinearity"], q=2.5))
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == code
+    out = capsys.readouterr()
+    if command == "hypotheses":
+        payload = strict_json(out.out)
+        assert payload["status"]["H5"] == "fail"
+        assert payload["witnesses"]["H5"] == {
+            "x": 0.0, "t": 0.0, "lhs": 2.5, "rhs": 2.0}
+    elif code == EXIT_BAD_INPUT:
+        assert "hypotheses do not hold: H5 (fail)" in out.err
 
 
 def test_grid_n_override(tmp_path, capsys):
@@ -735,25 +759,6 @@ def test_grid_n_override_reads_per_node_lists(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["all_pass"]
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_solver_max_iter_reaches_minimize(tmp_path, monkeypatch, command):
-    monkeypatch.chdir(tmp_path)
-    seen = []
-    real = solver.minimize
-
-    def spy(*args, max_iter=solver.DEFAULT_MAX_ITER, **kwargs):
-        seen.append(max_iter)
-        return real(*args, max_iter=max_iter, **kwargs)
-
-    monkeypatch.setattr(solver, "minimize", spy)
-    doc = spike_table_doc(grid_n=41, solver={"n_starts": 1, "k_max": 1,
-                                             "sweep_m": 2, "max_iter": 7})
-    cfg = write_config(tmp_path, doc)
-    extra = ["--lambda", "30"] if command == "solve" else []
-    main([command, "--config", cfg, *extra])
-    assert seen and set(seen) == {7}
-
-
 BEAM = json.loads((CONFIGS / "beam.json").read_text())
 
 # a key of beam.json or of one of its blocks; absent blocks are added
@@ -764,8 +769,7 @@ CONFIG_KEYS = [(k,) for k in sorted(BEAM)] + [
         ("potential", ["family", "theta", "variant"]),
         ("nonlinearity", ["kind", "q", "xi", "zeta", "alpha"]),
         ("certificate", ["r", "h", "h_scan"]),
-        ("solver", ["tol", "max_iter", "n_starts", "k_max", "seed",
-                    "sweep_m"]),
+        ("solver", ["tol", "n_starts", "k_max", "seed", "sweep_m"]),
         ("output", ["solutions_csv"]),
     ] for k in keys]
 
@@ -795,7 +799,7 @@ JSON_VALUES = st.recursive(
 # is not run (config integers may be given as floats).  sweep starts from
 # the ridge config, whose certificate interval is not empty at 9 nodes, so
 # that its draws reach the solver
-SOLVER_BUDGET = {"n_starts": 1, "k_max": 2, "sweep_m": 2, "max_iter": 10_000}
+SOLVER_BUDGET = {"n_starts": 1, "k_max": 2, "sweep_m": 2}
 RIDGE = json.loads((CONFIGS / "spike_ridge.json").read_text())
 
 
@@ -824,6 +828,8 @@ KIND_BASES = {
 @example(path=("domain", "kind"), value=[], command="hypotheses")
 @example(path=("lambda",), value=1e300, command="solve")
 @example(path=("solver", "seed"), value=3, command="sweep")
+# q >= p- loads and fails H5; on the ridge table |t|^{q-1} overflows
+@example(path=("nonlinearity", "q"), value=1e300, command="sweep")
 # p = 400 and 790: J(vbar) overflows or underflows at some heights
 @example(path=("exponent", "value"), value=400.0, command="certify")
 @example(path=("exponent", "value"), value=790.0, command="certify")

@@ -88,9 +88,12 @@ def test_unknown_potential_family_rejected():
 
 
 def test_q_must_stay_below_p_minus():
+    """q+ < p- is part of H5: the config loads and builds unverified, and
+    the verified build refuses it by H5."""
     cfg = load_config(base_doc(
         nonlinearity={"kind": "builtin:const:1", "q": 2.5}))
-    with pytest.raises(ConfigError):
+    build_problem(cfg, verify=False)
+    with pytest.raises(ConfigError, match=r"H5 \(fail\)"):
         build_problem(cfg)
 
 

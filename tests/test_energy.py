@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from pxbiharm.config import ConfigError, build_problem, load_config
-from pxbiharm.energy import (
-    PointTerms,
-    ProblemInstance,
-    gradient_check,
-    weak_residual,
-)
+from pxbiharm.energy import PointTerms, ProblemInstance, weak_residual
 from pxbiharm.exponents import affine_exponent, constant_exponent
 from pxbiharm.grids import Domain, GridFunction, build_grid
 from pxbiharm.potentials import (
@@ -18,12 +13,11 @@ from pxbiharm.potentials import (
 )
 from pxbiharm.spaces import luxemburg_norm
 
-from conftest import make_instance
+from conftest import gradient_check, make_instance
 
 
 def _sine(grid, amplitude=1.0):
-    return GridFunction(grid, amplitude * np.sin(np.pi * grid.nodes),
-                        bc="navier")
+    return GridFunction(grid, amplitude * np.sin(np.pi * grid.nodes))
 
 
 def test_energy_J_quadratic_oracle(interval_grid):
@@ -49,13 +43,6 @@ def test_total_energy_identity(interval_grid):
     u = _sine(interval_grid, 0.7)
     pt = PointTerms(inst, u.values)
     assert pt.energy == pytest.approx(pt.J - 3.0 * pt.Phi, rel=1e-14)
-
-
-def test_energy_requires_navier(interval_grid):
-    inst = make_instance(interval_grid)
-    u = GridFunction(interval_grid, np.ones(interval_grid.size), bc="none")
-    with pytest.raises(ValueError):
-        weak_residual(inst, u)
 
 
 def test_lambda_must_be_positive(interval_grid):
@@ -100,14 +87,14 @@ def test_gradient_matches_finite_differences(p_spec, nl_name):
     rng = np.random.default_rng(11)
     vals = np.zeros(grid.size)
     vals[grid.interior_mask] = rng.standard_normal(grid.interior_mask.sum())
-    u = GridFunction(grid, vals, bc="navier")
+    u = GridFunction(grid, vals)
     assert gradient_check(inst, u, n_directions=10, rng=5) < 1e-6
 
 
 def test_gradient_check_on_ball(ball_grid):
     inst = make_instance(ball_grid, nl_name="rational_bump")
     r = ball_grid.nodes
-    u = GridFunction(ball_grid, (1 - r**2) * (2 - r**2), bc="navier")
+    u = GridFunction(ball_grid, (1 - r**2) * (2 - r**2))
     assert gradient_check(inst, u, n_directions=10, rng=5) < 1e-6
 
 
@@ -120,15 +107,14 @@ def test_coercivity_witness(interval_grid):
         vals = np.zeros(interval_grid.size)
         vals[interval_grid.interior_mask] = \
             rng.standard_normal(interval_grid.interior_mask.sum())
-        u = GridFunction(interval_grid, vals, bc="navier")
+        u = GridFunction(interval_grid, vals)
         nrm = luxemburg_norm(L @ u.values, inst.p).value
         if nrm == 0.0:
             continue
         # rescale to a moderate norm above 1 so the bisection error stays
         # far below the 1e-8 slack
         target = 1.0 + 2.0 * rng.random()
-        u = GridFunction(interval_grid, u.values * (target / nrm),
-                         bc="navier")
+        u = GridFunction(interval_grid, u.values * (target / nrm))
         nrm = luxemburg_norm(L @ u.values, inst.p).value
         assert nrm > 1.0
         assert PointTerms(inst, u.values).J \

@@ -49,7 +49,7 @@ def test_interval_quadrature_exact_on_linear():
 
 def test_interval_laplacian_exact_on_quadratics():
     grid = build_grid(Domain("interval"), 41)
-    u = GridFunction(grid, grid.nodes * (1.0 - grid.nodes), bc="navier")
+    u = GridFunction(grid, grid.nodes * (1.0 - grid.nodes))
     du = grid.laplacian_matrix() @ u.values
     assert np.allclose(du[grid.interior_mask], -2.0, atol=1e-10)
     assert np.all(du[grid.boundary_mask] == 0.0)
@@ -58,7 +58,7 @@ def test_interval_laplacian_exact_on_quadratics():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_radial_laplacian_exact_on_quadratics(N):
     grid = build_grid(Domain("ball_radial", N=N, R=1.0), 51)
-    u = GridFunction(grid, 1.0 - grid.nodes**2, bc="navier")
+    u = GridFunction(grid, 1.0 - grid.nodes**2)
     du = grid.laplacian_matrix() @ u.values
     # Delta (a - r^2) = -2N for the radial Laplacian in R^N
     assert np.allclose(du[grid.interior_mask], -2.0 * N, atol=1e-9)
@@ -67,7 +67,7 @@ def test_radial_laplacian_exact_on_quadratics(N):
 def test_rectangle_laplacian_on_separable_quadratic():
     grid = build_grid(Domain("rectangle"), 33)
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    u = GridFunction(grid, x * (1 - x) * y * (1 - y), bc="navier")
+    u = GridFunction(grid, x * (1 - x) * y * (1 - y))
     du = grid.laplacian_matrix() @ u.values
     exact = -2.0 * y * (1 - y) - 2.0 * x * (1 - x)
     mask = grid.interior_mask
@@ -87,13 +87,13 @@ def test_ball_weighted_laplacian_self_adjoint():
 def test_navier_function_rejects_nonzero_boundary():
     grid = build_grid(Domain("interval"), 17)
     with pytest.raises(ValueError):
-        GridFunction(grid, np.ones(grid.size), bc="navier")
+        GridFunction(grid, np.ones(grid.size))
 
 
 def test_navier_function_snaps_roundoff_boundary():
     grid = build_grid(Domain("interval"), 17)
     vals = np.sin(np.pi * grid.nodes)  # boundary ~1e-16, not exact zero
-    u = GridFunction(grid, vals, bc="navier")
+    u = GridFunction(grid, vals)
     assert u.values[0] == 0.0 and u.values[-1] == 0.0
 
 

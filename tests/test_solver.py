@@ -16,7 +16,7 @@ from pxbiharm.certificate import certify
 from pxbiharm.config import build_problem, load_config
 from pxbiharm.energy import PointTerms, ProblemInstance
 from pxbiharm.exponents import affine_exponent, constant_exponent
-from pxbiharm.grids import Domain, GridFunction, build_grid, laplacian_floor
+from pxbiharm.grids import Domain, build_grid, laplacian_floor
 from pxbiharm.potentials import (
     builtin_nonlinearity,
     make_perturbed_family,
@@ -43,7 +43,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def zero_field(grid):
-    return GridFunction(grid, np.zeros(grid.size), bc="navier")
+    return np.zeros(grid.size)
 
 
 def beam_exact(x):
@@ -139,7 +139,7 @@ def test_minimize_leaves_a_saddle_downhill(monkeypatch):
     calls = counted(monkeypatch, "residual")
     slopes = {name: counted(monkeypatch, name) for name in ("a_t", "f_t")}
     steps = counted_steps(monkeypatch)
-    pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
+    pt = minimize(inst, vals)
     assert pt.converged
     assert pt.energy < saddle.energy - 1.0
     assert len(calls) <= 50
@@ -154,12 +154,11 @@ def test_minimize_does_not_stall_at_the_rounding_floor():
     noise: the line search must not halve the step away there."""
     grid = build_grid(Domain("interval"), 201)
     inst = spike_instance(grid, lam=30.25)
-    big = minimize(inst, GridFunction(grid, 1.2 * grids.first_mode(grid),
-                                      bc="navier"))
+    big = minimize(inst, 1.2 * grids.first_mode(grid))
     assert big.converged
     for s in range(10):
         vals = big.u.values + 1e-9 * np.sin((s + 1) * np.pi * grid.nodes)
-        pt = minimize(inst, GridFunction(grid, vals, bc="navier"))
+        pt = minimize(inst, vals)
         assert pt.converged, (s, pt.residual_norm, pt.threshold)
         assert pt.energy == pytest.approx(big.energy, rel=1e-12)
 
@@ -310,9 +309,37 @@ def test_singular_band_stops_newton(monkeypatch):
     z = solver._newton(inst, z0[:, None], 1e-8, hessian)
     assert np.array_equal(z, z0[:, None])
     monkeypatch.setattr(solver, "_Hessian", ZeroHessian)
-    u0 = GridFunction(grid, solver._point(inst, z0).values, bc="navier")
+    u0 = solver._point(inst, z0).values
     pt = minimize(inst, u0)
-    assert np.array_equal(pt.u.values, u0.values) and not pt.converged
+    assert np.array_equal(pt.u.values, u0) and not pt.converged
+
+
+@pytest.mark.parametrize("case", ["beam", "rect_spike"])
+def test_minimize_reads_only_the_interior(case):
+    """A start with nonzero boundary values descends, bit for bit, as the
+    same start zeroed on the boundary."""
+    if case == "beam":
+        grid = build_grid(Domain("interval"), 41)
+        inst, u0 = make_instance(grid), 0.3 * grids.first_mode(grid)
+    else:
+        inst, _ = rect_spike_problem()
+        grid = inst.grid
+        u0 = 1.2 * grids.first_mode(grid)
+    dirty = u0.copy()
+    dirty[grid.boundary_mask] = np.linspace(-5.0, 7.0,
+                                            grid.boundary_mask.sum())
+    want, got = minimize(inst, u0), minimize(inst, dirty)
+    assert np.array_equal(got.u.values, want.u.values)
+    assert got.energy == want.energy and got.converged == want.converged
+    assert got.residual_norm == want.residual_norm
+    assert not np.any(got.u.values[grid.boundary_mask])
+
+
+@pytest.mark.parametrize("shape", [(40,), (42,), (2, 41), (41, 1)])
+def test_minimize_refuses_a_start_of_the_wrong_length(shape):
+    grid = build_grid(Domain("interval"), 41)
+    with pytest.raises(ValueError):
+        minimize(make_instance(grid), np.zeros(shape))
 
 
 def test_solution_set_distinctness():
@@ -321,9 +348,9 @@ def test_solution_set_distinctness():
     s = SolutionSet()
     u = zero_field(grid)
     s.points.append(minimize(inst, u))
-    assert not s.is_distinct(s.points[0].u.values, 1e-3)
+    assert not s.is_distinct(s.points[0].u.values)
     far = s.points[0].u.values + 1.0
-    assert s.is_distinct(far, 1e-3)
+    assert s.is_distinct(far)
 
 
 def test_solving_a_separable_load_without_g_prime_raises():
@@ -366,15 +393,14 @@ def test_minimize_accepts_global_minimiser_at_rounding_floor():
     the residual's own terms; the floor-aware threshold accepts it."""
     grid = build_grid(Domain("interval"), 201)
     inst = spike_instance(grid, lam=30.25)
-    big = minimize(inst, GridFunction(grid, 1.2 * grids.first_mode(grid),
-                                      bc="navier"))
+    big = minimize(inst, 1.2 * grids.first_mode(grid))
     assert big.converged
     assert 1e-8 < big.threshold
     assert big.residual_norm <= big.threshold
     assert np.max(np.abs(big.u.values)) == pytest.approx(1.296, abs=1e-3)
     tiny = np.zeros(grid.size)
     tiny[grid.interior_mask] = 1e-3
-    near_zero = minimize(inst, GridFunction(grid, tiny, bc="navier"))
+    near_zero = minimize(inst, tiny)
     assert near_zero.converged
     assert big.energy < near_zero.energy
 
@@ -470,11 +496,11 @@ def sequential_search(inst, k_max, n_starts, seed, vbar_scale):
         if len(found.points) >= k_max:
             break
         known = [p.u.values[interior] for p in found.points]
-        z = solver._newton(inst, start.values[interior][:, None], tol,
+        z = solver._newton(inst, start[interior][:, None], tol,
                            hessian, known)[:, 0]
         pt = solver._critical_point(solver._point(inst, z), tol,
                                     starts_used=n_used)
-        if pt.converged and found.is_distinct(pt.u.values, dist):
+        if pt.converged and found.is_distinct(pt.u.values):
             found.points.append(pt)
     found.sort()
     return found, len(starts)
@@ -575,12 +601,13 @@ def test_batched_search_equals_starts_one_at_a_time(monkeypatch, case,
 
 
 def test_certified_search_runs_on_when_the_descent_fails(monkeypatch):
-    """mu > 0 but the descent stops unconverged (max_iter = 1): the
+    """mu > 0 but the descent stops unconverged (one descent step): the
     deflated starts run and find the solution."""
     inst, kw = rect_solve_problem()
     assert solver.uniqueness_modulus(inst) > 0
     widths = spy_newton(monkeypatch)
-    got = deflate_and_search(inst, seed=0, max_iter=1, **kw)
+    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 1)
+    got = deflate_and_search(inst, seed=0, **kw)
     assert widths and len(got.points) == 1
     assert got.points[0].converged
 
