@@ -154,8 +154,7 @@ def alpha_r(inst: ProblemInstance, r: float, c0: float) -> float:
     if r <= 0:
         raise ValueError("r must be positive")
     bound = c0 * gamma_r(inst.p, r)
-    sup_F = inst.nonlinearity.F_range(-bound, bound)[1]
-    return integrate(inst.grid, sup_F) / r
+    return integrate(inst.grid, inst.nonlinearity.F_sup(-bound, bound)) / r
 
 
 def estimate_c0(grid: Grid, p: ExponentField) -> float:

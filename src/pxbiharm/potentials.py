@@ -60,7 +60,6 @@ class PotentialSpec:
     family: str
     theta: np.ndarray
     p: ExponentField
-    variant: str | None
     c2: float
     a_eval: callable = field(repr=False, default=None)
     A_eval: callable = field(repr=False, default=None)
@@ -69,26 +68,24 @@ class PotentialSpec:
     growth: np.ndarray = field(repr=False, default=None)
     witnesses: dict | None = field(repr=False, default=None)
 
+    def _at_nodes(self, kernel, t) -> np.ndarray:
+        t = np.asarray(t, float)
+        return kernel(nodewise(self.theta, t), nodewise(self.p.values, t), t)
+
     def a(self, t) -> np.ndarray:
         """a(x, t) at every node; t is a scalar or has the nodes on its
         leading axis."""
-        t = np.asarray(t, float)
-        return self.a_eval(nodewise(self.theta, t),
-                           nodewise(self.p.values, t), t)
+        return self._at_nodes(self.a_eval, t)
 
     def a_t(self, t) -> np.ndarray:
         """d/dt a(x, t) at every node, as `a`."""
         if self.a_t_eval is None:
             raise ValueError(f"this {self.family!r} spec declares no a_t "
                              f"(a_t_eval), so the slope of a is unknown")
-        t = np.asarray(t, float)
-        return self.a_t_eval(nodewise(self.theta, t),
-                             nodewise(self.p.values, t), t)
+        return self._at_nodes(self.a_t_eval, t)
 
     def A(self, t) -> np.ndarray:
-        t = np.asarray(t, float)
-        return self.A_eval(nodewise(self.theta, t),
-                           nodewise(self.p.values, t), t)
+        return self._at_nodes(self.A_eval, t)
 
 
 @dataclass
@@ -118,32 +115,32 @@ class NonlinearitySpec:
     lip: float | None = None
     knots: tuple | None = field(repr=False, default=None)
 
-    def f(self, t) -> np.ndarray:
+    def _at_nodes(self, fn, t) -> np.ndarray:
         t = np.asarray(t, float)
-        return nodewise(self.alpha, t) * self.g(t)
+        return nodewise(self.alpha, t) * fn(t)
+
+    def f(self, t) -> np.ndarray:
+        return self._at_nodes(self.g, t)
 
     def F(self, t) -> np.ndarray:
-        t = np.asarray(t, float)
-        return nodewise(self.alpha, t) * self.G(t)
+        return self._at_nodes(self.G, t)
 
     def f_t(self, t) -> np.ndarray:
         """d/dt f(x, t) = alpha(x) g'(t)."""
         if self.dg is None:
             raise ValueError(f"the {self.name!r} load declares no g' (dg), "
                              f"so the slope of f is unknown")
-        t = np.asarray(t, float)
-        return nodewise(self.alpha, t) * self.dg(t)
+        return self._at_nodes(self.dg, t)
 
-    def F_range(self, lo: float, hi: float):
-        """Per-node (min, max) of F(x, .) over [lo, hi]: G is monotone
-        between the zeros of g, so its extremes lie at lo, hi or a zero."""
+    def F_sup(self, lo: float, hi: float) -> np.ndarray:
+        """Per-node sup of F(x, .) over [lo, hi]: G is monotone between the
+        zeros of g, so its extremes lie at lo, hi or a zero."""
         if self.zeros is None:
             raise ValueError(f"the {self.name!r} load declares no zeros of "
-                             f"g, so the range of F is unknown")
+                             f"g, so the sup of F is unknown")
         inside = self.zeros[(self.zeros > lo) & (self.zeros < hi)]
         G = self.G(np.concatenate([[lo, hi], inside]))
-        lo_F, hi_F = self.alpha * np.min(G), self.alpha * np.max(G)
-        return np.minimum(lo_F, hi_F), np.maximum(lo_F, hi_F)
+        return np.maximum(self.alpha * np.min(G), self.alpha * np.max(G))
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,6 @@ def make_power_family(theta, p: ExponentField) -> PotentialSpec:
         family="power",
         theta=theta,
         p=p,
-        variant=None,
         c2=min(1.0, float(theta.min())),
         a_eval=_power_a,
         A_eval=_power_A,
@@ -257,7 +253,7 @@ _ROUND_DOWN = 4.0 * np.finfo(float).eps
 
 
 def _perturbed_c2(p, e, x1):
-    """(R, t) per p (1-D, with its e and x1 = e + 1 - p/2): R is the inf
+    """(R, t) per node (p, its e and x1 = e + 1 - p/2): R is the inf
     over t of min(a t, p A) / (theta |t|^p) for a = theta (1+t^2)^e t, and
     t the |t| where it is attained (0 or inf for a limit).
 
@@ -290,7 +286,7 @@ def _perturbed_c2(p, e, x1):
 def make_perturbed_family(theta, p: ExponentField,
                           variant: str = "standard") -> PotentialSpec:
     """a = theta (1+t^2)^e t; A in closed form; c2 in closed form
-    (_perturbed_c2), computed once per distinct p.  growth is the exponent
+    (_perturbed_c2), computed at every node.  growth is the exponent
     x1 = e + 1 - p/2 at which every ratio grows as |t| -> inf: 0 for
     standard, (6p - p^2 - 4) / (2(p - 2)) for paper_literal."""
     if variant not in ("standard", "paper_literal"):
@@ -320,38 +316,34 @@ def make_perturbed_family(theta, p: ExponentField,
         e1 = _perturbed_exponent(pv, variant) + 1.0
         return th * np.expm1(e1 * np.log1p(t**2)) / (2.0 * e1)
 
-    pu, inv = np.unique(p.values, return_inverse=True)
-    e = _perturbed_exponent(pu, variant)
+    e = _perturbed_exponent(p.values, variant)
     # exactly 0 for standard (p - 2 is exact), and exact for paper_literal
     # near its root 3 + sqrt 5, where e - p/2 is near -1: a positive x1
     # there is at least 2^-53
-    x1 = e - pu / 2.0 + 1.0
-    c2_ratio, c2_at = _perturbed_c2(pu, e, x1)
-    c2_nodes = theta * c2_ratio[inv]
+    x1 = e - p.values / 2.0 + 1.0
+    c2_ratio, c2_at = _perturbed_c2(p.values, e, x1)
+    c2_nodes = theta * c2_ratio
     slope_min, slope_at = _perturbed_slope_min(e)
-    a_t_min = theta * slope_min[inv]
-    growth = x1[inv]
+    a_t_min = theta * slope_min
     x = p.grid.nodes
-    i, j, k = (int(np.argmax(growth > 0.0)), int(np.argmin(a_t_min)),
+    i, j, k = (int(np.argmax(x1 > 0.0)), int(np.argmin(a_t_min)),
                int(np.argmin(c2_nodes)))
     return PotentialSpec(
         family="perturbed_power",
         theta=theta,
         p=p,
-        variant=variant,
         c2=float(c2_nodes[k]),
         a_eval=a_eval,
         A_eval=A_eval,
         a_t_eval=a_t_eval,
         a_t_min=a_t_min,
-        growth=growth,
+        growth=x1,
         # H2 fails first at node i, where |a| grows like |t|^{2e+1} and the
         # H2 bound like |t|^{p-1}
         witnesses={
-            "H2": _witness(x[i], np.inf, 2.0 * e[inv[i]] + 1.0,
-                           p.values[i] - 1.0),
-            "H3": _witness(x[j], slope_at[inv[j]], a_t_min[j], 0.0),
-            "H4": _witness(x[k], c2_at[inv[k]], c2_nodes[k], 1.0)},
+            "H2": _witness(x[i], np.inf, 2.0 * e[i] + 1.0, p.values[i] - 1.0),
+            "H3": _witness(x[j], slope_at[j], a_t_min[j], 0.0),
+            "H4": _witness(x[k], c2_at[k], c2_nodes[k], 1.0)},
     )
 
 
@@ -397,11 +389,12 @@ def verify_hypotheses(spec: PotentialSpec,
     strict monotonicity of t -> a(x, t), from a_t_min >= 0 (the built-in
     families' slope vanishes only at isolated t); H4 from c2 >= 1; H5
     exactly on the load's knots (`_h5_excess`), with q+ < p-.  H2-H4 of a
-    hand-built spec (no witnesses) and H5 of a load without xi or knots are
-    "unverifiable".  Failures are data, not errors; each carries a witness.
+    hand-built spec (no witnesses) are "unverifiable", and so is H5 of a
+    load without xi or knots unless q+ >= p- fails it.  Failures are data,
+    not errors; each carries a witness.
     """
     x = spec.p.grid.nodes
-    a0 = spec.a_eval(spec.theta, spec.p.values, 0.0)
+    a0 = spec.a(0.0)
     i = int(np.argmax(np.abs(a0)))
     checks = {"H1": (abs(a0[i]) <= _TOL, _witness(x[i], 0.0, a0[i], 0.0))}
     if spec.witnesses is not None:
@@ -414,9 +407,12 @@ def verify_hypotheses(spec: PotentialSpec,
         bound = nl.zeta * t[j] ** (nl.q.values[j] - 1.0)
         checks["H5"] = (excess[j] <= nl.xi[j] + _TOL, _witness(
             x[j], t[j], excess[j] + bound, nl.xi[j] + bound))
-        if checks["H5"][0] and not nl.q.p_plus < spec.p.p_minus:
-            checks["H5"] = (False, _witness(x[0], 0.0, nl.q.p_plus,
-                                            spec.p.p_minus))
+    # q+ < p- is decided for every load; a failed bound on the knots keeps
+    # its own witness
+    if (nl is not None and checks.get("H5", (True,))[0]
+            and not nl.q.p_plus < spec.p.p_minus):
+        checks["H5"] = (False, _witness(x[0], 0.0, nl.q.p_plus,
+                                        spec.p.p_minus))
 
     status, witnesses = {}, {}
     for name in ("H1", "H2", "H3", "H4", "H5"):
@@ -456,7 +452,7 @@ def builtin_nonlinearity(name: str, grid, q: ExponentField,
     Names: "const:<c>" (g = c), "rational_bump" (1/(1+t^2) + 1),
     "exp_abs" (e^{-|t|} + 1), "separable" (the given g, G, its slope g'
     as `dg`, which the solver reads, and the t where g changes sign as
-    `zeros`, which `F_range` reads).  A fixed g declares g' in closed
+    `zeros`, which `F_sup` reads).  A fixed g declares g' in closed
     form (0 at the kink t = 0 of exp_abs).  alpha is a
     number or one value per node and defaults to 1; xi defaults to
     max|alpha| sup|g| for a fixed g and to None (H5 unverifiable).  A fixed

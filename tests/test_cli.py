@@ -26,7 +26,8 @@ from pxbiharm.grids import Domain, GridFunction, build_grid
 
 from conftest import spike_g
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -1052,14 +1053,28 @@ def test_builder_value_errors_are_bad_input(tmp_path, capsys, path, value,
     assert message in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_the_sparse_solvers():
+def test_cli_import_leaves_out_the_sparse_solvers(tmp_path):
     """The Newton core solves with LAPACK's banded LU, so importing the
-    command line loads none of scipy.sparse.linalg (SuperLU, ARPACK, ...)."""
+    command line loads none of scipy.sparse.linalg (SuperLU, ARPACK, ...).
+    Neither the import nor one `certify` of the benchmark's rect_certify
+    config loads scipy.special: it adds about 2.3 MB to the import's peak
+    resident memory, more than the benchmark's 2% bound on peak RSS."""
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    cfg = write_config(tmp_path,
+                       workloads["WORKLOADS"]["rect_certify"].config(ROOT))
     src = str(Path(pxbiharm.__file__).resolve().parents[1])
     path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = ("import sys, pxbiharm.cli; print(sorted(m for m in sys.modules"
-            " if m.startswith('scipy.sparse.linalg')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    loaded = ("print(sorted(m for m in sys.modules if m.startswith("
+              "('scipy.sparse.linalg', 'scipy.special'))))")
+    certify = (f"rc = pxbiharm.cli.main(['certify', '--config', {cfg!r}, "
+               f"'--out', {str(tmp_path / 'out.json')!r}]); print(rc)")
+    for code in ["", certify]:
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "; ".join(filter(None, ["import sys, pxbiharm.cli", code,
+                                     loaded]))],
+            env=env, check=True, capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "[]"
+    # the h-scan ignores the r-bound check, so this certify exits 1
+    assert out.splitlines()[0] == str(EXIT_INFEASIBLE)

@@ -132,7 +132,8 @@ def test_perturbed_family_from_config():
                    "theta": 1.0}))
     inst = build_problem(cfg, verify=False)
     assert inst.potential.family == "perturbed_power"
-    assert inst.potential.variant == "standard"
+    # standard grows like the H2 bound (paper_literal at p = 3: x1 = 2.5)
+    assert not inst.potential.growth.any()
     assert inst.potential.c2 == 1.0
 
 

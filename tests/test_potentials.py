@@ -134,7 +134,7 @@ def test_a_hand_built_spec_leaves_H2_to_H4_unverifiable(grid):
     # witnesses, so its constants and slope cannot be read as verdicts
     p = constant_exponent(grid, 2.0)
     spec = PotentialSpec(
-        family="power", theta=np.ones(grid.size), p=p, variant=None, c2=1.0,
+        family="power", theta=np.ones(grid.size), p=p, c2=1.0,
         a_eval=lambda th, pv, t: th * (t - t**3),
         A_eval=lambda th, pv, t: th * (t**2 / 2 - t**4 / 4),
     )
@@ -205,6 +205,27 @@ def test_h5_fails_when_q_exceeds_p_minus(grid):
     nl = builtin_nonlinearity("const:1", grid, q)
     report = verify_hypotheses(spec, nl)
     assert report.status["H5"] == "fail"
+
+
+def test_h5_decides_q_against_p_minus_for_a_load_without_knots(grid):
+    # a separable load has no xi or knots, so only q+ < p- can be decided
+    p = constant_exponent(grid, 2.0)
+    spec = make_power_family(1.0, p)
+
+    def load(q):
+        return builtin_nonlinearity(
+            "separable", grid, constant_exponent(grid, q), g=np.cos,
+            G=np.sin, dg=lambda t: -np.sin(t))
+
+    report = verify_hypotheses(spec, load(2.5))
+    assert report.status["H5"] == "fail"
+    assert report.witnesses["H5"] == _witness(grid.nodes[0], 0.0, 2.5, 2.0)
+    assert verify_hypotheses(spec, load(1.5)).status["H5"] == "unverifiable"
+    # where the knots fail the bound too, their witness is the one reported
+    nl = builtin_nonlinearity("const:1", grid, constant_exponent(grid, 2.5),
+                              xi=0.5)
+    w = verify_hypotheses(spec, nl).witnesses["H5"]
+    assert (w.t, w.lhs, w.rhs) == (0.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("name", ["const:2", "rational_bump", "exp_abs"])
